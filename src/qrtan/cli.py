@@ -10,6 +10,7 @@ codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import analysis, itinerary as itin_mod, plane, verify
 from .core import is_infinity, iterate
 from .itinerary import ContractionFailure
-from .plane import BranchDomainError
+from .plane import BranchDomainError, BranchResidualError
 from .render import RenderConfig, render_basin, render_escape_depth, write_png, write_ppm
 
 _WINDOW_HELP = ("window as x0,y0,x1,y1 (default -pi/4,-pi/4,3pi/4,3pi/4); pixels sample "
@@ -89,8 +90,8 @@ def build_parser():
 
     sp = sub.add_parser("render-escape", help="escape-depth image")
     add_common(sp, render=True)
-    sp.add_argument("--r-esc", type=float, default=50.0,
-                    help="norm threshold defining escape depth")
+    sp.add_argument("--r-esc", type=float, default=None,
+                    help="norm threshold defining escape depth (default 4*lambda)")
 
     sp = sub.add_parser("orbit", help="iterate a point, one NDJSON record per step")
     add_common(sp)
@@ -143,7 +144,7 @@ def _cmd_render(args, escape):
     w, h = args.res
     cfg = RenderConfig(lam=args.lam, window=tuple(args.window), width=w, height=h,
                        max_iter=args.max_iter, tol=args.tol, threads=args.threads,
-                       escape_norm=getattr(args, "r_esc", 50.0))
+                       depth_norm=getattr(args, "r_esc", None))
     img = render_escape_depth(cfg) if escape else render_basin(cfg)
     if args.png:
         write_png(img, args.out)
@@ -221,6 +222,15 @@ def _cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
+def _check_inputs(args):
+    """Reject a bad parameter or start point before any output is written."""
+    if not (math.isfinite(args.lam) and args.lam > 0.0):
+        raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
+    start = getattr(args, "start", None)
+    if start is not None and not np.all(np.isfinite(start)):
+        raise ValueError("--start must be finite, got " + ",".join(f"{v:g}" for v in start))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -228,6 +238,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
+        _check_inputs(args)
         if args.command == "render-basin":
             return _cmd_render(args, escape=False)
         if args.command == "render-escape":
@@ -242,7 +253,8 @@ def main(argv=None) -> int:
             return _cmd_solve_xi0(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (ValueError, KeyError, BranchDomainError, ContractionFailure) as e:
+    except (ValueError, KeyError, BranchDomainError, BranchResidualError,
+            ContractionFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 2

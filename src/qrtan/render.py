@@ -1,15 +1,22 @@
 """Basin and escape-depth images of the plane dynamics.
 
 Pixels are classified with the same fate logic as the scalar orbit
-classifier, but vectorized over the whole grid.  Output is 8-bit RGB,
-written as binary PPM (P6) so golden files need no image library; PNG
-is available on request through Pillow.  Rendering is deterministic:
-the grid is cut into fixed row blocks, each block is computed by pure
-array code, and assembly is by block index, so the thread count can
-change the wall time but never a byte of the image.
+classifier, but vectorized over the whole grid.  Decided pixels leave
+the loop: it iterates only the pixels still live, and an escape-depth
+render also stops each pixel at its first passage above the depth
+threshold.  A pixel's arithmetic does not depend on which other pixels
+are still in the loop, so the output bytes equal those of iterating
+every pixel to ``max_iter``.  Output is 8-bit RGB, written as binary
+PPM (P6) so golden files need no image library; PNG is available on
+request, written with the standard library.  Rendering is
+deterministic: the grid is cut into fixed row blocks, each block is
+computed by pure array code, and assembly is by block index, so the
+thread count can change the wall time but never a byte of the image.
 """
 
 import math
+import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +33,11 @@ _FATE_POLE = 5
 
 _DEFAULT_WINDOW = (-QUARTER_PI, -QUARTER_PI, 3 * QUARTER_PI, 3 * QUARTER_PI)
 
+# the render loop compacts its carried pixel arrays once at least
+# 1/_COMPACT_SHARE of the entries are done; compacting every step keeps
+# resizing the arrays, which costs resident memory through the allocator
+_COMPACT_SHARE = 4
+
 
 @dataclass
 class RenderConfig:
@@ -37,7 +49,7 @@ class RenderConfig:
     tol: float = 1e-6
     escape_run: int = 8
     escape_norm: float = 50.0    # orbit-fate heuristic threshold
-    depth_norm: float = None     # escape-depth threshold; default 6*lam
+    depth_norm: float = None     # escape-depth threshold; default 4*lam
     settle: int = 3
     threads: int = 1
     row_block: int = 64  # fixed work unit; not tied to the thread count
@@ -82,61 +94,84 @@ def _diamond_centers(x, y):
     return cx, cy, inside
 
 
-def classify_plane_block(x, y, cfg: RenderConfig):
+def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
     Mirrors the scalar classifier: convergence needs ``settle``
     consecutive steps inside ``tol`` of a target, escape needs
     ``escape_run`` consecutive strictly-growing diamond-centre norms
     plus norm above ``escape_norm``.  Also returns the first step at
-    which each orbit exceeded ``escape_norm`` inside a diamond (the
+    which each orbit exceeded ``depth_norm`` inside a diamond (the
     escape depth; 0 where that never happened).
+
+    Only live pixels are iterated: the loop carries their flat indices
+    and state, and a pixel leaves at a pole hit, origin capture or
+    escape.  With ``depth_only`` it also leaves at its first depth
+    passage, keeping fate 0 with ``when`` set to that step; the depth
+    array is the same as without it.
     """
     shape = x.shape
-    px = x.astype(float).copy()
-    py = y.astype(float).copy()
-    fate = np.zeros(shape, dtype=np.uint8)
-    when = np.zeros(shape, dtype=np.int32)
-    depth = np.zeros(shape, dtype=np.int32)
-    run_origin = np.zeros(shape, dtype=np.int16)
-    grow = np.zeros(shape, dtype=np.int16)
-    prev_cn = np.full(shape, np.nan)
-    alive = np.ones(shape, dtype=bool)
-    zeros = np.zeros(shape)
+    size = x.size
+    fate = np.zeros(size, dtype=np.uint8)
+    when = np.zeros(size, dtype=np.int32)
+    depth = np.zeros(size, dtype=np.int32)
+    zeros = np.zeros(size)
+    # state of the carried pixels; entries done since the last compaction
+    # stay carried, masked out by ``live``
+    idx = np.arange(size)
+    px = x.astype(float).ravel()
+    py = y.astype(float).ravel()
+    run_origin = np.zeros(size, dtype=np.int16)
+    grow = np.zeros(size, dtype=np.int16)
+    prev_cn = np.full(size, np.nan)
+    nodepth = np.ones(size, dtype=bool)
+    live = np.ones(size, dtype=bool)
+
+    def retire(done, code, step):
+        sel = idx[done]
+        fate[sel] = code
+        when[sel] = step
+
     for step in range(1, cfg.max_iter + 1):
-        if not alive.any():
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
             break
-        tx, ty, tz, finite = tangent3_grid(px, py, zeros, cfg.lam)
-        px = np.where(alive, tx, px)
-        py = np.where(alive, ty, py)
-        hit = alive & ~finite
-        fate[hit] = _FATE_POLE
-        when[hit] = step
-        depth[hit & (depth == 0)] = step  # a pole hit tops any norm threshold
-        alive &= finite
+        if (idx.size - n_live) * _COMPACT_SHARE >= idx.size:
+            idx, px, py, run_origin, grow, prev_cn, nodepth = (
+                a[live] for a in (idx, px, py, run_origin, grow, prev_cn, nodepth))
+            live = np.ones(n_live, dtype=bool)
+        px, py, _, finite = tangent3_grid(px, py, zeros[:idx.size], cfg.lam)
+        hit = live & ~finite
+        retire(hit, _FATE_POLE, step)
+        depth[idx[hit & nodepth]] = step  # a pole hit tops any norm threshold
+        px[hit] = py[hit] = 0.0  # inf placeholders would warn until compaction
+        live &= finite
         norm = np.hypot(px, py)
         d_origin = norm  # z = 0 throughout
-        run_origin = np.where(alive & (d_origin < cfg.tol), run_origin + 1, 0)
-        captured = alive & (run_origin >= cfg.settle)
-        fate[captured] = _FATE_ORIGIN
-        when[captured] = step
-        alive &= ~captured
+        run_origin = np.where(live & (d_origin < cfg.tol), run_origin + 1, 0)
+        captured = live & (run_origin >= cfg.settle)
+        retire(captured, _FATE_ORIGIN, step)
+        live &= ~captured
         # the axis fixed points at z = +-xi are unreachable from z = 0
         # (the plane is exactly invariant), so the origin is the only
         # convergence target a basin render can see
         cx, cy, inside = _diamond_centers(px, py)
         cn = np.hypot(cx, cy)
-        grew = alive & inside & ~np.isnan(prev_cn) & (cn > prev_cn)
+        tracked = live & inside
+        grew = tracked & (cn > prev_cn)  # False where prev_cn is NaN
         grow = np.where(grew, grow + 1, 0)
-        prev_cn = np.where(alive & inside, cn, np.nan)
-        newdepth = alive & inside & (norm > cfg.depth_norm) & (depth == 0)
-        depth[newdepth] = step
-        esc = alive & inside & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
-        fate[esc] = _FATE_ESCAPING
-        when[esc] = step
-        alive &= ~esc
-    when[alive] = cfg.max_iter
-    return fate, when, depth
+        prev_cn = np.where(tracked, cn, np.nan)
+        newdepth = tracked & (norm > cfg.depth_norm) & nodepth
+        depth[idx[newdepth]] = step
+        nodepth &= ~newdepth
+        esc = tracked & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
+        retire(esc, _FATE_ESCAPING, step)
+        live &= ~esc
+        if depth_only:
+            when[idx[newdepth]] = step
+            live &= ~newdepth
+    when[idx[live]] = cfg.max_iter
+    return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +264,12 @@ def render_basin(cfg: RenderConfig) -> np.ndarray:
 
 
 def compute_escape_depth(cfg: RenderConfig) -> np.ndarray:
-    """First step at which each pixel's orbit exceeds escape_norm inside a
+    """First step at which each pixel's orbit exceeds depth_norm inside a
     diamond (0 where that never happens within max_iter)."""
     def worker(block):
         r0, r1 = block
         gx, gy = pixel_grid(cfg, r0, r1)
-        _, _, depth = classify_plane_block(gx, gy, cfg)
+        _, _, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
         return depth
 
     blocks, results = _run_blocks(cfg, worker)
@@ -252,10 +287,14 @@ def render_escape_depth(cfg: RenderConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # image output
 
-def encode_ppm(image: np.ndarray) -> bytes:
-    """Binary PPM (P6, maxval 255) encoding of an (h, w, 3) uint8 array."""
+def _check_rgb(image):
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError("expected an (h, w, 3) uint8 image")
+
+
+def encode_ppm(image: np.ndarray) -> bytes:
+    """Binary PPM (P6, maxval 255) encoding of an (h, w, 3) uint8 array."""
+    _check_rgb(image)
     h, w = image.shape[:2]
     return f"P6\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
 
@@ -265,10 +304,20 @@ def write_ppm(image: np.ndarray, path):
         f.write(encode_ppm(image))
 
 
+def _png_chunk(tag: bytes, data: bytes) -> bytes:
+    return (struct.pack(">I", len(data)) + tag + data
+            + struct.pack(">I", zlib.crc32(tag + data)))
+
+
 def write_png(image: np.ndarray, path):
-    """PNG output through Pillow; optional, PPM is the canonical format."""
-    try:
-        from PIL import Image
-    except ImportError as e:  # pragma: no cover
-        raise RuntimeError("PNG output needs Pillow; write PPM instead") from e
-    Image.fromarray(image, mode="RGB").save(path, format="PNG")
+    """8-bit RGB PNG, every row with filter type 0 (none); PPM is the
+    canonical format."""
+    _check_rgb(image)
+    h, w = image.shape[:2]
+    rows = np.concatenate([np.zeros((h, 1), dtype=np.uint8), image.reshape(h, 3 * w)],
+                          axis=1)
+    header = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)  # depth 8, colour type RGB
+    with open(path, "wb") as f:
+        f.write(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", header)
+                + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
+                + _png_chunk(b"IEND", b""))

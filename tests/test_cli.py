@@ -2,13 +2,16 @@
 
 import json
 import math
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 from qrtan.cli import main
+from qrtan.plane import BranchResidualError
 
 
 def run_cli(args, capsys):
@@ -127,6 +130,40 @@ class TestRender:
         assert code == 0
         assert out_path.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
 
+    def test_png_holds_ppm_pixels(self, tmp_path, capsys):
+        args = ["render-basin", "--lambda", "1.1107", "--res", "20x12", "--max-iter", "60"]
+        ppm, png = tmp_path / "b.ppm", tmp_path / "b.png"
+        assert run_cli(args + ["--out", str(ppm)], capsys)[0] == 0
+        assert run_cli(args + ["--png", "--out", str(png)], capsys)[0] == 0
+        data = png.read_bytes()
+        assert data[:8] == b"\x89PNG\r\n\x1a\n"
+        pos, chunks = 8, []
+        while pos < len(data):
+            (length,) = struct.unpack(">I", data[pos:pos + 4])
+            tag, body = data[pos + 4:pos + 8], data[pos + 8:pos + 8 + length]
+            (crc,) = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
+            assert crc == zlib.crc32(tag + body)
+            chunks.append((tag, body))
+            pos += 12 + length
+        assert [t for t, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+        assert chunks[0][1] == struct.pack(">IIBBBBB", 20, 12, 8, 2, 0, 0, 0)
+        rows = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8).reshape(12, -1)
+        assert (rows[:, 0] == 0).all()  # filter type 0 on every row
+        header = b"P6\n20 12\n255\n"
+        assert rows[:, 1:].tobytes() == ppm.read_bytes()[len(header):]
+
+    def test_r_esc_sets_depth_threshold(self, tmp_path, capsys):
+        def render(*extra):
+            path = tmp_path / "esc.ppm"
+            code, _, _ = run_cli(["render-escape", "--lambda", "2", "--res", "24x24",
+                                  "--max-iter", "60", *extra, "--out", str(path)], capsys)
+            assert code == 0
+            return path.read_bytes()
+
+        images = [render("--r-esc", r) for r in ("10", "50", "1000")]
+        assert len(set(images)) == 3
+        assert render() == render("--r-esc", "8")  # default 4 * lambda
+
     def test_thread_flag_same_bytes(self, tmp_path, capsys):
         paths = []
         for threads in ("1", "3"):
@@ -172,6 +209,54 @@ class TestUsageErrors:
 
     def test_bad_start_format(self, capsys):
         assert main(["orbit", "--lambda", "1", "--start", "1,2", "--n", "3"]) == 2
+
+
+class TestInputValidation:
+    """Bad numeric input exits 2 with a one-line message and no output."""
+
+    COMMANDS = {
+        "orbit": ["--start", "0.1,0.2,0.3", "--n", "3"],
+        "itinerary": ["--start", "1.0,1.3", "--n", "3"],
+        "periodic": ["--cycle", "1,1"],
+        "verify": ["--suite", "core", "--fast"],
+        "solve-xi0": [],
+    }
+
+    @staticmethod
+    def assert_usage_error(code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lam", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_lambda(self, command, lam, tmp_path, capsys):
+        argv = [command, f"--lambda={lam}", *self.COMMANDS[command]]
+        out_path = tmp_path / "out.ndjson"
+        if command in ("orbit", "itinerary", "periodic"):
+            argv += ["--out", str(out_path)]
+        self.assert_usage_error(*run_cli(argv, capsys))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command,start", [
+        ("orbit", "nan,0.2,0.3"), ("orbit", "0.1,0.2,inf"),
+        ("itinerary", "nan,1.3"), ("itinerary", "1.0,-inf"),
+    ])
+    def test_non_finite_start(self, command, start, tmp_path, capsys):
+        out_path = tmp_path / "out.ndjson"
+        argv = [command, "--lambda", "2", f"--start={start}", "--out", str(out_path)]
+        self.assert_usage_error(*run_cli(argv, capsys))
+        assert not out_path.exists()
+
+    def test_branch_residual_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise BranchResidualError("no preimage of (1.0, 2.0) in diamond (1, 1)")
+
+        monkeypatch.setattr("qrtan.cli.itin_mod.periodic_point_from_cycle", fail)
+        code, out, err = run_cli(["periodic", "--lambda", "2", "--cycle", "1,1"], capsys)
+        assert code == 2
+        assert err == "error: no preimage of (1.0, 2.0) in diamond (1, 1)\n"
 
 
 class TestConsoleEntry:

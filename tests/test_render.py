@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrtan.analysis import petal_contains
+from qrtan.core import tangent3_grid
 from qrtan.render import (
+    _FATE_ESCAPING,
+    _FATE_ORIGIN,
+    _FATE_POLE,
     RenderConfig,
+    _diamond_centers,
+    classify_plane_block,
     colorize_depth,
     colorize_fates,
     compute_escape_depth,
@@ -19,6 +26,7 @@ from qrtan.render import (
 )
 
 QUARTER_PI = math.pi / 4
+HALF_PI = math.pi / 2
 
 
 class TestConfig:
@@ -69,10 +77,136 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
+def full_grid_classify(x, y, cfg):
+    """Reference loop: every pixel carried to max_iter through full-array
+    masked passes.  classify_plane_block must match it bit for bit."""
+    shape = x.shape
+    px = x.astype(float).copy()
+    py = y.astype(float).copy()
+    fate = np.zeros(shape, dtype=np.uint8)
+    when = np.zeros(shape, dtype=np.int32)
+    depth = np.zeros(shape, dtype=np.int32)
+    run_origin = np.zeros(shape, dtype=np.int16)
+    grow = np.zeros(shape, dtype=np.int16)
+    prev_cn = np.full(shape, np.nan)
+    alive = np.ones(shape, dtype=bool)
+    zeros = np.zeros(shape)
+    with np.errstate(invalid="ignore"):
+        for step in range(1, cfg.max_iter + 1):
+            tx, ty, _, finite = tangent3_grid(px, py, zeros, cfg.lam)
+            px = np.where(alive, tx, px)
+            py = np.where(alive, ty, py)
+            hit = alive & ~finite
+            fate[hit] = _FATE_POLE
+            when[hit] = step
+            depth[hit & (depth == 0)] = step
+            alive &= finite
+            norm = np.hypot(px, py)
+            run_origin = np.where(alive & (norm < cfg.tol), run_origin + 1, 0)
+            captured = alive & (run_origin >= cfg.settle)
+            fate[captured] = _FATE_ORIGIN
+            when[captured] = step
+            alive &= ~captured
+            cx, cy, inside = _diamond_centers(px, py)
+            cn = np.hypot(cx, cy)
+            grew = alive & inside & ~np.isnan(prev_cn) & (cn > prev_cn)
+            grow = np.where(grew, grow + 1, 0)
+            prev_cn = np.where(alive & inside, cn, np.nan)
+            depth[alive & inside & (norm > cfg.depth_norm) & (depth == 0)] = step
+            esc = alive & inside & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
+            fate[esc] = _FATE_ESCAPING
+            when[esc] = step
+            alive &= ~esc
+    when[alive] = cfg.max_iter
+    return fate, when, depth
+
+
+# (lam, escape_norm, escape_run) covering every fate a z = 0 render meets
+FATE_MIXES = [
+    (0.9, 50.0, 8),      # origin captures
+    (1.1107, 50.0, 8),   # origin captures and undecided pixels
+    (1.5, 5.0, 2),       # escapes, escape_norm below depth_norm
+    (2.0, 10.0, 3),      # escapes, escape_norm above depth_norm
+]
+
+
+def block_with_poles(cfg):
+    """The image's pixel grid with three pixels moved onto poles."""
+    gx, gy = pixel_grid(cfg, 0, cfg.height)
+    for (i, j), pole in zip([(0, 0), (5, 7), (23, 31)],
+                            [(0.0, HALF_PI), (HALF_PI, 0.0), (HALF_PI, math.pi)]):
+        gx[i, j], gy[i, j] = pole  # pole hits at step 1
+    return gx, gy
+
+
+class TestLiveSet:
+    """The loop drops decided pixels; no pixel's result may depend on
+    which other pixels share its block or when they leave."""
+
+    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
+    def test_matches_full_grid_loop(self, lam, escape_norm, escape_run):
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
+                           escape_norm=escape_norm, escape_run=escape_run)
+        gx, gy = block_with_poles(cfg)
+        expected = full_grid_classify(gx, gy, cfg)
+        for got, want in zip(classify_plane_block(gx, gy, cfg), expected):
+            np.testing.assert_array_equal(got, want)
+        _, _, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
+        np.testing.assert_array_equal(depth, expected[2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.floats(0.5, 3.0),
+           x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0),
+           span_x=st.floats(0.05, 3.0), span_y=st.floats(0.05, 3.0),
+           width=st.integers(1, 24), height=st.integers(1, 24),
+           max_iter=st.integers(1, 120),
+           escape_factor=st.floats(0.1, 4.0))
+    def test_early_stopped_depth_matches_full_classification(
+            self, lam, x0, y0, span_x, span_y, width, height, max_iter, escape_factor):
+        # escape_factor < 1 puts escape_norm below depth_norm, where an
+        # escape can end a pixel before its first depth passage
+        cfg = RenderConfig(lam=lam, window=(x0, y0, x0 + span_x, y0 + span_y),
+                           width=width, height=height, max_iter=max_iter,
+                           escape_norm=escape_factor * 4.0 * lam)
+        gx, gy = pixel_grid(cfg, 0, height)
+        _, _, full = classify_plane_block(gx, gy, cfg)
+        np.testing.assert_array_equal(compute_escape_depth(cfg), full)
+
+    @pytest.mark.parametrize("depth_only", [False, True])
+    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
+    def test_pixels_independent_of_block(self, lam, escape_norm, escape_run, depth_only):
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
+                           escape_norm=escape_norm, escape_run=escape_run)
+        gx, gy = block_with_poles(cfg)
+        block = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+        assert np.count_nonzero(block[0] == _FATE_POLE) == 3
+        assert len(np.unique(block[0])) >= 2
+
+        order = np.random.default_rng(7).permutation(gx.size)
+        shuffled = classify_plane_block(gx.ravel()[order], gy.ravel()[order], cfg,
+                                        depth_only=depth_only)
+        for whole, part in zip(block, shuffled):
+            unshuffled = np.empty_like(part)
+            unshuffled[order] = part
+            np.testing.assert_array_equal(unshuffled.reshape(whole.shape), whole)
+
+        rows = [classify_plane_block(gx[i:i + 1], gy[i:i + 1], cfg, depth_only=depth_only)
+                for i in range(cfg.height)]
+        for k, whole in enumerate(block):
+            np.testing.assert_array_equal(np.concatenate([r[k] for r in rows]), whole)
+
+    def test_depth_only_retires_at_first_passage(self):
+        cfg = RenderConfig(lam=2.0, width=32, height=32, max_iter=120)
+        gx, gy = pixel_grid(cfg, 0, cfg.height)
+        fate, when, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
+        passed = (fate == 0) & (depth > 0)
+        assert passed.any()
+        np.testing.assert_array_equal(when[passed], depth[passed])
+
+
 class TestBasinContent:
     def test_petal_pixels_captured_by_origin(self):
         # inside the petal region every pixel's orbit falls to the origin
-        from qrtan.render import classify_plane_block, _FATE_ORIGIN
         cfg = RenderConfig(lam=0.9, width=96, height=96,
                            window=(-QUARTER_PI, -QUARTER_PI, QUARTER_PI, QUARTER_PI),
                            max_iter=1500)
