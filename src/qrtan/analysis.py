@@ -24,6 +24,7 @@ from .core import (
     chordal,
     is_infinity,
     tangent3,
+    vec_norm,
 )
 from .plane import (
     SQRT2,
@@ -217,7 +218,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
         if is_infinity(p):
             return FateRecord(Fate.POLE_HIT, it, 0.0, INFINITY)
         for i, (fate, target) in enumerate(targets):
-            d = float(np.linalg.norm(p - target))
+            d = vec_norm(p - target)
             runs[i] = runs[i] + 1 if d < tol else 0
             if runs[i] >= settle:
                 return FateRecord(fate, it, d, p)
@@ -225,13 +226,13 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
         if p[2] == 0.0:
             idx = containing_diamond(p[:2])
             if idx is not None:
-                cn = float(np.linalg.norm(pole_location(idx)))
+                cn = vec_norm(pole_location(idx))
                 if prev_center_norm is not None and cn > prev_center_norm:
                     grow_run += 1
                 else:
                     grow_run = 0
                 prev_center_norm = cn
-                if grow_run >= escape_run and float(np.linalg.norm(p)) > escape_norm:
+                if grow_run >= escape_run and vec_norm(p) > escape_norm:
                     return FateRecord(Fate.ESCAPING, it, 0.0, p)
             else:
                 grow_run = 0
@@ -371,8 +372,12 @@ def blowup_probe(center, radius: float, lam: float, targets,
     two-step witness is constructed exactly: a far preimage of the
     target, then its preimage beside the pole inside the ball; the
     witness is verified by forward evaluation, never assumed.  Targets
-    equal to the omitted values (0, 0, +-lam) are rejected.  Honest
-    non-coverage at the horizon is reported, not patched over.
+    equal to the omitted values (0, 0, +-lam) are rejected.  Forward
+    sampling stops as soon as every accepted target has a witness (or
+    at once when none was accepted): later steps cannot change a
+    target's first hit, so the report is the one a run to ``max_iter``
+    gives.  Honest non-coverage at the horizon is reported, not patched
+    over.
     """
     if radius <= 0.0:
         raise ValueError("need radius > 0")
@@ -428,9 +433,12 @@ def blowup_probe(center, radius: float, lam: float, targets,
             if best[id(t)][1] is not None:
                 break
 
-    # forward sampling for whatever is still uncovered
+    # forward sampling for whatever is still uncovered; a covered target
+    # keeps its first hit, so once none is left the samples decide nothing
     alive = [np.array(s) for s in starts]
     for step in range(1, max_iter + 1):
+        if all(best[id(t)][1] is not None for t in checks):
+            break
         nxt = []
         for p in alive:
             q = tangent3(p, lam)

@@ -188,11 +188,12 @@ def _cmd_itinerary(args):
 
 
 def _cmd_periodic(args):
+    # solve first: a failing solver must leave no partial stream or file
+    res = itin_mod.periodic_point_from_cycle(
+        itin_mod.PeriodicCycleSpec(cycle=args.cycle), args.lam)
     fh = _open_out(args.out)
     try:
         _emit(fh, _config_record(args, "periodic", cycle=[list(c) for c in args.cycle]))
-        res = itin_mod.periodic_point_from_cycle(
-            itin_mod.PeriodicCycleSpec(cycle=args.cycle), args.lam)
         for i, p in enumerate(res.orbit):
             _emit(fh, {"n": i, "x": float(p[0]), "y": float(p[1]), "z": 0.0})
         _emit(fh, {"record": "summary", "period": res.period,
@@ -223,12 +224,20 @@ def _cmd_verify(args):
 
 
 def _check_inputs(args):
-    """Reject a bad parameter or start point before any output is written."""
+    """Reject a bad parameter, start point, window or threshold before any
+    output is written."""
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
     start = getattr(args, "start", None)
     if start is not None and not np.all(np.isfinite(start)):
         raise ValueError("--start must be finite, got " + ",".join(f"{v:g}" for v in start))
+    window = getattr(args, "window", None)
+    if window is not None and not all(math.isfinite(v) for v in window):
+        raise ValueError("--window entries must be finite, got "
+                         + ",".join(f"{v:g}" for v in window))
+    r_esc = getattr(args, "r_esc", None)
+    if r_esc is not None and not (math.isfinite(r_esc) and r_esc > 0.0):
+        raise ValueError(f"--r-esc must be positive and finite, got {r_esc:g}")
 
 
 def main(argv=None) -> int:

@@ -42,14 +42,34 @@ def is_infinity(p) -> bool:
     return p is INFINITY
 
 
-def as_vec3(v) -> np.ndarray:
-    """Coerce a finite point to a float64 array of shape (3,)."""
+def _checked_vec3(v):
+    """(array, [x, y, z]) for a finite point; the array is float64 of shape (3,).
+
+    Finiteness is tested on the Python floats: a numpy reduction costs
+    more than the rest of a scalar tangent3 call.
+    """
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    c = a.tolist()
+    if not (math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2])):
         raise ValueError("finite point required; use INFINITY for the point at infinity")
-    return a
+    return a, c
+
+
+def as_vec3(v) -> np.ndarray:
+    """Coerce a finite point to a float64 array of shape (3,)."""
+    return _checked_vec3(v)[0]
+
+
+def vec_norm(v) -> float:
+    """Euclidean norm of a real 1-D float array.
+
+    This is the sqrt of the dot product that np.linalg.norm computes for
+    such input, so the result is equal bit for bit, without its dispatch
+    overhead.
+    """
+    return math.sqrt(float(v.dot(v)))
 
 
 def chordal(p, q) -> float:
@@ -142,21 +162,22 @@ def hemisphere_to_square(u) -> tuple:
     of the small planar radius is fully conditioned.
     """
     u = np.asarray(u, dtype=float)
-    n = float(np.linalg.norm(u))
+    n = vec_norm(u)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"unit vector required, got norm {n}")
-    if u[2] < -1e-9:
+    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
+    if uz < -1e-9:
         raise ValueError("upper hemisphere required")
-    r = math.hypot(float(u[0]), float(u[1]))
-    if float(u[2]) >= 0.7:
+    r = math.hypot(ux, uy)
+    if uz >= 0.7:
         m = math.asin(min(1.0, r))
     else:
-        m = math.acos(min(1.0, max(-1.0, float(u[2]))))
-    mx = max(abs(float(u[0])), abs(float(u[1])))
+        m = math.acos(min(1.0, max(-1.0, uz)))
+    mx = max(abs(ux), abs(uy))
     if mx == 0.0:
         return (0.0, 0.0)
     f = m / mx
-    return (float(u[0]) * f, float(u[1]) * f)
+    return (ux * f, uy * f)
 
 
 def zorich(v) -> np.ndarray:
@@ -250,10 +271,11 @@ def tangent3(v, lam: float = 1.0):
     ((n+m)pi/2, (n-m+1)pi/2, 0).  Restricted to the (x,z)- or
     (y,z)-plane this is lam*tan of the corresponding complex variable.
     """
-    v = as_vec3(v)
-    fold = fold_to_beam(float(v[0]), float(v[1]))
-    bx, by, bz = _beam_formula(fold.x, fold.y, float(v[2]))
-    if fold.parity:
+    x, y, z = _checked_vec3(v)[1]
+    fx, px = fold_axis(x, QUARTER_PI)
+    fy, py = fold_axis(y, QUARTER_PI)
+    bx, by, bz = _beam_formula(fx, fy, z)
+    if (px + py) % 2:
         n2 = bx * bx + by * by + bz * bz
         if n2 == 0.0:
             return INFINITY

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_infinity
+from .core import is_infinity, vec_norm
 from .plane import (
     PoleIndex,
     containing_diamond,
@@ -142,7 +142,7 @@ def shadow_check(waypoints, itin: Itinerary, lam: float, depth: int,
         img = plane_map(x, lam)
         if is_infinity(img):
             return False, math.inf
-        gap = float(np.linalg.norm(img - waypoints[j + 1]))
+        gap = vec_norm(img - waypoints[j + 1])
         worst = max(worst, gap)
         if gap > step_tol:
             return False, worst
@@ -208,7 +208,7 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
     noncontract = 0
     for _ in range(max_iter):
         y_next = comp(y)
-        step = float(np.linalg.norm(y_next - y))
+        step = vec_norm(y_next - y)
         y = y_next
         if prev_step is not None and prev_step > 0.0:
             if step >= prev_step:
@@ -241,7 +241,7 @@ def _forward_cycle(y, cycle, lam):
         if is_infinity(p):
             return None, math.inf
         orbit.append(p)
-    return orbit[:-1], float(np.linalg.norm(orbit[0] - p))
+    return orbit[:-1], vec_norm(orbit[0] - p)
 
 
 def _newton_polish(y, cycle, lam, rounds: int = 6):
@@ -264,7 +264,7 @@ def _newton_polish(y, cycle, lam, rounds: int = 6):
         pts = forward(p)
         if pts is None:
             return math.inf, None
-        return float(np.linalg.norm(pts[-1] - pts[0])), pts
+        return vec_norm(pts[-1] - pts[0]), pts
 
     best_r, best_pts = resid(y)
     best = np.array(y)
@@ -379,7 +379,7 @@ def _periodic_from_mixed_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicP
     noncontract = 0
     for _ in range(400):
         y_next = comp(y)
-        step = float(np.linalg.norm(y_next - y))
+        step = vec_norm(y_next - y)
         y = y_next
         if prev_step is not None and prev_step > 0.0:
             if step >= prev_step:

@@ -27,6 +27,7 @@ from .core import (
     is_infinity,
     tangent3,
     tangent3_grid,
+    vec_norm,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -79,10 +80,10 @@ class Diamond:
 
 def plane_map(p, lam: float = 1.0):
     """F(p) = tangent3((p_x, p_y, 0)); stays in the plane or hits INFINITY."""
-    t = tangent3(np.array([float(p[0]), float(p[1]), 0.0]), lam)
+    t = tangent3([float(p[0]), float(p[1]), 0.0], lam)
     if is_infinity(t):
         return INFINITY
-    return np.array([t[0], t[1]])
+    return t[:2]
 
 
 def plane_map_grid(x, y, lam: float = 1.0):
@@ -298,14 +299,15 @@ def _branch_candidates(u, loc, slack: float = 1e-9):
         charts.append((hemisphere_to_square(u), 0))
     if uz <= 1e-12:
         charts.append((hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
+    lx, ly = float(loc[0]), float(loc[1])
     for (a, b), need in charts:
-        xs = _family_members(a, float(loc[0]))
-        ys = _family_members(b, float(loc[1]))
+        xs = _family_members(a, lx)
+        ys = _family_members(b, ly)
         for x, parx in xs:
             for y, pary in ys:
                 if (parx + pary) % 2 != need:
                     continue
-                if abs(x - loc[0]) + abs(y - loc[1]) <= HALF_PI + slack:
+                if abs(x - lx) + abs(y - ly) <= HALF_PI + slack:
                     out.append(np.array([x, y]))
     return out
 
@@ -393,7 +395,7 @@ def branch_contraction_ratio(q, p, pairs, lam: float = 1.0) -> float:
             continue
         a = inverse_branch(q, w1, lam)
         b = inverse_branch(q, w2, lam)
-        worst = max(worst, float(np.linalg.norm(a - b)) / d)
+        worst = max(worst, vec_norm(a - b) / d)
     return worst
 
 
@@ -415,7 +417,7 @@ def pole_expansion_ratio(p, pairs, lam: float = 1.0) -> float:
         fb = plane_map(b, lam)
         if is_infinity(fa) or is_infinity(fb):
             continue
-        best = min(best, float(np.linalg.norm(fa - fb)) / d)
+        best = min(best, vec_norm(fa - fb) / d)
     return best
 
 
@@ -523,7 +525,7 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
             if diagonal_segment_distance(w, lam) == 0.0:
                 continue
             s = inverse_branch(_BASE_POLE, w, lam)
-            if np.linalg.norm(s - c) >= 0.98 * delta:
+            if vec_norm(s - c) >= 0.98 * delta:
                 ok = False
                 break
         if ok:

@@ -58,6 +58,8 @@ class RenderConfig:
         if not self.lam > 0.0:
             raise ValueError("scaling parameter must be positive")
         x0, y0, x1, y1 = self.window
+        if not all(math.isfinite(c) for c in self.window):
+            raise ValueError("window entries must be finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("window must be non-degenerate")
         if self.width < 1 or self.height < 1:
@@ -68,6 +70,8 @@ class RenderConfig:
             # staying frequent enough to show up within a few hundred
             # iterations wherever the far-excursion set is dense at all
             self.depth_norm = 4.0 * self.lam
+        elif not (math.isfinite(self.depth_norm) and self.depth_norm > 0.0):
+            raise ValueError("escape-depth threshold must be positive and finite")
 
 
 def pixel_grid(cfg: RenderConfig, row0: int, row1: int):

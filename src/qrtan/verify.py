@@ -27,8 +27,7 @@ from .core import (
     tangent3,
     tangent3_composed,
 )
-
-SQRT2 = math.sqrt(2.0)
+from .plane import SQRT2
 
 
 @dataclass

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from qrtan.analysis import (
+    BlowupReport,
     Fate,
+    TargetCoverage,
+    _far_preimage,
     axis_fixed_point,
     blowup_probe,
     classify_orbit,
@@ -20,10 +23,11 @@ from qrtan.analysis import (
     smallest_tan_fixed_point,
     third_component_bound_violations,
 )
-from qrtan.core import INFINITY, is_infinity, tangent3
+from qrtan.core import INFINITY, as_vec3, chordal, is_infinity, tangent3
 from qrtan.itinerary import Itinerary, point_from_itinerary
-from qrtan.plane import pole_location
+from qrtan.plane import pole_location, preimages_tangent3
 
+HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 
 
@@ -319,3 +323,115 @@ class TestBlowupProbe:
     def test_domain(self):
         with pytest.raises(ValueError):
             blowup_probe(np.array([0.0, 0.0]), 0.0, 1.0, [])
+
+    @pytest.mark.parametrize("center,radius,lam,targets", [
+        # every target gets the two-step pole witness
+        ((0.0, HALF_PI), 0.4, 2.0, [np.array([0.0, 0.0, 0.0]), np.array([5.0, 5.0, 0.0]),
+                                    np.array([1.0, -2.0, 0.5]), INFINITY]),
+        ((0.0, HALF_PI), 0.4, 0.9, [np.array([3.0, -2.0, 1.0]), np.array([0.0, 0.0, 1.9])]),
+        # no pole in the ball: forward samples reach the upper axis fixed
+        # point at step 2 and a target just above it at step 3
+        ((0.5, 1.0), 0.3, 2.0, [np.array([0.0, 0.0, 1.915008]),
+                                np.array([0.0, 0.0, 2.025008])]),
+        # one target reached by forward sampling, one never
+        ((0.5, 1.0), 0.3, 2.0, [np.array([0.0, 0.0, 1.915008]), np.array([5.0, 5.0, 0.0])]),
+        # not reached at the horizon
+        ((0.05, 0.05), 0.01, 0.9, [np.array([5.0, 5.0, 0.0])]),
+        # every target rejected, and a rejected one beside a covered one
+        ((0.0, HALF_PI), 0.4, 2.0, [np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, -2.0])]),
+        ((0.0, HALF_PI), 0.4, 2.0, [np.array([0.0, 0.0, 2.0]), np.array([1.0, 1.0, 0.0])]),
+    ])
+    def test_report_matches_full_forward_loop(self, center, radius, lam, targets):
+        kw = dict(max_iter=30, n_samples=120, seed=3)
+        got = blowup_probe(np.array(center), radius, lam, targets, **kw)
+        want = _reference_blowup_probe(np.array(center), radius, lam, targets, **kw)
+        assert np.array_equal(got.center, want.center)
+        assert (got.radius, got.lam) == (want.radius, want.lam)
+        assert len(got.results) == len(want.results) == len(targets)
+        for g, w in zip(got.results, want.results):
+            assert is_infinity(g.target) == is_infinity(w.target)
+            if not is_infinity(w.target):
+                assert np.array_equal(g.target, w.target)
+            assert (g.covered, g.iterations, g.distance, g.note) == \
+                (w.covered, w.iterations, w.distance, w.note)
+            assert (g.witness is None) == (w.witness is None)
+            if w.witness is not None:
+                assert np.array_equal(g.witness, w.witness)
+
+
+def _reference_blowup_probe(center, radius, lam, targets, max_iter=60, n_samples=400,
+                            hit_tol=0.05, seed=0):
+    """blowup_probe as it was before forward sampling stopped early: every
+    start is iterated to ``max_iter`` (or until all hit poles)."""
+    center = np.array([float(center[0]), float(center[1]), 0.0])
+    omitted = (np.array([0.0, 0.0, lam]), np.array([0.0, 0.0, -lam]))
+    report = BlowupReport(center=center, radius=radius, lam=lam)
+    checks = []
+    for t in targets:
+        if not is_infinity(t):
+            t = as_vec3(t)
+            if any(chordal(t, o) < 1e-9 for o in omitted):
+                report.results.append(TargetCoverage(
+                    t, False, None, None, math.inf, "rejected: omitted value"))
+                continue
+        checks.append(t)
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n_samples, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts *= (radius * rng.uniform(0.0, 1.0, n_samples) ** (1.0 / 3.0))[:, None]
+    pts += center
+    starts = np.vstack([center[None, :], pts])
+    best = {id(t): (math.inf, None, None) for t in checks}
+    pole_hits = []
+    span = int(math.ceil((np.abs(center[:2]).max() + radius) / HALF_PI)) + 1
+    for m in range(-span, span + 1):
+        for n in range(-span, span + 1):
+            loc = pole_location((m, n))
+            if math.hypot(loc[0] - center[0], loc[1] - center[1]) < radius * 0.98:
+                pole_hits.append(loc)
+    for t in checks:
+        for loc in pole_hits:
+            far = _far_preimage(t, lam, min_norm=max(50.0, 4.0 * math.pi / radius))
+            if far is None:
+                continue
+            cands = preimages_tangent3(far, lam,
+                                       (loc[0] - QUARTER_PI, loc[0] + QUARTER_PI,
+                                        loc[1] - QUARTER_PI, loc[1] + QUARTER_PI))
+            for c in cands:
+                if float(np.linalg.norm(c - center)) >= radius:
+                    continue
+                p = tangent3(c, lam)
+                if is_infinity(p):
+                    continue
+                p2 = tangent3(p, lam)
+                d = chordal(p2, t)
+                if d < hit_tol and d < best[id(t)][0]:
+                    best[id(t)] = (d, 2, c)
+            if best[id(t)][1] is not None:
+                break
+    alive = [np.array(s) for s in starts]
+    for step in range(1, max_iter + 1):
+        nxt = []
+        for p in alive:
+            q = tangent3(p, lam)
+            if is_infinity(q):
+                continue
+            nxt.append(q)
+        alive = nxt
+        if not alive:
+            break
+        for t in checks:
+            if best[id(t)][1] is not None:
+                continue
+            for q in alive:
+                d = chordal(q, t)
+                if d < hit_tol:
+                    best[id(t)] = (d, step, None)
+                    break
+    for t in checks:
+        d, m, witness = best[id(t)]
+        covered = m is not None
+        report.results.append(TargetCoverage(
+            t, covered, m, witness, d,
+            "" if covered else f"not reached within {max_iter} iterations"))
+    return report

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qrtan.cli import main
+from qrtan.itinerary import ContractionFailure
 from qrtan.plane import BranchResidualError
 
 
@@ -247,6 +248,41 @@ class TestInputValidation:
         out_path = tmp_path / "out.ndjson"
         argv = [command, "--lambda", "2", f"--start={start}", "--out", str(out_path)]
         self.assert_usage_error(*run_cli(argv, capsys))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("window", ["-1,-1,inf,1", "-inf,-1,1,1", "-1,nan,1,1",
+                                        "-1,-1,1,nan"])
+    @pytest.mark.parametrize("command", ["render-basin", "render-escape"])
+    def test_non_finite_window(self, command, window, tmp_path, capsys):
+        out_path = tmp_path / "img.ppm"
+        argv = [command, "--lambda", "2", f"--window={window}", "--res", "4x4",
+                "--out", str(out_path)]
+        self.assert_usage_error(*run_cli(argv, capsys))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("r_esc", ["0", "-1", "nan", "inf"])
+    def test_bad_r_esc(self, r_esc, tmp_path, capsys):
+        out_path = tmp_path / "img.ppm"
+        argv = ["render-escape", "--lambda", "2", f"--r-esc={r_esc}", "--res", "4x4",
+                "--out", str(out_path)]
+        self.assert_usage_error(*run_cli(argv, capsys))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("failure", [None, ContractionFailure, BranchResidualError])
+    def test_periodic_failure_leaves_no_output(self, failure, monkeypatch, tmp_path,
+                                               capsys):
+        cycle = "0,0"  # the pole (0, 0) sits inside the calibrated radius at lambda 1
+        if failure is not None:
+            cycle = "1,1"
+
+            def fail(*args, **kwargs):
+                raise failure("composed branch map is not contracting on this cycle")
+
+            monkeypatch.setattr("qrtan.cli.itin_mod.periodic_point_from_cycle", fail)
+        out_path = tmp_path / "cycle.ndjson"
+        for argv in (["periodic", "--lambda", "1", "--cycle", cycle],
+                     ["periodic", "--lambda", "1", "--cycle", cycle, "--out", str(out_path)]):
+            self.assert_usage_error(*run_cli(argv, capsys))
         assert not out_path.exists()
 
     def test_branch_residual_error(self, monkeypatch, capsys):

@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from qrtan import plane
 from qrtan.core import (
     INFINITY,
+    _beam_formula,
+    as_vec3,
     chordal,
+    fold_axis,
     fold_to_beam,
     hemisphere_to_square,
     invert_sphere,
@@ -20,6 +25,7 @@ from qrtan.core import (
     tangent3,
     tangent3_composed,
     tangent3_grid,
+    vec_norm,
     zorich,
 )
 
@@ -371,3 +377,153 @@ class TestChordal:
         for _ in range(200):
             p, q = rng.uniform(-100, 100, size=(2, 3))
             assert chordal(p, q) <= 2.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the scalar path before its per-call overhead was removed, kept verbatim as
+# the reference: the current code must give the same floats, bit for bit
+
+def _reference_as_vec3(v):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("finite point required; use INFINITY for the point at infinity")
+    return a
+
+
+def _reference_tangent3(v, lam=1.0):
+    v = _reference_as_vec3(v)
+    fold = fold_to_beam(float(v[0]), float(v[1]))
+    bx, by, bz = _beam_formula(fold.x, fold.y, float(v[2]))
+    if fold.parity:
+        n2 = bx * bx + by * by + bz * bz
+        if n2 == 0.0:
+            return INFINITY
+        bx, by, bz = bx / n2, by / n2, bz / n2
+    return np.array([lam * bx, lam * by, lam * bz])
+
+
+def _reference_plane_map(p, lam=1.0):
+    t = _reference_tangent3(np.array([float(p[0]), float(p[1]), 0.0]), lam)
+    if is_infinity(t):
+        return INFINITY
+    return np.array([t[0], t[1]])
+
+
+def _assert_same(got, want):
+    if is_infinity(want):
+        assert is_infinity(got)
+        return
+    assert not is_infinity(got)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _awkward_points(rng):
+    """Seeded points on every special locus of the scalar path."""
+    pts = [rng.uniform(-10.0, 10.0, 3) for _ in range(2000)]
+    for m in range(-3, 4):  # pole lattice
+        for n in range(-3, 4):
+            pts.append(np.array([(n + m) * HALF_PI, (n - m + 1) * HALF_PI, 0.0]))
+    for k in range(-6, 6):  # mirror lines x, y = (2k+1)pi/4
+        mirror = (2 * k + 1) * QUARTER_PI
+        for y, z in rng.uniform(-4.0, 4.0, size=(20, 2)):
+            pts.append(np.array([mirror, y, z]))
+            pts.append(np.array([y, mirror, z]))
+            pts.append(np.array([mirror, y, 0.0]))
+    for t, k, j, z in zip(rng.uniform(-QUARTER_PI, QUARTER_PI, 300),
+                          rng.integers(-4, 5, 300), rng.integers(-4, 5, 300),
+                          rng.uniform(-3.0, 3.0, 300)):  # tile diagonals
+        sign = 1.0 if k % 2 else -1.0
+        pts.append(np.array([t + k * HALF_PI, sign * t + j * HALF_PI, z]))
+        pts.append(np.array([t + k * HALF_PI, sign * t + j * HALF_PI, 0.0]))
+    for x, y, z in zip(rng.uniform(-10, 10, 300), rng.uniform(-10, 10, 300),
+                       rng.uniform(-800.0, 800.0, 300)):  # sech^2 underflow
+        pts.append(np.array([x, y, z]))
+    pts += [np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 800.0]),
+            np.array([0.0, 0.0, -745.0]), np.array([1e-300, -1e-300, 0.0]),
+            np.array([-0.0, 0.0, -0.0])]
+    return pts
+
+
+class TestScalarPathBitIdentity:
+    LAMS = (0.9, 1.0, 2.0, 1.1107)
+
+    def test_tangent3_matches_reference(self):
+        rng = np.random.default_rng(101)
+        pts = _awkward_points(rng)
+        poles = 0
+        for lam in self.LAMS:
+            for v in pts:
+                want = _reference_tangent3(v, lam)
+                poles += is_infinity(want)
+                _assert_same(tangent3(v, lam), want)
+        assert poles == 49 * len(self.LAMS)  # the lattice points hit their poles
+
+    def test_plane_map_matches_reference(self):
+        rng = np.random.default_rng(103)
+        for lam in self.LAMS:
+            for v in _awkward_points(rng):
+                _assert_same(plane.plane_map(v[:2], lam), _reference_plane_map(v[:2], lam))
+
+    @pytest.mark.parametrize("v", [[1, 2, 3], (0, 0, 0), [0, 1, 0], (2, -1, 1),
+                                   np.array([1, 2, 3]), [1.5, True, 0]])
+    def test_integer_and_list_inputs(self, v):
+        for lam in (1.0, 2, 0.9):
+            _assert_same(tangent3(v, lam), _reference_tangent3(v, lam))
+            _assert_same(plane.plane_map(list(v)[:2], lam),
+                         _reference_plane_map(list(v)[:2], lam))
+        _assert_same(as_vec3(v), _reference_as_vec3(v))
+
+    @pytest.mark.parametrize("v", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf],
+                                   [1, 2], [1, 2, 3, 4], [[1, 2, 3]], 5.0, []])
+    def test_rejects_like_reference(self, v):
+        with pytest.raises(ValueError) as want:
+            _reference_as_vec3(v)
+        for fn in (as_vec3, tangent3):
+            with pytest.raises(ValueError) as got:
+                fn(v)
+            assert str(got.value) == str(want.value)
+
+    def test_vec_norm_matches_numpy(self):
+        rng = np.random.default_rng(107)
+        for n in (2, 3):
+            for v in rng.normal(size=(5000, n)) * rng.uniform(1e-6, 1e6, (5000, 1)):
+                assert vec_norm(v) == float(np.linalg.norm(v))
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-1e4, 1e4), half=st.sampled_from([QUARTER_PI, HALF_PI, 0.1, 3.0]))
+    def test_fold_axis_reflects_into_tile(self, x, half):
+        f, parity = fold_axis(x, half)
+        tol = 1e-12 * max(1.0, abs(x))
+        assert -half - tol <= f <= half + tol
+        unfolded = f if parity == 0 else -f
+        k = round((x - unfolded) / (2.0 * half))
+        assert abs(x - unfolded - k * 2.0 * half) <= tol
+        assert k % 2 == parity
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-HALF_PI, HALF_PI), y=st.floats(-HALF_PI, HALF_PI))
+    def test_chart_round_trip(self, x, y):
+        got = hemisphere_to_square(square_to_hemisphere(x, y))
+        assert abs(got[0] - x) < 1e-12 and abs(got[1] - y) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0), z=st.floats(-5.0, 5.0),
+           lam=st.floats(0.1, 5.0))
+    def test_grid_agrees_with_scalar(self, x, y, z, lam):
+        # within ~1e-155 of a pole the grid's 1/|b|^2 overflows where the
+        # scalar path's b/|b|^2 does not; that band is left out
+        idx = plane.containing_diamond((x, y))
+        if idx is not None:
+            px, py = plane.pole_location(idx)
+            gap = math.sqrt((x - px) ** 2 + (y - py) ** 2 + z * z)
+            assume(gap == 0.0 or gap > 1e-100)
+        tx, ty, tz, finite = tangent3_grid(np.array([x]), np.array([y]), np.array([z]), lam)
+        want = tangent3(np.array([x, y, z]), lam)
+        assert bool(finite[0]) == (not is_infinity(want))
+        if finite[0]:
+            assert chordal(np.array([tx[0], ty[0], tz[0]]), want) < 1e-12

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qrtan.core import INFINITY, is_infinity
 from qrtan.plane import (
@@ -163,6 +164,17 @@ class TestInverseBranch:
             assert abs(x[0] - c[0]) + abs(x[1] - c[1]) <= HALF_PI + 1e-9
             worst = max(worst, plane_chordal(plane_map(x, lam), w))
         assert worst < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(-4, 4), n=st.integers(-4, 4), wx=st.floats(-50.0, 50.0),
+           wy=st.floats(-50.0, 50.0), lam=st.floats(0.3, 4.0))
+    def test_branch_is_right_inverse(self, m, n, wx, wy, lam):
+        w = np.array([wx, wy])
+        assume(diagonal_segment_distance(w, lam) > 1e-6)
+        x = inverse_branch((m, n), w, lam)
+        c = pole_location((m, n))
+        assert abs(x[0] - c[0]) + abs(x[1] - c[1]) <= HALF_PI + 1e-9
+        assert plane_chordal(plane_map(x, lam), w) < 1e-9
 
     def test_identity_on_diamond(self):
         rng = np.random.default_rng(11)

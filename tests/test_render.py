@@ -40,6 +40,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             RenderConfig(lam=1.0, window=(0, 0, 0, 1))
 
+    @pytest.mark.parametrize("window", [(-1.0, -1.0, math.inf, 1.0),
+                                        (-math.inf, -1.0, 1.0, 1.0),
+                                        (-1.0, math.nan, 1.0, 1.0)])
+    def test_rejects_non_finite_window(self, window):
+        with pytest.raises(ValueError, match="finite"):
+            RenderConfig(lam=1.0, window=window)
+
+    @pytest.mark.parametrize("depth_norm", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_depth_norm(self, depth_norm):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RenderConfig(lam=1.0, depth_norm=depth_norm)
+
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             RenderConfig(lam=1.0, width=0)
