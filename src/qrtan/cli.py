@@ -224,13 +224,16 @@ def _cmd_verify(args):
 
 
 def _check_inputs(args):
-    """Reject a bad parameter, start point, window or threshold before any
-    output is written."""
+    """Reject a bad parameter, start point, step count, window, threshold or
+    tolerance before any output is written."""
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
     start = getattr(args, "start", None)
     if start is not None and not np.all(np.isfinite(start)):
         raise ValueError("--start must be finite, got " + ",".join(f"{v:g}" for v in start))
+    n = getattr(args, "n", None)
+    if n is not None and n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     window = getattr(args, "window", None)
     if window is not None and not all(math.isfinite(v) for v in window):
         raise ValueError("--window entries must be finite, got "
@@ -238,6 +241,12 @@ def _check_inputs(args):
     r_esc = getattr(args, "r_esc", None)
     if r_esc is not None and not (math.isfinite(r_esc) and r_esc > 0.0):
         raise ValueError(f"--r-esc must be positive and finite, got {r_esc:g}")
+    max_iter = getattr(args, "max_iter", None)
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"--max-iter must be at least 1, got {max_iter}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {tol:g}")
 
 
 def main(argv=None) -> int:

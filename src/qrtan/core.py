@@ -89,7 +89,13 @@ def chordal(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = p - q
-    return 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
+    dist = 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
+    if math.isfinite(dist):
+        return dist
+    # a squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a pole):
+    # the same distance from hypot, which scales instead of squaring
+    scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
+    return 2.0 * scaled / math.hypot(1.0, *q.tolist())
 
 
 def fold_axis(x: float, half_width: float):

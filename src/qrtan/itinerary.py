@@ -26,6 +26,7 @@ import numpy as np
 from .core import is_infinity, vec_norm
 from .plane import (
     PoleIndex,
+    _fd_matrix,
     containing_diamond,
     inverse_branch,
     plane_map,
@@ -202,6 +203,12 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
         if norm <= r:
             raise ValueError(
                 f"cycle pole {tuple(idx)} has norm {norm:.3f} <= calibrated radius {r:.3f}")
+    return _solve_cycle(cycle, lam, max_iter, polish)
+
+
+def _solve_cycle(cycle, lam, max_iter, polish):
+    """Iterate the composed branch from the first pole, abort if the steps
+    stop contracting, optionally polish, and verify one period forward."""
     comp = _composed_branch(cycle, lam)
     y = pole_location(cycle[0]).copy()
     prev_step = None
@@ -275,22 +282,10 @@ def _newton_polish(y, cycle, lam, rounds: int = 6):
         if pts is None:
             break
         jac = np.eye(2)
-        ok = True
-        for p in pts[:-1]:
-            cols = []
-            for i in range(2):
-                pp, pm = p.copy(), p.copy()
-                pp[i] += h
-                pm[i] -= h
-                fp, fm = plane_map(pp, lam), plane_map(pm, lam)
-                if is_infinity(fp) or is_infinity(fm):
-                    ok = False
-                    break
-                cols.append((fp - fm) / (2.0 * h))
-            if not ok:
-                break
-            jac = np.column_stack(cols) @ jac
-        if not ok:
+        try:
+            for p in pts[:-1]:
+                jac = _fd_matrix(p, lam, h) @ jac
+        except ArithmeticError:  # a pole inside the stencil
             break
         g = pts[-1] - pts[0]
         try:
@@ -351,7 +346,8 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
             tried_any = True
             spec = PeriodicCycleSpec(cycle=list(symbols[:period]))
             try:
-                result = _periodic_from_mixed_cycle(spec, lam)
+                # no radius gate: the shadowed prefix legitimately visits near poles
+                result = _solve_cycle(spec.cycle, lam, 400, True)
             except ContractionFailure as e:
                 last_err = str(e)
                 m_extra += 1
@@ -368,32 +364,3 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
             break  # longer periods were exhausted; a later prefix cannot help
     raise ValueError(f"could not reach eta={eta}: {last_err}")
 
-
-def _periodic_from_mixed_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicPoint:
-    """periodic_point_from_cycle without the all-poles-far gate; used by the
-    shadowing construction whose prefix legitimately visits near poles.
-    Contraction is still monitored and the forward orbit still verified."""
-    comp = _composed_branch(spec.cycle, lam)
-    y = pole_location(spec.cycle[0]).copy()
-    prev_step = None
-    noncontract = 0
-    for _ in range(400):
-        y_next = comp(y)
-        step = vec_norm(y_next - y)
-        y = y_next
-        if prev_step is not None and prev_step > 0.0:
-            if step >= prev_step:
-                noncontract += 1
-                if noncontract >= 5:
-                    raise ContractionFailure(
-                        "composed branch map is not contracting on this cycle")
-            else:
-                noncontract = 0
-        prev_step = step
-        if step < 1e-13:
-            break
-    y = _newton_polish(y, spec.cycle, lam)
-    orbit, residual = _forward_cycle(y, spec.cycle, lam)
-    if orbit is None:
-        raise ContractionFailure("forward orbit left the prescribed diamonds")
-    return PeriodicPoint(point=y, period=len(spec.cycle), residual=residual, orbit=orbit)

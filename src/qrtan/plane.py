@@ -7,7 +7,9 @@ single-valued inverse branch into each diamond; those branches are the
 engine behind itineraries and periodic points.  This module evaluates F,
 samples its derivative, constructs the inverse branches in closed form
 (with a residual check so a wrong branch can never pass silently), and
-calibrates the radii used by expansion-based arguments.
+calibrates the radii used by expansion-based arguments.  One enumerator
+of the tangent map's preimages in a box serves both the inverse branches
+(box around a diamond, then the diamond itself) and ``preimages_tangent3``.
 """
 
 import math
@@ -212,15 +214,9 @@ def beam_sector_eigenvalues(p, lam: float = 1.0):
 
 def fold_orientation(p):
     """diag(+-1, +-1) giving the local derivative of the beam folding at p."""
-    _, kx = _tile_index(float(p[0]))
-    _, ky = _tile_index(float(p[1]))
+    _, kx = fold_axis(float(p[0]), QUARTER_PI)
+    _, ky = fold_axis(float(p[1]), QUARTER_PI)
     return np.diag([(-1.0) ** kx, (-1.0) ** ky])
-
-
-def _tile_index(x):
-    width = 2.0 * QUARTER_PI
-    k = math.floor((x + QUARTER_PI) / width)
-    return x - k * width, k
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +283,47 @@ def inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9) -> np.nda
 def _branch_candidates(u, loc, slack: float = 1e-9):
     """Preimage candidates in the closed diamond around ``loc``.
 
-    ``u`` is the unit vector whose Zorich preimages are wanted; the
-    chart point of each hemisphere generates two pi-periodic families
+    The enclosing box is wider than the L1 bound by one more ``slack``,
+    so rounding in the box test can never drop a point the L1 test keeps.
+    """
+    lx, ly = float(loc[0]), float(loc[1])
+    half = HALF_PI + 2.0 * slack
+    return [np.array([x, y]) for x, y in _chart_preimages(u, lx, half, ly, half)
+            if abs(x - lx) + abs(y - ly) <= HALF_PI + slack]
+
+
+def _chart_preimages(u, cx, half_x, cy, half_y):
+    """Points (x, y) with |x-cx| <= half_x, |y-cy| <= half_y whose Zorich
+    direction is the unit vector ``u``.
+
+    The chart point of each hemisphere generates two pi-periodic families
     per coordinate (direct and reflected), and the coordinate parities
     must add up to the hemisphere flip.
     """
-    out = []
     uz = float(u[2])
     charts = []
     if uz >= -1e-12:
         charts.append((hemisphere_to_square(u), 0))
     if uz <= 1e-12:
         charts.append((hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
-    lx, ly = float(loc[0]), float(loc[1])
     for (a, b), need in charts:
-        xs = _family_members(a, lx)
-        ys = _family_members(b, ly)
-        for x, parx in xs:
+        ys = _family_members(b, cy, half_y)
+        for x, parx in _family_members(a, cx, half_x):
             for y, pary in ys:
-                if (parx + pary) % 2 != need:
-                    continue
-                if abs(x - lx) + abs(y - ly) <= HALF_PI + slack:
-                    out.append(np.array([x, y]))
-    return out
+                if (parx + pary) % 2 == need:
+                    yield x, y
 
 
-def _family_members(a, center):
-    """Points of {a/2 + k*pi} u {(pi-a)/2 + k*pi} within pi of ``center``,
-    tagged with their per-coordinate reflection parity."""
+def _family_members(a, center, half):
+    """Points of {a/2 + k*pi} u {(pi-a)/2 + k*pi} within ``half`` of
+    ``center``, tagged with their per-coordinate reflection parity."""
     out = []
     for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
-        k0 = round((center - off) / math.pi)
-        for k in (k0 - 1, k0, k0 + 1):
+        klo = math.floor((center - half - off) / math.pi)
+        khi = math.ceil((center + half - off) / math.pi)
+        for k in range(klo, khi + 1):
             x = off + k * math.pi
-            if abs(x - center) <= math.pi:
+            if center - half <= x <= center + half:
                 out.append((x, par))
     return out
 
@@ -345,37 +348,13 @@ def preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
     zc = math.log(norm) / 2.0
     if abs(zc) > z_tol:
         return []
-    uhat = u / norm
     x0, x1, y0, y1 = xy_box
-    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    half_x, half_y = (x1 - x0) / 2.0, (y1 - y0) / 2.0
-    charts = []
-    if uhat[2] >= -1e-12:
-        charts.append((hemisphere_to_square(uhat), 0))
-    if uhat[2] <= 1e-12:
-        charts.append((hemisphere_to_square(np.array([uhat[0], uhat[1], -uhat[2]])), 1))
     out = []
-    for (a, b), need in charts:
-        for x, parx in _family_members_box(a, cx, half_x):
-            for y, pary in _family_members_box(b, cy, half_y):
-                if (parx + pary) % 2 != need:
-                    continue
-                cand = np.array([x, y, zc])
-                img = tangent3(cand, lam)
-                if chordal(img, target) < 1e-9:
-                    out.append(cand)
-    return out
-
-
-def _family_members_box(a, center, half):
-    out = []
-    for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
-        klo = math.floor((center - half - off) / math.pi)
-        khi = math.ceil((center + half - off) / math.pi)
-        for k in range(klo, khi + 1):
-            x = off + k * math.pi
-            if center - half <= x <= center + half:
-                out.append((x, par))
+    for x, y in _chart_preimages(u / norm, (x0 + x1) / 2.0, (x1 - x0) / 2.0,
+                                 (y0 + y1) / 2.0, (y1 - y0) / 2.0):
+        cand = np.array([x, y, zc])
+        if chordal(tangent3(cand, lam), target) < 1e-9:
+            out.append(cand)
     return out
 
 

@@ -64,6 +64,10 @@ class RenderConfig:
             raise ValueError("window must be non-degenerate")
         if self.width < 1 or self.height < 1:
             raise ValueError("resolution must be positive")
+        if self.max_iter < 1:
+            raise ValueError("iteration count must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("capture tolerance must be positive and finite")
         if self.depth_norm is None:
             # a few times lam sits beyond every bounded invariant structure,
             # so first passage above it marks a genuine far excursion while

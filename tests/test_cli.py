@@ -268,6 +268,28 @@ class TestInputValidation:
         self.assert_usage_error(*run_cli(argv, capsys))
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["orbit", "itinerary"])
+    def test_bad_step_count(self, command, n, tmp_path, capsys):
+        out_path = tmp_path / "out.ndjson"
+        argv = [command, "--lambda", "2", *self.COMMANDS[command], f"--n={n}"]
+        for extra in ([], ["--out", str(out_path)]):
+            self.assert_usage_error(*run_cli(argv + extra, capsys))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--max-iter", "0"), ("--max-iter", "-2"),
+                                            ("--tol", "0"), ("--tol", "-1e-6"),
+                                            ("--tol", "nan"), ("--tol", "inf")])
+    @pytest.mark.parametrize("command", ["render-basin", "render-escape"])
+    def test_bad_iteration_count_or_tolerance(self, command, flag, value, tmp_path, capsys):
+        out_path = tmp_path / "img.ppm"
+        argv = [command, "--lambda", "2", f"{flag}={value}", "--res", "4x4",
+                "--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        self.assert_usage_error(code, out, err)
+        assert flag in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("failure", [None, ContractionFailure, BranchResidualError])
     def test_periodic_failure_leaves_no_output(self, failure, monkeypatch, tmp_path,
                                                capsys):

@@ -378,6 +378,28 @@ class TestChordal:
             p, q = rng.uniform(-100, 100, size=(2, 3))
             assert chordal(p, q) <= 2.0 + 1e-12
 
+    def test_near_pole_image_is_finite(self):
+        p = tangent3((1e-156, HALF_PI, 0.0))
+        assert abs(float(p[0])) > 1e155  # |p|^2 overflows
+        with np.errstate(over="ignore"):  # the squared-norm expression overflows first
+            for q in (np.zeros(3), np.array([3.0, -2.0, 1.0])):
+                d = chordal(p, q)  # 2 for q = 0
+                assert math.isfinite(d) and math.isclose(d, chordal(INFINITY, q), rel_tol=1e-12)
+                assert math.isclose(chordal(q, p), d, rel_tol=1e-15)
+            assert chordal(p, p) == 0.0
+
+    def test_matches_squared_norm_formula_below_overflow(self):
+        def reference(p, q):
+            d = p - q
+            return 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p))
+                                                             * (1.0 + float(q @ q)))
+
+        rng = np.random.default_rng(73)
+        for _ in range(5000):
+            p = rng.normal(size=3) * 10.0 ** rng.uniform(-300.0, 150.0)
+            q = rng.normal(size=3) * 10.0 ** rng.uniform(-300.0, 150.0)
+            assert chordal(p, q) == reference(p, q)
+
 
 # ---------------------------------------------------------------------------
 # the scalar path before its per-call overhead was removed, kept verbatim as

@@ -7,11 +7,34 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qrtan.core import INFINITY, is_infinity
+from qrtan import itinerary, plane
+from qrtan.core import (
+    INFINITY,
+    cayley_inverse,
+    chordal,
+    hemisphere_to_square,
+    is_infinity,
+    tangent3,
+    vec_norm,
+)
+from qrtan.itinerary import (
+    ContractionFailure,
+    Itinerary,
+    PeriodicCycleSpec,
+    PeriodicPoint,
+    _composed_branch,
+    _forward_cycle,
+    _newton_polish,
+    _solve_cycle,
+    periodic_near_escaping,
+    periodic_point_from_cycle,
+    point_from_itinerary,
+)
 from qrtan.plane import (
     BranchDomainError,
     Diamond,
     PoleIndex,
+    _fd_matrix,
     beam_sector_eigenvalues,
     branch_contraction_ratio,
     calibrate_expansion,
@@ -344,3 +367,320 @@ class TestCalibration:
         assert required_tail_radius(1.0) == calibrate_expansion(1.0).branch_radius
         assert required_tail_radius(2.0) == calibrate_expansion(2.0).domain_radius
         assert required_tail_radius(2.0) < required_tail_radius(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the two preimage enumerators, the gate-free cycle solver and the inline
+# Newton stencil as they were before they were merged, kept verbatim as the
+# reference: the merged engine must give the same floats, bit for bit
+
+def _reference_branch_candidates(u, loc, slack: float = 1e-9):
+    out = []
+    uz = float(u[2])
+    charts = []
+    if uz >= -1e-12:
+        charts.append((hemisphere_to_square(u), 0))
+    if uz <= 1e-12:
+        charts.append((hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
+    lx, ly = float(loc[0]), float(loc[1])
+    for (a, b), need in charts:
+        xs = _reference_family_members(a, lx)
+        ys = _reference_family_members(b, ly)
+        for x, parx in xs:
+            for y, pary in ys:
+                if (parx + pary) % 2 != need:
+                    continue
+                if abs(x - lx) + abs(y - ly) <= HALF_PI + slack:
+                    out.append(np.array([x, y]))
+    return out
+
+
+def _reference_family_members(a, center):
+    out = []
+    for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
+        k0 = round((center - off) / math.pi)
+        for k in (k0 - 1, k0, k0 + 1):
+            x = off + k * math.pi
+            if abs(x - center) <= math.pi:
+                out.append((x, par))
+    return out
+
+
+def _reference_preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
+    u = cayley_inverse(target if is_infinity(target)
+                       else np.asarray(target, dtype=float) / lam)
+    if is_infinity(u):
+        return []  # target = (0,0,lam), an omitted value
+    norm = float(np.linalg.norm(u))
+    if norm == 0.0:
+        return []  # target = (0,0,-lam), the other omitted value
+    zc = math.log(norm) / 2.0
+    if abs(zc) > z_tol:
+        return []
+    uhat = u / norm
+    x0, x1, y0, y1 = xy_box
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    half_x, half_y = (x1 - x0) / 2.0, (y1 - y0) / 2.0
+    charts = []
+    if uhat[2] >= -1e-12:
+        charts.append((hemisphere_to_square(uhat), 0))
+    if uhat[2] <= 1e-12:
+        charts.append((hemisphere_to_square(np.array([uhat[0], uhat[1], -uhat[2]])), 1))
+    out = []
+    for (a, b), need in charts:
+        for x, parx in _reference_family_members_box(a, cx, half_x):
+            for y, pary in _reference_family_members_box(b, cy, half_y):
+                if (parx + pary) % 2 != need:
+                    continue
+                cand = np.array([x, y, zc])
+                img = tangent3(cand, lam)
+                if chordal(img, target) < 1e-9:
+                    out.append(cand)
+    return out
+
+
+def _reference_family_members_box(a, center, half):
+    out = []
+    for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
+        klo = math.floor((center - half - off) / math.pi)
+        khi = math.ceil((center + half - off) / math.pi)
+        for k in range(klo, khi + 1):
+            x = off + k * math.pi
+            if center - half <= x <= center + half:
+                out.append((x, par))
+    return out
+
+
+def _reference_periodic_from_mixed_cycle(spec, lam: float):
+    comp = _composed_branch(spec.cycle, lam)
+    y = pole_location(spec.cycle[0]).copy()
+    prev_step = None
+    noncontract = 0
+    for _ in range(400):
+        y_next = comp(y)
+        step = vec_norm(y_next - y)
+        y = y_next
+        if prev_step is not None and prev_step > 0.0:
+            if step >= prev_step:
+                noncontract += 1
+                if noncontract >= 5:
+                    raise ContractionFailure(
+                        "composed branch map is not contracting on this cycle")
+            else:
+                noncontract = 0
+        prev_step = step
+        if step < 1e-13:
+            break
+    y = _reference_newton_polish(y, spec.cycle, lam)
+    orbit, residual = _forward_cycle(y, spec.cycle, lam)
+    if orbit is None:
+        raise ContractionFailure("forward orbit left the prescribed diamonds")
+    return PeriodicPoint(point=y, period=len(spec.cycle), residual=residual, orbit=orbit)
+
+
+def _reference_newton_polish(y, cycle, lam, rounds: int = 6):
+    def forward(p):
+        pts = [np.array(p)]
+        for _ in cycle:
+            q = plane_map(pts[-1], lam)
+            if is_infinity(q):
+                return None
+            pts.append(q)
+        return pts
+
+    def resid(p):
+        pts = forward(p)
+        if pts is None:
+            return math.inf, None
+        return vec_norm(pts[-1] - pts[0]), pts
+
+    best_r, best_pts = resid(y)
+    best = np.array(y)
+    cur = np.array(y)
+    h = 1e-7
+    for _ in range(rounds):
+        pts = forward(cur)
+        if pts is None:
+            break
+        jac = np.eye(2)
+        ok = True
+        for p in pts[:-1]:
+            cols = []
+            for i in range(2):
+                pp, pm = p.copy(), p.copy()
+                pp[i] += h
+                pm[i] -= h
+                fp, fm = plane_map(pp, lam), plane_map(pm, lam)
+                if is_infinity(fp) or is_infinity(fm):
+                    ok = False
+                    break
+                cols.append((fp - fm) / (2.0 * h))
+            if not ok:
+                break
+            jac = np.column_stack(cols) @ jac
+        if not ok:
+            break
+        g = pts[-1] - pts[0]
+        try:
+            delta = np.linalg.solve(jac - np.eye(2), -g)
+        except np.linalg.LinAlgError:
+            break
+        cand = cur + delta
+        r_cand, _ = resid(cand)
+        if r_cand < best_r:
+            best_r, best = r_cand, cand
+            cur = cand
+        else:
+            break
+    return best
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: its value or the type and text of its exception."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def _assert_same(got, want):
+    """Equal bit for bit: arrays (dtype, shape, values), INFINITY, periodic
+    points, exceptions, or lists of these."""
+    if isinstance(want, PeriodicPoint):
+        assert isinstance(got, PeriodicPoint)
+        _assert_same(got.point, want.point)
+        _assert_same(got.orbit, want.orbit)
+        assert got.period == want.period
+        assert got.residual == want.residual or (math.isnan(got.residual)
+                                                 and math.isnan(want.residual))
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert got == want  # INFINITY, or (exception type, message)
+
+
+class TestBranchEngineBitIdentity:
+    LAMS = (0.7, 1.0, 1.1107, 2.0, 5.0)
+
+    @staticmethod
+    def _branch_cases(rng, lam, n):
+        """Seeded (diamond, target) pairs over |m|, |n| <= 4: INFINITY, points on
+        and within 1e-6 of the removed segment, the unit circle |w| = lam (where
+        both hemisphere charts are used), tiny, generic and huge targets."""
+        half = lam / SQRT2
+        cases = []
+        for i in range(n):
+            q = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+            kind = i % 6
+            if kind == 0:
+                w = INFINITY
+            elif kind == 1:
+                t = rng.uniform(-1.2 * half, 1.2 * half)
+                w = np.array([t, t if rng.random() < 0.5 else -t])
+                if (i // 6) % 2:
+                    w = w + rng.uniform(-1e-6, 1e-6, 2)
+            elif kind == 2:
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                w = lam * (1.0 + rng.uniform(-1e-12, 1e-12)) * np.array(
+                    [math.cos(ang), math.sin(ang)])
+            elif kind == 3:
+                w = rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -2.0)
+            elif kind == 4:
+                w = rng.uniform(-6.0, 6.0, 2)
+            else:
+                w = rng.normal(size=2) * 10.0 ** rng.uniform(2.0, 8.0)
+            cases.append((q, w))
+        return cases
+
+    def test_branch_candidates_match_reference(self):
+        rng = np.random.default_rng(211)
+        compared = 0
+        for lam in self.LAMS:
+            for q, w in self._branch_cases(rng, lam, 300):
+                if is_infinity(w):
+                    continue
+                u = cayley_inverse(np.array([float(w[0]) / lam, float(w[1]) / lam, 0.0]))
+                loc = pole_location(q)
+                _assert_same(_outcome(plane._branch_candidates, u, loc),
+                             _outcome(_reference_branch_candidates, u, loc))
+                compared += 1
+        assert compared == 5 * 250
+
+    def test_inverse_branch_matches_reference(self, monkeypatch):
+        rng = np.random.default_rng(223)
+        cases = [(q, w, lam) for lam in self.LAMS for q, w in self._branch_cases(rng, lam, 600)]
+        got = [_outcome(inverse_branch, q, w, lam) for q, w, lam in cases]
+        monkeypatch.setattr(plane, "_branch_candidates", _reference_branch_candidates)
+        want = [_outcome(inverse_branch, q, w, lam) for q, w, lam in cases]
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+        errors = {w[0] for w in want if isinstance(w, tuple)}
+        assert errors == {BranchDomainError}  # exact segment points
+
+    def test_preimages_match_reference(self):
+        rng = np.random.default_rng(227)
+        found = 0
+        for i in range(300):
+            lam = self.LAMS[i % len(self.LAMS)]
+            if i % 3 == 0:  # box edges on the pole lattice coordinates
+                x0, y0 = rng.integers(-6, 5, 2) * HALF_PI
+                box = (x0, x0 + rng.integers(1, 4) * HALF_PI,
+                       y0, y0 + rng.integers(1, 4) * HALF_PI)
+            else:
+                x0, y0 = rng.uniform(-8.0, 8.0, 2)
+                box = (x0, x0 + rng.uniform(0.1, 6.0), y0, y0 + rng.uniform(0.1, 6.0))
+            if i % 7 == 0:
+                target = INFINITY
+            else:
+                target = rng.normal(size=3) * [2.0, 2.0, 0.5 if i % 2 else 0.0]
+            want = _outcome(_reference_preimages_tangent3, target, lam, box)
+            _assert_same(_outcome(preimages_tangent3, target, lam, box), want)
+            found += len(want)
+        assert found > 300
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_cycles_match_reference(self, lam):
+        rng = np.random.default_rng(229)
+        r = required_tail_radius(lam)
+        far = [(m, n) for m in range(-8, 9) for n in range(-8, 9)
+               if r < np.linalg.norm(pole_location((m, n))) <= r + 2.0 * math.pi]
+        near = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+        for period in (1, 2, 3, 4):
+            for _ in range(4):
+                spec = PeriodicCycleSpec(
+                    cycle=[far[i] for i in rng.integers(0, len(far), period)])
+                want = _outcome(_reference_periodic_from_mixed_cycle, spec, lam)
+                _assert_same(_outcome(periodic_point_from_cycle, spec, lam, 400), want)
+                _assert_same(_outcome(_solve_cycle, spec.cycle, lam, 400, True), want)
+                spec = PeriodicCycleSpec(
+                    cycle=[near[i] for i in rng.integers(0, len(near), period)])
+                _assert_same(_outcome(_solve_cycle, spec.cycle, lam, 400, True),
+                             _outcome(_reference_periodic_from_mixed_cycle, spec, lam))
+
+    def test_newton_polish_stops_at_pole_in_stencil(self):
+        y = np.array([-1e-7, HALF_PI])  # y + (1e-7, 0) is the pole (0, 0) exactly
+        with pytest.raises(ArithmeticError):
+            _fd_matrix(y, 1.0, 1e-7)
+        cycle = [PoleIndex(0, 0)]
+        _assert_same(_newton_polish(y, cycle, 1.0), _reference_newton_polish(y, cycle, 1.0))
+
+    def test_periodic_near_escaping_matches_reference(self, monkeypatch):
+        lam = 2.0
+        head = [(1, 1), (-1, -1), (2, 0), (0, -2), (0, 1), (-1, 0), (2, -1), (1, -2)] * 2
+        itin = Itinerary(prefix=[], tail=lambda j: head[j] if j < len(head)
+                         else (0, j - len(head) + 19))
+        v = point_from_itinerary(itin, lam, n_compose=30)
+        got = periodic_near_escaping(v, 1e-6, lam)
+
+        def old_solver(cycle, lam_, max_iter, polish):
+            assert (max_iter, polish) == (400, True)
+            return _reference_periodic_from_mixed_cycle(PeriodicCycleSpec(cycle), lam_)
+
+        monkeypatch.setattr(itinerary, "_solve_cycle", old_solver)
+        _assert_same(got, periodic_near_escaping(v, 1e-6, lam))

@@ -52,6 +52,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             RenderConfig(lam=1.0, depth_norm=depth_norm)
 
+    @pytest.mark.parametrize("max_iter", [0, -2])
+    def test_rejects_bad_iteration_count(self, max_iter):
+        with pytest.raises(ValueError, match="at least 1"):
+            RenderConfig(lam=1.0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RenderConfig(lam=1.0, tol=tol)
+
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             RenderConfig(lam=1.0, width=0)
