@@ -224,8 +224,8 @@ def _cmd_verify(args):
 
 
 def _check_inputs(args):
-    """Reject a bad parameter, start point, step count, window, threshold or
-    tolerance before any output is written."""
+    """Reject a bad parameter, start point, step count, window, threshold,
+    tolerance or thread count before any output is written."""
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
     start = getattr(args, "start", None)
@@ -247,6 +247,9 @@ def _check_inputs(args):
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"--tol must be positive and finite, got {tol:g}")
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
 
 
 def main(argv=None) -> int:

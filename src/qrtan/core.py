@@ -325,12 +325,19 @@ def iterate(v, lam: float, n: int):
 # vectorized evaluation (the rendering/classification workhorse)
 
 def fold_axis_grid(x, half_width):
-    """Vectorized fold_axis; returns (folded, parity) arrays."""
+    """Vectorized fold_axis; returns (folded, odd), ``odd`` a bool array."""
     width = 2.0 * half_width
-    k = np.floor((x + half_width) / width)
-    u = x - k * width
-    odd = (k.astype(np.int64) % 2) != 0
-    return np.where(odd, -u, u), odd.astype(np.int64)
+    k = x + half_width
+    k /= width
+    np.floor(k, out=k)
+    odd = (k.astype(np.int64) & 1).astype(bool)
+    k *= width
+    np.subtract(x, k, out=k)
+    return np.where(odd, -k, k), odd
+
+
+# 1/n2 overflows exactly for 0 < n2 <= 2^-1024 (a subnormal |b|^2)
+_RECIP_FLOOR = math.ldexp(1.0, -1024)
 
 
 def tangent3_grid(x, y, z, lam: float = 1.0):
@@ -340,35 +347,77 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
     (there the value arrays hold +inf placeholders).  Identical formula
     to the scalar path; last-ulp differences from libm vs numpy
     transcendentals are possible.
+
+    ``z`` may be the scalar 0.0 for points of the plane z = 0.  Then
+    tanh z = 0 and sech z = 1 are folded in, which changes no bit of the
+    result, and ``tz`` is 0.0 (inf at poles).  On odd tiles the value is
+    b times the reciprocal of |b|^2; within about 1e-155 of a pole, where
+    that reciprocal overflows, it is b/|b|^2 as the scalar path computes
+    it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    fx, px = fold_axis_grid(x, QUARTER_PI)
-    fy, py = fold_axis_grid(y, QUARTER_PI)
-    m = np.maximum(np.abs(fx), np.abs(fy))
-    th = np.tanh(z)
-    e = np.exp(-np.abs(z))
-    sech = 2.0 * e / (1.0 + e * e)
-    s2 = sech * sech
+    plane = isinstance(z, float) and z == 0.0
+    coords = (x, y) if plane else (x, y, np.asarray(z, dtype=float))
+    shape = x.shape
+    if not shape or any(c.shape != shape for c in coords):
+        # the arithmetic below runs in place on flat arrays of one shape
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        coords = [np.broadcast_to(c, shape).ravel() for c in coords]
+    fx, ox = fold_axis_grid(coords[0], QUARTER_PI)
+    fy, oy = fold_axis_grid(coords[1], QUARTER_PI)
+    odd = ox ^ oy
+    m = np.abs(fx)
+    np.maximum(m, np.abs(fy), out=m)
     cm = np.cos(m)
-    denom = cm * cm * s2 + th * th
-    third = th / denom
+    f = np.sin(m, out=m)
+    f *= cm
+    denom = np.multiply(cm, cm, out=cm)
+    if not plane:
+        th = np.tanh(coords[2])
+        e = np.abs(coords[2])
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        sech = np.multiply(e, e)
+        sech += 1.0
+        e *= 2.0
+        s2 = np.divide(e, sech, out=sech)
+        s2 *= s2
+        denom *= s2
+        denom += np.multiply(th, th, out=e)
+        bz = np.divide(th, denom, out=th)
+        f *= s2
     r = np.hypot(fx, fy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(r > 0.0, cm * np.sin(m) * s2 / (r * denom), 0.0)
-    bx = fx * f
-    by = fy * f
-    bz = third
-    odd = ((px + py) % 2) == 1
-    n2 = bx * bx + by * by + bz * bz
-    pole = odd & (n2 == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(odd & ~pole, 1.0 / np.where(n2 > 0.0, n2, 1.0), 1.0)
-    tx = lam * bx * inv
-    ty = lam * by * inv
-    tz = lam * bz * inv
-    tx = np.where(pole, np.inf, tx)
-    ty = np.where(pole, np.inf, ty)
-    tz = np.where(pole, np.inf, tz)
-    return tx, ty, tz, ~pole
+    nonzero = r > 0.0
+    r *= denom
+    # where r = 0, f = cos(0) sin(0) = 0 already
+    np.divide(f, r, out=f, where=nonzero)
+    bx = np.multiply(fx, f, out=fx)
+    by = np.multiply(fy, f, out=fy)
+    b = (bx, by) if plane else (bx, by, bz)
+    n2 = np.multiply(bx, bx, out=r)
+    for c in b[1:]:
+        n2 += np.multiply(c, c, out=f)
+    # on odd tiles n2 = 0 is a pole hit, and next to it 1/n2 overflows
+    low = odd & (n2 <= _RECIP_FLOOR)
+    pole = None
+    if low.any():
+        pole = low & (n2 == 0.0)
+        near = low ^ pole
+        near_vals = [lam * (c[near] / n2[near]) for c in b]
+    # the reciprocal only where it is used and finite, 1 elsewhere
+    inv = np.where(odd & (n2 > _RECIP_FLOOR), n2, 1.0)
+    np.divide(1.0, inv, out=inv)
+    for c in b:
+        c *= lam
+        c *= inv
+    t = (bx, by, np.full(bx.shape, lam * z) if plane else bz)
+    if pole is None:
+        finite = np.ones(bx.shape, dtype=bool)
+    else:
+        for c, v in zip(t, near_vals):
+            c[near] = v
+        for c in t:
+            c[pole] = np.inf
+        finite = ~pole
+    return tuple(a.reshape(shape) for a in (*t, finite))

@@ -90,7 +90,7 @@ def plane_map(p, lam: float = 1.0):
 
 def plane_map_grid(x, y, lam: float = 1.0):
     """Vectorized plane map; returns (fx, fy, finite)."""
-    tx, ty, _, finite = tangent3_grid(x, y, np.zeros_like(np.asarray(x, dtype=float)), lam)
+    tx, ty, _, finite = tangent3_grid(x, y, 0.0, lam)
     return tx, ty, finite
 
 

@@ -68,6 +68,10 @@ class RenderConfig:
             raise ValueError("iteration count must be at least 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("capture tolerance must be positive and finite")
+        if self.threads < 1:
+            raise ValueError("thread count must be at least 1")
+        if self.row_block < 1:
+            raise ValueError("row block must be at least 1")
         if self.depth_norm is None:
             # a few times lam sits beyond every bounded invariant structure,
             # so first passage above it marks a genuine far excursion while
@@ -92,14 +96,25 @@ def pixel_grid(cfg: RenderConfig, row0: int, row1: int):
 
 def _diamond_centers(x, y):
     """Vectorized diamond lookup: centre coordinates and strict membership."""
-    u = x + y
-    v = y - x
-    n = np.round((u - HALF_PI) / math.pi)
-    m = np.round((HALF_PI - v) / math.pi)
-    cx = (n + m) * HALF_PI
-    cy = (n - m + 1) * HALF_PI
-    inside = (np.abs(x - cx) + np.abs(y - cy)) < HALF_PI
-    return cx, cy, inside
+    n = x + y
+    n -= HALF_PI
+    n /= math.pi
+    np.rint(n, out=n)
+    m = y - x
+    np.subtract(HALF_PI, m, out=m)
+    m /= math.pi
+    np.rint(m, out=m)
+    cx = n + m
+    cx *= HALF_PI
+    n -= m
+    n += 1
+    cy = np.multiply(n, HALF_PI, out=n)
+    dx = np.subtract(x, cx, out=m)
+    np.abs(dx, out=dx)
+    dy = y - cy
+    np.abs(dy, out=dy)
+    dx += dy
+    return cx, cy, dx < HALF_PI
 
 
 def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
@@ -123,7 +138,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     fate = np.zeros(size, dtype=np.uint8)
     when = np.zeros(size, dtype=np.int32)
     depth = np.zeros(size, dtype=np.int32)
-    zeros = np.zeros(size)
     # state of the carried pixels; entries done since the last compaction
     # stay carried, masked out by ``live``
     idx = np.arange(size)
@@ -148,34 +162,50 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             idx, px, py, run_origin, grow, prev_cn, nodepth = (
                 a[live] for a in (idx, px, py, run_origin, grow, prev_cn, nodepth))
             live = np.ones(n_live, dtype=bool)
-        px, py, _, finite = tangent3_grid(px, py, zeros[:idx.size], cfg.lam)
+        px, py, _, finite = tangent3_grid(px, py, 0.0, cfg.lam)
         hit = live & ~finite
-        retire(hit, _FATE_POLE, step)
-        depth[idx[hit & nodepth]] = step  # a pole hit tops any norm threshold
-        px[hit] = py[hit] = 0.0  # inf placeholders would warn until compaction
-        live &= finite
+        if hit.any():
+            retire(hit, _FATE_POLE, step)
+            depth[idx[hit & nodepth]] = step  # a pole hit tops any norm threshold
+            px[hit] = py[hit] = 0.0  # inf placeholders would warn until compaction
+            live &= finite
         norm = np.hypot(px, py)
-        d_origin = norm  # z = 0 throughout
-        run_origin = np.where(live & (d_origin < cfg.tol), run_origin + 1, 0)
+        # distance to the origin is the norm: z = 0 throughout
+        close = norm < cfg.tol
+        close &= live
+        run_origin += 1
+        run_origin *= close
         captured = live & (run_origin >= cfg.settle)
-        retire(captured, _FATE_ORIGIN, step)
-        live &= ~captured
+        if captured.any():
+            retire(captured, _FATE_ORIGIN, step)
+            live &= ~captured
         # the axis fixed points at z = +-xi are unreachable from z = 0
         # (the plane is exactly invariant), so the origin is the only
         # convergence target a basin render can see
-        cx, cy, inside = _diamond_centers(px, py)
-        cn = np.hypot(cx, cy)
-        tracked = live & inside
-        grew = tracked & (cn > prev_cn)  # False where prev_cn is NaN
-        grow = np.where(grew, grow + 1, 0)
-        prev_cn = np.where(tracked, cn, np.nan)
-        newdepth = tracked & (norm > cfg.depth_norm) & nodepth
-        depth[idx[newdepth]] = step
-        nodepth &= ~newdepth
-        esc = tracked & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
-        retire(esc, _FATE_ESCAPING, step)
-        live &= ~esc
-        if depth_only:
+        cx, cy, tracked = _diamond_centers(px, py)
+        tracked &= live
+        cn = np.hypot(cx, cy, out=cx)
+        grew = cn > prev_cn  # False where prev_cn is NaN
+        grew &= tracked
+        grow += 1
+        grow *= grew
+        # NaN where the pixel is not tracked: its next step cannot count as growth
+        np.putmask(cn, ~tracked, np.nan)
+        prev_cn = cn
+        newdepth = norm > cfg.depth_norm
+        newdepth &= tracked
+        newdepth &= nodepth
+        deeper = newdepth.any()
+        if deeper:
+            depth[idx[newdepth]] = step
+            nodepth &= ~newdepth
+        esc = grow >= cfg.escape_run
+        esc &= tracked
+        esc &= norm > cfg.escape_norm
+        if esc.any():
+            retire(esc, _FATE_ESCAPING, step)
+            live &= ~esc
+        if depth_only and deeper:
             when[idx[newdepth]] = step
             live &= ~newdepth
     when[idx[live]] = cfg.max_iter

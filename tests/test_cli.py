@@ -290,6 +290,17 @@ class TestInputValidation:
         assert flag in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["render-basin", "render-escape"])
+    def test_bad_thread_count(self, command, threads, tmp_path, capsys):
+        out_path = tmp_path / "img.ppm"
+        argv = [command, "--lambda", "2", f"--threads={threads}", "--res", "4x4",
+                "--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        self.assert_usage_error(code, out, err)
+        assert "--threads" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("failure", [None, ContractionFailure, BranchResidualError])
     def test_periodic_failure_leaves_no_output(self, failure, monkeypatch, tmp_path,
                                                capsys):

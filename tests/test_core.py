@@ -2,12 +2,13 @@
 the tangent map itself."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qrtan import plane
+from qrtan import core, plane
 from qrtan.core import (
     INFINITY,
     _beam_formula,
@@ -365,6 +366,51 @@ class TestGridEvaluation:
         _, _, tz, finite = tangent3_grid(x, y, np.zeros_like(x))
         assert np.all(tz[finite] == 0.0)
 
+    def test_plane_path_takes_scalar_zero(self):
+        rng = np.random.default_rng(71)
+        x = rng.uniform(-10, 10, 1000)
+        y = rng.uniform(-10, 10, 1000)
+        x[:3], y[:3] = (0.0, HALF_PI, math.pi), (HALF_PI, 0.0, HALF_PI)  # poles
+        tx, ty, tz, finite = tangent3_grid(x, y, 0.0, 0.8)
+        assert finite.dtype == bool and not finite[:3].any() and finite[3:].all()
+        assert np.all(tz[finite] == 0.0) and np.all(tz[~finite] == np.inf)
+        for got, want in zip((tx, ty, finite), plane.plane_map_grid(x, y, 0.8)):
+            assert np.array_equal(got, want)
+
+    def test_reciprocal_floor_is_the_overflow_threshold(self):
+        floor = core._RECIP_FLOOR
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(1.0) / floor)
+        assert math.isfinite(1.0 / math.nextafter(floor, 1.0))
+
+    # |b|^2 is subnormal at these points: fx = fy = 0 and the third
+    # component, or the planar one, is about 1e-157
+    EVEN_TILE_TINY = [(0.0, 0.0, 1.6e-156), (0.0, 0.0, -3e-160), (math.pi, 0.0, 1e-157),
+                      (HALF_PI, HALF_PI, 2e-158), (1e-157, 0.0, 0.0), (0.0, -4e-158, 0.0)]
+    ODD_TILE_TINY = [(1e-156, HALF_PI, 0.0), (HALF_PI, -3e-157, 0.0),
+                     (math.pi, HALF_PI, 1e-157), (0.0, HALF_PI, -2e-158),
+                     (-1e-157, HALF_PI, 1e-157), (HALF_PI, 1e-160, 0.0)]
+
+    @pytest.mark.parametrize("points", [EVEN_TILE_TINY, ODD_TILE_TINY],
+                             ids=["even_tiles", "odd_tiles"])
+    def test_subnormal_norm_silent_and_equal_to_scalar(self, points):
+        pts = np.array(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tangent3_grid(pts[:, 0], pts[:, 1], pts[:, 2], 1.7)
+            want = [tangent3(p, 1.7) for p in pts]
+        assert got[3].all()
+        for i, w in enumerate(want):
+            assert not is_infinity(w)
+            np.testing.assert_allclose([got[0][i], got[1][i], got[2][i]], w,
+                                       rtol=1e-12, atol=0.0)
+        flat = pts[:, 2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_plane = tangent3_grid(pts[flat, 0], pts[flat, 1], 0.0, 1.7)
+        for a, b in zip(on_plane, got):
+            assert np.array_equal(a, b[flat])
+
 
 class TestChordal:
     def test_infinity_cases(self):
@@ -537,13 +583,6 @@ class TestProperties:
     @given(x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0), z=st.floats(-5.0, 5.0),
            lam=st.floats(0.1, 5.0))
     def test_grid_agrees_with_scalar(self, x, y, z, lam):
-        # within ~1e-155 of a pole the grid's 1/|b|^2 overflows where the
-        # scalar path's b/|b|^2 does not; that band is left out
-        idx = plane.containing_diamond((x, y))
-        if idx is not None:
-            px, py = plane.pole_location(idx)
-            gap = math.sqrt((x - px) ** 2 + (y - py) ** 2 + z * z)
-            assume(gap == 0.0 or gap > 1e-100)
         tx, ty, tz, finite = tangent3_grid(np.array([x]), np.array([y]), np.array([z]), lam)
         want = tangent3(np.array([x, y, z]), lam)
         assert bool(finite[0]) == (not is_infinity(want))

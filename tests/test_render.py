@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrtan import render
 from qrtan.analysis import petal_contains
 from qrtan.core import tangent3_grid
 from qrtan.render import (
+    _COMPACT_SHARE,
     _FATE_ESCAPING,
     _FATE_ORIGIN,
     _FATE_POLE,
@@ -61,6 +63,12 @@ class TestConfig:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="positive and finite"):
             RenderConfig(lam=1.0, tol=tol)
+
+    @pytest.mark.parametrize("field", ["threads", "row_block"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rejects_bad_work_split(self, field, value):
+        with pytest.raises(ValueError, match="at least 1"):
+            RenderConfig(lam=1.0, **{field: value})
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -224,6 +232,270 @@ class TestLiveSet:
         passed = (fate == 0) & (depth > 0)
         assert passed.any()
         np.testing.assert_array_equal(when[passed], depth[passed])
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel, the diamond lookup and the render loop as they were
+# before they ran in place, kept verbatim as the reference (only the names
+# changed): the in-place code must give the same arrays, bit for bit
+
+def _reference_fold_axis_grid(x, half_width):
+    """Vectorized fold_axis; returns (folded, parity) arrays."""
+    width = 2.0 * half_width
+    k = np.floor((x + half_width) / width)
+    u = x - k * width
+    odd = (k.astype(np.int64) % 2) != 0
+    return np.where(odd, -u, u), odd.astype(np.int64)
+
+
+def _reference_tangent3_grid(x, y, z, lam: float = 1.0):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    fx, px = _reference_fold_axis_grid(x, QUARTER_PI)
+    fy, py = _reference_fold_axis_grid(y, QUARTER_PI)
+    m = np.maximum(np.abs(fx), np.abs(fy))
+    th = np.tanh(z)
+    e = np.exp(-np.abs(z))
+    sech = 2.0 * e / (1.0 + e * e)
+    s2 = sech * sech
+    cm = np.cos(m)
+    denom = cm * cm * s2 + th * th
+    third = th / denom
+    r = np.hypot(fx, fy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(r > 0.0, cm * np.sin(m) * s2 / (r * denom), 0.0)
+    bx = fx * f
+    by = fy * f
+    bz = third
+    odd = ((px + py) % 2) == 1
+    n2 = bx * bx + by * by + bz * bz
+    pole = odd & (n2 == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(odd & ~pole, 1.0 / np.where(n2 > 0.0, n2, 1.0), 1.0)
+    tx = lam * bx * inv
+    ty = lam * by * inv
+    tz = lam * bz * inv
+    tx = np.where(pole, np.inf, tx)
+    ty = np.where(pole, np.inf, ty)
+    tz = np.where(pole, np.inf, tz)
+    return tx, ty, tz, ~pole
+
+
+def _reference_diamond_centers(x, y):
+    u = x + y
+    v = y - x
+    n = np.round((u - HALF_PI) / math.pi)
+    m = np.round((HALF_PI - v) / math.pi)
+    cx = (n + m) * HALF_PI
+    cy = (n - m + 1) * HALF_PI
+    inside = (np.abs(x - cx) + np.abs(y - cy)) < HALF_PI
+    return cx, cy, inside
+
+
+def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
+    shape = x.shape
+    size = x.size
+    fate = np.zeros(size, dtype=np.uint8)
+    when = np.zeros(size, dtype=np.int32)
+    depth = np.zeros(size, dtype=np.int32)
+    zeros = np.zeros(size)
+    idx = np.arange(size)
+    px = x.astype(float).ravel()
+    py = y.astype(float).ravel()
+    run_origin = np.zeros(size, dtype=np.int16)
+    grow = np.zeros(size, dtype=np.int16)
+    prev_cn = np.full(size, np.nan)
+    nodepth = np.ones(size, dtype=bool)
+    live = np.ones(size, dtype=bool)
+
+    def retire(done, code, step):
+        sel = idx[done]
+        fate[sel] = code
+        when[sel] = step
+
+    for step in range(1, cfg.max_iter + 1):
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
+            break
+        if (idx.size - n_live) * _COMPACT_SHARE >= idx.size:
+            idx, px, py, run_origin, grow, prev_cn, nodepth = (
+                a[live] for a in (idx, px, py, run_origin, grow, prev_cn, nodepth))
+            live = np.ones(n_live, dtype=bool)
+        px, py, _, finite = _reference_tangent3_grid(px, py, zeros[:idx.size], cfg.lam)
+        hit = live & ~finite
+        retire(hit, _FATE_POLE, step)
+        depth[idx[hit & nodepth]] = step  # a pole hit tops any norm threshold
+        px[hit] = py[hit] = 0.0  # inf placeholders would warn until compaction
+        live &= finite
+        norm = np.hypot(px, py)
+        d_origin = norm  # z = 0 throughout
+        run_origin = np.where(live & (d_origin < cfg.tol), run_origin + 1, 0)
+        captured = live & (run_origin >= cfg.settle)
+        retire(captured, _FATE_ORIGIN, step)
+        live &= ~captured
+        cx, cy, inside = _reference_diamond_centers(px, py)
+        cn = np.hypot(cx, cy)
+        tracked = live & inside
+        grew = tracked & (cn > prev_cn)  # False where prev_cn is NaN
+        grow = np.where(grew, grow + 1, 0)
+        prev_cn = np.where(tracked, cn, np.nan)
+        newdepth = tracked & (norm > cfg.depth_norm) & nodepth
+        depth[idx[newdepth]] = step
+        nodepth &= ~newdepth
+        esc = tracked & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
+        retire(esc, _FATE_ESCAPING, step)
+        live &= ~esc
+        if depth_only:
+            when[idx[newdepth]] = step
+            live &= ~newdepth
+    when[idx[live]] = cfg.max_iter
+    return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
+
+
+def _assert_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _pole_lattice(k=6):
+    n, m = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1))
+    return ((n + m) * HALF_PI).ravel(), ((n - m + 1) * HALF_PI).ravel()
+
+
+def _special_lines(rng, n=400):
+    """Points on the mirror lines x, y = (2k+1)pi/4 and on the tile
+    diagonals x +- y = k pi/2, where the fold and the max switch branch."""
+    t = rng.uniform(-7.0, 7.0, n)
+    k = rng.integers(-6, 7, n)
+    mirror = (2 * k + 1) * QUARTER_PI
+    diag = k * HALF_PI
+    xs = np.concatenate([mirror, t, t, diag - t])
+    ys = np.concatenate([t, mirror, diag + t, t])
+    return xs, ys
+
+
+class TestGridKernelBitIdentity:
+    """tangent3_grid, _diamond_centers and classify_plane_block against
+    the reference copies above: same values, dtypes and shapes."""
+
+    LAMS = (0.5, 0.9, 1.1107, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def _kernel_pair(x, y, z, lam):
+        with np.errstate(all="ignore"):  # the reference's own overflow warnings
+            want = _reference_tangent3_grid(x, y, z, lam)
+        return tangent3_grid(x, y, z, lam), want
+
+    @pytest.mark.parametrize("span", [1.0, 10.0, 1e3, 1e8, 1e15])
+    def test_seeded_points_match_reference(self, span):
+        rng = np.random.default_rng(int(math.log10(span)) + 401)
+        for zspan in (1e-3, 1.0, 30.0, 800.0):
+            x = rng.uniform(-span, span, 3000)
+            y = rng.uniform(-span, span, 3000)
+            z = rng.uniform(-zspan, zspan, 3000)
+            for lam in self.LAMS:
+                _assert_identical(*self._kernel_pair(x, y, z, lam))
+
+    def test_huge_coordinates_match_reference(self):
+        # beyond about 1.4e19 the tile index leaves int64 and both kernels'
+        # casts warn; the parity is still right there (such floats are even)
+        rng = np.random.default_rng(409)
+        x = rng.uniform(-1e200, 1e200, 3000)
+        y = rng.uniform(-1e200, 1e200, 3000)
+        z = rng.uniform(-800.0, 800.0, 3000)
+        with np.errstate(invalid="ignore"):
+            for lam in (0.9, 2.0):
+                _assert_identical(*self._kernel_pair(x, y, z, lam))
+
+    def test_plane_with_scalar_zero_matches_reference(self):
+        rng = np.random.default_rng(419)
+        lx, ly = _pole_lattice()
+        sx, sy = _special_lines(rng)
+        for x, y in ((rng.uniform(-10, 10, 4000), rng.uniform(-10, 10, 4000)),
+                     (rng.uniform(-1e12, 1e12, 4000), rng.uniform(-1e12, 1e12, 4000)),
+                     (lx, ly), (sx, sy),
+                     (rng.uniform(-7, 7, (40, 50)), rng.uniform(-7, 7, (40, 50)))):
+            for lam in self.LAMS:
+                with np.errstate(all="ignore"):
+                    want = _reference_tangent3_grid(x, y, np.zeros_like(x), lam)
+                _assert_identical(tangent3_grid(x, y, 0.0, lam), want)
+        got, _ = self._kernel_pair(lx, ly, np.zeros_like(lx), 1.0)
+        assert not got[3].any()  # every lattice point is a pole hit
+
+    def test_lattice_and_special_lines_off_the_plane(self):
+        rng = np.random.default_rng(431)
+        for x, y in (_pole_lattice(), _special_lines(rng)):
+            z = rng.uniform(-3.0, 3.0, x.size)
+            z[::3] = 0.0
+            for lam in self.LAMS:
+                _assert_identical(*self._kernel_pair(x, y, z, lam))
+
+    def test_broadcast_and_zero_dim_inputs_match_reference(self):
+        rng = np.random.default_rng(439)
+        x = rng.uniform(-5, 5, (1, 30))
+        y = rng.uniform(-5, 5, (20, 1))
+        for z in (0.5, rng.uniform(-2, 2, 30), 0.0):
+            for lam in (0.9, 2.0):
+                _assert_identical(*self._kernel_pair(x, y, z, lam))
+        for p in ((0.3, -1.2, 0.7), (0.0, HALF_PI, 0.0), (2.0, 1.0, 0.0)):
+            got, want = self._kernel_pair(*p, 1.3)
+            assert all(np.shape(g) == () for g in got)
+            _assert_identical(got, want)
+
+    def test_diamond_centers_match_reference(self):
+        rng = np.random.default_rng(433)
+        sx, sy = _special_lines(rng)
+        # the diamond edges x +- y = (k + 1/2) pi, where rounding ties
+        t = rng.uniform(-7.0, 7.0, 400)
+        e = (rng.integers(-6, 7, 400) + 0.5) * math.pi
+        for x, y in ((rng.uniform(-50, 50, 4000), rng.uniform(-50, 50, 4000)),
+                     (sx, sy), (t, e - t), (t, e + t), _pole_lattice()):
+            _assert_identical(_diamond_centers(x, y), _reference_diamond_centers(x, y))
+
+    @pytest.mark.parametrize("depth_only", [False, True])
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_classify_matches_reference(self, lam, depth_only):
+        for escape_norm, escape_run in ((50.0, 8), (5.0, 2)):
+            cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=100,
+                               escape_norm=escape_norm, escape_run=escape_run)
+            gx, gy = block_with_poles(cfg)
+            want = _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+            _assert_identical(classify_plane_block(gx, gy, cfg, depth_only=depth_only),
+                              want)
+            rows = [classify_plane_block(gx[i:i + 1], gy[i:i + 1], cfg,
+                                         depth_only=depth_only)
+                    for i in range(cfg.height)]
+            _assert_identical([np.concatenate([r[k] for r in rows]) for k in range(3)],
+                              want)
+
+    def test_step_off_the_diamonds_breaks_the_growth_run(self, monkeypatch):
+        # a scripted orbit: step 1 lands on a diamond edge (untracked), then
+        # the centre norms grow; the growth run starts at step 2, so with
+        # escape_run 2 the escape comes at step 4, not 3
+        path = [(math.pi, 0.0), (10.3, 0.2), (20.3, 0.2), (40.3, 0.2), (80.3, 0.2)]
+
+        def scripted_map():
+            steps = iter(path)
+
+            def grid_map(x, y, z, lam):
+                fx, fy = next(steps)
+                n = np.size(x)
+                return np.full(n, fx), np.full(n, fy), np.zeros(n), np.ones(n, dtype=bool)
+            return grid_map
+
+        assert not _diamond_centers(np.array([math.pi]), np.array([0.0]))[2][0]
+        cfg = RenderConfig(lam=1.0, width=1, height=1, max_iter=len(path),
+                           escape_norm=5.0, escape_run=2)
+        x, y = np.array([[0.1]]), np.array([[0.2]])
+        monkeypatch.setattr(render, "tangent3_grid", scripted_map())
+        got = classify_plane_block(x, y, cfg)
+        monkeypatch.setitem(globals(), "_reference_tangent3_grid", scripted_map())
+        _assert_identical(got, _reference_classify_plane_block(x, y, cfg))
+        assert got[0][0, 0] == _FATE_ESCAPING and got[1][0, 0] == 4
 
 
 class TestBasinContent:
