@@ -42,6 +42,20 @@ def is_infinity(p) -> bool:
     return p is INFINITY
 
 
+_NONFINITE = "finite point required; use INFINITY for the point at infinity"
+
+
+def _require_finite(*coords):
+    """Raise the ValueError for a non-finite point unless every coordinate is finite.
+
+    Called from the handlers of the OverflowError/ValueError that floor
+    and round raise on inf and NaN, so the check costs nothing on finite
+    input; a finite point lets the caller re-raise the original error.
+    """
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(_NONFINITE) from None
+
+
 def _checked_vec3(v):
     """(array, [x, y, z]) for a finite point; the array is float64 of shape (3,).
 
@@ -53,7 +67,7 @@ def _checked_vec3(v):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     c = a.tolist()
     if not (math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2])):
-        raise ValueError("finite point required; use INFINITY for the point at infinity")
+        raise ValueError(_NONFINITE)
     return a, c
 
 
@@ -251,21 +265,49 @@ def _beam_formula(x: float, y: float, z: float):
         third = tanh z / (cos^2 M sech^2 z + tanh^2 z)
     and a planar factor proportional to sech^2 z, which cleanly
     underflows to 0 for large |z| so the value tends to (0,0,+-1).
+
+    On the plane z = 0 (either sign) tanh z = z and sech z = 1 exactly,
+    so the same formula reduces to denom = cos^2 M and third = z with no
+    bit changed; that branch skips tanh, exp and the sech algebra and
+    keeps the sign of -0.0.
     """
     m = max(abs(x), abs(y))
+    cm = math.cos(m)
+    r = math.hypot(x, y)
+    if z == 0.0:
+        if r == 0.0:
+            return 0.0, 0.0, z
+        f = cm * math.sin(m) / (r * (cm * cm))
+        return x * f, y * f, z
     th = math.tanh(z)
     e = math.exp(-abs(z))
     sech = 2.0 * e / (1.0 + e * e)
     s2 = sech * sech
-    cm = math.cos(m)
     denom = cm * cm * s2 + th * th
     # denom vanishes nowhere on the beam: cos^2 M >= 1/2 there
     third = th / denom
-    r = math.hypot(x, y)
     if r == 0.0:
         return 0.0, 0.0, third
     f = cm * math.sin(m) * s2 / (r * denom)
     return x * f, y * f, third
+
+
+def _tangent3_xyz(x: float, y: float, z: float, lam):
+    """tangent3 on three finite Python floats: [tx, ty, tz], or None at a pole.
+
+    The float-level core under tangent3 (and so plane_map), the
+    finite-difference stencil and the inverse-branch scan; it builds no
+    array.
+    """
+    fx, px = fold_axis(x, QUARTER_PI)
+    fy, py = fold_axis(y, QUARTER_PI)
+    bx, by, bz = _beam_formula(fx, fy, z)
+    if (px + py) % 2:
+        n2 = bx * bx + by * by + bz * bz
+        if n2 == 0.0:
+            return None
+        bx, by, bz = bx / n2, by / n2, bz / n2
+    return [lam * bx, lam * by, lam * bz]
 
 
 def tangent3(v, lam: float = 1.0):
@@ -276,17 +318,14 @@ def tangent3(v, lam: float = 1.0):
     sphere.  Returns INFINITY exactly on the pole lattice
     ((n+m)pi/2, (n-m+1)pi/2, 0).  Restricted to the (x,z)- or
     (y,z)-plane this is lam*tan of the corresponding complex variable.
+    The arithmetic is ``_tangent3_xyz`` on Python floats; this wrapper
+    only validates the point and packs the result into one array.
     """
     x, y, z = _checked_vec3(v)[1]
-    fx, px = fold_axis(x, QUARTER_PI)
-    fy, py = fold_axis(y, QUARTER_PI)
-    bx, by, bz = _beam_formula(fx, fy, z)
-    if (px + py) % 2:
-        n2 = bx * bx + by * by + bz * bz
-        if n2 == 0.0:
-            return INFINITY
-        bx, by, bz = bx / n2, by / n2, bz / n2
-    return np.array([lam * bx, lam * by, lam * bz])
+    t = _tangent3_xyz(x, y, z, lam)
+    if t is None:
+        return INFINITY
+    return np.array(t)
 
 
 def tangent3_composed(v, lam: float = 1.0):

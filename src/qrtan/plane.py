@@ -22,6 +22,9 @@ from .core import (
     HALF_PI,
     INFINITY,
     QUARTER_PI,
+    _NONFINITE,
+    _require_finite,
+    _tangent3_xyz,
     cayley_inverse,
     chordal,
     fold_axis,
@@ -56,8 +59,12 @@ def containing_diamond(p):
     x, y = float(p[0]), float(p[1])
     u = x + y
     v = y - x
-    n = round((u - HALF_PI) / math.pi)
-    m = round((HALF_PI - v) / math.pi)
+    try:
+        n = round((u - HALF_PI) / math.pi)
+        m = round((HALF_PI - v) / math.pi)
+    except (OverflowError, ValueError):
+        _require_finite(x, y)
+        raise
     loc = pole_location((m, n))
     if abs(x - loc[0]) + abs(y - loc[1]) < HALF_PI:
         return PoleIndex(int(m), int(n))
@@ -81,7 +88,13 @@ class Diamond:
 
 
 def plane_map(p, lam: float = 1.0):
-    """F(p) = tangent3((p_x, p_y, 0)); stays in the plane or hits INFINITY."""
+    """F(p) = tangent3((p_x, p_y, 0)); stays in the plane or hits INFINITY.
+
+    A single call of ``tangent3`` (so the float core's exact z = 0
+    branch), which also rejects a non-finite point.  The stencil and the
+    inverse-branch scan, which evaluate F many times per result, call
+    the float core directly instead.
+    """
     t = tangent3([float(p[0]), float(p[1]), 0.0], lam)
     if is_infinity(t):
         return INFINITY
@@ -119,33 +132,45 @@ class JacobianSample:
     eigenvalues: tuple | None  # pair of reals when the spectrum is real
 
 
+def _fold_point(p):
+    """(fx, px, fy, py): p folded into the fundamental square, with the
+    reflection parity of each coordinate; a non-finite p raises the
+    ValueError of tangent3."""
+    x, y = float(p[0]), float(p[1])
+    try:
+        return fold_axis(x, QUARTER_PI) + fold_axis(y, QUARTER_PI)
+    except (OverflowError, ValueError):
+        _require_finite(x, y)
+        raise
+
+
 def distance_to_nonsmooth(p) -> float:
     """Distance from p to the fold lines x,y = (2k+1)pi/4 and the diagonals of its tile.
 
     The plane map is smooth off these; derivative sampling must keep away
     from them.
     """
-    x, y = float(p[0]), float(p[1])
-    fx, _ = fold_axis(x, QUARTER_PI)
-    fy, _ = fold_axis(y, QUARTER_PI)
+    fx, _, fy, _ = _fold_point(p)
     d_fold = min(QUARTER_PI - abs(fx), QUARTER_PI - abs(fy))
     d_diag = min(abs(abs(fx) - abs(fy)) / SQRT2, math.hypot(fx, fy))
     return min(d_fold, d_diag)
 
 
 def _fd_matrix(p, lam, h):
-    cols = []
-    for i in range(2):
-        pp = np.array([float(p[0]), float(p[1])])
-        pm = pp.copy()
-        pp[i] += h
-        pm[i] -= h
-        fp = plane_map(pp, lam)
-        fm = plane_map(pm, lam)
-        if is_infinity(fp) or is_infinity(fm):
-            raise ArithmeticError("pole hit inside finite-difference stencil")
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
+    """Central-difference 2x2 Jacobian of the plane map at p with step h,
+    evaluated on floats through the tangent core."""
+    x, y = float(p[0]), float(p[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(_NONFINITE)
+    fxp = _tangent3_xyz(x + h, y, 0.0, lam)
+    fxm = _tangent3_xyz(x - h, y, 0.0, lam)
+    fyp = _tangent3_xyz(x, y + h, 0.0, lam)
+    fym = _tangent3_xyz(x, y - h, 0.0, lam)
+    if fxp is None or fxm is None or fyp is None or fym is None:
+        raise ArithmeticError("pole hit inside finite-difference stencil")
+    d = 2.0 * h
+    return np.array([[(fxp[0] - fxm[0]) / d, (fyp[0] - fym[0]) / d],
+                     [(fxp[1] - fxm[1]) / d, (fyp[1] - fym[1]) / d]])
 
 
 def jacobian_plane_map(p, lam: float = 1.0, reject_margin: float = 1e-6) -> JacobianSample:
@@ -197,8 +222,7 @@ def beam_sector_eigenvalues(p, lam: float = 1.0):
     r = hypot of the folded point, all scaled by lam.  Returns None
     outside the sector.
     """
-    fx, px = fold_axis(float(p[0]), QUARTER_PI)
-    fy, py = fold_axis(float(p[1]), QUARTER_PI)
+    fx, px, fy, py = _fold_point(p)
     a, b = abs(fx), abs(fy)
     if not (0.0 < b < a < QUARTER_PI):
         return None
@@ -214,8 +238,7 @@ def beam_sector_eigenvalues(p, lam: float = 1.0):
 
 def fold_orientation(p):
     """diag(+-1, +-1) giving the local derivative of the beam folding at p."""
-    _, kx = fold_axis(float(p[0]), QUARTER_PI)
-    _, ky = fold_axis(float(p[1]), QUARTER_PI)
+    _, kx, _, ky = _fold_point(p)
     return np.diag([(-1.0) ** kx, (-1.0) ** ky])
 
 
@@ -266,11 +289,13 @@ def inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9) -> np.nda
     candidates = _branch_candidates(u, loc)
     # the pole itself certifies targets near infinity in the chordal metric
     candidates.append(loc.copy())
+    target = np.array([wx, wy, 0.0])
     best = None
     best_res = math.inf
     for cand in candidates:
-        img = plane_map(cand, lam)
-        res = plane_chordal(img, np.array([wx, wy]))
+        cx, cy = cand.tolist()
+        t = _tangent3_xyz(cx, cy, 0.0, lam)
+        res = chordal(INFINITY if t is None else [t[0], t[1], 0.0], target)
         if res < best_res:
             best_res = res
             best = cand

@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ import pytest
 from qrtan.cli import main
 from qrtan.itinerary import ContractionFailure
 from qrtan.plane import BranchResidualError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -330,7 +334,12 @@ class TestInputValidation:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child does not see pytest's pythonpath setting, so hand it src/
+        # for a checkout where qrtan is not installed
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run([sys.executable, "-m", "qrtan.cli", "solve-xi0",
-                               "--lambda", "2"], capture_output=True, text=True)
+                               "--lambda", "2"], capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.91500804815"

@@ -2,6 +2,7 @@
 branches and the expansion calibration."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 from qrtan import itinerary, plane
 from qrtan.core import (
     INFINITY,
+    QUARTER_PI,
+    _beam_formula,
+    _checked_vec3,
     cayley_inverse,
     chordal,
+    fold_axis,
     hemisphere_to_square,
     is_infinity,
     tangent3,
@@ -32,7 +37,9 @@ from qrtan.itinerary import (
 )
 from qrtan.plane import (
     BranchDomainError,
+    BranchResidualError,
     Diamond,
+    JacobianSample,
     PoleIndex,
     _fd_matrix,
     beam_sector_eigenvalues,
@@ -49,6 +56,7 @@ from qrtan.plane import (
     pole_location,
     preimages_tangent3,
     required_tail_radius,
+    singular_values_2x2,
 )
 
 HALF_PI = math.pi / 2
@@ -684,3 +692,292 @@ class TestBranchEngineBitIdentity:
 
         monkeypatch.setattr(itinerary, "_solve_cycle", old_solver)
         _assert_same(got, periodic_near_escaping(v, 1e-6, lam))
+
+
+# ---------------------------------------------------------------------------
+# the scalar plane path before it ran on Python floats (the beam formula
+# without its z = 0 branch, tangent3, plane_map, the stencil, the Jacobian
+# and the inverse-branch scan), kept verbatim as the reference: the float
+# core must give the same bytes, -0.0 included
+
+def _reference_beam_formula(x: float, y: float, z: float):
+    m = max(abs(x), abs(y))
+    th = math.tanh(z)
+    e = math.exp(-abs(z))
+    sech = 2.0 * e / (1.0 + e * e)
+    s2 = sech * sech
+    cm = math.cos(m)
+    denom = cm * cm * s2 + th * th
+    # denom vanishes nowhere on the beam: cos^2 M >= 1/2 there
+    third = th / denom
+    r = math.hypot(x, y)
+    if r == 0.0:
+        return 0.0, 0.0, third
+    f = cm * math.sin(m) * s2 / (r * denom)
+    return x * f, y * f, third
+
+
+def _reference_tangent3(v, lam: float = 1.0):
+    x, y, z = _checked_vec3(v)[1]
+    fx, px = fold_axis(x, QUARTER_PI)
+    fy, py = fold_axis(y, QUARTER_PI)
+    bx, by, bz = _reference_beam_formula(fx, fy, z)
+    if (px + py) % 2:
+        n2 = bx * bx + by * by + bz * bz
+        if n2 == 0.0:
+            return INFINITY
+        bx, by, bz = bx / n2, by / n2, bz / n2
+    return np.array([lam * bx, lam * by, lam * bz])
+
+
+def _reference_plane_map(p, lam: float = 1.0):
+    t = _reference_tangent3([float(p[0]), float(p[1]), 0.0], lam)
+    if is_infinity(t):
+        return INFINITY
+    return t[:2]
+
+
+def _reference_fd_matrix(p, lam, h):
+    cols = []
+    for i in range(2):
+        pp = np.array([float(p[0]), float(p[1])])
+        pm = pp.copy()
+        pp[i] += h
+        pm[i] -= h
+        fp = _reference_plane_map(pp, lam)
+        fm = _reference_plane_map(pm, lam)
+        if is_infinity(fp) or is_infinity(fm):
+            raise ArithmeticError("pole hit inside finite-difference stencil")
+        cols.append((fp - fm) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def _reference_jacobian_plane_map(p, lam: float = 1.0, reject_margin: float = 1e-6):
+    if distance_to_nonsmooth(p) <= reject_margin:
+        raise ValueError("point too close to the non-smooth set")
+    j_fine = _reference_fd_matrix(p, lam, 1e-6)
+    j_coarse = _reference_fd_matrix(p, lam, 1e-4)
+    scale = max(float(np.abs(j_coarse).max()), 1e-30)
+    if float(np.abs(j_fine - j_coarse).max()) / scale > 1e-3:
+        j_half = _reference_fd_matrix(p, lam, 1e-4 / 2.0)
+        j = (4.0 * j_half - j_coarse) / 3.0
+    else:
+        j = j_fine
+    smin, smax = singular_values_2x2(j[0, 0], j[0, 1], j[1, 0], j[1, 1])
+    tr = j[0, 0] + j[1, 1]
+    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    disc = tr * tr - 4.0 * det
+    eig = None
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        eig = tuple(sorted(((tr - sq) / 2.0, (tr + sq) / 2.0)))
+    return JacobianSample(np.array([float(p[0]), float(p[1])]), j,
+                          float(smin), float(smax), eig)
+
+
+def _reference_inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9):
+    q = PoleIndex(*q)
+    loc = pole_location(q)
+    if is_infinity(w):
+        return loc.copy()
+    wx, wy = float(w[0]), float(w[1])
+    if diagonal_segment_distance((wx, wy), lam) == 0.0:
+        raise BranchDomainError("target lies on the removed diagonal segment")
+    u = cayley_inverse(np.array([wx / lam, wy / lam, 0.0]))
+    candidates = plane._branch_candidates(u, loc)
+    candidates.append(loc.copy())
+    best = None
+    best_res = math.inf
+    for cand in candidates:
+        img = _reference_plane_map(cand, lam)
+        res = plane_chordal(img, np.array([wx, wy]))
+        if res < best_res:
+            best_res = res
+            best = cand
+    if best is None or best_res > residual_tol:
+        raise BranchResidualError(
+            f"no preimage of {(wx, wy)} in diamond {tuple(q)} (best residual {best_res:.3e})")
+    return best
+
+
+def _raw(v):
+    """The bytes of a result: float64 arrays with dtype and shape, floats by
+    their IEEE bits (so -0.0 != 0.0), INFINITY, and nested tuples or
+    Jacobian samples of these."""
+    if is_infinity(v) or v is None:
+        return repr(v)
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    if isinstance(v, JacobianSample):
+        return tuple(_raw(getattr(v, f)) for f in
+                     ("point", "matrix", "min_singular_value", "max_singular_value",
+                      "eigenvalues"))
+    if isinstance(v, tuple):
+        return tuple(_raw(c) for c in v)
+    raise TypeError(f"no raw form for {v!r}")
+
+
+def _raw_outcome(fn, *args):
+    """The raw result of fn(*args), or the type and text of its exception."""
+    try:
+        return "value", _raw(fn(*args))
+    except (ArithmeticError, ValueError, RuntimeError) as e:
+        return "raised", type(e), str(e)
+
+
+class TestFloatPlanePathBitIdentity:
+    LAMS = (0.7, 0.9, 1.0, 1.1107, 2.0, 5.0)
+    POLES = [((n + m) * HALF_PI, (n - m + 1) * HALF_PI)
+             for m in range(-3, 4) for n in range(-3, 4)]
+    CENTRES = [(k * HALF_PI, j * HALF_PI) for k in range(-3, 4) for j in range(-3, 4)]
+    NON_FINITE = [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (2.0, math.nan)]
+
+    @staticmethod
+    def _plane_points(rng):
+        """Seeded plane points on every special locus of the scalar path."""
+        pts = [tuple(p) for p in rng.uniform(-10.0, 10.0, (400, 2))]
+        pts += TestFloatPlanePathBitIdentity.POLES + TestFloatPlanePathBitIdentity.CENTRES
+        pts += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-156, HALF_PI), (HALF_PI, 1e-156),
+                (-1e-156, HALF_PI), (1e-300, -1e-300), (5e-324, 0.0), (QUARTER_PI, 0.3),
+                (0.3, -QUARTER_PI), (1e15, -3e14)]
+        for x, y in TestFloatPlanePathBitIdentity.POLES[::5]:
+            for d in rng.normal(size=(6, 2)) * 10.0 ** rng.uniform(-12.0, -2.0, (6, 1)):
+                pts.append((x + d[0], y + d[1]))
+        return pts
+
+    def test_beam_formula_matches_reference(self):
+        rng = np.random.default_rng(301)
+        beam = [tuple(p) for p in rng.uniform(-QUARTER_PI, QUARTER_PI, (400, 2))]
+        beam += [(0.0, 0.0), (-0.0, 0.0), (0.0, 1e-300), (QUARTER_PI, -QUARTER_PI),
+                 (5e-324, -5e-324), (0.2, 0.2), (-0.5, 0.5)]
+        zs = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-8, -0.3, 2.0, -40.0, 800.0]
+        for x, y in beam:
+            for z in zs:
+                assert _raw(_beam_formula(x, y, z)) == _raw(_reference_beam_formula(x, y, z))
+
+    def test_tangent3_and_plane_map_match_reference(self):
+        rng = np.random.default_rng(303)
+        pts = self._plane_points(rng)
+        zs = (0.0, -0.0, 1e-300, -0.25, 3.0)
+        poles = 0
+        for lam in self.LAMS:
+            for x, y in pts:
+                for z in zs:
+                    want = _raw_outcome(_reference_tangent3, (x, y, z), lam)
+                    poles += want == ("value", "Infinity")
+                    assert _raw_outcome(tangent3, (x, y, z), lam) == want
+                assert (_raw_outcome(plane_map, (x, y), lam)
+                        == _raw_outcome(_reference_plane_map, (x, y), lam))
+                assert (_raw_outcome(plane_map, np.array([x, y]), lam)
+                        == _raw_outcome(_reference_plane_map, np.array([x, y]), lam))
+        # every lattice point hits its pole at z = +0.0 and -0.0
+        assert poles >= 2 * len(self.LAMS) * len(self.POLES)
+        for lam in self.LAMS:
+            for x, y in self.NON_FINITE:
+                for fn, ref, arg in ((tangent3, _reference_tangent3, (x, y, 0.0)),
+                                     (tangent3, _reference_tangent3, (0.0, 0.0, x + y)),
+                                     (plane_map, _reference_plane_map, (x, y))):
+                    want = _raw_outcome(ref, arg, lam)
+                    assert want[:2] == ("raised", ValueError)
+                    assert _raw_outcome(fn, arg, lam) == want
+
+    def test_stencil_matches_reference(self):
+        rng = np.random.default_rng(307)
+        pts = self._plane_points(rng)
+        # stencils that hit a pole exactly or straddle one
+        for x, y in self.POLES[::3]:
+            for h in (1e-7, 1e-6, 1e-4):
+                pts += [(x - h, y), (x + h, y), (x, y - h), (x + h / 2.0, y - h / 3.0)]
+        # each of the four stencil points on the pole (0, pi/2) or (pi/2, 0)
+        # exactly: 0 -+ h + h and 0 +- h - h are 0 in floating point
+        for h in (1e-7, 1e-6, 1e-4):
+            pts += [(-h, HALF_PI), (h, HALF_PI), (HALF_PI, -h), (HALF_PI, h)]
+        hit = 0
+        for lam in self.LAMS:
+            for p in pts:
+                for h in (1e-7, 1e-6, 5e-5, 1e-4, 0.3):
+                    want = _raw_outcome(_reference_fd_matrix, p, lam, h)
+                    hit += want[:2] == ("raised", ArithmeticError)
+                    assert _raw_outcome(_fd_matrix, p, lam, h) == want
+            for p in self.NON_FINITE:
+                want = _raw_outcome(_reference_fd_matrix, p, lam, 1e-6)
+                assert want[:2] == ("raised", ValueError)
+                assert _raw_outcome(_fd_matrix, p, lam, 1e-6) == want
+        assert hit >= 12 * len(self.LAMS)
+
+    def test_jacobian_matches_reference(self):
+        rng = np.random.default_rng(311)
+        pts = self._plane_points(rng)
+        # within 1e-4 of a fold line or a tile diagonal the coarse stencil
+        # crosses the kink and the Richardson estimate is taken
+        for d in rng.uniform(1.5e-6, 1e-4, 150):
+            t = rng.uniform(-0.7, 0.7)
+            k, j = rng.integers(-3, 4, 2)
+            pts.append(((2 * k + 1) * QUARTER_PI - d, t + j * HALF_PI))
+            pts.append((t + k * HALF_PI, t + j * HALF_PI + d * SQRT2))
+        richardson = 0
+        for lam in self.LAMS:
+            for p in pts:
+                want = _raw_outcome(_reference_jacobian_plane_map, p, lam)
+                assert _raw_outcome(jacobian_plane_map, p, lam) == want
+                if want[0] == "value":
+                    fine = _reference_fd_matrix(p, lam, 1e-6)
+                    richardson += not np.array_equal(fine, _reference_jacobian_plane_map(p, lam)
+                                                     .matrix)
+        assert richardson >= 250 * len(self.LAMS)
+
+    def test_inverse_branch_matches_reference(self):
+        rng = np.random.default_rng(313)
+        errors = set()
+        for lam in self.LAMS:
+            half = lam / SQRT2
+            cases = []
+            for i in range(300):
+                q = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+                kind = i % 6
+                if kind == 0:
+                    w = INFINITY
+                elif kind == 1:  # on the removed segment
+                    t = rng.uniform(-half, half)
+                    w = (t, t if i % 12 < 6 else -t)
+                elif kind == 2:  # within 1e-6 of it
+                    t = rng.uniform(-1.1 * half, 1.1 * half)
+                    w = (t + rng.uniform(-1e-6, 1e-6), -t + rng.uniform(-1e-6, 1e-6))
+                elif kind == 3:
+                    w = tuple(rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, 8.0))
+                elif kind == 4:
+                    w = tuple(rng.uniform(-6.0, 6.0, 2))
+                else:
+                    w = tuple(lam * np.array(self.POLES[i % len(self.POLES)]))
+                cases.append((q, w))
+            cases += [((0, 0), p) for p in self.NON_FINITE]
+            for q, w in cases:
+                want = _raw_outcome(_reference_inverse_branch, q, w, lam)
+                if want[0] == "raised":
+                    errors.add(want[1])
+                assert _raw_outcome(inverse_branch, q, w, lam) == want
+        assert errors == {BranchDomainError, ValueError}
+
+
+class TestNonFinitePoints:
+    """Plane entry points reject inf and NaN with the ValueError of tangent3."""
+
+    @pytest.mark.parametrize("fn", [containing_diamond, distance_to_nonsmooth,
+                                    jacobian_plane_map, beam_sector_eigenvalues,
+                                    plane.fold_orientation, plane_map])
+    @pytest.mark.parametrize("p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
+                                   (0.5, math.nan)])
+    def test_rejected_with_tangent3_message(self, fn, p):
+        with pytest.raises(ValueError) as want:
+            tangent3((*p, 0.0))
+        with pytest.raises(ValueError) as got:
+            fn(p)
+        assert str(got.value) == str(want.value)
+
+    def test_huge_finite_point_keeps_its_error(self):
+        # a finite point whose rotated coordinate x + y overflows is not
+        # reported as non-finite
+        with pytest.raises(OverflowError):
+            containing_diamond((1e308, 1e308))
