@@ -26,7 +26,7 @@ import numpy as np
 from .core import is_infinity, vec_norm
 from .plane import (
     PoleIndex,
-    _fd_matrix,
+    _plane_jacobian,
     containing_diamond,
     inverse_branch,
     plane_map,
@@ -194,7 +194,7 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
     times in a row.  The returned point is verified forward: F^k walks
     the prescribed diamonds and returns to the point within the quoted
     residual.  An optional Newton polish (on the true forward map, with
-    a chained one-step Jacobian) trims the last digits of the residual.
+    a chained closed-form Jacobian) trims the last digits of the residual.
     """
     cycle = spec.cycle
     r = required_tail_radius(lam)
@@ -254,9 +254,8 @@ def _forward_cycle(y, cycle, lam):
 def _newton_polish(y, cycle, lam, rounds: int = 6):
     """Newton steps on g(y) = F^k(y) - y, keeping only residual improvements.
 
-    The Jacobian of F^k is accumulated as a product of one-step central
-    differences evaluated at the orbit points, which stays accurate where
-    a single long-stencil difference would be noise.
+    The Jacobian of F^k is the chain-rule product of the closed-form
+    one-step Jacobians at the orbit points.
     """
     def forward(p):
         pts = [np.array(p)]
@@ -276,17 +275,13 @@ def _newton_polish(y, cycle, lam, rounds: int = 6):
     best_r, best_pts = resid(y)
     best = np.array(y)
     cur = np.array(y)
-    h = 1e-7
     for _ in range(rounds):
         pts = forward(cur)
         if pts is None:
             break
         jac = np.eye(2)
-        try:
-            for p in pts[:-1]:
-                jac = _fd_matrix(p, lam, h) @ jac
-        except ArithmeticError:  # a pole inside the stencil
-            break
+        for p in pts[:-1]:
+            jac = _plane_jacobian(p, lam) @ jac
         g = pts[-1] - pts[0]
         try:
             delta = np.linalg.solve(jac - np.eye(2), -g)

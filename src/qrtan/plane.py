@@ -4,8 +4,8 @@ The plane map F has a square lattice of poles whose open L1 diamonds of
 radius pi/2 tile the plane off the diagonal grid of lines y = +-x + k*pi.
 Off a short closed diagonal segment through the origin, F admits one
 single-valued inverse branch into each diamond; those branches are the
-engine behind itineraries and periodic points.  This module evaluates F,
-samples its derivative, constructs the inverse branches in closed form
+engine behind itineraries and periodic points.  This module evaluates F
+and its derivative, constructs the inverse branches in closed form
 (with a residual check so a wrong branch can never pass silently), and
 calibrates the radii used by expansion-based arguments.  One enumerator
 of the tangent map's preimages in a box serves both the inverse branches
@@ -22,12 +22,12 @@ from .core import (
     HALF_PI,
     INFINITY,
     QUARTER_PI,
-    _NONFINITE,
     _require_finite,
     _tangent3_xyz,
     cayley_inverse,
     chordal,
     fold_axis,
+    fold_axis_grid,
     hemisphere_to_square,
     is_infinity,
     tangent3,
@@ -54,7 +54,9 @@ def containing_diamond(p):
 
     In rotated coordinates u = x+y, v = y-x the diamonds are axis-aligned
     squares of side pi centred at (n*pi + pi/2, -m*pi + pi/2), so the
-    index is found by rounding; membership is strict.
+    index is found by rounding; membership is strict.  A finite point
+    whose u or v overflows is also None: at that size adjacent floats are
+    far more than a diamond apart, so no diamond can be resolved.
     """
     x, y = float(p[0]), float(p[1])
     u = x + y
@@ -64,7 +66,7 @@ def containing_diamond(p):
         m = round((HALF_PI - v) / math.pi)
     except (OverflowError, ValueError):
         _require_finite(x, y)
-        raise
+        return None
     loc = pole_location((m, n))
     if abs(x - loc[0]) + abs(y - loc[1]) < HALF_PI:
         return PoleIndex(int(m), int(n))
@@ -91,20 +93,14 @@ def plane_map(p, lam: float = 1.0):
     """F(p) = tangent3((p_x, p_y, 0)); stays in the plane or hits INFINITY.
 
     A single call of ``tangent3`` (so the float core's exact z = 0
-    branch), which also rejects a non-finite point.  The stencil and the
-    inverse-branch scan, which evaluate F many times per result, call
-    the float core directly instead.
+    branch), which also rejects a non-finite point.  The inverse-branch
+    scan, which evaluates F many times per result, calls the float core
+    directly instead.
     """
     t = tangent3([float(p[0]), float(p[1]), 0.0], lam)
     if is_infinity(t):
         return INFINITY
     return t[:2]
-
-
-def plane_map_grid(x, y, lam: float = 1.0):
-    """Vectorized plane map; returns (fx, fy, finite)."""
-    tx, ty, _, finite = tangent3_grid(x, y, 0.0, lam)
-    return tx, ty, finite
 
 
 def plane_chordal(a, b) -> float:
@@ -115,15 +111,12 @@ def plane_chordal(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative sampling
-
-_FD_STEP = 1e-6
-_FD_STEP_COARSE = 1e-4
+# derivative
 
 
 @dataclass
 class JacobianSample:
-    """Finite-difference derivative of the plane map at one point."""
+    """Derivative of the plane map at one point, from its closed form."""
 
     point: np.ndarray
     matrix: np.ndarray
@@ -156,41 +149,54 @@ def distance_to_nonsmooth(p) -> float:
     return min(d_fold, d_diag)
 
 
-def _fd_matrix(p, lam, h):
-    """Central-difference 2x2 Jacobian of the plane map at p with step h,
-    evaluated on floats through the tangent core."""
-    x, y = float(p[0]), float(p[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(_NONFINITE)
-    fxp = _tangent3_xyz(x + h, y, 0.0, lam)
-    fxm = _tangent3_xyz(x - h, y, 0.0, lam)
-    fyp = _tangent3_xyz(x, y + h, 0.0, lam)
-    fym = _tangent3_xyz(x, y - h, 0.0, lam)
-    if fxp is None or fxm is None or fyp is None or fym is None:
-        raise ArithmeticError("pole hit inside finite-difference stencil")
-    d = 2.0 * h
-    return np.array([[(fxp[0] - fxm[0]) / d, (fyp[0] - fym[0]) / d],
-                     [(fxp[1] - fxm[1]) / d, (fyp[1] - fym[1]) / d]])
+def _jacobian_entries(qx, qy, r, mx, my, g, dg, sx, sy, lam):
+    """Entries (a, b, c, d) of DF = [[a, b], [c, d]] at a point folded to q = (qx, qy).
+
+    On its tile F = lam*q*g(m)/r with r = |q|, m = max(|qx|, |qy|) and
+    g = tan on even tiles, cot on odd ones (the inversion folded in), so
+    DF = lam*[(g/r)I - (g/r^3)q q^T + (g'/r)q grad(m)^T] diag(sx, sy), where
+    grad(m) = (mx, my) is the signed axis of the larger coordinate,
+    dg = g'(m) and sx, sy = +-1 are the fold's reflections.  With u = q/r,
+    I - u u^T = [[uy^2, -ux uy], [-ux uy, ux^2]], so no entry cancels.
+    Plain arithmetic: floats and arrays alike.
+    """
+    ux = qx / r
+    uy = qy / r
+    c = g / r
+    cross = -c * ux * uy
+    return (lam * (c * uy * uy + dg * ux * mx) * sx,
+            lam * (cross + dg * ux * my) * sy,
+            lam * (cross + dg * uy * mx) * sx,
+            lam * (c * ux * ux + dg * uy * my) * sy)
+
+
+def _plane_jacobian(p, lam):
+    """DF at p as a (2, 2) array: the closed form on Python floats.
+
+    Defined off the tile centres (r = 0); on a fold line or a tile
+    diagonal it is the derivative from one side.
+    """
+    fx, px, fy, py = _fold_point(p)
+    ax, ay = abs(fx), abs(fy)
+    on_x = ax >= ay
+    t = math.tan(max(ax, ay))
+    g, sign = (1.0 / t, -1.0) if (px + py) % 2 else (t, 1.0)
+    a, b, c, d = _jacobian_entries(
+        fx, fy, math.hypot(fx, fy),
+        math.copysign(1.0, fx) if on_x else 0.0, 0.0 if on_x else math.copysign(1.0, fy),
+        g, sign * (1.0 + g * g), -1.0 if px else 1.0, -1.0 if py else 1.0, lam)
+    return np.array([[a, b], [c, d]])
 
 
 def jacobian_plane_map(p, lam: float = 1.0, reject_margin: float = 1e-6) -> JacobianSample:
-    """Sample DF at p by central differences with a coarse-step cross-check.
+    """DF at p from the closed form, with its singular values and real eigenvalues.
 
     Points within ``reject_margin`` of the fold lines or tile diagonals
     are rejected (the max in the formula is not differentiable there).
-    If the 1e-6 and 1e-4 stencils disagree by more than 1e-3 relative,
-    a Richardson-extrapolated coarse estimate is used instead.
     """
     if distance_to_nonsmooth(p) <= reject_margin:
         raise ValueError("point too close to the non-smooth set")
-    j_fine = _fd_matrix(p, lam, _FD_STEP)
-    j_coarse = _fd_matrix(p, lam, _FD_STEP_COARSE)
-    scale = max(float(np.abs(j_coarse).max()), 1e-30)
-    if float(np.abs(j_fine - j_coarse).max()) / scale > 1e-3:
-        j_half = _fd_matrix(p, lam, _FD_STEP_COARSE / 2.0)
-        j = (4.0 * j_half - j_coarse) / 3.0
-    else:
-        j = j_fine
+    j = _plane_jacobian(p, lam)
     smin, smax = singular_values_2x2(j[0, 0], j[0, 1], j[1, 0], j[1, 1])
     tr = j[0, 0] + j[1, 1]
     det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
@@ -471,26 +477,23 @@ def _ball_samples(rng, center, radius, n):
 
 def _min_singular_on_ball(lam, radius, rng):
     """Sampled least singular value of DF_lam on a ball about the base pole,
-    by vectorized central differences (non-smooth points dropped)."""
-    c = pole_location(_BASE_POLE)
-    pts = _ball_samples(rng, c, radius, _N_SAMPLES)
-    keep = np.array([distance_to_nonsmooth(p) > 10.0 * _FD_STEP for p in pts])
-    pts = pts[keep]
-    if len(pts) == 0:
-        return math.inf
-    h = _FD_STEP
-    x, y = pts[:, 0], pts[:, 1]
-    fxp, fyp, okxp = plane_map_grid(x + h, y, lam)
-    fxm, fym, okxm = plane_map_grid(x - h, y, lam)
-    gxp, gyp, okyp = plane_map_grid(x, y + h, lam)
-    gxm, gym, okym = plane_map_grid(x, y - h, lam)
-    ok = okxp & okxm & okyp & okym
-    a = (fxp - fxm) / (2 * h)
-    c2 = (fyp - fym) / (2 * h)
-    b = (gxp - gxm) / (2 * h)
-    d = (gyp - gym) / (2 * h)
-    smin, _ = singular_values_2x2(a[ok], b[ok], c2[ok], d[ok])
-    return float(smin.min()) if smin.size else math.inf
+    from the closed-form Jacobian on all samples at once."""
+    pts = _ball_samples(rng, pole_location(_BASE_POLE), radius, _N_SAMPLES)
+    fx, ox = fold_axis_grid(pts[:, 0], QUARTER_PI)
+    fy, oy = fold_axis_grid(pts[:, 1], QUARTER_PI)
+    ax, ay = np.abs(fx), np.abs(fy)
+    on_x = ax >= ay
+    t = np.tan(np.maximum(ax, ay))
+    # t = 0 only at a tile centre; the ball's only one is the pole itself
+    odd = ox ^ oy
+    g = np.where(odd, 1.0 / t, t)
+    a, b, c, d = _jacobian_entries(
+        fx, fy, np.hypot(fx, fy),
+        np.where(on_x, np.copysign(1.0, fx), 0.0), np.where(on_x, 0.0, np.copysign(1.0, fy)),
+        g, np.where(odd, -1.0, 1.0) * (1.0 + g * g), np.where(ox, -1.0, 1.0),
+        np.where(oy, -1.0, 1.0), lam)
+    smin, _ = singular_values_2x2(a, b, c, d)
+    return float(smin.min())
 
 
 def calibrate_expansion(lam: float) -> ExpansionCalibration:
@@ -543,7 +546,7 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
         if r >= QUARTER_PI:
             continue
         pts = _ball_samples(rng, c, float(r), _N_SAMPLES)
-        fx, fy, finite = plane_map_grid(pts[:, 0], pts[:, 1], lam)
+        fx, fy, _, finite = tangent3_grid(pts[:, 0], pts[:, 1], 0.0, lam)
         norms = np.where(finite, np.hypot(fx, fy), np.inf)
         if float(norms.min()) > 2.0 * r1:
             eps = float(r)
@@ -556,7 +559,7 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
     keep = [abs(p[0] - c[0]) + abs(p[1] - c[1]) < HALF_PI
             and math.hypot(p[0] - c[0], p[1] - c[1]) >= eps for p in pts]
     pts = pts[np.array(keep)]
-    fx, fy, finite = plane_map_grid(pts[:, 0], pts[:, 1], lam)
+    fx, fy, _, finite = tangent3_grid(pts[:, 0], pts[:, 1], 0.0, lam)
     far = float(np.hypot(fx[finite], fy[finite]).max()) * 1.05
     branch_radius = far + HALF_PI * 1.05
 

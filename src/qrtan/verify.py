@@ -217,10 +217,7 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
         if plane.distance_to_nonsmooth(p) <= 1e-3:
             continue
         used += 1
-        try:
-            s = plane.jacobian_plane_map(p, lam)
-        except (ValueError, ArithmeticError):
-            continue
+        s = plane.jacobian_plane_map(p, lam)
         worst_sv = min(worst_sv, s.min_singular_value)
         if s.eigenvalues is not None:
             worst_eig = min(worst_eig, min(abs(e) for e in s.eigenvalues))
@@ -230,7 +227,12 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
 
 
 def check_eigen_crosscheck(lam, rng, n=500):
-    """Finite differences agree with the closed-form sector eigenvalues."""
+    """The plane Jacobian reproduces the closed-form sector eigenvalues.
+
+    Near a tile centre the two eigenvalues separate only as r^2, so the
+    rounding error of the computed pair grows like 1e-16/r^2: about
+    1.5e-10 at the 1e-3 cut-off, well inside the 1e-8 tolerance.
+    """
     worst = 0.0
     used = 0
     while used < n:
@@ -239,10 +241,7 @@ def check_eigen_crosscheck(lam, rng, n=500):
         if closed is None or plane.distance_to_nonsmooth(p) <= 1e-3:
             continue
         used += 1
-        try:
-            s = plane.jacobian_plane_map(p, lam)
-        except (ValueError, ArithmeticError):
-            continue
+        s = plane.jacobian_plane_map(p, lam)
         beam_j = s.matrix @ plane.fold_orientation(p)
         tr = beam_j[0, 0] + beam_j[1, 1]
         det = float(np.linalg.det(beam_j))
@@ -254,7 +253,7 @@ def check_eigen_crosscheck(lam, rng, n=500):
         want = sorted(closed)
         for g, w in zip(got, want):
             worst = max(worst, abs(g - w) / max(abs(w), 1e-12))
-    return CheckResult("derivative-eigen-crosscheck", worst < 1e-4,
+    return CheckResult("derivative-eigen-crosscheck", worst < 1e-8,
                        f"max relative eigenvalue error {worst:.2e}")
 
 

@@ -371,11 +371,9 @@ class TestGridEvaluation:
         x = rng.uniform(-10, 10, 1000)
         y = rng.uniform(-10, 10, 1000)
         x[:3], y[:3] = (0.0, HALF_PI, math.pi), (HALF_PI, 0.0, HALF_PI)  # poles
-        tx, ty, tz, finite = tangent3_grid(x, y, 0.0, 0.8)
+        _, _, tz, finite = tangent3_grid(x, y, 0.0, 0.8)
         assert finite.dtype == bool and not finite[:3].any() and finite[3:].all()
         assert np.all(tz[finite] == 0.0) and np.all(tz[~finite] == np.inf)
-        for got, want in zip((tx, ty, finite), plane.plane_map_grid(x, y, 0.8)):
-            assert np.array_equal(got, want)
 
     def test_reciprocal_floor_is_the_overflow_threshold(self):
         floor = core._RECIP_FLOOR

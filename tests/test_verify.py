@@ -3,6 +3,7 @@ exercised through run_suite by the CLI tests and the acceptance suite)."""
 
 import pytest
 
+from qrtan.cli import main
 from qrtan.verify import SUITES, run_suite
 
 
@@ -33,3 +34,14 @@ def test_applicability_filtering():
 def test_results_carry_details():
     for r in run_suite(0.9, "core", fast=True):
         assert r.name and isinstance(r.passed, bool) and r.detail
+
+
+@pytest.mark.parametrize("lam", ["0.9", "1", "2"])
+def test_seed_9706_passes(lam, capsys):
+    # this seed draws (1.5794, -1.5653), which folds to within 0.01 of a
+    # tile centre where the two eigenvalues nearly coincide; a
+    # finite-difference Jacobian had a negative discriminant there
+    code = main(["verify", "--suite", "all", "--fast", "--seed", "9706", "--lambda", lam])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert not [line for line in out.splitlines() if line.startswith("FAIL")]
