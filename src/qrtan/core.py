@@ -51,6 +51,7 @@ def _require_finite(*coords):
     Called from the handlers of the OverflowError/ValueError that floor
     and round raise on inf and NaN, so the check costs nothing on finite
     input; a finite point lets the caller re-raise the original error.
+    The float paths also call it directly, where ``as_vec3`` would.
     """
     if not all(map(math.isfinite, coords)):
         raise ValueError(_NONFINITE) from None
@@ -86,30 +87,62 @@ def vec_norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+# below this norm of p and of q, no squared norm in chordal (|p|^2, |q|^2,
+# |p - q|^2) can overflow: (2e153)^2 < 1.8e308
+_CHORDAL_SAFE = 1e153
+
+
+def _chordal_finite(dd, pp, qq, d, p, q):
+    """Chordal distance of finite p and q from dd = |p-q|^2, pp = |p|^2 and
+    qq = |q|^2, with the coordinates of d = p - q, p and q for the fallback.
+
+    2|p-q| / sqrt((1+|p|^2)(1+|q|^2)) wherever that is finite.  Where a
+    squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a
+    pole) the same distance comes from hypot, which scales instead of
+    squaring.  Shared by ``chordal`` (squared norms from numpy's dot) and
+    the inverse-branch residual (squared norms on Python floats).
+    """
+    dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + pp) * (1.0 + qq))
+    if math.isfinite(dist):
+        return dist
+    scaled = math.hypot(*d) / math.hypot(1.0, *p)
+    return 2.0 * scaled / math.hypot(1.0, *q)
+
+
+def _chordal_infinite(pp) -> float:
+    """Chordal distance to INFINITY from a finite point with pp = |p|^2."""
+    return 2.0 / math.sqrt(1.0 + pp)
+
+
 def chordal(p, q) -> float:
     """Chordal distance on R^3 u {inf}.
 
     d(p,q) = 2|p-q| / sqrt((1+|p|^2)(1+|q|^2)) for finite points and
     d(p,inf) = 2 / sqrt(1+|p|^2); the metric of the one-point
     compactification, bounded by 2, so comparisons near poles stay
-    meaningful.
+    meaningful.  Squared norms come from numpy's dot.  A point of norm
+    1e153 or more takes the same arithmetic with numpy's overflow
+    warning silenced, so the result is the same and a huge point (an
+    image next to a pole) does not warn.
     """
     pinf, qinf = is_infinity(p), is_infinity(q)
     if pinf and qinf:
         return 0.0
     if pinf or qinf:
         f = np.asarray(q if pinf else p, dtype=float)
-        return 2.0 / math.sqrt(1.0 + float(f @ f))
+        if math.hypot(*f.tolist()) < _CHORDAL_SAFE:
+            return _chordal_infinite(float(f.dot(f)))
+        with np.errstate(over="ignore"):
+            return _chordal_infinite(float(f.dot(f)))
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    d = p - q
-    dist = 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
-    if math.isfinite(dist):
-        return dist
-    # a squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a pole):
-    # the same distance from hypot, which scales instead of squaring
-    scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
-    return 2.0 * scaled / math.hypot(1.0, *q.tolist())
+    if math.hypot(*p.tolist()) < _CHORDAL_SAFE > math.hypot(*q.tolist()):
+        d = p - q
+        return _chordal_finite(float(d.dot(d)), float(p.dot(p)), float(q.dot(q)), d, p, q)
+    with np.errstate(over="ignore"):
+        d = p - q
+        sq = float(d.dot(d)), float(p.dot(p)), float(q.dot(q))
+    return _chordal_finite(*sq, d, p, q)
 
 
 def fold_axis(x: float, half_width: float):
@@ -171,21 +204,15 @@ def square_to_hemisphere(x: float, y: float) -> np.ndarray:
     return np.array([x * s, y * s, math.cos(m)])
 
 
-def hemisphere_to_square(u) -> tuple:
-    """Invert square_to_hemisphere on the closed upper hemisphere.
+def _hemisphere_xy(ux: float, uy: float, uz: float):
+    """hemisphere_to_square on three Python floats: the chart point (x, y).
 
-    Requires a unit vector (within 1e-9) with nonnegative third
-    component.  With M = arccos(u_z), the planar part is recovered by
-    rescaling (u_x, u_y) so its sup norm equals M.  Near the north pole
-    the equal expression M = arcsin(hypot(u_x, u_y)) is used: arccos
-    loses half the digits there (square-root singularity) while arcsin
-    of the small planar radius is fully conditioned.
+    The float-level core under hemisphere_to_square and the preimage
+    enumerator.  The norm for the unit-norm check is summed on floats.
     """
-    u = np.asarray(u, dtype=float)
-    n = vec_norm(u)
+    n = math.sqrt(ux * ux + uy * uy + uz * uz)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"unit vector required, got norm {n}")
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
     if uz < -1e-9:
         raise ValueError("upper hemisphere required")
     r = math.hypot(ux, uy)
@@ -198,6 +225,20 @@ def hemisphere_to_square(u) -> tuple:
         return (0.0, 0.0)
     f = m / mx
     return (ux * f, uy * f)
+
+
+def hemisphere_to_square(u) -> tuple:
+    """Invert square_to_hemisphere on the closed upper hemisphere.
+
+    Requires a unit vector (within 1e-9) with nonnegative third
+    component.  With M = arccos(u_z), the planar part is recovered by
+    rescaling (u_x, u_y) so its sup norm equals M.  Near the north pole
+    the equal expression M = arcsin(hypot(u_x, u_y)) is used: arccos
+    loses half the digits there (square-root singularity) while arcsin
+    of the small planar radius is fully conditioned.
+    """
+    u = np.asarray(u, dtype=float)
+    return _hemisphere_xy(float(u[0]), float(u[1]), float(u[2]))
 
 
 def zorich(v) -> np.ndarray:
@@ -236,16 +277,34 @@ def cayley(p):
     return np.array([2.0 * r * p[0], 2.0 * r * p[1], 1.0 - 2.0 * r * (p[2] + 1.0)])
 
 
+def _cayley_inverse_xyz(x: float, y: float, z: float):
+    """cayley_inverse on three finite Python floats: [u, v, w], or None at infinity.
+
+    The float-level core under cayley_inverse and the inverse branches.
+    (1 - z)^2 is libm's pow, as numpy's scalar power computes it (it is
+    not always the rounded (1 - z)*(1 - z)); where it overflows it is inf
+    as there.
+    """
+    t = 1.0 - z
+    try:
+        t2 = t ** 2
+    except OverflowError:
+        t2 = math.inf
+    d = x * x + y * y + t2
+    if d == 0.0:
+        return None
+    s = 1.0 / d
+    return [2.0 * s * x, 2.0 * s * y, -1.0 + 2.0 * s * t]
+
+
 def cayley_inverse(p):
     """Inverse of cayley: (u,v,w) -> (2su, 2sv, 2s(1-w) - 1), s = 1/(u^2+v^2+(1-w)^2)."""
     if is_infinity(p):
         return np.array([0.0, 0.0, -1.0])
-    p = as_vec3(p)
-    d = p[0] * p[0] + p[1] * p[1] + (1.0 - p[2]) ** 2
-    if d == 0.0:
+    u = _cayley_inverse_xyz(*_checked_vec3(p)[1])
+    if u is None:
         return INFINITY
-    s = 1.0 / d
-    return np.array([2.0 * s * p[0], 2.0 * s * p[1], -1.0 + 2.0 * s * (1.0 - p[2])])
+    return np.array(u)
 
 
 def invert_sphere(v) -> np.ndarray:

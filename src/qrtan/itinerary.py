@@ -89,7 +89,7 @@ def itinerary_of(p, lam: float, n_terms: int):
 
 def _check_tail(itin: Itinerary, lam: float, n: int):
     r = required_tail_radius(lam)
-    norms = [float(np.linalg.norm(pole_location(itin.symbol(j)))) for j in range(n)]
+    norms = [vec_norm(pole_location(itin.symbol(j))) for j in range(n)]
     tail_start = len(itin.prefix)
     for j in range(tail_start, n):
         if norms[j] <= r:
@@ -199,7 +199,7 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
     cycle = spec.cycle
     r = required_tail_radius(lam)
     for idx in cycle:
-        norm = float(np.linalg.norm(pole_location(idx)))
+        norm = vec_norm(pole_location(idx))
         if norm <= r:
             raise ValueError(
                 f"cycle pole {tuple(idx)} has norm {norm:.3f} <= calibrated radius {r:.3f}")
@@ -316,7 +316,7 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
     if len(symbols) < 3:
         raise ValueError(f"itinerary too short ({reason}); not an escaping candidate")
     r = required_tail_radius(lam)
-    norms = [float(np.linalg.norm(pole_location(s))) for s in symbols]
+    norms = [vec_norm(pole_location(s)) for s in symbols]
 
     def usable_period(n_prefix, m_extra):
         period = n_prefix + m_extra
@@ -347,7 +347,7 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
                 last_err = str(e)
                 m_extra += 1
                 continue
-            gap = float(np.linalg.norm(result.point - target))
+            gap = vec_norm(result.point - target)
             if gap < eta:
                 if verbose:
                     print(f"period {period} = {n_prefix} prefix + {m_extra} closing "

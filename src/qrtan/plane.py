@@ -22,13 +22,16 @@ from .core import (
     HALF_PI,
     INFINITY,
     QUARTER_PI,
+    _cayley_inverse_xyz,
+    _chordal_finite,
+    _chordal_infinite,
+    _hemisphere_xy,
     _require_finite,
     _tangent3_xyz,
     cayley_inverse,
     chordal,
     fold_axis,
     fold_axis_grid,
-    hemisphere_to_square,
     is_infinity,
     tangent3,
     tangent3_grid,
@@ -43,10 +46,15 @@ class PoleIndex(NamedTuple):
     n: int
 
 
+def _pole_xy(m, n):
+    """Plane coordinates ((n+m)pi/2, (n-m+1)pi/2) of pole (m, n), as floats."""
+    return (n + m) * HALF_PI, (n - m + 1) * HALF_PI
+
+
 def pole_location(idx) -> np.ndarray:
     """Plane coordinates ((n+m)pi/2, (n-m+1)pi/2) of pole (m, n)."""
     m, n = idx
-    return np.array([(n + m) * HALF_PI, (n - m + 1) * HALF_PI])
+    return np.array(_pole_xy(m, n))
 
 
 def containing_diamond(p):
@@ -67,8 +75,8 @@ def containing_diamond(p):
     except (OverflowError, ValueError):
         _require_finite(x, y)
         return None
-    loc = pole_location((m, n))
-    if abs(x - loc[0]) + abs(y - loc[1]) < HALF_PI:
+    lx, ly = _pole_xy(m, n)
+    if abs(x - lx) + abs(y - ly) < HALF_PI:
         return PoleIndex(int(m), int(n))
     return None
 
@@ -197,26 +205,31 @@ def jacobian_plane_map(p, lam: float = 1.0, reject_margin: float = 1e-6) -> Jaco
     if distance_to_nonsmooth(p) <= reject_margin:
         raise ValueError("point too close to the non-smooth set")
     j = _plane_jacobian(p, lam)
-    smin, smax = singular_values_2x2(j[0, 0], j[0, 1], j[1, 0], j[1, 1])
-    tr = j[0, 0] + j[1, 1]
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    disc = tr * tr - 4.0 * det
+    (a, b), (c, d) = j.tolist()
+    smin, smax = _singular_values(a, b, c, d, math.sqrt, max)
+    tr = a + d
+    disc = tr * tr - 4.0 * (a * d - b * c)
     eig = None
     if disc >= 0.0:
         sq = math.sqrt(disc)
         eig = tuple(sorted(((tr - sq) / 2.0, (tr + sq) / 2.0)))
-    return JacobianSample(np.array([float(p[0]), float(p[1])]), j,
-                          float(smin), float(smax), eig)
+    return JacobianSample(np.array([float(p[0]), float(p[1])]), j, smin, smax, eig)
+
+
+def _singular_values(a, b, c, d, sqrt, maximum):
+    """(s_min, s_max) of [[a, b], [c, d]] in closed form, with ``sqrt`` and
+    ``maximum`` from math (floats) or numpy (arrays)."""
+    f = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    root = sqrt(maximum(f * f - 4.0 * det * det, 0.0))
+    smax = sqrt((f + root) / 2.0)
+    smin = sqrt(maximum((f - root) / 2.0, 0.0))
+    return smin, smax
 
 
 def singular_values_2x2(a, b, c, d):
     """(s_min, s_max) of [[a, b], [c, d]], vectorization-friendly closed form."""
-    f = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    root = np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))
-    smax = np.sqrt((f + root) / 2.0)
-    smin = np.sqrt(np.maximum((f - root) / 2.0, 0.0))
-    return smin, smax
+    return _singular_values(a, b, c, d, np.sqrt, np.maximum)
 
 
 def beam_sector_eigenvalues(p, lam: float = 1.0):
@@ -283,60 +296,71 @@ def inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9) -> np.nda
     reflection-group images near the diamond; the candidate is accepted
     only if its forward image reproduces w within ``residual_tol``
     (chordal).  w = INFINITY maps to the pole itself.
+
+    Everything runs on Python floats through the float cores of the
+    Mobius pullback, the chart, the map and the chordal metric; only the
+    returned point is an array.
     """
     q = PoleIndex(*q)
-    loc = pole_location(q)
+    lx, ly = _pole_xy(q.m, q.n)
     if is_infinity(w):
-        return loc.copy()
+        return np.array([lx, ly])
     wx, wy = float(w[0]), float(w[1])
-    if diagonal_segment_distance((wx, wy), lam) == 0.0:
+    # diagonal_segment_distance(w, lam) == 0.0, exactly
+    if (wy == wx or wy == -wx) and abs(wx) <= lam / SQRT2:
         raise BranchDomainError("target lies on the removed diagonal segment")
-    u = cayley_inverse(np.array([wx / lam, wy / lam, 0.0]))
-    candidates = _branch_candidates(u, loc)
+    x, y = wx / lam, wy / lam
+    _require_finite(x, y)
+    candidates = _branch_candidates(*_cayley_inverse_xyz(x, y, 0.0), lx, ly)
     # the pole itself certifies targets near infinity in the chordal metric
-    candidates.append(loc.copy())
-    target = np.array([wx, wy, 0.0])
+    candidates.append((lx, ly))
+    target = (wx, wy, 0.0)
+    ww = wx * wx + wy * wy
     best = None
     best_res = math.inf
-    for cand in candidates:
-        cx, cy = cand.tolist()
+    for cx, cy in candidates:
         t = _tangent3_xyz(cx, cy, 0.0, lam)
-        res = chordal(INFINITY if t is None else [t[0], t[1], 0.0], target)
+        if t is None:
+            res = _chordal_infinite(ww)
+        else:
+            tx, ty = t[0], t[1]
+            dx, dy = tx - wx, ty - wy
+            res = _chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
+                                  (dx, dy, 0.0), (tx, ty, 0.0), target)
         if res < best_res:
             best_res = res
-            best = cand
+            best = (cx, cy)
     if best is None or best_res > residual_tol:
         raise BranchResidualError(
             f"no preimage of {(wx, wy)} in diamond {tuple(q)} (best residual {best_res:.3e})")
-    return best
+    return np.array(best)
 
 
-def _branch_candidates(u, loc, slack: float = 1e-9):
-    """Preimage candidates in the closed diamond around ``loc``.
+def _branch_candidates(ux, uy, uz, lx, ly, slack: float = 1e-9):
+    """Preimage candidates (x, y) in the closed diamond around the pole at
+    (lx, ly), for the unit vector (ux, uy, uz).
 
     The enclosing box is wider than the L1 bound by one more ``slack``,
     so rounding in the box test can never drop a point the L1 test keeps.
     """
-    lx, ly = float(loc[0]), float(loc[1])
     half = HALF_PI + 2.0 * slack
-    return [np.array([x, y]) for x, y in _chart_preimages(u, lx, half, ly, half)
+    return [(x, y) for x, y in _chart_preimages(ux, uy, uz, lx, half, ly, half)
             if abs(x - lx) + abs(y - ly) <= HALF_PI + slack]
 
 
-def _chart_preimages(u, cx, half_x, cy, half_y):
+def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y):
     """Points (x, y) with |x-cx| <= half_x, |y-cy| <= half_y whose Zorich
-    direction is the unit vector ``u``.
+    direction is the unit vector (ux, uy, uz).
 
     The chart point of each hemisphere generates two pi-periodic families
     per coordinate (direct and reflected), and the coordinate parities
     must add up to the hemisphere flip.
     """
-    uz = float(u[2])
     charts = []
     if uz >= -1e-12:
-        charts.append((hemisphere_to_square(u), 0))
+        charts.append((_hemisphere_xy(ux, uy, uz), 0))
     if uz <= 1e-12:
-        charts.append((hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
+        charts.append((_hemisphere_xy(ux, uy, -uz), 1))
     for (a, b), need in charts:
         ys = _family_members(b, cy, half_y)
         for x, parx in _family_members(a, cx, half_x):
@@ -373,7 +397,7 @@ def preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
                        else np.asarray(target, dtype=float) / lam)
     if is_infinity(u):
         return []  # target = (0,0,lam), an omitted value
-    norm = float(np.linalg.norm(u))
+    norm = vec_norm(u)
     if norm == 0.0:
         return []  # target = (0,0,-lam), the other omitted value
     zc = math.log(norm) / 2.0
@@ -381,11 +405,11 @@ def preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
         return []
     x0, x1, y0, y1 = xy_box
     out = []
-    for x, y in _chart_preimages(u / norm, (x0 + x1) / 2.0, (x1 - x0) / 2.0,
+    for x, y in _chart_preimages(*(u / norm).tolist(), (x0 + x1) / 2.0, (x1 - x0) / 2.0,
                                  (y0 + y1) / 2.0, (y1 - y0) / 2.0):
-        cand = np.array([x, y, zc])
-        if chordal(tangent3(cand, lam), target) < 1e-9:
-            out.append(cand)
+        t = _tangent3_xyz(x, y, zc, lam)
+        if chordal(INFINITY if t is None else t, target) < 1e-9:
+            out.append(np.array([x, y, zc]))
     return out
 
 

@@ -425,12 +425,38 @@ class TestChordal:
     def test_near_pole_image_is_finite(self):
         p = tangent3((1e-156, HALF_PI, 0.0))
         assert abs(float(p[0])) > 1e155  # |p|^2 overflows
-        with np.errstate(over="ignore"):  # the squared-norm expression overflows first
-            for q in (np.zeros(3), np.array([3.0, -2.0, 1.0])):
-                d = chordal(p, q)  # 2 for q = 0
-                assert math.isfinite(d) and math.isclose(d, chordal(INFINITY, q), rel_tol=1e-12)
-                assert math.isclose(chordal(q, p), d, rel_tol=1e-15)
-            assert chordal(p, p) == 0.0
+        for q in (np.zeros(3), np.array([3.0, -2.0, 1.0])):
+            d = chordal(p, q)  # 2 for q = 0
+            assert math.isfinite(d) and math.isclose(d, chordal(INFINITY, q), rel_tol=1e-12)
+            assert math.isclose(chordal(q, p), d, rel_tol=1e-15)
+        assert chordal(p, p) == 0.0
+
+    def test_huge_points_keep_their_value_without_warning(self):
+        # beyond ~1e154 a squared norm overflows; chordal gives what the
+        # squared-norm arithmetic and its hypot fallback give with the
+        # overflow silenced, and emits no RuntimeWarning (an error here)
+        def reference(p, q):
+            with np.errstate(over="ignore"):
+                if is_infinity(q):
+                    return 2.0 / math.sqrt(1.0 + float(p @ p))
+                d = p - q
+                dist = 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p))
+                                                                 * (1.0 + float(q @ q)))
+            if math.isfinite(dist):
+                return dist
+            scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
+            return 2.0 * scaled / math.hypot(1.0, *q.tolist())
+
+        rng = np.random.default_rng(79)
+        pairs = [(np.array([1e308, 0.0, 0.0]), np.array([-1e308, 0.0, 0.0])),
+                 (np.array([1e153, 0.0, 0.0]), np.zeros(3))]
+        for _ in range(3000):
+            pairs.append((rng.normal(size=3) * 10.0 ** rng.uniform(150.0, 307.0),
+                          rng.normal(size=3) * 10.0 ** rng.uniform(-5.0, 307.0)))
+        for p, q in pairs:
+            for a, b in ((p, q), (q, p), (p, p)):
+                assert chordal(a, b) == reference(a, b)
+            assert chordal(p, INFINITY) == chordal(INFINITY, p) == reference(p, INFINITY)
 
     def test_matches_squared_norm_formula_below_overflow(self):
         def reference(p, q):

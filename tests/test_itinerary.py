@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from qrtan import itinerary, plane
 from qrtan.core import is_infinity
 from qrtan.itinerary import (
     ContractionFailure,
     Itinerary,
     PeriodicCycleSpec,
     StopReason,
+    _solve_cycle,
     itinerary_of,
     periodic_near_escaping,
     periodic_point_from_cycle,
@@ -224,3 +226,36 @@ class TestTailRadiusRegimes:
         assert res.residual < 1e-9
         with pytest.raises(ValueError):
             periodic_point_from_cycle(spec, 1.2)
+
+
+class TestBranchEngineLookup:
+    """The symbolic layer and the calibration reach ``inverse_branch`` through
+    their module's global name, the place a tracer or a patch swaps it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        engine = plane.inverse_branch
+
+        def counting(q, w, lam, *args):
+            log.append(PoleIndex(*q))
+            return engine(q, w, lam, *args)
+
+        monkeypatch.setattr(itinerary, "inverse_branch", counting)
+        monkeypatch.setattr(plane, "inverse_branch", counting)
+        return log
+
+    def test_point_from_itinerary_makes_one_call_per_composition(self, calls):
+        itin = growing_itinerary()
+        point_from_itinerary(itin, LAM, n_compose=12)
+        assert calls == itin.symbols(12)[::-1]
+
+    def test_solve_cycle_walks_the_cycle_backwards(self, calls):
+        cycle = [PoleIndex(0, 4), PoleIndex(3, 1), PoleIndex(-2, 3)]
+        _solve_cycle(cycle, LAM, 300, False)
+        assert calls and calls == cycle[::-1] * (len(calls) // len(cycle))
+
+    def test_calibration_uses_the_engine(self, calls, monkeypatch):
+        monkeypatch.setattr(plane, "_CALIBRATION_CACHE", {})
+        plane.calibrate_expansion(1.3)
+        assert calls and set(calls) == {PoleIndex(0, 0)}

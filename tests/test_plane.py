@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qrtan import itinerary, plane
+from qrtan import core, itinerary, plane
 from qrtan.core import (
     INFINITY,
     QUARTER_PI,
     _beam_formula,
     _checked_vec3,
-    cayley_inverse,
-    chordal,
+    as_vec3,
     fold_axis,
-    hemisphere_to_square,
     is_infinity,
     tangent3,
     vec_norm,
@@ -404,6 +402,92 @@ class TestCalibration:
 
 
 # ---------------------------------------------------------------------------
+# the Mobius pullback, hemisphere chart, chordal metric and diamond
+# enumerator on numpy arrays, as they were before the inverse-branch engine
+# ran on Python floats, kept verbatim (renamed) as the reference: the float
+# engine must return the same bytes, and it must not warn where these did
+# (numpy overflows at huge targets)
+
+def _reference_cayley_inverse(p):
+    if is_infinity(p):
+        return np.array([0.0, 0.0, -1.0])
+    p = as_vec3(p)
+    d = p[0] * p[0] + p[1] * p[1] + (1.0 - p[2]) ** 2
+    if d == 0.0:
+        return INFINITY
+    s = 1.0 / d
+    return np.array([2.0 * s * p[0], 2.0 * s * p[1], -1.0 + 2.0 * s * (1.0 - p[2])])
+
+
+def _reference_hemisphere_to_square(u) -> tuple:
+    u = np.asarray(u, dtype=float)
+    n = vec_norm(u)
+    if abs(n - 1.0) > 1e-9:
+        raise ValueError(f"unit vector required, got norm {n}")
+    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
+    if uz < -1e-9:
+        raise ValueError("upper hemisphere required")
+    r = math.hypot(ux, uy)
+    if uz >= 0.7:
+        m = math.asin(min(1.0, r))
+    else:
+        m = math.acos(min(1.0, max(-1.0, uz)))
+    mx = max(abs(ux), abs(uy))
+    if mx == 0.0:
+        return (0.0, 0.0)
+    f = m / mx
+    return (ux * f, uy * f)
+
+
+def _reference_chordal(p, q) -> float:
+    pinf, qinf = is_infinity(p), is_infinity(q)
+    if pinf and qinf:
+        return 0.0
+    if pinf or qinf:
+        f = np.asarray(q if pinf else p, dtype=float)
+        return 2.0 / math.sqrt(1.0 + float(f @ f))
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    d = p - q
+    dist = 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
+    if math.isfinite(dist):
+        return dist
+    # a squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a pole):
+    # the same distance from hypot, which scales instead of squaring
+    scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
+    return 2.0 * scaled / math.hypot(1.0, *q.tolist())
+
+
+def _reference_plane_chordal(a, b) -> float:
+    ainf, binf = is_infinity(a), is_infinity(b)
+    pa = a if ainf else np.array([float(a[0]), float(a[1]), 0.0])
+    pb = b if binf else np.array([float(b[0]), float(b[1]), 0.0])
+    return _reference_chordal(pa, pb)
+
+
+def _reference_diamond_candidates(u, loc, slack: float = 1e-9):
+    lx, ly = float(loc[0]), float(loc[1])
+    half = HALF_PI + 2.0 * slack
+    return [np.array([x, y]) for x, y in _reference_chart_preimages(u, lx, half, ly, half)
+            if abs(x - lx) + abs(y - ly) <= HALF_PI + slack]
+
+
+def _reference_chart_preimages(u, cx, half_x, cy, half_y):
+    uz = float(u[2])
+    charts = []
+    if uz >= -1e-12:
+        charts.append((_reference_hemisphere_to_square(u), 0))
+    if uz <= 1e-12:
+        charts.append((_reference_hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
+    for (a, b), need in charts:
+        ys = _reference_family_members_box(b, cy, half_y)
+        for x, parx in _reference_family_members_box(a, cx, half_x):
+            for y, pary in ys:
+                if (parx + pary) % 2 == need:
+                    yield x, y
+
+
+# ---------------------------------------------------------------------------
 # the two preimage enumerators, the gate-free cycle solver and the inline
 # Newton stencil as they were before they were merged, kept verbatim as the
 # reference: the merged engine must give the same floats, bit for bit
@@ -413,9 +497,9 @@ def _reference_branch_candidates(u, loc, slack: float = 1e-9):
     uz = float(u[2])
     charts = []
     if uz >= -1e-12:
-        charts.append((hemisphere_to_square(u), 0))
+        charts.append((_reference_hemisphere_to_square(u), 0))
     if uz <= 1e-12:
-        charts.append((hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
+        charts.append((_reference_hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
     lx, ly = float(loc[0]), float(loc[1])
     for (a, b), need in charts:
         xs = _reference_family_members(a, lx)
@@ -441,8 +525,8 @@ def _reference_family_members(a, center):
 
 
 def _reference_preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
-    u = cayley_inverse(target if is_infinity(target)
-                       else np.asarray(target, dtype=float) / lam)
+    u = _reference_cayley_inverse(target if is_infinity(target)
+                                  else np.asarray(target, dtype=float) / lam)
     if is_infinity(u):
         return []  # target = (0,0,lam), an omitted value
     norm = float(np.linalg.norm(u))
@@ -457,9 +541,10 @@ def _reference_preimages_tangent3(target, lam: float, xy_box, z_tol: float = mat
     half_x, half_y = (x1 - x0) / 2.0, (y1 - y0) / 2.0
     charts = []
     if uhat[2] >= -1e-12:
-        charts.append((hemisphere_to_square(uhat), 0))
+        charts.append((_reference_hemisphere_to_square(uhat), 0))
     if uhat[2] <= 1e-12:
-        charts.append((hemisphere_to_square(np.array([uhat[0], uhat[1], -uhat[2]])), 1))
+        charts.append((_reference_hemisphere_to_square(
+            np.array([uhat[0], uhat[1], -uhat[2]])), 1))
     out = []
     for (a, b), need in charts:
         for x, parx in _reference_family_members_box(a, cx, half_x):
@@ -468,7 +553,7 @@ def _reference_preimages_tangent3(target, lam: float, xy_box, z_tol: float = mat
                     continue
                 cand = np.array([x, y, zc])
                 img = tangent3(cand, lam)
-                if chordal(img, target) < 1e-9:
+                if _reference_chordal(img, target) < 1e-9:
                     out.append(cand)
     return out
 
@@ -633,25 +718,30 @@ class TestBranchEngineBitIdentity:
         return cases
 
     def test_branch_candidates_match_reference(self):
+        def float_candidates(u, loc):
+            return [np.array(c) for c in plane._branch_candidates(*u.tolist(), *loc.tolist())]
+
         rng = np.random.default_rng(211)
         compared = 0
         for lam in self.LAMS:
             for q, w in self._branch_cases(rng, lam, 300):
                 if is_infinity(w):
                     continue
-                u = cayley_inverse(np.array([float(w[0]) / lam, float(w[1]) / lam, 0.0]))
+                u = _reference_cayley_inverse(
+                    np.array([float(w[0]) / lam, float(w[1]) / lam, 0.0]))
                 loc = pole_location(q)
-                _assert_same(_outcome(plane._branch_candidates, u, loc),
-                             _outcome(_reference_branch_candidates, u, loc))
+                want = _outcome(_reference_branch_candidates, u, loc)
+                _assert_same(_outcome(_reference_diamond_candidates, u, loc), want)
+                _assert_same(_outcome(float_candidates, u, loc), want)
                 compared += 1
         assert compared == 5 * 250
 
-    def test_inverse_branch_matches_reference(self, monkeypatch):
+    def test_inverse_branch_matches_reference(self):
         rng = np.random.default_rng(223)
         cases = [(q, w, lam) for lam in self.LAMS for q, w in self._branch_cases(rng, lam, 600)]
         got = [_outcome(inverse_branch, q, w, lam) for q, w, lam in cases]
-        monkeypatch.setattr(plane, "_branch_candidates", _reference_branch_candidates)
-        want = [_outcome(inverse_branch, q, w, lam) for q, w, lam in cases]
+        want = [_outcome(_reference_inverse_branch, q, w, lam, 1e-9,
+                         _reference_branch_candidates) for q, w, lam in cases]
         for g, w in zip(got, want):
             _assert_same(g, w)
         errors = {w[0] for w in want if isinstance(w, tuple)}
@@ -802,7 +892,8 @@ def _reference_jacobian_plane_map(p, lam: float = 1.0, reject_margin: float = 1e
                           float(smin), float(smax), eig)
 
 
-def _reference_inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9):
+def _reference_inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9,
+                              branch_candidates=_reference_diamond_candidates):
     q = PoleIndex(*q)
     loc = pole_location(q)
     if is_infinity(w):
@@ -810,14 +901,14 @@ def _reference_inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9
     wx, wy = float(w[0]), float(w[1])
     if diagonal_segment_distance((wx, wy), lam) == 0.0:
         raise BranchDomainError("target lies on the removed diagonal segment")
-    u = cayley_inverse(np.array([wx / lam, wy / lam, 0.0]))
-    candidates = plane._branch_candidates(u, loc)
+    u = _reference_cayley_inverse(np.array([wx / lam, wy / lam, 0.0]))
+    candidates = branch_candidates(u, loc)
     candidates.append(loc.copy())
     best = None
     best_res = math.inf
     for cand in candidates:
         img = _reference_plane_map(cand, lam)
-        res = plane_chordal(img, np.array([wx, wy]))
+        res = _reference_plane_chordal(img, np.array([wx, wy]))
         if res < best_res:
             best_res = res
             best = cand
@@ -936,37 +1027,89 @@ class TestFloatPlanePathBitIdentity:
                     compared += 1
         assert compared >= 350 * len(self.LAMS)
 
+    def test_cayley_inverse_and_chart_match_reference(self):
+        # (1 - z)^2 is libm's pow, which is not always the rounded product:
+        # about one z in a thousand tells the two apart
+        rng = np.random.default_rng(317)
+        pts = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (20000, 1))
+        pts[::4] = rng.normal(size=(5000, 3))
+        pts[1::8] *= 1e-150
+        warned = 0
+        for p in [*pts, (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = _raw_outcome(_reference_cayley_inverse, p)
+                u = _reference_cayley_inverse(p) if want[0] == "value" else INFINITY
+            warned += bool(caught)
+            assert _raw_outcome(core.cayley_inverse, p) == want
+            n = 0.0 if is_infinity(u) else vec_norm(u)
+            if 0.0 < n < math.inf:
+                for v in (u / n, u / n * [1.0, 1.0, -1.0], u):
+                    got = _raw_outcome(core.hemisphere_to_square, v)
+                    want_uv = _raw_outcome(_reference_hemisphere_to_square, v)
+                    # the norm in the unit-norm message is summed on floats now
+                    assert got == want_uv or got[:2] == want_uv[:2] == ("raised", ValueError)
+        assert warned > 1000
+        for p in [(math.inf, 0.0, 0.0), (0.0, math.nan, 1.0), INFINITY]:
+            assert _raw_outcome(core.cayley_inverse, p) == _raw_outcome(
+                _reference_cayley_inverse, p)
+
     def test_inverse_branch_matches_reference(self):
+        # the same bytes (or exception) as the array-level engine on every
+        # kind of target, and no RuntimeWarning where that engine warned
         rng = np.random.default_rng(313)
         errors = set()
+        warned = pole_wins = 0
         for lam in self.LAMS:
             half = lam / SQRT2
             cases = []
-            for i in range(300):
+            for i in range(480):
                 q = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-                kind = i % 6
+                kind = i % 8
+                ang = rng.uniform(0.0, 2.0 * math.pi)
                 if kind == 0:
                     w = INFINITY
                 elif kind == 1:  # on the removed segment
                     t = rng.uniform(-half, half)
-                    w = (t, t if i % 12 < 6 else -t)
+                    w = (t, t if i % 16 < 8 else -t)
                 elif kind == 2:  # within 1e-6 of it
                     t = rng.uniform(-1.1 * half, 1.1 * half)
                     w = (t + rng.uniform(-1e-6, 1e-6), -t + rng.uniform(-1e-6, 1e-6))
-                elif kind == 3:
-                    w = tuple(rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, 8.0))
+                elif kind == 3:  # |w| from 1e-300 to 1e308
+                    r = 10.0 ** rng.uniform(-300.0, 308.0)
+                    w = (r * math.cos(ang), r * math.sin(ang))
                 elif kind == 4:
                     w = tuple(rng.uniform(-6.0, 6.0, 2))
-                else:
+                elif kind == 5:
                     w = tuple(lam * np.array(self.POLES[i % len(self.POLES)]))
+                elif kind == 6:  # |w| = lam(1 +- 1e-12): both hemisphere charts
+                    r = lam * (1.0 + (1e-12 if i % 16 < 8 else -1e-12))
+                    w = (r * math.cos(ang), r * math.sin(ang))
+                else:  # beyond ~1e16 the pole's residual often beats the candidate's
+                    r = 10.0 ** rng.uniform(17.0, 30.0)
+                    w = (r * math.cos(ang), r * math.sin(ang))
                 cases.append((q, w))
-            cases += [((0, 0), p) for p in self.NON_FINITE]
+            # the segment's end points and the floats just beyond them
+            out = math.nextafter(half, math.inf)
+            cases += [((1, 2), (sx * h, sy * h)) for h in (half, out)
+                      for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+            # w / lam overflows for lam < 1
+            cases += [((0, 0), p) for p in self.NON_FINITE + [(math.inf, -math.inf),
+                                                               (1.7e308, 1.0)]]
             for q, w in cases:
-                want = _raw_outcome(_reference_inverse_branch, q, w, lam)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    want = _raw_outcome(_reference_inverse_branch, q, w, lam)
+                warned += any(issubclass(c.category, RuntimeWarning) for c in caught)
                 if want[0] == "raised":
                     errors.add(want[1])
-                assert _raw_outcome(inverse_branch, q, w, lam) == want
+                elif not is_infinity(w):
+                    pole_wins += want == ("value", _raw(pole_location(q)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert _raw_outcome(inverse_branch, q, w, lam) == want
         assert errors == {BranchDomainError, ValueError}
+        assert warned > 50 and pole_wins > 300
 
 
 class TestNonFinitePoints:
