@@ -20,18 +20,39 @@ from .core import (
     HALF_PI,
     INFINITY,
     QUARTER_PI,
+    _checked_vec3,
+    _tangent3_xyz,
     as_vec3,
     chordal,
     is_infinity,
     tangent3,
-    vec_norm,
+    tangent3_grid,
 )
 from .plane import (
     SQRT2,
+    _pole_xy,
     containing_diamond,
     pole_location,
     preimages_tangent3,
 )
+
+
+def _bisect(below, lo, hi):
+    """Midpoint of the bracket after up to 200 bisection steps, keeping
+    ``below(lo)`` true and ``below(hi)`` false.
+
+    Once a step leaves (lo, hi) unchanged (the midpoint rounds to an
+    end), every later step would too, so the loop stops there with the
+    bits the full run gives; from a bracket of doubles that takes at
+    most a few dozen steps.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        new = (mid, hi) if below(mid) else (lo, mid)
+        if new == (lo, hi):
+            break
+        lo, hi = new
+    return 0.5 * (lo + hi)
 
 
 def axis_fixed_point(lam: float) -> float:
@@ -45,14 +66,8 @@ def axis_fixed_point(lam: float) -> float:
         raise ValueError("the equation has a positive root only for lam > 1")
     def g(t):
         return lam * math.tanh(t) - t
-    lo, hi = 1e-300, lam  # g > 0 near 0+ since the slope is lam > 1; g(lam) < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    # g > 0 near 0+ since the slope is lam > 1; g(lam) < 0
+    x = _bisect(lambda t: g(t) > 0.0, 1e-300, lam)
     for _ in range(4):
         dg = lam / math.cosh(x) ** 2 - 1.0
         if dg == 0.0:
@@ -71,14 +86,8 @@ def smallest_tan_fixed_point(mu: float) -> float:
         raise ValueError("need 0 < mu < 1")
     def g(t):
         return mu * math.tan(t) - t
-    lo, hi = 1e-12, HALF_PI * (1.0 - 1e-14)  # g < 0 just above 0, g -> +inf at pi/2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    # g < 0 just above 0, g -> +inf at pi/2
+    x = _bisect(lambda t: g(t) < 0.0, 1e-12, HALF_PI * (1.0 - 1e-14))
     for _ in range(4):
         dg = mu / math.cos(x) ** 2 - 1.0
         if dg == 0.0:
@@ -204,43 +213,44 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
-    targets = [(Fate.TO_ORIGIN, np.zeros(3))]
+    targets = [(Fate.TO_ORIGIN, 0.0)]
     if lam > 1.0:
         xi = axis_fixed_point(lam)
-        targets.append((Fate.TO_UPPER_FIXED, np.array([0.0, 0.0, xi])))
-        targets.append((Fate.TO_LOWER_FIXED, np.array([0.0, 0.0, -xi])))
+        targets.append((Fate.TO_UPPER_FIXED, xi))
+        targets.append((Fate.TO_LOWER_FIXED, -xi))
     runs = [0] * len(targets)
-    p = as_vec3(v)
+    x, y, z = _checked_vec3(v)[1]
     grow_run = 0
     prev_center_norm = None
     for it in range(1, max_iter + 1):
-        p = tangent3(p, lam)
-        if is_infinity(p):
+        p = _tangent3_xyz(x, y, z, lam)
+        if p is None:
             return FateRecord(Fate.POLE_HIT, it, 0.0, INFINITY)
-        for i, (fate, target) in enumerate(targets):
-            d = vec_norm(p - target)
+        x, y, z = p
+        # every target sits on the axis: (0, 0, tz)
+        xy2 = x * x + y * y
+        for i, (fate, tz) in enumerate(targets):
+            dz = z - tz
+            d = math.sqrt(xy2 + dz * dz)
             runs[i] = runs[i] + 1 if d < tol else 0
             if runs[i] >= settle:
-                return FateRecord(fate, it, d, p)
+                return FateRecord(fate, it, d, np.array(p))
         # escape bookkeeping only makes sense on the invariant plane
-        if p[2] == 0.0:
-            idx = containing_diamond(p[:2])
-            if idx is not None:
-                cn = vec_norm(pole_location(idx))
-                if prev_center_norm is not None and cn > prev_center_norm:
-                    grow_run += 1
-                else:
-                    grow_run = 0
-                prev_center_norm = cn
-                if grow_run >= escape_run and vec_norm(p) > escape_norm:
-                    return FateRecord(Fate.ESCAPING, it, 0.0, p)
-            else:
-                grow_run = 0
-                prev_center_norm = None
-        else:
+        idx = containing_diamond(p) if z == 0.0 else None
+        if idx is None:
             grow_run = 0
             prev_center_norm = None
-    return FateRecord(Fate.UNDECIDED, max_iter, math.nan, p)
+            continue
+        lx, ly = _pole_xy(*idx)
+        cn = math.sqrt(lx * lx + ly * ly)
+        if prev_center_norm is not None and cn > prev_center_norm:
+            grow_run += 1
+        else:
+            grow_run = 0
+        prev_center_norm = cn
+        if grow_run >= escape_run and math.sqrt(xy2) > escape_norm:
+            return FateRecord(Fate.ESCAPING, it, 0.0, np.array(p))
+    return FateRecord(Fate.UNDECIDED, max_iter, math.nan, np.array(p))
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +259,29 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
 def parabolic_decrease_check(eps: float = 0.05, n_samples: int = 10_000,
                              seed: int = 0) -> bool:
     """Sampled check (lam = 1 only) that the third component obeys
-    T_3(x,y,z) <= z - z^3/24 on the cusp region {max(|x|,|y|) < z/2 < eps}."""
+    T_3(x,y,z) <= z - z^3/24 on the cusp region {max(|x|,|y|) < z/2 < eps}.
+
+    Each sample is z = uniform(0, 2 eps), then x and y uniform in
+    (-z/2, z/2), drawn as the triple of uniforms those calls consume and
+    rescaled by the same arithmetic; a z of exactly 0 is redrawn alone.
+    """
     rng = np.random.default_rng(seed)
     count = 0
     while count < n_samples:
-        z = rng.uniform(0.0, 2.0 * eps)
-        if z <= 0.0:
-            continue
+        state = rng.bit_generator.state
+        u = rng.random((n_samples - count, 3))
+        zero = np.flatnonzero(u[:, 0] == 0.0)
+        if zero.size:
+            # replay the stream up to that z, so the redraw starts after it
+            rng.bit_generator.state = state
+            rng.random(3 * int(zero[0]) + 1)
+            u = u[:zero[0]]
+        z = (2.0 * eps) * u[:, 0]
         m = z / 2.0
-        x = rng.uniform(-m, m)
-        y = rng.uniform(-m, m)
-        count += 1
-        img = tangent3(np.array([x, y, z]), 1.0)
-        if float(img[2]) > z - z ** 3 / 24.0:
+        x = -m + (m + m) * u[:, 1]
+        y = -m + (m + m) * u[:, 2]
+        count += len(u)
+        if np.any(tangent3_grid(x, y, z, 1.0)[2] > z - z ** 3 / 24.0):
             return False
     return True
 
@@ -275,32 +295,29 @@ def third_component_bound_violations(lam: float, n_samples: int = 10_000,
     xs = rng.uniform(-10.0, 10.0, n_samples)
     ys = rng.uniform(-10.0, 10.0, n_samples)
     zs = rng.uniform(1e-9, z_max, n_samples)
-    bad = 0
-    for x, y, z in zip(xs, ys, zs):
-        img = tangent3(np.array([x, y, z]), lam)
-        if float(img[2]) < lam * math.tanh(z) - slack:
-            bad += 1
-    return bad
+    tz = tangent3_grid(xs, ys, zs, lam)[2]
+    return int(np.count_nonzero(tz < lam * np.tanh(zs) - slack))
 
 
 def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
                                     seed: int = 0) -> int:
     """Count violations of offaxis_ratio(T(v)) < offaxis_ratio(v) on random
-    upper-half-space samples with max(|x|,|y|) bounded away from 0."""
+    upper-half-space samples with max(|x|,|y|) bounded away from 0.
+
+    A sample is the triple (uniform(-10, 10), uniform(-10, 10),
+    uniform(1e-6, 10)); an image at a pole or off the upper half-space
+    is a violation.
+    """
     rng = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(n_samples):
-        v = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10),
-                      rng.uniform(1e-6, 10.0)])
-        if max(abs(v[0]), abs(v[1])) < 1e-9:
-            continue
-        img = tangent3(v, lam)
-        if is_infinity(img) or not img[2] > 0.0:
-            bad += 1
-            continue
-        if not offaxis_ratio(img) < offaxis_ratio(v):
-            bad += 1
-    return bad
+    x, y, z = rng.uniform([-10.0, -10.0, 1e-6], [10.0, 10.0, 10.0], (n_samples, 3)).T
+    ratio = np.maximum(np.abs(x), np.abs(y))
+    keep = ~(ratio < 1e-9)
+    ratio = ratio[keep] / z[keep]
+    tx, ty, tz, finite = tangent3_grid(x[keep], y[keep], z[keep], lam)
+    up = finite & (tz > 0.0)
+    img_ratio = np.divide(np.maximum(np.abs(tx), np.abs(ty)), tz,
+                          out=np.full(tz.shape, math.inf), where=up)
+    return int(np.count_nonzero(~(img_ratio < ratio)))
 
 
 def diagonal_reduction_error(lam: float, n_samples: int = 200, seed: int = 0) -> float:

@@ -92,26 +92,40 @@ def vec_norm(v) -> float:
 _CHORDAL_SAFE = 1e153
 
 
-def _chordal_finite(dd, pp, qq, d, p, q):
-    """Chordal distance of finite p and q from dd = |p-q|^2, pp = |p|^2 and
-    qq = |q|^2, with the coordinates of d = p - q, p and q for the fallback.
+def _chordal_ratio(dd, pp, qq, sqrt):
+    """2|p-q| / sqrt((1+|p|^2)(1+|q|^2)) from the squared norms dd = |p-q|^2,
+    pp = |p|^2 and qq = |q|^2, with ``sqrt`` from math (floats) or numpy
+    (arrays)."""
+    return 2.0 * sqrt(dd) / sqrt((1.0 + pp) * (1.0 + qq))
 
-    2|p-q| / sqrt((1+|p|^2)(1+|q|^2)) wherever that is finite.  Where a
-    squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a
-    pole) the same distance comes from hypot, which scales instead of
-    squaring.  Shared by ``chordal`` (squared norms from numpy's dot) and
-    the inverse-branch residual (squared norms on Python floats).
-    """
-    dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + pp) * (1.0 + qq))
-    if math.isfinite(dist):
-        return dist
+
+def _chordal_scaled(d, p, q):
+    """The same distance from the coordinates of d = p - q, p and q by hypot,
+    which scales instead of squaring, so no intermediate overflows."""
     scaled = math.hypot(*d) / math.hypot(1.0, *p)
     return 2.0 * scaled / math.hypot(1.0, *q)
 
 
-def _chordal_infinite(pp) -> float:
+def _chordal_finite(dd, pp, qq, d, p, q):
+    """Chordal distance of finite p and q from dd = |p-q|^2, pp = |p|^2 and
+    qq = |q|^2, with the coordinates of d = p - q, p and q for the fallback.
+
+    The squared form wherever it is finite and positive, or 0 with
+    dd = 0.  Where a squared norm overflowed (|p| or |q| beyond ~1e154,
+    e.g. next to a pole) the form is infinite, NaN or a spurious 0, and
+    the same distance comes from hypot instead.  Shared by ``chordal``
+    (squared norms from numpy's dot), the inverse-branch residual
+    (squared norms on Python floats) and ``chordal_grid``.
+    """
+    dist = _chordal_ratio(dd, pp, qq, math.sqrt)
+    if 0.0 < dist < math.inf or dd == 0.0:
+        return dist
+    return _chordal_scaled(d, p, q)
+
+
+def _chordal_infinite(pp, sqrt=math.sqrt):
     """Chordal distance to INFINITY from a finite point with pp = |p|^2."""
-    return 2.0 / math.sqrt(1.0 + pp)
+    return 2.0 / sqrt(1.0 + pp)
 
 
 def chordal(p, q) -> float:
@@ -143,6 +157,35 @@ def chordal(p, q) -> float:
         d = p - q
         sq = float(d.dot(d)), float(p.dot(p)), float(q.dot(q))
     return _chordal_finite(*sq, d, p, q)
+
+
+def chordal_grid(p, q):
+    """chordal on parallel coordinate arrays, one distance per point pair.
+
+    ``p`` and ``q`` are (x, y, z) triples of arrays, with scalars
+    broadcast against them; a point with an infinite coordinate is
+    INFINITY, as ``tangent3_grid`` marks its pole hits.  The formula is
+    chordal's, with the squared norms summed left to right on the arrays
+    (chordal takes numpy's dot), so a value may differ from chordal's in
+    the last bit.  A pair whose squared form fails takes chordal's own
+    hypot fallback, point by point.
+    """
+    px, py, pz, qx, qy, qz = np.broadcast_arrays(
+        *(np.asarray(c, dtype=float) for c in (*p, *q)))
+    pinf = np.isinf(px) | np.isinf(py) | np.isinf(pz)
+    qinf = np.isinf(qx) | np.isinf(qy) | np.isinf(qz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (px - qx, py - qy, pz - qz)
+        dd, pp, qq = (a * a + b * b + c * c for a, b, c in (d, (px, py, pz), (qx, qy, qz)))
+        dist = _chordal_ratio(dd, pp, qq, np.sqrt)
+        one = pinf ^ qinf
+        dist[one] = _chordal_infinite(np.where(pinf, qq, pp)[one], np.sqrt)
+    dist[pinf & qinf] = 0.0
+    fallback = ~(((dist > 0.0) & (dist < math.inf)) | (dd == 0.0) | pinf | qinf)
+    for i in np.flatnonzero(fallback):
+        dist.flat[i] = _chordal_scaled(*(tuple(float(c.flat[i]) for c in t)
+                                         for t in (d, (px, py, pz), (qx, qy, qz))))
+    return dist
 
 
 def fold_axis(x: float, half_width: float):
@@ -211,7 +254,8 @@ def _hemisphere_xy(ux: float, uy: float, uz: float):
     enumerator.  The norm for the unit-norm check is summed on floats.
     """
     n = math.sqrt(ux * ux + uy * uy + uz * uz)
-    if abs(n - 1.0) > 1e-9:
+    # written so that a NaN norm fails the test too
+    if not abs(n - 1.0) <= 1e-9:
         raise ValueError(f"unit vector required, got norm {n}")
     if uz < -1e-9:
         raise ValueError("upper hemisphere required")

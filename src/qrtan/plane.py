@@ -152,9 +152,22 @@ def distance_to_nonsmooth(p) -> float:
     from them.
     """
     fx, _, fy, _ = _fold_point(p)
-    d_fold = min(QUARTER_PI - abs(fx), QUARTER_PI - abs(fy))
-    d_diag = min(abs(abs(fx) - abs(fy)) / SQRT2, math.hypot(fx, fy))
-    return min(d_fold, d_diag)
+    return _nonsmooth_distance(fx, fy, abs, min, math.hypot)
+
+
+def _nonsmooth_distance(fx, fy, absolute, minimum, hypot):
+    """distance_to_nonsmooth at the folded point (fx, fy), with the
+    functions from the builtins and math (floats) or numpy (arrays)."""
+    d_fold = minimum(QUARTER_PI - absolute(fx), QUARTER_PI - absolute(fy))
+    d_diag = minimum(absolute(absolute(fx) - absolute(fy)) / SQRT2, hypot(fx, fy))
+    return minimum(d_fold, d_diag)
+
+
+def _distance_to_nonsmooth_grid(x, y):
+    """distance_to_nonsmooth at arrays of plane points."""
+    fx, _ = fold_axis_grid(np.asarray(x, dtype=float), QUARTER_PI)
+    fy, _ = fold_axis_grid(np.asarray(y, dtype=float), QUARTER_PI)
+    return _nonsmooth_distance(fx, fy, np.abs, np.minimum, np.hypot)
 
 
 def _jacobian_entries(qx, qy, r, mx, my, g, dg, sx, sy, lam):
@@ -499,24 +512,33 @@ def _ball_samples(rng, center, radius, n):
     return np.column_stack([center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang)])
 
 
-def _min_singular_on_ball(lam, radius, rng):
-    """Sampled least singular value of DF_lam on a ball about the base pole,
-    from the closed-form Jacobian on all samples at once."""
-    pts = _ball_samples(rng, pole_location(_BASE_POLE), radius, _N_SAMPLES)
-    fx, ox = fold_axis_grid(pts[:, 0], QUARTER_PI)
-    fy, oy = fold_axis_grid(pts[:, 1], QUARTER_PI)
+def _jacobian_grid(x, y, lam):
+    """Entries (a, b, c, d) of DF_lam = [[a, b], [c, d]] at arrays of plane
+    points, from the closed form of ``_jacobian_entries``.
+
+    The array counterpart of ``_plane_jacobian``; defined off the tile
+    centres, where tan of the fold maximum vanishes.
+    """
+    fx, ox = fold_axis_grid(np.asarray(x, dtype=float), QUARTER_PI)
+    fy, oy = fold_axis_grid(np.asarray(y, dtype=float), QUARTER_PI)
     ax, ay = np.abs(fx), np.abs(fy)
     on_x = ax >= ay
     t = np.tan(np.maximum(ax, ay))
-    # t = 0 only at a tile centre; the ball's only one is the pole itself
     odd = ox ^ oy
     g = np.where(odd, 1.0 / t, t)
-    a, b, c, d = _jacobian_entries(
+    return _jacobian_entries(
         fx, fy, np.hypot(fx, fy),
         np.where(on_x, np.copysign(1.0, fx), 0.0), np.where(on_x, 0.0, np.copysign(1.0, fy)),
         g, np.where(odd, -1.0, 1.0) * (1.0 + g * g), np.where(ox, -1.0, 1.0),
         np.where(oy, -1.0, 1.0), lam)
-    smin, _ = singular_values_2x2(a, b, c, d)
+
+
+def _min_singular_on_ball(lam, radius, rng):
+    """Sampled least singular value of DF_lam on a ball about the base pole,
+    from the closed-form Jacobian on all samples at once."""
+    pts = _ball_samples(rng, pole_location(_BASE_POLE), radius, _N_SAMPLES)
+    # the ball's only tile centre is the pole itself, never sampled
+    smin, _ = singular_values_2x2(*_jacobian_grid(pts[:, 0], pts[:, 1], lam))
     return float(smin.min())
 
 

@@ -11,6 +11,17 @@ output lines and an exit code.
 Checks apply only where their hypotheses do (a petal check at lam > 1.4
 or an axis fixed point at lam < 1 would be meaningless), so the suite
 adapts to the parameter it is given.
+
+A sampled check evaluates all its points in one array pass: the map
+through ``tangent3_grid``, distances through ``chordal_grid`` and the
+plane derivative through its closed form on arrays.  The oracles stay
+independent of that kernel: complex ``tan`` for the embedded planes,
+the scalar ``tangent3_composed`` for the unfolded route.  Orbit checks
+run ``classify_orbit``, which iterates on Python floats.  The checks
+share one random generator, and each draws the same values, in the same
+count, as drawing one sample at a time would: a rejection sampler draws
+blocks of its remaining need, so it never draws past its last accepted
+sample.
 """
 
 import math
@@ -22,12 +33,14 @@ from . import analysis, itinerary, plane
 from .core import (
     HALF_PI,
     QUARTER_PI,
-    chordal,
+    chordal_grid,
+    fold_axis_grid,
     is_infinity,
     tangent3,
     tangent3_composed,
+    tangent3_grid,
 )
-from .plane import SQRT2
+from .plane import SQRT2, singular_values_2x2
 
 
 @dataclass
@@ -44,66 +57,68 @@ def _sample_points(rng, n, span=10.0, z=None):
     return pts
 
 
+def _max(values) -> float:
+    """Largest entry of an array as a float, 0.0 when it is empty."""
+    return float(np.max(values, initial=0.0))
+
+
+def _norm3(x, y, z):
+    """Euclidean norms of parallel coordinate arrays."""
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def check_tangent_embedding(lam, rng, n=10_000):
     """Restriction to the (x,z)- and (y,z)-planes equals lam*tan(a+ib)."""
-    import cmath
-    worst = 0.0
     a = rng.uniform(-10, 10, n)
     b = rng.uniform(-10, 10, n)
-    for ai, bi in zip(a, b):
-        w = lam * cmath.tan(complex(ai, bi))  # independent complex-arithmetic oracle
-        for v, want in ((np.array([ai, 0.0, bi]), np.array([w.real, 0.0, w.imag])),
-                        (np.array([0.0, ai, bi]), np.array([0.0, w.real, w.imag]))):
-            got = tangent3(v, lam)
-            worst = max(worst, chordal(got, want))
+    w = lam * np.tan(a + 1j * b)  # independent complex-arithmetic oracle
+    zero = np.zeros(n)
+    worst = max(
+        _max(chordal_grid(tangent3_grid(a, zero, b, lam)[:3], (w.real, zero, w.imag))),
+        _max(chordal_grid(tangent3_grid(zero, a, b, lam)[:3], (zero, w.real, w.imag))))
     return CheckResult("tangent-embedding",
                        worst < 1e-10, f"max chordal error {worst:.2e}")
 
 
 def check_periodicity(lam, rng, n=10_000):
     """T(v + (pi,0,0)) = T(v) = T(v + (0,pi,0)) in the chordal metric."""
-    worst = 0.0
-    for v in _sample_points(rng, n):
-        base = tangent3(v, lam)
-        for shift in (np.array([math.pi, 0, 0]), np.array([0, math.pi, 0])):
-            worst = max(worst, chordal(base, tangent3(v + shift, lam)))
+    x, y, z = _sample_points(rng, n).T
+    base = tangent3_grid(x, y, z, lam)[:3]
+    worst = max(_max(chordal_grid(base, tangent3_grid(x + math.pi, y, z, lam)[:3])),
+                _max(chordal_grid(base, tangent3_grid(x, y + math.pi, z, lam)[:3])))
     return CheckResult("periodicity", worst < 1e-10, f"max chordal error {worst:.2e}")
 
 
 def check_reflection_equivariance(lam, rng, n=10_000):
     """T commutes with reflection in each coordinate plane."""
+    v = _sample_points(rng, n // 3).T
+    *img, finite = tangent3_grid(*v, lam)
     worst = 0.0
-    refl = [np.array([-1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0])]
-    for v in _sample_points(rng, n // 3):
-        for r in refl:
-            lhs = tangent3(r * v, lam)
-            rhs = tangent3(v, lam)
-            if is_infinity(rhs):
-                ok = is_infinity(lhs)
-                worst = max(worst, 0.0 if ok else math.inf)
-            else:
-                worst = max(worst, chordal(lhs, r * rhs))
+    for axis in range(3):
+        rv = list(v)
+        rv[axis] = -rv[axis]
+        rimg = list(img)
+        rimg[axis] = -rimg[axis]
+        *lhs, lhs_finite = tangent3_grid(*rv, lam)
+        err = chordal_grid(lhs, rimg)
+        # T(v) at infinity needs T(rv) there too; both there is 0
+        err[~finite & lhs_finite] = math.inf
+        worst = max(worst, _max(err))
     return CheckResult("reflection-equivariance", worst < 1e-10,
                        f"max chordal error {worst:.2e}")
 
 
 def check_omitted_values(lam, rng, n=2_000):
     """(0,0,+-lam) is never attained but is the limit for z -> +-inf."""
-    up = np.array([0.0, 0.0, lam])
-    down = -up
-    min_gap = math.inf
-    for v in _sample_points(rng, n):
-        img = tangent3(v, lam)
-        if is_infinity(img):
-            continue
-        min_gap = min(min_gap, float(np.linalg.norm(img - up)),
-                      float(np.linalg.norm(img - down)))
+    tx, ty, tz, finite = tangent3_grid(*_sample_points(rng, n).T, lam)
+    tx, ty, tz = tx[finite], ty[finite], tz[finite]
+    gaps = np.minimum(_norm3(tx, ty, tz - lam), _norm3(tx, ty, tz + lam))
+    min_gap = float(np.min(gaps, initial=math.inf))
+    x, y, _ = _sample_points(rng, 200).T
     worst_limit = 0.0
-    for v in _sample_points(rng, 200):
-        hi = tangent3(np.array([v[0], v[1], 20.0]), lam)
-        lo = tangent3(np.array([v[0], v[1], -20.0]), lam)
-        worst_limit = max(worst_limit, float(np.linalg.norm(hi - up)),
-                          float(np.linalg.norm(lo - down)))
+    for z, limit in ((20.0, lam), (-20.0, -lam)):
+        tx, ty, tz, _ = tangent3_grid(x, y, np.full(x.shape, z), lam)
+        worst_limit = max(worst_limit, _max(_norm3(tx, ty, tz - limit)))
     ok = min_gap > 0.0 and worst_limit < 1e-8
     return CheckResult("omitted-values", ok,
                        f"min gap {min_gap:.2e}, limit error {worst_limit:.2e}")
@@ -111,47 +126,33 @@ def check_omitted_values(lam, rng, n=2_000):
 
 def check_half_space_invariance(lam, rng, n=5_000):
     """sign of the third component is preserved off the plane."""
-    bad = 0
-    for v in _sample_points(rng, n):
-        if v[2] == 0.0:
-            continue
-        img = tangent3(v, lam)
-        if is_infinity(img) or math.copysign(1.0, img[2]) != math.copysign(1.0, v[2]):
-            bad += 1
+    x, y, z = _sample_points(rng, n).T
+    off = z != 0.0
+    _, _, tz, finite = tangent3_grid(x[off], y[off], z[off], lam)
+    bad = int(np.count_nonzero(~finite | (np.signbit(tz) != np.signbit(z[off]))))
     return CheckResult("half-space-invariance", bad == 0, f"{bad} violations")
 
 
 def check_composed_consistency(lam, rng, n=10_000):
     """Beam evaluation agrees with the unfolded cayley(zorich(2v)) route."""
-    worst = 0.0
-    used = 0
-    for v in _sample_points(rng, 2 * n, span=5.0):
-        if used >= n:
-            break
-        fx, _ = _fold_gap(v[0])
-        fy, _ = _fold_gap(v[1])
-        if min(fx, fy) < 1e-6:
-            continue
-        used += 1
-        a = tangent3(v, lam)
-        b = tangent3_composed(v, lam)
-        worst = max(worst, chordal(a, b))
+    pts = _sample_points(rng, 2 * n, span=5.0)
+    # keep the first n samples at least 1e-6 from every fold line
+    gap = np.minimum(*(QUARTER_PI - np.abs(fold_axis_grid(pts[:, k], QUARTER_PI)[0])
+                       for k in (0, 1)))
+    pts = pts[~(gap < 1e-6)][:n]
+    oracle = [tangent3_composed(v, lam) for v in pts]
+    want = np.array([(math.inf,) * 3 if is_infinity(w) else w for w in oracle]).reshape(-1, 3)
+    worst = _max(chordal_grid(tangent3_grid(*pts.T, lam)[:3], want.T))
     return CheckResult("composed-vs-beam-consistency", worst < 1e-9,
-                       f"max chordal error {worst:.2e} over {used} samples")
-
-
-def _fold_gap(x):
-    from .core import fold_axis
-    f, p = fold_axis(float(x), QUARTER_PI)
-    return QUARTER_PI - abs(f), p
+                       f"max chordal error {worst:.2e} over {len(pts)} samples")
 
 
 def check_axis_action(lam, rng, n=2_000):
     """T_lam(0,0,z) = (0,0, lam*tanh z)."""
-    worst = 0.0
-    for z in rng.uniform(-20, 20, n):
-        img = tangent3(np.array([0.0, 0.0, z]), lam)
-        worst = max(worst, float(np.linalg.norm(img - np.array([0, 0, lam * math.tanh(z)]))))
+    z = rng.uniform(-20, 20, n)
+    zero = np.zeros(n)
+    tx, ty, tz, _ = tangent3_grid(zero, zero, z, lam)
+    worst = _max(_norm3(tx, ty, tz - lam * np.tanh(z)))
     return CheckResult("axis-action", worst < 1e-12, f"max error {worst:.2e}")
 
 
@@ -169,13 +170,9 @@ def check_axis_fixed_point(lam, rng):
 def check_basin_classification(lam, rng, n=200):
     """Orbits off the plane fall into the advertised attractor."""
     want = analysis.Fate.TO_UPPER_FIXED if lam > 1.0 else analysis.Fate.TO_ORIGIN
-    bad = 0
-    for _ in range(n):
-        v = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10),
-                      rng.uniform(0.01, 5.0)])
-        rec = analysis.classify_orbit(v, lam, max_iter=500)
-        if rec.fate is not want:
-            bad += 1
+    starts = rng.uniform([-10.0, -10.0, 0.01], [10.0, 10.0, 5.0], (n, 3))
+    bad = sum(analysis.classify_orbit(v, lam, max_iter=500).fate is not want
+              for v in starts)
     return CheckResult("basin-classification", bad == 0,
                        f"{bad}/{n} orbits missed {want.value}")
 
@@ -199,6 +196,20 @@ def check_parabolic_bound(lam, rng, n=10_000):
                        "third component below z - z^3/24 on the cusp region")
 
 
+def _accepted_uniform(rng, n, low, high, dim, keep):
+    """n rows of rng.uniform(low, high, dim) that pass ``keep`` (a mask of a
+    block of rows), drawn in blocks of the remaining need: the same
+    values, in the same count, as drawing one row at a time until n pass.
+    """
+    blocks = []
+    while n > 0:
+        block = rng.uniform(low, high, (n, dim))
+        block = block[keep(block)]
+        blocks.append(block)
+        n -= len(block)
+    return np.concatenate(blocks)
+
+
 def check_derivative_lower_bound(lam, rng, n=10_000):
     """Sampled eigenvalues of DF stay above lam/sqrt(2) - 0.01 in modulus.
 
@@ -209,18 +220,18 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
     reported but not gated on.
     """
     bound = lam / SQRT2 - 0.01
-    worst_eig = math.inf
-    worst_sv = math.inf
-    used = 0
-    while used < n:
-        p = rng.uniform(-6, 6, 2)
-        if plane.distance_to_nonsmooth(p) <= 1e-3:
-            continue
-        used += 1
-        s = plane.jacobian_plane_map(p, lam)
-        worst_sv = min(worst_sv, s.min_singular_value)
-        if s.eigenvalues is not None:
-            worst_eig = min(worst_eig, min(abs(e) for e in s.eigenvalues))
+    x, y = _accepted_uniform(
+        rng, n, -6, 6, 2,
+        lambda p: plane._distance_to_nonsmooth_grid(p[:, 0], p[:, 1]) > 1e-3).T
+    a, b, c, d = plane._jacobian_grid(x, y, lam)
+    worst_sv = float(singular_values_2x2(a, b, c, d)[0].min())
+    tr = a + d
+    disc = tr * tr - 4.0 * (a * d - b * c)
+    real = disc >= 0.0
+    tr = tr[real]
+    sq = np.sqrt(disc[real])
+    worst_eig = float(np.min(np.minimum(np.abs(tr - sq), np.abs(tr + sq)) / 2.0,
+                             initial=math.inf))
     return CheckResult("derivative-lower-bound", worst_eig >= bound,
                        f"min |eigenvalue| {worst_eig:.4f} vs bound {bound:.4f} "
                        f"(least singular value seen {worst_sv:.4f})")
@@ -330,16 +341,13 @@ def check_calibration(lam, rng):
 
 def check_diagonal_invariance(lam, rng, n=500):
     """The diagonal lines map into the bounded diagonal segment."""
-    worst_off = 0.0
-    worst_len = 0.0
-    for x in rng.uniform(-30, 30, n):
-        for s in (1.0, -1.0):
-            img = plane.plane_map(np.array([x, s * x]), lam)
-            if is_infinity(img):
-                return CheckResult("diagonal-invariance", False,
-                                   "diagonal point hit a pole")
-            worst_off = max(worst_off, abs(abs(img[0]) - abs(img[1])))
-            worst_len = max(worst_len, abs(img[0]))
+    x = rng.uniform(-30, 30, n)
+    tx, ty, _, finite = tangent3_grid(np.concatenate([x, x]), np.concatenate([x, -x]),
+                                      0.0, lam)
+    if not finite.all():
+        return CheckResult("diagonal-invariance", False, "diagonal point hit a pole")
+    worst_off = _max(np.abs(np.abs(tx) - np.abs(ty)))
+    worst_len = _max(np.abs(tx))
     ok = worst_off < 1e-10 and worst_len <= lam / SQRT2 + 1e-10
     return CheckResult("diagonal-invariance", ok,
                        f"off-diagonal {worst_off:.1e}, max |x| {worst_len:.6f} "

@@ -1,0 +1,374 @@
+"""Scalar reference versions of the array-evaluated verify checks.
+
+Each function below is the one-point-at-a-time body that the check or
+sampler of the same name ran before it moved onto ``tangent3_grid`` and
+the float core, kept verbatim (names and imports aside) so the tests can
+require the array versions to reach the same verdicts, consume the same
+random numbers and, for ``classify_orbit``, return the same fates.
+The bisections are the full 200-step loops, without the early stop.
+"""
+
+import math
+
+import numpy as np
+
+from qrtan import analysis, plane
+from qrtan.analysis import Fate, FateRecord, offaxis_ratio
+from qrtan.core import (
+    HALF_PI,
+    INFINITY,
+    QUARTER_PI,
+    as_vec3,
+    chordal,
+    is_infinity,
+    tangent3,
+    tangent3_composed,
+    vec_norm,
+)
+from qrtan.plane import SQRT2, containing_diamond, pole_location
+from qrtan.verify import CheckResult
+
+
+def _sample_points(rng, n, span=10.0, z=None):
+    pts = rng.uniform(-span, span, size=(n, 3))
+    if z is not None:
+        pts[:, 2] = z
+    return pts
+
+
+def check_tangent_embedding(lam, rng, n=10_000):
+    """Restriction to the (x,z)- and (y,z)-planes equals lam*tan(a+ib)."""
+    import cmath
+    worst = 0.0
+    a = rng.uniform(-10, 10, n)
+    b = rng.uniform(-10, 10, n)
+    for ai, bi in zip(a, b):
+        w = lam * cmath.tan(complex(ai, bi))  # independent complex-arithmetic oracle
+        for v, want in ((np.array([ai, 0.0, bi]), np.array([w.real, 0.0, w.imag])),
+                        (np.array([0.0, ai, bi]), np.array([0.0, w.real, w.imag]))):
+            got = tangent3(v, lam)
+            worst = max(worst, chordal(got, want))
+    return CheckResult("tangent-embedding",
+                       worst < 1e-10, f"max chordal error {worst:.2e}")
+
+
+def check_periodicity(lam, rng, n=10_000):
+    """T(v + (pi,0,0)) = T(v) = T(v + (0,pi,0)) in the chordal metric."""
+    worst = 0.0
+    for v in _sample_points(rng, n):
+        base = tangent3(v, lam)
+        for shift in (np.array([math.pi, 0, 0]), np.array([0, math.pi, 0])):
+            worst = max(worst, chordal(base, tangent3(v + shift, lam)))
+    return CheckResult("periodicity", worst < 1e-10, f"max chordal error {worst:.2e}")
+
+
+def check_reflection_equivariance(lam, rng, n=10_000):
+    """T commutes with reflection in each coordinate plane."""
+    worst = 0.0
+    refl = [np.array([-1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0])]
+    for v in _sample_points(rng, n // 3):
+        for r in refl:
+            lhs = tangent3(r * v, lam)
+            rhs = tangent3(v, lam)
+            if is_infinity(rhs):
+                ok = is_infinity(lhs)
+                worst = max(worst, 0.0 if ok else math.inf)
+            else:
+                worst = max(worst, chordal(lhs, r * rhs))
+    return CheckResult("reflection-equivariance", worst < 1e-10,
+                       f"max chordal error {worst:.2e}")
+
+
+def check_omitted_values(lam, rng, n=2_000):
+    """(0,0,+-lam) is never attained but is the limit for z -> +-inf."""
+    up = np.array([0.0, 0.0, lam])
+    down = -up
+    min_gap = math.inf
+    for v in _sample_points(rng, n):
+        img = tangent3(v, lam)
+        if is_infinity(img):
+            continue
+        min_gap = min(min_gap, float(np.linalg.norm(img - up)),
+                      float(np.linalg.norm(img - down)))
+    worst_limit = 0.0
+    for v in _sample_points(rng, 200):
+        hi = tangent3(np.array([v[0], v[1], 20.0]), lam)
+        lo = tangent3(np.array([v[0], v[1], -20.0]), lam)
+        worst_limit = max(worst_limit, float(np.linalg.norm(hi - up)),
+                          float(np.linalg.norm(lo - down)))
+    ok = min_gap > 0.0 and worst_limit < 1e-8
+    return CheckResult("omitted-values", ok,
+                       f"min gap {min_gap:.2e}, limit error {worst_limit:.2e}")
+
+
+def check_half_space_invariance(lam, rng, n=5_000):
+    """sign of the third component is preserved off the plane."""
+    bad = 0
+    for v in _sample_points(rng, n):
+        if v[2] == 0.0:
+            continue
+        img = tangent3(v, lam)
+        if is_infinity(img) or math.copysign(1.0, img[2]) != math.copysign(1.0, v[2]):
+            bad += 1
+    return CheckResult("half-space-invariance", bad == 0, f"{bad} violations")
+
+
+def check_composed_consistency(lam, rng, n=10_000):
+    """Beam evaluation agrees with the unfolded cayley(zorich(2v)) route."""
+    worst = 0.0
+    used = 0
+    for v in _sample_points(rng, 2 * n, span=5.0):
+        if used >= n:
+            break
+        fx, _ = _fold_gap(v[0])
+        fy, _ = _fold_gap(v[1])
+        if min(fx, fy) < 1e-6:
+            continue
+        used += 1
+        a = tangent3(v, lam)
+        b = tangent3_composed(v, lam)
+        worst = max(worst, chordal(a, b))
+    return CheckResult("composed-vs-beam-consistency", worst < 1e-9,
+                       f"max chordal error {worst:.2e} over {used} samples")
+
+
+def _fold_gap(x):
+    from qrtan.core import fold_axis
+    f, p = fold_axis(float(x), QUARTER_PI)
+    return QUARTER_PI - abs(f), p
+
+
+def check_axis_action(lam, rng, n=2_000):
+    """T_lam(0,0,z) = (0,0, lam*tanh z)."""
+    worst = 0.0
+    for z in rng.uniform(-20, 20, n):
+        img = tangent3(np.array([0.0, 0.0, z]), lam)
+        worst = max(worst, float(np.linalg.norm(img - np.array([0, 0, lam * math.tanh(z)]))))
+    return CheckResult("axis-action", worst < 1e-12, f"max error {worst:.2e}")
+
+
+def check_basin_classification(lam, rng, n=200):
+    """Orbits off the plane fall into the advertised attractor."""
+    want = analysis.Fate.TO_UPPER_FIXED if lam > 1.0 else analysis.Fate.TO_ORIGIN
+    bad = 0
+    for _ in range(n):
+        v = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10),
+                      rng.uniform(0.01, 5.0)])
+        rec = classify_orbit(v, lam, max_iter=500)
+        if rec.fate is not want:
+            bad += 1
+    return CheckResult("basin-classification", bad == 0,
+                       f"{bad}/{n} orbits missed {want.value}")
+
+
+def check_derivative_lower_bound(lam, rng, n=10_000):
+    """Sampled eigenvalues of DF stay above lam/sqrt(2) - 0.01 in modulus.
+
+    The eigenvalue bound is what the derivative computation actually
+    establishes.  The least *singular* value genuinely dips below
+    lam/sqrt(2) on a cone about the diagonals (the matrix is non-normal
+    there, with a double eigenvalue exactly lam/sqrt(2)), so it is
+    reported but not gated on.
+    """
+    bound = lam / SQRT2 - 0.01
+    worst_eig = math.inf
+    worst_sv = math.inf
+    used = 0
+    while used < n:
+        p = rng.uniform(-6, 6, 2)
+        if plane.distance_to_nonsmooth(p) <= 1e-3:
+            continue
+        used += 1
+        s = plane.jacobian_plane_map(p, lam)
+        worst_sv = min(worst_sv, s.min_singular_value)
+        if s.eigenvalues is not None:
+            worst_eig = min(worst_eig, min(abs(e) for e in s.eigenvalues))
+    return CheckResult("derivative-lower-bound", worst_eig >= bound,
+                       f"min |eigenvalue| {worst_eig:.4f} vs bound {bound:.4f} "
+                       f"(least singular value seen {worst_sv:.4f})")
+
+
+def check_diagonal_invariance(lam, rng, n=500):
+    """The diagonal lines map into the bounded diagonal segment."""
+    worst_off = 0.0
+    worst_len = 0.0
+    for x in rng.uniform(-30, 30, n):
+        for s in (1.0, -1.0):
+            img = plane.plane_map(np.array([x, s * x]), lam)
+            if is_infinity(img):
+                return CheckResult("diagonal-invariance", False,
+                                   "diagonal point hit a pole")
+            worst_off = max(worst_off, abs(abs(img[0]) - abs(img[1])))
+            worst_len = max(worst_len, abs(img[0]))
+    ok = worst_off < 1e-10 and worst_len <= lam / SQRT2 + 1e-10
+    return CheckResult("diagonal-invariance", ok,
+                       f"off-diagonal {worst_off:.1e}, max |x| {worst_len:.6f} "
+                       f"vs {lam / SQRT2:.6f}")
+
+
+# ---------------------------------------------------------------------------
+# analysis
+
+def axis_fixed_point(lam: float) -> float:
+    """The positive solution of lam * tanh(xi) = xi (needs lam > 1).
+
+    Bisection on [tiny, lam] followed by Newton polish; the residual of
+    the returned value is below 1e-12.  For lam <= 1 the only solution
+    is 0 and a ValueError is raised.
+    """
+    if not lam > 1.0:
+        raise ValueError("the equation has a positive root only for lam > 1")
+    def g(t):
+        return lam * math.tanh(t) - t
+    lo, hi = 1e-300, lam  # g > 0 near 0+ since the slope is lam > 1; g(lam) < 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(4):
+        dg = lam / math.cosh(x) ** 2 - 1.0
+        if dg == 0.0:
+            break
+        x -= g(x) / dg
+    return x
+
+
+def smallest_tan_fixed_point(mu: float) -> float:
+    """The smallest positive solution of mu * tan(x) = x, for 0 < mu < 1.
+
+    Lies in (0, pi/2); decreasing in mu.  Bisection plus Newton polish,
+    residual below 1e-12.
+    """
+    if not (0.0 < mu < 1.0):
+        raise ValueError("need 0 < mu < 1")
+    def g(t):
+        return mu * math.tan(t) - t
+    lo, hi = 1e-12, HALF_PI * (1.0 - 1e-14)  # g < 0 just above 0, g -> +inf at pi/2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(4):
+        dg = mu / math.cos(x) ** 2 - 1.0
+        if dg == 0.0:
+            break
+        step = g(x) / dg
+        if 0.0 < x - step < HALF_PI:
+            x -= step
+    return x
+
+
+def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
+                   escape_run: int = 8, escape_norm: float = 50.0,
+                   settle: int = 3) -> FateRecord:
+    """Iterate the scaled tangent map and name the orbit's fate.
+
+    Convergence fates require staying within ``tol`` of the target for
+    ``settle`` consecutive steps.  The escape call is heuristic by
+    nature (the escaping set is totally disconnected): the orbit must
+    sit in pole diamonds whose centre norms strictly increased for
+    ``escape_run`` consecutive steps while the orbit norm exceeds
+    ``escape_norm``.  Anything else at the horizon is Undecided.
+    """
+    if max_iter < 1:
+        raise ValueError("need max_iter >= 1")
+    targets = [(Fate.TO_ORIGIN, np.zeros(3))]
+    if lam > 1.0:
+        xi = axis_fixed_point(lam)
+        targets.append((Fate.TO_UPPER_FIXED, np.array([0.0, 0.0, xi])))
+        targets.append((Fate.TO_LOWER_FIXED, np.array([0.0, 0.0, -xi])))
+    runs = [0] * len(targets)
+    p = as_vec3(v)
+    grow_run = 0
+    prev_center_norm = None
+    for it in range(1, max_iter + 1):
+        p = tangent3(p, lam)
+        if is_infinity(p):
+            return FateRecord(Fate.POLE_HIT, it, 0.0, INFINITY)
+        for i, (fate, target) in enumerate(targets):
+            d = vec_norm(p - target)
+            runs[i] = runs[i] + 1 if d < tol else 0
+            if runs[i] >= settle:
+                return FateRecord(fate, it, d, p)
+        # escape bookkeeping only makes sense on the invariant plane
+        if p[2] == 0.0:
+            idx = containing_diamond(p[:2])
+            if idx is not None:
+                cn = vec_norm(pole_location(idx))
+                if prev_center_norm is not None and cn > prev_center_norm:
+                    grow_run += 1
+                else:
+                    grow_run = 0
+                prev_center_norm = cn
+                if grow_run >= escape_run and vec_norm(p) > escape_norm:
+                    return FateRecord(Fate.ESCAPING, it, 0.0, p)
+            else:
+                grow_run = 0
+                prev_center_norm = None
+        else:
+            grow_run = 0
+            prev_center_norm = None
+    return FateRecord(Fate.UNDECIDED, max_iter, math.nan, p)
+
+
+def parabolic_decrease_check(eps: float = 0.05, n_samples: int = 10_000,
+                             seed: int = 0) -> bool:
+    """Sampled check (lam = 1 only) that the third component obeys
+    T_3(x,y,z) <= z - z^3/24 on the cusp region {max(|x|,|y|) < z/2 < eps}."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    while count < n_samples:
+        z = rng.uniform(0.0, 2.0 * eps)
+        if z <= 0.0:
+            continue
+        m = z / 2.0
+        x = rng.uniform(-m, m)
+        y = rng.uniform(-m, m)
+        count += 1
+        img = tangent3(np.array([x, y, z]), 1.0)
+        if float(img[2]) > z - z ** 3 / 24.0:
+            return False
+    return True
+
+
+def third_component_bound_violations(lam: float, n_samples: int = 10_000,
+                                     seed: int = 0, z_max: float = 5.0,
+                                     slack: float = 1e-12) -> int:
+    """Count violations of T_3(x,y,z) >= lam*tanh(z) - slack over random
+    samples with z > 0 (odd- and even-parity tiles both covered)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-10.0, 10.0, n_samples)
+    ys = rng.uniform(-10.0, 10.0, n_samples)
+    zs = rng.uniform(1e-9, z_max, n_samples)
+    bad = 0
+    for x, y, z in zip(xs, ys, zs):
+        img = tangent3(np.array([x, y, z]), lam)
+        if float(img[2]) < lam * math.tanh(z) - slack:
+            bad += 1
+    return bad
+
+
+def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
+                                    seed: int = 0) -> int:
+    """Count violations of offaxis_ratio(T(v)) < offaxis_ratio(v) on random
+    upper-half-space samples with max(|x|,|y|) bounded away from 0."""
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for _ in range(n_samples):
+        v = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10),
+                      rng.uniform(1e-6, 10.0)])
+        if max(abs(v[0]), abs(v[1])) < 1e-9:
+            continue
+        img = tangent3(v, lam)
+        if is_infinity(img) or not img[2] > 0.0:
+            bad += 1
+            continue
+        if not offaxis_ratio(img) < offaxis_ratio(v):
+            bad += 1
+    return bad

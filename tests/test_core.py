@@ -14,6 +14,7 @@ from qrtan.core import (
     _beam_formula,
     as_vec3,
     chordal,
+    chordal_grid,
     fold_axis,
     fold_to_beam,
     hemisphere_to_square,
@@ -100,6 +101,12 @@ class TestHemisphereToSquare:
     def test_rejects_lower_hemisphere(self):
         with pytest.raises(ValueError):
             hemisphere_to_square([0.6, 0, -0.8])
+
+    @pytest.mark.parametrize("u", [[math.nan, 0.0, 1.0], [0.0, 0.0, math.nan],
+                                   [math.inf, 0.0, 0.0]])
+    def test_rejects_non_finite(self, u):
+        with pytest.raises(ValueError, match="unit vector"):
+            hemisphere_to_square(u)
 
 
 class TestFolding:
@@ -434,15 +441,18 @@ class TestChordal:
     def test_huge_points_keep_their_value_without_warning(self):
         # beyond ~1e154 a squared norm overflows; chordal gives what the
         # squared-norm arithmetic and its hypot fallback give with the
-        # overflow silenced, and emits no RuntimeWarning (an error here)
+        # overflow silenced, and emits no RuntimeWarning (an error here).
+        # The fallback takes over where the squared form is not finite and
+        # positive, unless |p - q|^2 = 0
         def reference(p, q):
             with np.errstate(over="ignore"):
                 if is_infinity(q):
                     return 2.0 / math.sqrt(1.0 + float(p @ p))
                 d = p - q
-                dist = 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p))
-                                                                 * (1.0 + float(q @ q)))
-            if math.isfinite(dist):
+                dd = float(d @ d)
+                dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + float(p @ p))
+                                                       * (1.0 + float(q @ q)))
+            if 0.0 < dist < math.inf or dd == 0.0:
                 return dist
             scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
             return 2.0 * scaled / math.hypot(1.0, *q.tolist())
@@ -458,6 +468,40 @@ class TestChordal:
                 assert chordal(a, b) == reference(a, b)
             assert chordal(p, INFINITY) == chordal(INFINITY, p) == reference(p, INFINITY)
 
+    def test_distinct_points_are_not_at_distance_zero(self):
+        # (1 + |p|^2)(1 + |q|^2) overflows while |p - q|^2 does not, so the
+        # squared form reads 0.0 for two distinct points; hypot gives the value
+        far = [1e150, 0.0, 0.0]
+        near = [3e4, 0.0, 0.0]
+        assert math.isclose(chordal(far, near), 6.666666662962963e-05, rel_tol=1e-15)
+        assert math.isclose(chordal(far, near), chordal(INFINITY, near), rel_tol=1e-15)
+        assert math.isclose(chordal(near, far), chordal(far, near), rel_tol=1e-15)
+        assert math.isclose(chordal(far, [-1e150, 0.0, 0.0]), 4e-150, rel_tol=1e-15)
+        assert chordal(far, far) == 0.0
+        got = chordal_grid(np.array([far, far, far]).T,
+                           np.array([near, [-1e150, 0.0, 0.0], far]).T)
+        assert got.tolist() == [chordal(far, near), chordal(far, [-1e150, 0.0, 0.0]), 0.0]
+
+    def test_grid_matches_scalar(self):
+        # the grid sums squared norms left to right where chordal takes
+        # numpy's dot, so values agree to rounding; infinity (any infinite
+        # coordinate) and the hypot fallback agree exactly
+        rng = np.random.default_rng(83)
+        p = rng.normal(size=(3, 4000)) * 10.0 ** rng.uniform(-5.0, 300.0, (3, 4000))
+        q = rng.normal(size=(3, 4000)) * 10.0 ** rng.uniform(-5.0, 300.0, (3, 4000))
+        p[:, :40] = np.inf
+        q[:, 20:60] = np.inf
+        q[:, 100:140] = p[:, 100:140]
+        got = chordal_grid(p, q)
+
+        def point(a, i):
+            return INFINITY if np.isinf(a[:, i]).any() else a[:, i]
+
+        want = np.array([chordal(point(p, i), point(q, i)) for i in range(p.shape[1])])
+        assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+        assert np.array_equal(got[:140], want[:140])
+        assert got[100:140].tolist() == [0.0] * 40
+
     def test_matches_squared_norm_formula_below_overflow(self):
         def reference(p, q):
             d = p - q
@@ -468,7 +512,11 @@ class TestChordal:
         for _ in range(5000):
             p = rng.normal(size=3) * 10.0 ** rng.uniform(-300.0, 150.0)
             q = rng.normal(size=3) * 10.0 ** rng.uniform(-300.0, 150.0)
-            assert chordal(p, q) == reference(p, q)
+            want = reference(p, q)
+            if want == 0.0 and float((p - q) @ (p - q)) > 0.0:
+                # (1 + |p|^2)(1 + |q|^2) overflowed: the value comes from hypot
+                want = 2.0 * (math.hypot(*(p - q)) / math.hypot(1.0, *p)) / math.hypot(1.0, *q)
+            assert chordal(p, q) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""The array-evaluated checks against their scalar references.
+
+``scalar_reference`` keeps the one-point-at-a-time bodies the checks,
+samplers, orbit classifier and bisections had before they moved onto
+``tangent3_grid`` and the float core.  The verify suite shares one
+random generator across its checks, so each check must reach the same
+verdict *and* leave the generator in the same state.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import scalar_reference as ref
+from qrtan import analysis, verify
+from qrtan.core import is_infinity
+from qrtan.itinerary import Itinerary, point_from_itinerary
+from qrtan.plane import inverse_branch, pole_location
+
+LAMS = (0.9, 1.0, 2.0)
+SEEDS = (0, 5, 9706)
+
+PORTED = [
+    (verify.check_tangent_embedding, ref.check_tangent_embedding),
+    (verify.check_periodicity, ref.check_periodicity),
+    (verify.check_reflection_equivariance, ref.check_reflection_equivariance),
+    (verify.check_omitted_values, ref.check_omitted_values),
+    (verify.check_half_space_invariance, ref.check_half_space_invariance),
+    (verify.check_composed_consistency, ref.check_composed_consistency),
+    (verify.check_axis_action, ref.check_axis_action),
+    (verify.check_basin_classification, ref.check_basin_classification),
+    (verify.check_derivative_lower_bound, ref.check_derivative_lower_bound),
+    (verify.check_diagonal_invariance, ref.check_diagonal_invariance),
+]
+
+# details made of counts, which rounding cannot move, or printed to a
+# precision the last-bit differences of the grid kernel do not reach here
+EXACT_DETAIL = {"half-space-invariance", "basin-classification",
+                "derivative-lower-bound", "diagonal-invariance"}
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("check,reference", PORTED, ids=lambda c: getattr(c, "__name__", ""))
+def test_check_matches_scalar_reference(check, reference, lam):
+    kw = verify._FAST_KW[check]
+    for seed in SEEDS:
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        # start mid-stream, as a check does inside the suite
+        rng.uniform(size=seed % 7)
+        rng_ref.uniform(size=seed % 7)
+        got = check(lam, rng, **kw)
+        want = reference(lam, rng_ref, **kw)
+        assert (got.name, got.passed) == (want.name, want.passed)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if got.name in EXACT_DETAIL:
+            assert got.detail == want.detail
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_analysis_samplers_match_scalar_reference(lam):
+    for seed in (1, 3, 304):
+        assert analysis.offaxis_monotonicity_violations(lam, 2000, seed) == \
+            ref.offaxis_monotonicity_violations(lam, 2000, seed)
+        assert analysis.third_component_bound_violations(lam, 2000, seed) == \
+            ref.third_component_bound_violations(lam, 2000, seed)
+    # the cusp inequality fails for large eps; both must agree either way
+    for eps, seed in ((0.05, 2), (0.05, 304), (2.0, 1)):
+        assert analysis.parabolic_decrease_check(eps, 2000, seed) == \
+            ref.parabolic_decrease_check(eps, 2000, seed)
+
+
+def test_sampler_violation_counts_match_scalar_reference():
+    # a negative slack makes tanh-bound violations occur, so those counts
+    # are compared where they are not 0 (the off-axis ratio decreases at
+    # every lam, so its count stays 0)
+    counts = []
+    for lam in (0.3, 5.0):
+        for seed in (1, 2):
+            counts.append(analysis.third_component_bound_violations(lam, 500, seed, slack=-1e-3))
+            assert counts[-1] == ref.third_component_bound_violations(lam, 500, seed,
+                                                                      slack=-1e-3)
+            counts.append(analysis.offaxis_monotonicity_violations(lam, 500, seed))
+            assert counts[-1] == ref.offaxis_monotonicity_violations(lam, 500, seed)
+    assert all(counts[::2]) and not any(counts[1::2])
+
+
+class _Stream:
+    """A generator stand-in replaying fixed uniforms, one per value drawn,
+    the way ``random`` and ``uniform`` consume them."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.state = 0
+        self.bit_generator = self
+
+    def _take(self, k):
+        out = self.values[self.state:self.state + k]
+        self.state += k
+        return out
+
+    def random(self, size):
+        return np.array(self._take(int(np.prod(size)))).reshape(size)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._take(1)[0]
+
+
+def test_parabolic_sampler_redraws_zero_z_alone(monkeypatch):
+    # z = 0 is redrawn without drawing x and y: the scalar sampler reads z
+    # at positions 0 (zero, redrawn), 1, 4, 7 and 10 (zero again)
+    values = np.random.default_rng(8).uniform(0.05, 1.0, 100)
+    values[[0, 10]] = 0.0
+    streams = []
+
+    def make(seed):
+        streams.append(_Stream(values))
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", make)
+    assert analysis.parabolic_decrease_check(0.05, 20, seed=0)
+    assert ref.parabolic_decrease_check(0.05, 20, seed=0)
+    assert streams[0].state == streams[1].state == 62
+
+
+def _orbit_starts(lam):
+    rng = np.random.default_rng(int(lam * 10_000))
+    starts = [rng.uniform([-10, -10, -5], [10, 10, 5]) for _ in range(12)]
+    starts += [np.array([*rng.uniform(-3, 3, 2), 0.0]) for _ in range(12)]
+    starts += [np.array([*pole_location((1, 2)), 0.0]),  # a pole
+               np.array([*inverse_branch((0, 0), pole_location((0, 3)), lam), 0.0])]
+    return starts
+
+
+@pytest.mark.parametrize("lam", (0.5, 0.9, 1.0, 1.1107, 2.0))
+def test_classify_orbit_matches_scalar_reference(lam):
+    for v in _orbit_starts(lam):
+        for kw in ({"max_iter": 400}, {"max_iter": 60, "tol": 1e-3, "settle": 2}):
+            got = analysis.classify_orbit(v, lam, **kw)
+            want = ref.classify_orbit(v, lam, **kw)
+            assert (got.fate, got.iterations) == (want.fate, want.iterations)
+            assert is_infinity(got.witness) == is_infinity(want.witness)
+            if not is_infinity(want.witness):
+                assert got.witness.tobytes() == want.witness.tobytes()
+            # the residual is summed on floats where the reference took
+            # numpy's dot: it may move in the last bit
+            assert got.residual == pytest.approx(want.residual, rel=1e-15, abs=0.0,
+                                                 nan_ok=True)
+
+
+def test_classify_orbit_escape_matches_scalar_reference():
+    lam = 2.0
+    v = point_from_itinerary(Itinerary(prefix=[], tail=lambda j: (0, j + 3)), lam,
+                             n_compose=28)
+    fates = set()
+    for run, norm in ((5, 18.0), (3, 10.0), (8, 50.0)):
+        got = analysis.classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50,
+                                      escape_run=run, escape_norm=norm)
+        want = ref.classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50,
+                                  escape_run=run, escape_norm=norm)
+        assert (got.fate, got.iterations) == (want.fate, want.iterations)
+        assert got.witness.tobytes() == want.witness.tobytes()
+        fates.add(got.fate)
+    assert analysis.Fate.ESCAPING in fates
+
+
+def test_bisections_stop_early_with_the_full_loops_bits():
+    lams = np.concatenate([np.linspace(1.0 + 1e-9, 12.0, 1500),
+                           1.0 + np.logspace(-14.0, 0.0, 300)])
+    for lam in lams.tolist():
+        assert analysis.axis_fixed_point(lam) == ref.axis_fixed_point(lam)
+    mus = np.concatenate([np.linspace(1e-6, 1.0 - 1e-9, 1500),
+                          1.0 - np.logspace(-14.0, -1e-3, 300)])
+    for mu in mus.tolist():
+        assert analysis.smallest_tan_fixed_point(mu) == ref.smallest_tan_fixed_point(mu)
+
+
+def test_bisection_stops_once_the_bracket_stops_moving():
+    steps = []
+
+    def below(t):
+        steps.append(t)
+        return 2.0 * math.tanh(t) - t > 0.0
+
+    analysis._bisect(below, 1e-300, 2.0)
+    assert len(steps) < 70
