@@ -18,9 +18,7 @@ orbit.  See README.md for the tour; the API splits into
 from .core import (
     INFINITY,
     chordal,
-    fold_to_beam,
     hemisphere_to_square,
-    invert_sphere,
     is_infinity,
     iterate,
     cayley,
@@ -32,7 +30,6 @@ from .core import (
     zorich,
 )
 from .plane import (
-    Diamond,
     PoleIndex,
     calibrate_expansion,
     containing_diamond,

@@ -10,6 +10,7 @@ honest Undecided outcome, and carries the sampled checks behind those
 statements, including the full-space blow-up probe.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,12 +56,14 @@ def _bisect(below, lo, hi):
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=64)
 def axis_fixed_point(lam: float) -> float:
     """The positive solution of lam * tanh(xi) = xi (needs lam > 1).
 
     Bisection on [tiny, lam] followed by Newton polish; the residual of
     the returned value is below 1e-12.  For lam <= 1 the only solution
-    is 0 and a ValueError is raised.
+    is 0 and a ValueError is raised.  Cached per lam: ``classify_orbit``
+    asks for it on every call.
     """
     if not lam > 1.0:
         raise ValueError("the equation has a positive root only for lam > 1")
@@ -182,6 +185,13 @@ def petal_boundary_residual(lam: float, n_samples: int = 100):
 # ---------------------------------------------------------------------------
 # orbit classification
 
+# the fate rules of classify_orbit, which the renderer and the CLI share
+SETTLE = 3
+CAPTURE_TOL = 1e-6
+ESCAPE_RUN = 8
+ESCAPE_NORM = 50.0
+
+
 class Fate(Enum):
     TO_UPPER_FIXED = "ToUpperFixed"
     TO_LOWER_FIXED = "ToLowerFixed"
@@ -199,13 +209,13 @@ class FateRecord:
     witness: object  # final point, or INFINITY for a pole hit
 
 
-def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
-                   escape_run: int = 8, escape_norm: float = 50.0,
-                   settle: int = 3) -> FateRecord:
+def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
+                   escape_run: int = ESCAPE_RUN,
+                   escape_norm: float = ESCAPE_NORM) -> FateRecord:
     """Iterate the scaled tangent map and name the orbit's fate.
 
     Convergence fates require staying within ``tol`` of the target for
-    ``settle`` consecutive steps.  The escape call is heuristic by
+    SETTLE consecutive steps.  The escape call is heuristic by
     nature (the escaping set is totally disconnected): the orbit must
     sit in pole diamonds whose centre norms strictly increased for
     ``escape_run`` consecutive steps while the orbit norm exceeds
@@ -233,7 +243,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
             dz = z - tz
             d = math.sqrt(xy2 + dz * dz)
             runs[i] = runs[i] + 1 if d < tol else 0
-            if runs[i] >= settle:
+            if runs[i] >= SETTLE:
                 return FateRecord(fate, it, d, np.array(p))
         # escape bookkeeping only makes sense on the invariant plane
         idx = containing_diamond(p) if z == 0.0 else None
@@ -287,14 +297,13 @@ def parabolic_decrease_check(eps: float = 0.05, n_samples: int = 10_000,
 
 
 def third_component_bound_violations(lam: float, n_samples: int = 10_000,
-                                     seed: int = 0, z_max: float = 5.0,
-                                     slack: float = 1e-12) -> int:
+                                     seed: int = 0, slack: float = 1e-12) -> int:
     """Count violations of T_3(x,y,z) >= lam*tanh(z) - slack over random
-    samples with z > 0 (odd- and even-parity tiles both covered)."""
+    samples with 0 < z < 5 (odd- and even-parity tiles both covered)."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-10.0, 10.0, n_samples)
     ys = rng.uniform(-10.0, 10.0, n_samples)
-    zs = rng.uniform(1e-9, z_max, n_samples)
+    zs = rng.uniform(1e-9, 5.0, n_samples)
     tz = tangent3_grid(xs, ys, zs, lam)[2]
     return int(np.count_nonzero(tz < lam * np.tanh(zs) - slack))
 
@@ -380,12 +389,12 @@ def _far_preimage(target, lam, min_norm):
 
 def blowup_probe(center, radius: float, lam: float, targets,
                  max_iter: int = 60, n_samples: int = 400,
-                 hit_tol: float = 0.05, seed: int = 0) -> BlowupReport:
+                 seed: int = 0) -> BlowupReport:
     """Sampled check that iterates of a small ball blow up onto everything.
 
     Iterates a seeded sample of the 3-ball B(center, radius) (center is a
     plane point) and records, per target, the first step coming within
-    ``hit_tol`` (chordal) of it.  When the ball contains a pole, a
+    0.05 (chordal) of it.  When the ball contains a pole, a
     two-step witness is constructed exactly: a far preimage of the
     target, then its preimage beside the pole inside the ball; the
     witness is verified by forward evaluation, never assumed.  Targets
@@ -398,6 +407,7 @@ def blowup_probe(center, radius: float, lam: float, targets,
     """
     if radius <= 0.0:
         raise ValueError("need radius > 0")
+    hit_tol = 0.05
     center = np.array([float(center[0]), float(center[1]), 0.0])
     omitted = (np.array([0.0, 0.0, lam]), np.array([0.0, 0.0, -lam]))
     report = BlowupReport(center=center, radius=radius, lam=lam)

@@ -78,7 +78,7 @@ def build_parser():
             sp.add_argument("--res", type=_parse_res, default=(256, 256),
                             help="image resolution WIDTHxHEIGHT (default 256x256)")
             sp.add_argument("--max-iter", type=int, default=500)
-            sp.add_argument("--tol", type=float, default=1e-6)
+            sp.add_argument("--tol", type=float, default=analysis.CAPTURE_TOL)
             sp.add_argument("--threads", type=int, default=1,
                             help="worker threads; output bytes do not depend on this")
             sp.add_argument("--out", required=True, help="output image path")

@@ -123,9 +123,13 @@ def _chordal_finite(dd, pp, qq, d, p, q):
     return _chordal_scaled(d, p, q)
 
 
-def _chordal_infinite(pp, sqrt=math.sqrt):
-    """Chordal distance to INFINITY from a finite point with pp = |p|^2."""
-    return 2.0 / sqrt(1.0 + pp)
+def _chordal_infinite(pp, p):
+    """Chordal distance to INFINITY from a finite point with pp = |p|^2 and
+    coordinates p.  Where pp overflowed (|p| beyond ~1.34e154) it comes
+    from hypot instead, which scales instead of squaring."""
+    if pp == math.inf:
+        return 2.0 / math.hypot(1.0, *p)
+    return 2.0 / math.sqrt(1.0 + pp)
 
 
 def chordal(p, q) -> float:
@@ -136,18 +140,19 @@ def chordal(p, q) -> float:
     compactification, bounded by 2, so comparisons near poles stay
     meaningful.  Squared norms come from numpy's dot.  A point of norm
     1e153 or more takes the same arithmetic with numpy's overflow
-    warning silenced, so the result is the same and a huge point (an
-    image next to a pole) does not warn.
+    warning silenced, so a huge point (an image next to a pole) does not
+    warn; where a squared norm overflowed, the distance comes from hypot.
     """
     pinf, qinf = is_infinity(p), is_infinity(q)
     if pinf and qinf:
         return 0.0
     if pinf or qinf:
         f = np.asarray(q if pinf else p, dtype=float)
-        if math.hypot(*f.tolist()) < _CHORDAL_SAFE:
-            return _chordal_infinite(float(f.dot(f)))
+        c = f.tolist()
+        if math.hypot(*c) < _CHORDAL_SAFE:
+            return _chordal_infinite(float(f.dot(f)), c)
         with np.errstate(over="ignore"):
-            return _chordal_infinite(float(f.dot(f)))
+            return _chordal_infinite(float(f.dot(f)), c)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if math.hypot(*p.tolist()) < _CHORDAL_SAFE > math.hypot(*q.tolist()):
@@ -179,12 +184,18 @@ def chordal_grid(p, q):
         dd, pp, qq = (a * a + b * b + c * c for a, b, c in (d, (px, py, pz), (qx, qy, qz)))
         dist = _chordal_ratio(dd, pp, qq, np.sqrt)
         one = pinf ^ qinf
-        dist[one] = _chordal_infinite(np.where(pinf, qq, pp)[one], np.sqrt)
-    dist[pinf & qinf] = 0.0
-    fallback = ~(((dist > 0.0) & (dist < math.inf)) | (dd == 0.0) | pinf | qinf)
+        # 0 exactly where the finite point's squared norm overflowed
+        dist[one] = 2.0 / np.sqrt(1.0 + np.where(pinf, qq, pp)[one])
+    both = pinf & qinf
+    dist[both] = 0.0
+    fallback = ~(((dist > 0.0) & (dist < math.inf)) | (dd == 0.0) | both)
     for i in np.flatnonzero(fallback):
-        dist.flat[i] = _chordal_scaled(*(tuple(float(c.flat[i]) for c in t)
-                                         for t in (d, (px, py, pz), (qx, qy, qz))))
+        di, pi, qi = (tuple(float(c.flat[i]) for c in t)
+                      for t in (d, (px, py, pz), (qx, qy, qz)))
+        if one.flat[i]:
+            dist.flat[i] = _chordal_infinite(math.inf, qi if pinf.flat[i] else pi)
+        else:
+            dist.flat[i] = _chordal_scaled(di, pi, qi)
     return dist
 
 
@@ -202,32 +213,6 @@ def fold_axis(x: float, half_width: float):
     if k % 2:
         return -u, 1
     return u, 0
-
-
-class FoldResult:
-    """Beam representative of a plane coordinate pair plus parity.
-
-    ``x`` and ``y`` lie in the closed square [-pi/4, pi/4]^2 and
-    ``parity`` is the total number of reflections mod 2.  The third
-    coordinate is untouched by folding.
-    """
-
-    __slots__ = ("x", "y", "parity")
-
-    def __init__(self, x, y, parity):
-        self.x = x
-        self.y = y
-        self.parity = parity
-
-    def __repr__(self):
-        return f"FoldResult(x={self.x!r}, y={self.y!r}, parity={self.parity})"
-
-
-def fold_to_beam(x: float, y: float) -> FoldResult:
-    """Fold (x, y) into the fundamental square [-pi/4, pi/4]^2."""
-    fx, px = fold_axis(x, QUARTER_PI)
-    fy, py = fold_axis(y, QUARTER_PI)
-    return FoldResult(fx, fy, (px + py) % 2)
 
 
 def square_to_hemisphere(x: float, y: float) -> np.ndarray:
@@ -349,15 +334,6 @@ def cayley_inverse(p):
     if u is None:
         return INFINITY
     return np.array(u)
-
-
-def invert_sphere(v) -> np.ndarray:
-    """Inversion in the unit sphere, v -> v/|v|^2."""
-    v = as_vec3(v)
-    n2 = float(v @ v)
-    if n2 == 0.0:
-        raise ValueError("inversion undefined at the origin")
-    return v / n2
 
 
 def _beam_formula(x: float, y: float, z: float):

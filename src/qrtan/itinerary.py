@@ -125,12 +125,11 @@ def point_from_itinerary(itin: Itinerary, lam: float, n_compose: int = 30,
     return w
 
 
-def shadow_check(waypoints, itin: Itinerary, lam: float, depth: int,
-                 step_tol: float = 1e-8):
+def shadow_check(waypoints, itin: Itinerary, lam: float, depth: int):
     """Verify, symbol by symbol, that the constructed orbit runs the itinerary.
 
     For j < depth checks that waypoint j lies in open diamond j and that
-    one forward step lands within ``step_tol`` of waypoint j+1.  Each
+    one forward step lands within 1e-8 of waypoint j+1.  Each
     check is a single-step evaluation, so the certificate does not decay
     with depth.  Returns (ok, worst_gap).
     """
@@ -145,7 +144,7 @@ def shadow_check(waypoints, itin: Itinerary, lam: float, depth: int,
             return False, math.inf
         gap = vec_norm(img - waypoints[j + 1])
         worst = max(worst, gap)
-        if gap > step_tol:
+        if gap > 1e-8:
             return False, worst
     return True, worst
 
@@ -184,8 +183,7 @@ def _composed_branch(cycle, lam):
     return apply
 
 
-def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
-                              max_iter: int = 300, polish: bool = True) -> PeriodicPoint:
+def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicPoint:
     """Fixed point of the composed inverse branch along a pole cycle.
 
     The composition maps the first diamond into itself and contracts on
@@ -193,8 +191,8 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
     iteration aborts loudly if the step ratio fails to contract five
     times in a row.  The returned point is verified forward: F^k walks
     the prescribed diamonds and returns to the point within the quoted
-    residual.  An optional Newton polish (on the true forward map, with
-    a chained closed-form Jacobian) trims the last digits of the residual.
+    residual.  A Newton polish (on the true forward map, with a chained
+    closed-form Jacobian) trims the last digits of the residual.
     """
     cycle = spec.cycle
     r = required_tail_radius(lam)
@@ -203,12 +201,12 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float,
         if norm <= r:
             raise ValueError(
                 f"cycle pole {tuple(idx)} has norm {norm:.3f} <= calibrated radius {r:.3f}")
-    return _solve_cycle(cycle, lam, max_iter, polish)
+    return _solve_cycle(cycle, lam, 300)
 
 
-def _solve_cycle(cycle, lam, max_iter, polish):
+def _solve_cycle(cycle, lam, max_iter):
     """Iterate the composed branch from the first pole, abort if the steps
-    stop contracting, optionally polish, and verify one period forward."""
+    stop contracting, polish, and verify one period forward."""
     comp = _composed_branch(cycle, lam)
     y = pole_location(cycle[0]).copy()
     prev_step = None
@@ -228,8 +226,7 @@ def _solve_cycle(cycle, lam, max_iter, polish):
         prev_step = step
         if step < 1e-13:
             break
-    if polish:
-        y = _newton_polish(y, cycle, lam)
+    y = _newton_polish(y, cycle, lam)
     orbit, residual = _forward_cycle(y, cycle, lam)
     if orbit is None:
         raise ContractionFailure("forward orbit left the prescribed diamonds")
@@ -251,11 +248,13 @@ def _forward_cycle(y, cycle, lam):
     return orbit[:-1], vec_norm(orbit[0] - p)
 
 
-def _newton_polish(y, cycle, lam, rounds: int = 6):
-    """Newton steps on g(y) = F^k(y) - y, keeping only residual improvements.
+def _newton_polish(y, cycle, lam):
+    """Up to six Newton steps on g(y) = F^k(y) - y, keeping only residual
+    improvements.
 
     The Jacobian of F^k is the chain-rule product of the closed-form
-    one-step Jacobians at the orbit points.
+    one-step Jacobians at the orbit points; each point's forward orbit
+    is run once.
     """
     def forward(p):
         pts = [np.array(p)]
@@ -266,39 +265,35 @@ def _newton_polish(y, cycle, lam, rounds: int = 6):
             pts.append(q)
         return pts
 
-    def resid(p):
-        pts = forward(p)
-        if pts is None:
-            return math.inf, None
-        return vec_norm(pts[-1] - pts[0]), pts
-
-    best_r, best_pts = resid(y)
     best = np.array(y)
-    cur = np.array(y)
-    for _ in range(rounds):
-        pts = forward(cur)
-        if pts is None:
-            break
+    pts = forward(best)
+    if pts is None:
+        return best
+    g = pts[-1] - pts[0]
+    best_r = vec_norm(g)
+    for _ in range(6):
         jac = np.eye(2)
         for p in pts[:-1]:
             jac = _plane_jacobian(p, lam) @ jac
-        g = pts[-1] - pts[0]
         try:
             delta = np.linalg.solve(jac - np.eye(2), -g)
         except np.linalg.LinAlgError:
             break
-        cand = cur + delta
-        r_cand, _ = resid(cand)
-        if r_cand < best_r:
-            best_r, best = r_cand, cand
-            cur = cand
-        else:
+        cand = best + delta
+        if np.array_equal(cand, best):
+            break  # the step is below the resolution of best
+        pts = forward(cand)
+        if pts is None:
             break
+        g = pts[-1] - pts[0]
+        r = vec_norm(g)
+        if not r < best_r:
+            break
+        best, best_r = cand, r
     return best
 
 
-def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
-                           max_period: int = 64, verbose: bool = False) -> PeriodicPoint:
+def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
     """A periodic point within eta of the escaping plane point v.
 
     Reads off v's itinerary, drops leading symbols until the rest clear
@@ -307,12 +302,12 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
     as v for a whole period and so lands beside it.  M starts at the
     estimate from the per-step shadowing contraction and grows until the
     verified gap beats eta (smaller eta therefore needs and reports a
-    larger M), within the depth the read-back can be trusted to.
+    larger M), within the 40 symbols the read-back can be trusted to.
     """
     if eta <= 0.0:
         raise ValueError("need eta > 0")
     target = np.array([float(v[0]), float(v[1])])
-    symbols, reason = itinerary_of(v, lam, n_symbols)
+    symbols, reason = itinerary_of(v, lam, 40)
     if len(symbols) < 3:
         raise ValueError(f"itinerary too short ({reason}); not an escaping candidate")
     r = required_tail_radius(lam)
@@ -320,7 +315,7 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
 
     def usable_period(n_prefix, m_extra):
         period = n_prefix + m_extra
-        if period > min(len(symbols), max_period):
+        if period > len(symbols):
             return None
         if any(norms[j] <= r for j in range(n_prefix, period)):
             return None
@@ -339,19 +334,15 @@ def periodic_near_escaping(v, eta: float, lam: float, n_symbols: int = 40,
             if period is None:
                 break
             tried_any = True
-            spec = PeriodicCycleSpec(cycle=list(symbols[:period]))
             try:
                 # no radius gate: the shadowed prefix legitimately visits near poles
-                result = _solve_cycle(spec.cycle, lam, 400, True)
+                result = _solve_cycle(symbols[:period], lam, 400)
             except ContractionFailure as e:
                 last_err = str(e)
                 m_extra += 1
                 continue
             gap = vec_norm(result.point - target)
             if gap < eta:
-                if verbose:
-                    print(f"period {period} = {n_prefix} prefix + {m_extra} closing "
-                          f"symbols, gap {gap:.3e}")
                 return result
             last_err = f"gap {gap:.3e} >= eta with period {period}"
             m_extra += 1

@@ -81,22 +81,6 @@ def containing_diamond(p):
     return None
 
 
-@dataclass(frozen=True)
-class Diamond:
-    """Open L1 ball of radius pi/2 about a pole; the set of plane points
-    nearer to that pole than to any other."""
-
-    index: PoleIndex
-
-    @property
-    def center(self) -> np.ndarray:
-        return pole_location(self.index)
-
-    def contains(self, p, margin: float = 0.0) -> bool:
-        c = self.center
-        return abs(float(p[0]) - c[0]) + abs(float(p[1]) - c[1]) < HALF_PI - margin
-
-
 def plane_map(p, lam: float = 1.0):
     """F(p) = tangent3((p_x, p_y, 0)); stays in the plane or hits INFINITY.
 
@@ -209,13 +193,13 @@ def _plane_jacobian(p, lam):
     return np.array([[a, b], [c, d]])
 
 
-def jacobian_plane_map(p, lam: float = 1.0, reject_margin: float = 1e-6) -> JacobianSample:
+def jacobian_plane_map(p, lam: float = 1.0) -> JacobianSample:
     """DF at p from the closed form, with its singular values and real eigenvalues.
 
-    Points within ``reject_margin`` of the fold lines or tile diagonals
-    are rejected (the max in the formula is not differentiable there).
+    Points within 1e-6 of the fold lines or tile diagonals are rejected
+    (the max in the formula is not differentiable there).
     """
-    if distance_to_nonsmooth(p) <= reject_margin:
+    if distance_to_nonsmooth(p) <= 1e-6:
         raise ValueError("point too close to the non-smooth set")
     j = _plane_jacobian(p, lam)
     (a, b), (c, d) = j.tolist()
@@ -300,15 +284,15 @@ class BranchResidualError(RuntimeError):
     invalid target, never a legitimate outcome."""
 
 
-def inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9) -> np.ndarray:
+def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     """The inverse branch of the plane map taking values in diamond q.
 
     For finite w the candidate preimages are reconstructed in closed
     form: pull w/lam back through the Mobius map to a unit vector, read
     off the hemisphere chart point, and enumerate the finitely many
     reflection-group images near the diamond; the candidate is accepted
-    only if its forward image reproduces w within ``residual_tol``
-    (chordal).  w = INFINITY maps to the pole itself.
+    only if its forward image reproduces w within 1e-9 (chordal).
+    w = INFINITY maps to the pole itself.
 
     Everything runs on Python floats through the float cores of the
     Mobius pullback, the chart, the map and the chordal metric; only the
@@ -334,7 +318,7 @@ def inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9) -> np.nda
     for cx, cy in candidates:
         t = _tangent3_xyz(cx, cy, 0.0, lam)
         if t is None:
-            res = _chordal_infinite(ww)
+            res = _chordal_infinite(ww, (wx, wy))
         else:
             tx, ty = t[0], t[1]
             dx, dy = tx - wx, ty - wy
@@ -343,22 +327,22 @@ def inverse_branch(q, w, lam: float = 1.0, residual_tol: float = 1e-9) -> np.nda
         if res < best_res:
             best_res = res
             best = (cx, cy)
-    if best is None or best_res > residual_tol:
+    if best is None or best_res > 1e-9:
         raise BranchResidualError(
             f"no preimage of {(wx, wy)} in diamond {tuple(q)} (best residual {best_res:.3e})")
     return np.array(best)
 
 
-def _branch_candidates(ux, uy, uz, lx, ly, slack: float = 1e-9):
+def _branch_candidates(ux, uy, uz, lx, ly):
     """Preimage candidates (x, y) in the closed diamond around the pole at
-    (lx, ly), for the unit vector (ux, uy, uz).
+    (lx, ly), widened by 1e-9, for the unit vector (ux, uy, uz).
 
-    The enclosing box is wider than the L1 bound by one more ``slack``,
-    so rounding in the box test can never drop a point the L1 test keeps.
+    The enclosing box is wider than that L1 bound by one more 1e-9, so
+    rounding in the box test can never drop a point the L1 test keeps.
     """
-    half = HALF_PI + 2.0 * slack
+    half = HALF_PI + 2e-9
     return [(x, y) for x, y in _chart_preimages(ux, uy, uz, lx, half, ly, half)
-            if abs(x - lx) + abs(y - ly) <= HALF_PI + slack]
+            if abs(x - lx) + abs(y - ly) <= HALF_PI + 1e-9]
 
 
 def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y):
@@ -396,15 +380,13 @@ def _family_members(a, center, half):
     return out
 
 
-def preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
+def preimages_tangent3(target, lam: float, xy_box):
     """All solutions of tangent3(v, lam) = target with (v_x, v_y) in xy_box.
 
     ``target`` may be a finite 3-vector or INFINITY (whose preimages are
     the poles); ``xy_box`` is (x0, x1, y0, y1).  Returns verified
     preimages (forward chordal residual below 1e-9).  The z-coordinate
-    of every preimage of a fixed target is the same number log|u|/2;
-    pass z_tol to discard targets whose preimage plane is too far from
-    z = 0.
+    of every preimage of a fixed target is the same number log|u|/2.
     """
     u = cayley_inverse(target if is_infinity(target)
                        else np.asarray(target, dtype=float) / lam)
@@ -414,8 +396,6 @@ def preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
     if norm == 0.0:
         return []  # target = (0,0,-lam), the other omitted value
     zc = math.log(norm) / 2.0
-    if abs(zc) > z_tol:
-        return []
     x0, x1, y0, y1 = xy_box
     out = []
     for x, y in _chart_preimages(*(u / norm).tolist(), (x0 + x1) / 2.0, (x1 - x0) / 2.0,

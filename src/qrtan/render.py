@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import CAPTURE_TOL, ESCAPE_NORM, ESCAPE_RUN, SETTLE
 from .core import HALF_PI, QUARTER_PI, tangent3_grid
 
+# no code for the axis fixed points: no orbit of the plane z = 0 reaches them
 _FATE_UNDECIDED = 0
 _FATE_ORIGIN = 1
-_FATE_UPPER = 2
-_FATE_LOWER = 3
 _FATE_ESCAPING = 4
 _FATE_POLE = 5
 
@@ -38,6 +38,9 @@ _DEFAULT_WINDOW = (-QUARTER_PI, -QUARTER_PI, 3 * QUARTER_PI, 3 * QUARTER_PI)
 # resizing the arrays, which costs resident memory through the allocator
 _COMPACT_SHARE = 4
 
+# rows per work unit; fixed, so the thread count never changes a byte
+_ROW_BLOCK = 64
+
 
 @dataclass
 class RenderConfig:
@@ -46,13 +49,11 @@ class RenderConfig:
     width: int = 256
     height: int = 256
     max_iter: int = 500
-    tol: float = 1e-6
-    escape_run: int = 8
-    escape_norm: float = 50.0    # orbit-fate heuristic threshold
+    tol: float = CAPTURE_TOL
+    escape_run: int = ESCAPE_RUN
+    escape_norm: float = ESCAPE_NORM  # orbit-fate heuristic threshold
     depth_norm: float = None     # escape-depth threshold; default 4*lam
-    settle: int = 3
     threads: int = 1
-    row_block: int = 64  # fixed work unit; not tied to the thread count
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -70,8 +71,6 @@ class RenderConfig:
             raise ValueError("capture tolerance must be positive and finite")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
-        if self.row_block < 1:
-            raise ValueError("row block must be at least 1")
         if self.depth_norm is None:
             # a few times lam sits beyond every bounded invariant structure,
             # so first passage above it marks a genuine far excursion while
@@ -120,7 +119,7 @@ def _diamond_centers(x, y):
 def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
-    Mirrors the scalar classifier: convergence needs ``settle``
+    Mirrors the scalar classifier: convergence needs SETTLE
     consecutive steps inside ``tol`` of a target, escape needs
     ``escape_run`` consecutive strictly-growing diamond-centre norms
     plus norm above ``escape_norm``.  Also returns the first step at
@@ -175,7 +174,7 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
         close &= live
         run_origin += 1
         run_origin *= close
-        captured = live & (run_origin >= cfg.settle)
+        captured = live & (run_origin >= SETTLE)
         if captured.any():
             retire(captured, _FATE_ORIGIN, step)
             live &= ~captured
@@ -252,10 +251,6 @@ def colorize_fates(fate, when, max_iter):
     img = np.zeros(fate.shape + (3,), dtype=float)
     origin = fate == _FATE_ORIGIN
     img[origin] = _ramp(t[origin], _ORIGIN_ANCHORS)
-    up = fate == _FATE_UPPER
-    img[up] = np.stack([60 + 120 * t[up], 170 - 60 * t[up], 90 + 40 * t[up]], axis=-1)
-    down = fate == _FATE_LOWER
-    img[down] = np.stack([120 + 60 * t[down], 60 + 40 * t[down], 170 * np.ones_like(t[down])], axis=-1)
     img[fate == _FATE_POLE] = (255.0, 255.0, 255.0)
     img[fate == _FATE_ESCAPING] = (210.0, 210.0, 218.0)
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
@@ -273,8 +268,8 @@ def colorize_depth(depth, max_iter):
 # drivers
 
 def _run_blocks(cfg: RenderConfig, worker):
-    blocks = [(r, min(r + cfg.row_block, cfg.height))
-              for r in range(0, cfg.height, cfg.row_block)]
+    blocks = [(r, min(r + _ROW_BLOCK, cfg.height))
+              for r in range(0, cfg.height, _ROW_BLOCK)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, blocks))

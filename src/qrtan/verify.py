@@ -356,8 +356,6 @@ def check_diagonal_invariance(lam, rng, n=500):
 
 def check_petal_membership(lam, rng):
     """Sanity of the petal region for this lam (square case and axis case)."""
-    if not lam < SQRT2:
-        return None
     probes_in = [np.array([0.1, 0.1])] if lam <= 1.25 else []
     ok = all(analysis.petal_contains(p, lam) for p in probes_in)
     if lam <= QUARTER_PI:
@@ -611,14 +609,9 @@ def run_suite(lam: float, suite: str = "all", seed: int = 0, fast: bool = False)
     rng = np.random.default_rng(seed)
     results = []
     for check in SUITES[suite]:
-        if not _applies(check, lam):
-            continue
-        if fast:
-            res = _run_fast(check, lam, rng)
-        else:
-            res = check(lam, rng)
-        if res is not None:
-            results.append(res)
+        if _applies(check, lam):
+            kw = _FAST_KW.get(check, {}) if fast else {}
+            results.append(check(lam, rng, **kw))
     return results
 
 
@@ -644,8 +637,3 @@ _FAST_KW = {
     check_itinerary_roundtrip: {"n_tails": 6},
     check_diagonal_invariance: {"n": 120},
 }
-
-
-def _run_fast(check, lam, rng):
-    kw = _FAST_KW.get(check, {})
-    return check(lam, rng, **kw)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qrtan import analysis
 from qrtan.analysis import (
     BlowupReport,
     Fate,
@@ -214,6 +215,21 @@ class TestClassifyOrbit:
     def test_domain(self):
         with pytest.raises(ValueError):
             classify_orbit(np.array([0.1, 0.1, 0.1]), 1.0, max_iter=0)
+
+    def test_axis_fixed_point_solved_once_per_lam(self, monkeypatch):
+        solves = []
+        bisect = analysis._bisect
+
+        def counting(*args):
+            solves.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(analysis, "_bisect", counting)
+        analysis.axis_fixed_point.cache_clear()
+        lam = 1.2345
+        for v in ([0.3, -0.4, 1.0], [0.1, 0.2, -0.5], [2.0, 1.0, 0.3]):
+            classify_orbit(np.array(v), lam, max_iter=20)
+        assert len(solves) == 1
 
 
 class TestInequalities:

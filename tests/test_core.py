@@ -16,9 +16,7 @@ from qrtan.core import (
     chordal,
     chordal_grid,
     fold_axis,
-    fold_to_beam,
     hemisphere_to_square,
-    invert_sphere,
     is_infinity,
     iterate,
     cayley,
@@ -109,37 +107,44 @@ class TestHemisphereToSquare:
             hemisphere_to_square(u)
 
 
+def fold_to_beam(x, y):
+    """(fx, fy, parity): (x, y) folded into the fundamental square
+    [-pi/4, pi/4]^2 by ``fold_axis``, with the total reflection count mod 2."""
+    fx, px = fold_axis(x, QUARTER_PI)
+    fy, py = fold_axis(y, QUARTER_PI)
+    return fx, fy, (px + py) % 2
+
+
 class TestFolding:
     def test_interior_untouched(self):
-        f = fold_to_beam(0.1, -0.2)
-        assert (f.x, f.y, f.parity) == (0.1, -0.2, 0)
+        assert fold_to_beam(0.1, -0.2) == (0.1, -0.2, 0)
 
     def test_single_reflection(self):
-        f = fold_to_beam(HALF_PI, 0.0)
-        assert abs(f.x) < 1e-15 and f.y == 0.0 and f.parity == 1
+        fx, fy, parity = fold_to_beam(HALF_PI, 0.0)
+        assert abs(fx) < 1e-15 and fy == 0.0 and parity == 1
 
     def test_double_reflection_cancels(self):
-        f = fold_to_beam(HALF_PI, HALF_PI)
-        assert abs(f.x) < 1e-15 and abs(f.y) < 1e-15 and f.parity == 0
+        fx, fy, parity = fold_to_beam(HALF_PI, HALF_PI)
+        assert abs(fx) < 1e-15 and abs(fy) < 1e-15 and parity == 0
 
     def test_folded_in_closed_square(self):
         rng = np.random.default_rng(3)
         for x, y in rng.uniform(-40, 40, size=(2000, 2)):
-            f = fold_to_beam(x, y)
-            assert abs(f.x) <= QUARTER_PI + 1e-12
-            assert abs(f.y) <= QUARTER_PI + 1e-12
+            fx, fy, _ = fold_to_beam(x, y)
+            assert abs(fx) <= QUARTER_PI + 1e-12
+            assert abs(fy) <= QUARTER_PI + 1e-12
 
     def test_reflection_composition_recovers_input(self):
         # the fold differs from the input by the reflection group: unfolding
         # by mirror images must land back on the original point
         rng = np.random.default_rng(5)
         for x in rng.uniform(-20, 20, 200):
-            f, = (fold_to_beam(x, 0.0),)
-            # x is either f.x or a mirror image of it shifted by k*pi/2 tiles
-            k = round((x - f.x) / HALF_PI)
-            alt = round((x + f.x) / HALF_PI)
-            assert (abs(f.x + k * HALF_PI - x) < 1e-9 and k % 2 == 0) or \
-                   (abs(-f.x + alt * HALF_PI - x) < 1e-9 and alt % 2 == 1)
+            fx, _, _ = fold_to_beam(x, 0.0)
+            # x is either fx or a mirror image of it shifted by k*pi/2 tiles
+            k = round((x - fx) / HALF_PI)
+            alt = round((x + fx) / HALF_PI)
+            assert (abs(fx + k * HALF_PI - x) < 1e-9 and k % 2 == 0) or \
+                   (abs(-fx + alt * HALF_PI - x) < 1e-9 and alt % 2 == 1)
 
 
 class TestZorich:
@@ -201,26 +206,6 @@ class TestCayley:
             q2 = cayley_inverse(cayley(p))
             worst = max(worst, chordal(p, q2))
         assert worst < 1e-10
-
-
-class TestInvertSphere:
-    def test_basic(self):
-        np.testing.assert_allclose(invert_sphere([2, 0, 0]), [0.5, 0, 0])
-        np.testing.assert_allclose(invert_sphere([0, 1, 0]), [0, 1, 0])
-        np.testing.assert_allclose(invert_sphere([1, 1, 0]), [0.5, 0.5, 0])
-
-    def test_involution_and_norm_product(self):
-        rng = np.random.default_rng(29)
-        for v in rng.uniform(-5, 5, size=(300, 3)):
-            if np.linalg.norm(v) < 1e-6:
-                continue
-            w = invert_sphere(v)
-            assert abs(np.linalg.norm(w) * np.linalg.norm(v) - 1) < 1e-12
-            np.testing.assert_allclose(invert_sphere(w), v, rtol=1e-12, atol=1e-15)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            invert_sphere([0, 0, 0])
 
 
 class TestTangent3:
@@ -313,8 +298,8 @@ class TestTangent3:
         used = 0
         while used < 10_000:
             v = rng.uniform(-5, 5, 3)
-            fx = fold_to_beam(v[0], v[1])
-            if min(QUARTER_PI - abs(fx.x), QUARTER_PI - abs(fx.y)) < 1e-6:
+            fx, fy, _ = fold_to_beam(v[0], v[1])
+            if min(QUARTER_PI - abs(fx), QUARTER_PI - abs(fy)) < 1e-6:
                 continue
             used += 1
             worst = max(worst, chordal(tangent3(v), tangent3_composed(v)))
@@ -443,11 +428,15 @@ class TestChordal:
         # squared-norm arithmetic and its hypot fallback give with the
         # overflow silenced, and emits no RuntimeWarning (an error here).
         # The fallback takes over where the squared form is not finite and
-        # positive, unless |p - q|^2 = 0
+        # positive, unless |p - q|^2 = 0, and for the distance to infinity
+        # where |p|^2 overflows
         def reference(p, q):
             with np.errstate(over="ignore"):
                 if is_infinity(q):
-                    return 2.0 / math.sqrt(1.0 + float(p @ p))
+                    pp = float(p @ p)
+                    if pp == math.inf:
+                        return 2.0 / math.hypot(1.0, *p.tolist())
+                    return 2.0 / math.sqrt(1.0 + pp)
                 d = p - q
                 dd = float(d @ d)
                 dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + float(p @ p))
@@ -459,7 +448,8 @@ class TestChordal:
 
         rng = np.random.default_rng(79)
         pairs = [(np.array([1e308, 0.0, 0.0]), np.array([-1e308, 0.0, 0.0])),
-                 (np.array([1e153, 0.0, 0.0]), np.zeros(3))]
+                 (np.array([1e153, 0.0, 0.0]), np.zeros(3)),
+                 (np.array([1e160, 0.0, 0.0]), np.zeros(3))]
         for _ in range(3000):
             pairs.append((rng.normal(size=3) * 10.0 ** rng.uniform(150.0, 307.0),
                           rng.normal(size=3) * 10.0 ** rng.uniform(-5.0, 307.0)))
@@ -467,6 +457,16 @@ class TestChordal:
             for a, b in ((p, q), (q, p), (p, p)):
                 assert chordal(a, b) == reference(a, b)
             assert chordal(p, INFINITY) == chordal(INFINITY, p) == reference(p, INFINITY)
+
+    def test_huge_point_is_not_at_infinity(self):
+        # |p|^2 overflows, so the squared form of d(p, inf) reads 0.0; hypot
+        # gives 2/|p|
+        p = [1e160, 0.0, 0.0]
+        assert math.isclose(chordal(p, INFINITY), 2e-160, rel_tol=1e-15)
+        assert chordal(INFINITY, p) == chordal(p, INFINITY)
+        got = chordal_grid(np.array([p, [np.inf, 0.0, 0.0]]).T,
+                           np.array([[np.inf, 0.0, 0.0], p]).T)
+        assert got.tolist() == [chordal(p, INFINITY)] * 2
 
     def test_distinct_points_are_not_at_distance_zero(self):
         # (1 + |p|^2)(1 + |q|^2) overflows while |p - q|^2 does not, so the
@@ -534,9 +534,9 @@ def _reference_as_vec3(v):
 
 def _reference_tangent3(v, lam=1.0):
     v = _reference_as_vec3(v)
-    fold = fold_to_beam(float(v[0]), float(v[1]))
-    bx, by, bz = _beam_formula(fold.x, fold.y, float(v[2]))
-    if fold.parity:
+    fx, fy, parity = fold_to_beam(float(v[0]), float(v[1]))
+    bx, by, bz = _beam_formula(fx, fy, float(v[2]))
+    if parity:
         n2 = bx * bx + by * by + bz * bz
         if n2 == 0.0:
             return INFINITY

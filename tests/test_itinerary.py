@@ -174,6 +174,25 @@ class TestPeriodicCycles:
         with pytest.raises(ValueError):
             PeriodicCycleSpec(cycle=[])
 
+    def test_newton_polish_runs_each_forward_orbit_once(self, monkeypatch):
+        # every orbit point the polish evaluates serves both a residual and
+        # the next Jacobian, so no point is pushed forward twice
+        seen = []
+
+        def recording(p, lam):
+            seen.append(np.asarray(p, dtype=float).tobytes())
+            return plane_map(p, lam)
+
+        cycle = [PoleIndex(*c) for c in ((1, 1), (-1, -1), (0, 1))]
+        y = pole_location(cycle[0])
+        comp = itinerary._composed_branch(cycle, LAM)
+        for _ in range(5):
+            y = comp(y)
+        monkeypatch.setattr(itinerary, "plane_map", recording)
+        itinerary._newton_polish(y, cycle, LAM)
+        assert len(seen) >= 2 * len(cycle)  # the start and one Newton candidate
+        assert len(set(seen)) == len(seen)
+
     def test_noncontracting_cycle_fails_loudly(self):
         # at lam=1 the admissible poles are far out; a cycle through a pole
         # that is too close violates the gate before any iteration runs
@@ -252,7 +271,7 @@ class TestBranchEngineLookup:
 
     def test_solve_cycle_walks_the_cycle_backwards(self, calls):
         cycle = [PoleIndex(0, 4), PoleIndex(3, 1), PoleIndex(-2, 3)]
-        _solve_cycle(cycle, LAM, 300, False)
+        _solve_cycle(cycle, LAM, 300)
         assert calls and calls == cycle[::-1] * (len(calls) // len(cycle))
 
     def test_calibration_uses_the_engine(self, calls, monkeypatch):

@@ -37,7 +37,6 @@ from qrtan.itinerary import (
 from qrtan.plane import (
     BranchDomainError,
     BranchResidualError,
-    Diamond,
     JacobianSample,
     PoleIndex,
     beam_sector_eigenvalues,
@@ -93,12 +92,6 @@ class TestPoleLattice:
         for m in range(-20, 21, 4):
             for n in range(-20, 21, 4):
                 assert containing_diamond(pole_location((m, n))) == PoleIndex(m, n)
-
-    def test_diamond_membership(self):
-        d = Diamond(PoleIndex(0, 0))
-        assert d.contains((0.1, 1.5))
-        assert not d.contains((1.0, 1.0))
-        assert not d.contains((0.0, 3.2))
 
 
 class TestPlaneMap:
@@ -780,11 +773,11 @@ class TestBranchEngineBitIdentity:
                 spec = PeriodicCycleSpec(
                     cycle=[far[i] for i in rng.integers(0, len(far), period)])
                 want = _outcome(_reference_periodic_from_mixed_cycle, spec, lam)
-                _assert_same(_outcome(periodic_point_from_cycle, spec, lam, 400), want)
-                _assert_same(_outcome(_solve_cycle, spec.cycle, lam, 400, True), want)
+                _assert_same(_outcome(periodic_point_from_cycle, spec, lam), want)
+                _assert_same(_outcome(_solve_cycle, spec.cycle, lam, 400), want)
                 spec = PeriodicCycleSpec(
                     cycle=[near[i] for i in rng.integers(0, len(near), period)])
-                _assert_same(_outcome(_solve_cycle, spec.cycle, lam, 400, True),
+                _assert_same(_outcome(_solve_cycle, spec.cycle, lam, 400),
                              _outcome(_reference_periodic_from_mixed_cycle, spec, lam))
 
     def test_newton_polish_next_to_pole_never_worsens(self):
@@ -802,8 +795,8 @@ class TestBranchEngineBitIdentity:
         v = point_from_itinerary(itin, lam, n_compose=30)
         got = periodic_near_escaping(v, 1e-6, lam)
 
-        def old_solver(cycle, lam_, max_iter, polish):
-            assert (max_iter, polish) == (400, True)
+        def old_solver(cycle, lam_, max_iter):
+            assert max_iter == 400
             return _reference_periodic_from_mixed_cycle(PeriodicCycleSpec(cycle), lam_)
 
         monkeypatch.setattr(itinerary, "_solve_cycle", old_solver)

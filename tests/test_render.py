@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrtan import render
-from qrtan.analysis import petal_contains
+from qrtan.analysis import SETTLE, petal_contains
 from qrtan.core import tangent3_grid
 from qrtan.render import (
     _COMPACT_SHARE,
@@ -64,7 +64,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             RenderConfig(lam=1.0, tol=tol)
 
-    @pytest.mark.parametrize("field", ["threads", "row_block"])
+    @pytest.mark.parametrize("field", ["threads"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_rejects_bad_work_split(self, field, value):
         with pytest.raises(ValueError, match="at least 1"):
@@ -133,7 +133,7 @@ def full_grid_classify(x, y, cfg):
             alive &= finite
             norm = np.hypot(px, py)
             run_origin = np.where(alive & (norm < cfg.tol), run_origin + 1, 0)
-            captured = alive & (run_origin >= cfg.settle)
+            captured = alive & (run_origin >= SETTLE)
             fate[captured] = _FATE_ORIGIN
             when[captured] = step
             alive &= ~captured
@@ -331,7 +331,7 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         norm = np.hypot(px, py)
         d_origin = norm  # z = 0 throughout
         run_origin = np.where(live & (d_origin < cfg.tol), run_origin + 1, 0)
-        captured = live & (run_origin >= cfg.settle)
+        captured = live & (run_origin >= SETTLE)
         retire(captured, _FATE_ORIGIN, step)
         live &= ~captured
         cx, cy, inside = _reference_diamond_centers(px, py)
