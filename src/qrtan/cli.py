@@ -9,6 +9,7 @@ codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -124,10 +125,15 @@ def build_parser():
     return p
 
 
-def _open_out(path):
-    if path:
-        return open(path, "w")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The stream a command writes to: the file at ``path``, closed on exit,
+    or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _emit(fh, obj):
@@ -155,8 +161,7 @@ def _cmd_render(args, escape):
 
 
 def _cmd_orbit(args):
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _emit(fh, _config_record(args, "orbit",
                                  start=list(map(float, args.start)), n=args.n))
         for i, p in enumerate(iterate(args.start, args.lam, args.n), start=1):
@@ -164,15 +169,11 @@ def _cmd_orbit(args):
                 _emit(fh, {"n": i, "inf": True})
             else:
                 _emit(fh, {"n": i, "x": float(p[0]), "y": float(p[1]), "z": float(p[2])})
-    finally:
-        if args.out:
-            fh.close()
     return 0
 
 
 def _cmd_itinerary(args):
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _emit(fh, _config_record(args, "itinerary",
                                  start=list(map(float, args.start)), n=args.n))
         symbols, reason = itin_mod.itinerary_of(args.start, args.lam, args.n)
@@ -181,9 +182,6 @@ def _cmd_itinerary(args):
             _emit(fh, {"n": i, "m": idx.m, "pole_n": idx.n,
                        "x": float(loc[0]), "y": float(loc[1])})
         _emit(fh, {"record": "stop", "reason": reason, "symbols": len(symbols)})
-    finally:
-        if args.out:
-            fh.close()
     return 0
 
 
@@ -191,16 +189,12 @@ def _cmd_periodic(args):
     # solve first: a failing solver must leave no partial stream or file
     res = itin_mod.periodic_point_from_cycle(
         itin_mod.PeriodicCycleSpec(cycle=args.cycle), args.lam)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _emit(fh, _config_record(args, "periodic", cycle=[list(c) for c in args.cycle]))
         for i, p in enumerate(res.orbit):
             _emit(fh, {"n": i, "x": float(p[0]), "y": float(p[1]), "z": 0.0})
         _emit(fh, {"record": "summary", "period": res.period,
                    "residual": res.residual})
-    finally:
-        if args.out:
-            fh.close()
     return 0
 
 

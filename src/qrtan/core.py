@@ -448,7 +448,11 @@ def fold_axis_grid(x, half_width):
     k = x + half_width
     k /= width
     np.floor(k, out=k)
-    odd = (k.astype(np.int64) & 1).astype(bool)
+    # parity on floats (k is odd iff k/2 is not an integer), so a tile index
+    # beyond int64 (|x| above about 1.4e19, always even) neither overflows
+    # nor warns
+    half = k * 0.5
+    odd = np.floor(half) < half
     k *= width
     np.subtract(x, k, out=k)
     return np.where(odd, -k, k), odd

@@ -226,35 +226,21 @@ def _solve_cycle(cycle, lam, max_iter):
         prev_step = step
         if step < 1e-13:
             break
-    y = _newton_polish(y, cycle, lam)
-    orbit, residual = _forward_cycle(y, cycle, lam)
-    if orbit is None:
+    y, orbit = _newton_polish(y, cycle, lam)
+    if orbit is None or any(containing_diamond(p) != idx for p, idx in zip(orbit, cycle)):
         raise ContractionFailure("forward orbit left the prescribed diamonds")
-    return PeriodicPoint(point=y, period=len(cycle), residual=residual, orbit=orbit)
-
-
-def _forward_cycle(y, cycle, lam):
-    """Forward-run one period; returns (orbit, residual) or (None, inf) when a
-    diamond membership or pole is violated."""
-    orbit = [np.array(y)]
-    p = np.array(y)
-    for idx in cycle:
-        if containing_diamond(p) != idx:
-            return None, math.inf
-        p = plane_map(p, lam)
-        if is_infinity(p):
-            return None, math.inf
-        orbit.append(p)
-    return orbit[:-1], vec_norm(orbit[0] - p)
+    return PeriodicPoint(point=y, period=len(cycle), residual=vec_norm(orbit[0] - orbit[-1]),
+                         orbit=orbit[:-1])
 
 
 def _newton_polish(y, cycle, lam):
     """Up to six Newton steps on g(y) = F^k(y) - y, keeping only residual
-    improvements.
+    improvements; returns (point, orbit).
 
-    The Jacobian of F^k is the chain-rule product of the closed-form
-    one-step Jacobians at the orbit points; each point's forward orbit
-    is run once.
+    ``orbit`` is the forward orbit [y, F y, ..., F^k y] of the returned
+    point, or None when it hits a pole.  The Jacobian of F^k is the
+    chain-rule product of the closed-form one-step Jacobians at the orbit
+    points; each point's forward orbit is run once.
     """
     def forward(p):
         pts = [np.array(p)]
@@ -266,14 +252,14 @@ def _newton_polish(y, cycle, lam):
         return pts
 
     best = np.array(y)
-    pts = forward(best)
-    if pts is None:
-        return best
-    g = pts[-1] - pts[0]
+    best_pts = forward(best)
+    if best_pts is None:
+        return best, None
+    g = best_pts[-1] - best_pts[0]
     best_r = vec_norm(g)
     for _ in range(6):
         jac = np.eye(2)
-        for p in pts[:-1]:
+        for p in best_pts[:-1]:
             jac = _plane_jacobian(p, lam) @ jac
         try:
             delta = np.linalg.solve(jac - np.eye(2), -g)
@@ -289,20 +275,22 @@ def _newton_polish(y, cycle, lam):
         r = vec_norm(g)
         if not r < best_r:
             break
-        best, best_r = cand, r
-    return best
+        best, best_r, best_pts = cand, r, pts
+    return best, best_pts
 
 
 def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
     """A periodic point within eta of the escaping plane point v.
 
-    Reads off v's itinerary, drops leading symbols until the rest clear
-    the calibrated radius, and closes a block of N + M symbols into a
-    cycle; the composed-branch fixed point then traces the same diamonds
-    as v for a whole period and so lands beside it.  M starts at the
-    estimate from the per-step shadowing contraction and grows until the
-    verified gap beats eta (smaller eta therefore needs and reports a
-    larger M), within the 40 symbols the read-back can be trusted to.
+    Reads off 40 symbols of v's itinerary and closes its first ``period``
+    symbols into a cycle; the composed-branch fixed point then traces the
+    same diamonds as v for a whole period and so lands beside it.  The
+    symbols from the first two consecutive ones beyond the calibrated
+    radius up to the last must all clear that radius.  The period grows
+    from two symbols past that start until the verified gap beats eta:
+    the shortest admissible period also has the smallest
+    forward-iteration noise, and smaller eta thereby needs and reports a
+    larger period.
     """
     if eta <= 0.0:
         raise ValueError("need eta > 0")
@@ -312,41 +300,20 @@ def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
         raise ValueError(f"itinerary too short ({reason}); not an escaping candidate")
     r = required_tail_radius(lam)
     norms = [vec_norm(pole_location(s)) for s in symbols]
-
-    def usable_period(n_prefix, m_extra):
-        period = n_prefix + m_extra
-        if period > len(symbols):
-            return None
-        if any(norms[j] <= r for j in range(n_prefix, period)):
-            return None
-        return period
-
-    # grow the closing block from short to long and return the first cycle
-    # whose verified gap beats eta: the shortest admissible period also has
-    # the smallest forward-iteration noise, and smaller eta is thereby
-    # reported as a larger period
     last_err = "no admissible symbol block"
-    for n_prefix in range(0, len(symbols) - 2):
-        m_extra = 2
-        tried_any = False
-        while True:
-            period = usable_period(n_prefix, m_extra)
-            if period is None:
-                break
-            tried_any = True
-            try:
-                # no radius gate: the shadowed prefix legitimately visits near poles
-                result = _solve_cycle(symbols[:period], lam, 400)
-            except ContractionFailure as e:
-                last_err = str(e)
-                m_extra += 1
-                continue
+    start = next((j for j in range(len(symbols) - 2) if min(norms[j], norms[j + 1]) > r),
+                 len(symbols))
+    period = start + 2
+    while period <= len(symbols) and norms[period - 1] > r:
+        try:
+            # no radius gate: the shadowed prefix legitimately visits near poles
+            result = _solve_cycle(symbols[:period], lam, 400)
+        except ContractionFailure as e:
+            last_err = str(e)
+        else:
             gap = vec_norm(result.point - target)
             if gap < eta:
                 return result
             last_err = f"gap {gap:.3e} >= eta with period {period}"
-            m_extra += 1
-        if tried_any:
-            break  # longer periods were exhausted; a later prefix cannot help
+        period += 1
     raise ValueError(f"could not reach eta={eta}: {last_err}")
-

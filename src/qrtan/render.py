@@ -267,15 +267,18 @@ def colorize_depth(depth, max_iter):
 # ---------------------------------------------------------------------------
 # drivers
 
-def _run_blocks(cfg: RenderConfig, worker):
+def _run_blocks(cfg: RenderConfig, worker, out):
+    """Fill ``out`` row block by row block with ``worker((r0, r1))``."""
     blocks = [(r, min(r + _ROW_BLOCK, cfg.height))
               for r in range(0, cfg.height, _ROW_BLOCK)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, blocks))
     else:
-        results = [worker(b) for b in blocks]
-    return blocks, results
+        results = map(worker, blocks)
+    for (r0, r1), chunk in zip(blocks, results):
+        out[r0:r1] = chunk
+    return out
 
 
 def render_basin(cfg: RenderConfig) -> np.ndarray:
@@ -289,11 +292,7 @@ def render_basin(cfg: RenderConfig) -> np.ndarray:
         fate, when, _ = classify_plane_block(gx, gy, cfg)
         return colorize_fates(fate, when, cfg.max_iter)
 
-    blocks, results = _run_blocks(cfg, worker)
-    img = np.empty((cfg.height, cfg.width, 3), dtype=np.uint8)
-    for (r0, r1), chunk in zip(blocks, results):
-        img[r0:r1] = chunk
-    return img
+    return _run_blocks(cfg, worker, np.empty((cfg.height, cfg.width, 3), dtype=np.uint8))
 
 
 def compute_escape_depth(cfg: RenderConfig) -> np.ndarray:
@@ -305,11 +304,7 @@ def compute_escape_depth(cfg: RenderConfig) -> np.ndarray:
         _, _, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
         return depth
 
-    blocks, results = _run_blocks(cfg, worker)
-    depth = np.empty((cfg.height, cfg.width), dtype=np.int32)
-    for (r0, r1), chunk in zip(blocks, results):
-        depth[r0:r1] = chunk
-    return depth
+    return _run_blocks(cfg, worker, np.empty((cfg.height, cfg.width), dtype=np.int32))
 
 
 def render_escape_depth(cfg: RenderConfig) -> np.ndarray:

@@ -50,11 +50,8 @@ class CheckResult:
     detail: str
 
 
-def _sample_points(rng, n, span=10.0, z=None):
-    pts = rng.uniform(-span, span, size=(n, 3))
-    if z is not None:
-        pts[:, 2] = z
-    return pts
+def _sample_points(rng, n, span=10.0):
+    return rng.uniform(-span, span, size=(n, 3))
 
 
 def _max(values) -> float:
@@ -396,8 +393,7 @@ def check_petal_absorbed(lam, rng, n=300):
         if _petal_rate(p, lam) > 0.99:
             continue
         tried += 1
-        rec = analysis.classify_orbit(np.array([p[0], p[1], 0.0]), lam,
-                                      max_iter=2500, tol=1e-6)
+        rec = analysis.classify_orbit(np.array([p[0], p[1], 0.0]), lam, max_iter=2500)
         if rec.fate is not analysis.Fate.TO_ORIGIN:
             bad += 1
     return CheckResult("petal-absorbed", bad == 0,
@@ -424,7 +420,7 @@ def check_lines_absorbed(lam, rng, n=200):
         k = int(rng.integers(-5, 6))
         s = 1.0 if rng.uniform() < 0.5 else -1.0
         p = np.array([x, s * x + k * math.pi, 0.0])
-        rec = analysis.classify_orbit(p, lam, max_iter=2000, tol=1e-6)
+        rec = analysis.classify_orbit(p, lam, max_iter=2000)
         if rec.fate is not analysis.Fate.TO_ORIGIN:
             bad += 1
     return CheckResult("lines-absorbed", bad == 0, f"{bad}/{n} line orbits strayed")

@@ -8,11 +8,9 @@ criterion still runs exactly as stated and is allowed to fail loudly
 rather than be weakened (see the A5 singular-value clause).
 """
 
-import cmath
 import math
 
 import numpy as np
-import pytest
 
 from qrtan.analysis import (
     Fate,
@@ -21,7 +19,6 @@ from qrtan.analysis import (
     parabolic_decrease_check,
     petal_boundary_residual,
     petal_contains,
-    smallest_tan_fixed_point,
     third_component_bound_violations,
     offaxis_monotonicity_violations,
 )

@@ -16,6 +16,7 @@ from qrtan.core import (
     chordal,
     chordal_grid,
     fold_axis,
+    fold_axis_grid,
     hemisphere_to_square,
     is_infinity,
     iterate,
@@ -145,6 +146,20 @@ class TestFolding:
             alt = round((x + fx) / HALF_PI)
             assert (abs(fx + k * HALF_PI - x) < 1e-9 and k % 2 == 0) or \
                    (abs(-fx + alt * HALF_PI - x) < 1e-9 and alt % 2 == 1)
+
+    @pytest.mark.parametrize("span", [1e3, 1e19, 1e200])
+    def test_grid_fold_is_silent_and_matches_scalar(self, span):
+        # the tile parity is taken on floats, so tile indices beyond 2^63
+        # neither warn nor lose their (even) parity
+        rng = np.random.default_rng(int(math.log10(span)) + 11)
+        x = rng.uniform(-span, span, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            folded, odd = fold_axis_grid(x, QUARTER_PI)
+        want = [fold_axis(float(v), QUARTER_PI) for v in x]
+        assert odd.dtype == bool
+        assert folded.tolist() == [f for f, _ in want]
+        assert odd.tolist() == [p == 1 for _, p in want]
 
 
 class TestZorich:

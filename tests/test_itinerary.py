@@ -9,7 +9,6 @@ import pytest
 from qrtan import itinerary, plane
 from qrtan.core import is_infinity
 from qrtan.itinerary import (
-    ContractionFailure,
     Itinerary,
     PeriodicCycleSpec,
     StopReason,

@@ -401,8 +401,9 @@ class TestGridKernelBitIdentity:
                 _assert_identical(*self._kernel_pair(x, y, z, lam))
 
     def test_huge_coordinates_match_reference(self):
-        # beyond about 1.4e19 the tile index leaves int64 and both kernels'
-        # casts warn; the parity is still right there (such floats are even)
+        # beyond about 1.4e19 the tile index leaves int64 and the reference
+        # kernel's cast warns; the parity is still right there (such floats
+        # are even)
         rng = np.random.default_rng(409)
         x = rng.uniform(-1e200, 1e200, 3000)
         y = rng.uniform(-1e200, 1e200, 3000)
