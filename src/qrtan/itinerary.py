@@ -259,12 +259,12 @@ def _newton_polish(y, cycle, lam):
     best_r = vec_norm(g)
     for _ in range(6):
         jac = np.eye(2)
-        for p in best_pts[:-1]:
-            jac = _plane_jacobian(p, lam) @ jac
         try:
+            for p in best_pts[:-1]:
+                jac = _plane_jacobian(p, lam) @ jac
             delta = np.linalg.solve(jac - np.eye(2), -g)
-        except np.linalg.LinAlgError:
-            break
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            break  # an orbit point at a tile centre, or a singular step
         cand = best + delta
         if np.array_equal(cand, best):
             break  # the step is below the resolution of best

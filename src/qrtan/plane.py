@@ -14,6 +14,7 @@ of the tangent map's preimages in a box serves both the inverse branches
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core import (
     HALF_PI,
     INFINITY,
     QUARTER_PI,
+    _NONFINITE,
     _cayley_inverse_xyz,
     _chordal_finite,
     _chordal_infinite,
@@ -30,6 +32,7 @@ from .core import (
     _tangent3_xyz,
     cayley_inverse,
     chordal,
+    chordal_grid,
     fold_axis,
     fold_axis_grid,
     is_infinity,
@@ -264,15 +267,24 @@ def fold_orientation(p):
 def diagonal_segment_distance(w, lam: float) -> float:
     """Distance from w to the closed segment {(x, +-x): |x| <= lam/sqrt(2)} removed
     from the branch domain."""
-    x, y = float(w[0]), float(w[1])
-    half = lam / SQRT2
-    best = math.inf
-    for s in (1.0, -1.0):
-        # segment from -(half, s*half) to (half, s*half) along y = s*x
-        t = (x + s * y) / 2.0
-        t = max(-half, min(half, t))
-        best = min(best, math.hypot(x - t, y - s * t))
-    return best
+    return _segment_distance(float(w[0]), float(w[1]), lam / SQRT2,
+                             lambda t, h: max(-h, min(h, t)), min, math.hypot)
+
+
+def _diagonal_segment_distance_grid(x, y, lam):
+    """diagonal_segment_distance on arrays (numpy's hypot may differ in
+    the last bit)."""
+    return _segment_distance(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                             lam / SQRT2, lambda t, h: np.clip(t, -h, h), np.minimum,
+                             np.hypot)
+
+
+def _segment_distance(x, y, half, clip, minimum, hypot):
+    """The distance to the segment pieces on y = x and y = -x (nearest
+    parameters t and s), with functions for floats or arrays."""
+    t = clip((x + y) / 2.0, half)
+    s = clip((x - y) / 2.0, half)
+    return minimum(hypot(x - t, y - t), hypot(x - s, y + s))
 
 
 class BranchDomainError(ValueError):
@@ -331,6 +343,91 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
         raise BranchResidualError(
             f"no preimage of {(wx, wy)} in diamond {tuple(q)} (best residual {best_res:.3e})")
     return np.array(best)
+
+
+def _inverse_branch_grid(lx, ly, wx, wy, lam):
+    """inverse_branch's points, bit for bit, for arrays of finite targets
+    (wx, wy), each into the diamond of the pole at (lx, ly) (arrays too).
+
+    The scalar steps on arrays: the pullback with the operations of
+    ``_cayley_inverse_xyz``; the chart on the float core, target by target
+    (numpy's hypot and arcsin differ from math's in the last bit); the
+    candidates in fixed slots in the scalar order, the pole last; and the
+    first least residual from ``tangent3_grid`` and ``chordal_grid``.
+    Raises the scalar engine's errors, naming the first target at fault.
+    """
+    lx, ly, wx, wy = np.broadcast_arrays(
+        *(np.asarray(c, dtype=float).ravel() for c in (lx, ly, wx, wy)))
+    n = len(wx)
+    on = ((wy == wx) | (wy == -wx)) & (np.abs(wx) <= lam / SQRT2)
+    if on.any():
+        i = int(np.argmax(on))
+        raise BranchDomainError(
+            f"target {(float(wx[i]), float(wy[i]))} lies on the removed diagonal segment")
+    with np.errstate(over="ignore"):  # as Python floats overflow to inf
+        x = wx / lam
+        y = wy / lam
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(_NONFINITE)
+        s = 1.0 / (x * x + y * y + 1.0)
+    ux = 2.0 * s * x
+    uy = 2.0 * s * y
+    uz = -1.0 + 2.0 * s
+    # per target the upper chart point, then the lower one; (0, 0) if unread
+    charts = np.fromiter(chain.from_iterable(
+        (*(_hemisphere_xy(a, b, c) if c >= -1e-12 else (0.0, 0.0)),
+         *(_hemisphere_xy(a, b, -c) if c <= 1e-12 else (0.0, 0.0)))
+        for a, b, c in zip(ux.tolist(), uy.tolist(), uz.tolist())), float, 4 * n)
+    charts = charts.reshape(n, 2, 2).T
+    xs, x_ok = _family_slots(charts[0], lx)
+    ys, y_ok = _family_slots(charts[1], ly)
+    # chart c pairs x offset o with y offset (o + c) % 2; slot 8c + 4o + 2i + j
+    # (x member i, y member j) reads row slot >> 1 of xs and row
+    # (slot >> 2) * 2 + (slot & 1) of ys, and slot 16, row 8 of both, is the pole
+    pair = np.array([[0, 1], [1, 0]])
+    ys, y_ok = ys[[[0], [1]], pair], y_ok[[[0], [1]], pair]
+    ok = np.ones((17, n), dtype=bool)
+    ok[:16] = (x_ok[:, :, :, None] & y_ok[:, :, None]
+               & np.stack([uz >= -1e-12, uz <= 1e-12])[:, None, None, None]).reshape(16, n)
+    xs = np.concatenate([xs.reshape(8, n), lx[None]])
+    ys = np.concatenate([ys.reshape(8, n), ly[None]])
+    slot, col = np.nonzero(ok)
+    cx = xs[slot >> 1, col]
+    cy = ys[(slot >> 2) * 2 + (slot & 1), col]
+    keep = np.abs(cx - lx[col]) + np.abs(cy - ly[col]) <= HALF_PI + 1e-9
+    slot, col, cx, cy = slot[keep], col[keep], cx[keep], cy[keep]
+    res = np.full((17, n), np.inf)
+    res[slot, col] = chordal_grid(tangent3_grid(cx, cy, 0.0, lam)[:3], (wx[col], wy[col], 0.0))
+    best = np.argmin(res, axis=0)
+    cols = np.arange(n)
+    bad = ~(res[best, cols] <= 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BranchResidualError(
+            f"no preimage of {(float(wx[i]), float(wy[i]))} near the pole at "
+            f"{(float(lx[i]), float(ly[i]))}, lam={lam} (best residual {res[best[i], i]:.3e})")
+    return xs[best >> 1, cols], ys[(best >> 2) * 2 + (best & 1), cols]
+
+
+def _family_slots(a, center):
+    """``_family_members`` (half-width pi/2 + 2e-9) for arrays a of shape
+    (2 charts, n): (values, valid), indexed [chart, offset, slot, target].
+
+    The scalar loop runs k from floor((center - half - off)/pi) up to 3
+    further; its members, at most two consecutive k since the box is just
+    over pi wide, follow the k that land below the box.
+    """
+    half = HALF_PI + 2e-9
+    off = np.stack([a / 2.0, (math.pi - a) / 2.0], axis=-2)
+    lo = center - half
+    hi = center + half
+    k = np.floor((lo - off) / math.pi)
+    x = k[..., None, :] + np.arange(4.0)[:, None]
+    x *= math.pi
+    x += off[..., None, :]
+    k += np.count_nonzero(x < lo, axis=-2)
+    x = (k[..., None, :] + np.arange(2.0)[:, None]) * math.pi + off[..., None, :]
+    return x, (lo <= x) & (x <= hi)
 
 
 def _branch_candidates(ux, uy, uz, lx, ly):
@@ -413,17 +510,17 @@ def branch_contraction_ratio(q, p, pairs, lam: float = 1.0) -> float:
     """max over pairs in diamond p of |S_q(w1)-S_q(w2)| / |w1-w2|.
 
     Coincident pairs are skipped.  The derivative bound on the branches
-    caps this at sqrt(2)/lam.
+    caps this at sqrt(2)/lam.  One batched engine pass.
     """
-    worst = 0.0
-    for w1, w2 in pairs:
-        d = math.hypot(float(w1[0]) - float(w2[0]), float(w1[1]) - float(w2[1]))
-        if d == 0.0:
-            continue
-        a = inverse_branch(q, w1, lam)
-        b = inverse_branch(q, w2, lam)
-        worst = max(worst, vec_norm(a - b) / d)
-    return worst
+    w1, w2, d = _pair_arrays(pairs)
+    keep = d != 0.0
+    n = int(np.count_nonzero(keep))
+    lx, ly = _pole_xy(*PoleIndex(*q))
+    x, y = _inverse_branch_grid(lx, ly, np.concatenate([w1[keep, 0], w2[keep, 0]]),
+                                np.concatenate([w1[keep, 1], w2[keep, 1]]), lam)
+    dx = x[:n] - x[n:]
+    dy = y[:n] - y[n:]
+    return float(np.max(np.sqrt(dx * dx + dy * dy) / d[keep], initial=0.0))
 
 
 def pole_expansion_ratio(p, pairs, lam: float = 1.0) -> float:
@@ -433,19 +530,26 @@ def pole_expansion_ratio(p, pairs, lam: float = 1.0) -> float:
     finite, so the chordal gap is positive while |a-b| is tiny) and is
     skipped rather than measured.  Pairs on opposite sides of the pole
     need no special handling: their images sit in the far field in
-    roughly opposite directions, making the Euclidean gap huge.
+    roughly opposite directions, making the Euclidean gap huge.  One
+    ``tangent3_grid`` pass per side.
     """
-    best = math.inf
-    for a, b in pairs:
-        d = math.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1]))
-        if d == 0.0:
-            continue
-        fa = plane_map(a, lam)
-        fb = plane_map(b, lam)
-        if is_infinity(fa) or is_infinity(fb):
-            continue
-        best = min(best, vec_norm(fa - fb) / d)
-    return best
+    a, b, d = _pair_arrays(pairs)
+    ax, ay, _, a_fin = tangent3_grid(a[:, 0], a[:, 1], 0.0, lam)
+    bx, by, _, b_fin = tangent3_grid(b[:, 0], b[:, 1], 0.0, lam)
+    keep = (d != 0.0) & a_fin & b_fin
+    dx = ax[keep] - bx[keep]
+    dy = ay[keep] - by[keep]
+    return float(np.min(np.sqrt(dx * dx + dy * dy) / d[keep], initial=math.inf))
+
+
+def _pair_arrays(pairs):
+    """Arrays (a, b, |a - b|) of point pairs; non-finite points raise the
+    ValueError of tangent3."""
+    w = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, 2)
+    if not np.isfinite(w).all():
+        raise ValueError(_NONFINITE)
+    a, b = w[:, 0], w[:, 1]
+    return a, b, np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
 
 
 # ---------------------------------------------------------------------------

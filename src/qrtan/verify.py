@@ -266,23 +266,25 @@ def check_eigen_crosscheck(lam, rng, n=500):
 
 
 def check_branch_roundtrip(lam, rng, n_targets=200):
-    """F o S_q = id on sampled targets; S_q(inf) is the pole, exactly."""
+    """F o S_q = id on sampled targets; S_q(inf) is the pole, exactly.
+
+    The targets of all nine diamonds go through one pass of the batched
+    branch engine and one forward ``tangent3_grid`` pass.
+    """
     from .core import INFINITY
     poles = [plane.PoleIndex(m, nn) for m in (-1, 0, 1) for nn in (-1, 0, 1)]
-    worst = 0.0
+    targets = []
     for q in poles:
         exact = plane.inverse_branch(q, INFINITY, lam)
         if not np.array_equal(exact, plane.pole_location(q)):
             return CheckResult("branch-roundtrip", False, "branch at infinity != pole")
-        count = 0
-        while count < n_targets:
-            w = rng.uniform(-20, 20, 2)
-            if plane.diagonal_segment_distance(w, lam) < 1e-6:
-                continue
-            count += 1
-            x = plane.inverse_branch(q, w, lam)
-            img = plane.plane_map(x, lam)
-            worst = max(worst, plane.plane_chordal(img, w))
+        targets.append(_accepted_uniform(
+            rng, n_targets, -20, 20, 2,
+            lambda w: ~(plane._diagonal_segment_distance_grid(w[:, 0], w[:, 1], lam) < 1e-6)))
+    wx, wy = np.concatenate(targets).T
+    centres = np.repeat([plane.pole_location(q) for q in poles], n_targets, axis=0)
+    x, y = plane._inverse_branch_grid(centres[:, 0], centres[:, 1], wx, wy, lam)
+    worst = _max(chordal_grid(tangent3_grid(x, y, 0.0, lam)[:3], (wx, wy, 0.0)))
     return CheckResult("branch-roundtrip", worst < 1e-9,
                        f"max chordal residual {worst:.2e}")
 
@@ -292,35 +294,23 @@ def check_branch_contraction(lam, rng, n_pairs=1000):
     bound = SQRT2 / lam + 0.01
     p = plane.PoleIndex(0, 3)
     q = plane.PoleIndex(0, 0)
-    c = plane.pole_location(p)
-    pairs = []
-    while len(pairs) < n_pairs:
-        a = _diamond_sample(rng, c)
-        b = _diamond_sample(rng, c)
-        pairs.append((a, b))
-    ratio = plane.branch_contraction_ratio(q, p, pairs, lam)
+    pts = plane.pole_location(p) + _accepted_uniform(
+        rng, 2 * n_pairs, -HALF_PI, HALF_PI, 2,
+        lambda d: np.abs(d[:, 0]) + np.abs(d[:, 1]) < HALF_PI)
+    ratio = plane.branch_contraction_ratio(q, p, pts.reshape(-1, 2, 2), lam)
     return CheckResult("branch-contraction", ratio <= bound,
                        f"max ratio {ratio:.4f} vs bound {bound:.4f}")
-
-
-def _diamond_sample(rng, center):
-    while True:
-        d = rng.uniform(-HALF_PI, HALF_PI, 2)
-        if abs(d[0]) + abs(d[1]) < HALF_PI:
-            return center + d
 
 
 def check_pole_expansion(lam, rng, n_pairs=1000):
     """|F(a)-F(b)| >= (2 - 0.01)|a-b| on the calibrated pole ball."""
     cal = plane.calibrate_expansion(lam)
     c = plane.pole_location(plane.PoleIndex(0, 0))
-    pairs = []
-    while len(pairs) < n_pairs:
-        ang = rng.uniform(0, 2 * math.pi, 2)
-        rad = cal.eps * np.sqrt(rng.uniform(0, 1, 2))
-        a = c + rad[0] * np.array([math.cos(ang[0]), math.sin(ang[0])])
-        b = c + rad[1] * np.array([math.cos(ang[1]), math.sin(ang[1])])
-        pairs.append((a, b))
+    # per pair: the two angles, then the two radius uniforms
+    u = rng.uniform([0.0, 0.0, 0.0, 0.0], [2 * math.pi, 2 * math.pi, 1.0, 1.0], (n_pairs, 4))
+    ang = u[:, :2]
+    rad = cal.eps * np.sqrt(u[:, 2:])
+    pairs = np.stack([c[0] + rad * np.cos(ang), c[1] + rad * np.sin(ang)], axis=-1)
     ratio = plane.pole_expansion_ratio(plane.PoleIndex(0, 0), pairs, lam)
     ok = ratio >= 2.0 - 0.01
     return CheckResult("pole-expansion", ok,

@@ -1,10 +1,11 @@
 """Scalar reference versions of the array-evaluated verify checks.
 
-Each function below is the one-point-at-a-time body that the check or
-sampler of the same name ran before it moved onto ``tangent3_grid`` and
-the float core, kept verbatim (names and imports aside) so the tests can
-require the array versions to reach the same verdicts, consume the same
-random numbers and, for ``classify_orbit``, return the same fates.
+Each function below is the one-point-at-a-time body that the check,
+sampler or plane ratio of the same name ran before it moved onto
+``tangent3_grid``, the batched branch engine and the float core, kept
+verbatim (names and imports aside) so the tests can require the array
+versions to reach the same verdicts, consume the same random numbers
+and, for ``classify_orbit``, return the same fates.
 The bisections are the full 200-step loops, without the early stop.
 """
 
@@ -204,6 +205,106 @@ def check_diagonal_invariance(lam, rng, n=500):
     return CheckResult("diagonal-invariance", ok,
                        f"off-diagonal {worst_off:.1e}, max |x| {worst_len:.6f} "
                        f"vs {lam / SQRT2:.6f}")
+
+
+def check_branch_roundtrip(lam, rng, n_targets=200):
+    """F o S_q = id on sampled targets; S_q(inf) is the pole, exactly."""
+    poles = [plane.PoleIndex(m, nn) for m in (-1, 0, 1) for nn in (-1, 0, 1)]
+    worst = 0.0
+    for q in poles:
+        exact = plane.inverse_branch(q, INFINITY, lam)
+        if not np.array_equal(exact, plane.pole_location(q)):
+            return CheckResult("branch-roundtrip", False, "branch at infinity != pole")
+        count = 0
+        while count < n_targets:
+            w = rng.uniform(-20, 20, 2)
+            if plane.diagonal_segment_distance(w, lam) < 1e-6:
+                continue
+            count += 1
+            x = plane.inverse_branch(q, w, lam)
+            img = plane.plane_map(x, lam)
+            worst = max(worst, plane.plane_chordal(img, w))
+    return CheckResult("branch-roundtrip", worst < 1e-9,
+                       f"max chordal residual {worst:.2e}")
+
+
+def check_branch_contraction(lam, rng, n_pairs=1000):
+    """Branch images of one diamond shrink pairwise by sqrt(2)/lam + 0.01."""
+    bound = SQRT2 / lam + 0.01
+    p = plane.PoleIndex(0, 3)
+    q = plane.PoleIndex(0, 0)
+    c = plane.pole_location(p)
+    pairs = []
+    while len(pairs) < n_pairs:
+        a = _diamond_sample(rng, c)
+        b = _diamond_sample(rng, c)
+        pairs.append((a, b))
+    ratio = branch_contraction_ratio(q, p, pairs, lam)
+    return CheckResult("branch-contraction", ratio <= bound,
+                       f"max ratio {ratio:.4f} vs bound {bound:.4f}")
+
+
+def _diamond_sample(rng, center):
+    while True:
+        d = rng.uniform(-HALF_PI, HALF_PI, 2)
+        if abs(d[0]) + abs(d[1]) < HALF_PI:
+            return center + d
+
+
+def check_pole_expansion(lam, rng, n_pairs=1000):
+    """|F(a)-F(b)| >= (2 - 0.01)|a-b| on the calibrated pole ball."""
+    cal = plane.calibrate_expansion(lam)
+    c = plane.pole_location(plane.PoleIndex(0, 0))
+    pairs = []
+    while len(pairs) < n_pairs:
+        ang = rng.uniform(0, 2 * math.pi, 2)
+        rad = cal.eps * np.sqrt(rng.uniform(0, 1, 2))
+        a = c + rad[0] * np.array([math.cos(ang[0]), math.sin(ang[0])])
+        b = c + rad[1] * np.array([math.cos(ang[1]), math.sin(ang[1])])
+        pairs.append((a, b))
+    ratio = pole_expansion_ratio(plane.PoleIndex(0, 0), pairs, lam)
+    ok = ratio >= 2.0 - 0.01
+    return CheckResult("pole-expansion", ok,
+                       f"min ratio {ratio:.4f} on eps={cal.eps:.4f} ball")
+
+
+def branch_contraction_ratio(q, p, pairs, lam: float = 1.0) -> float:
+    """max over pairs in diamond p of |S_q(w1)-S_q(w2)| / |w1-w2|.
+
+    Coincident pairs are skipped.  The derivative bound on the branches
+    caps this at sqrt(2)/lam.
+    """
+    worst = 0.0
+    for w1, w2 in pairs:
+        d = math.hypot(float(w1[0]) - float(w2[0]), float(w1[1]) - float(w2[1]))
+        if d == 0.0:
+            continue
+        a = plane.inverse_branch(q, w1, lam)
+        b = plane.inverse_branch(q, w2, lam)
+        worst = max(worst, vec_norm(a - b) / d)
+    return worst
+
+
+def pole_expansion_ratio(p, pairs, lam: float = 1.0) -> float:
+    """min over pairs near pole p of |F(a)-F(b)| / |a-b|.
+
+    A pair with an infinite image expands trivially (the other image is
+    finite, so the chordal gap is positive while |a-b| is tiny) and is
+    skipped rather than measured.  Pairs on opposite sides of the pole
+    need no special handling: their images sit in the far field in
+    roughly opposite directions, making the Euclidean gap huge.
+    """
+    best = math.inf
+    for a, b in pairs:
+        d = math.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1]))
+        if d == 0.0:
+            continue
+        fa = plane.plane_map(a, lam)
+        fb = plane.plane_map(b, lam)
+        if is_infinity(fa) or is_infinity(fb):
+            continue
+        best = min(best, vec_norm(fa - fb) / d)
+    return best
 
 
 # ---------------------------------------------------------------------------

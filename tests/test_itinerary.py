@@ -198,6 +198,18 @@ class TestPeriodicCycles:
         with pytest.raises(ValueError):
             periodic_point_from_cycle(PeriodicCycleSpec(cycle=[(1, 1)]), 1.0)
 
+    @pytest.mark.parametrize("cycle,lam", [([(1, -1)], 1.5), ([(0, 0)], 1.1107),
+                                           ([(1, 0)], 3.0)])
+    def test_orbit_at_a_tile_centre_ends_the_polish(self, cycle, lam):
+        # the composed branch lands exactly on a folded tile centre, where DF
+        # is undefined; the polish stops as at a singular step
+        cycle = [PoleIndex(*c) for c in cycle]
+        try:
+            res = _solve_cycle(cycle, lam, 400)
+        except itinerary.ContractionFailure:
+            return
+        assert [containing_diamond(p) for p in res.orbit] == cycle
+
 
 class TestPeriodicNearEscaping:
     def test_shadows_constructed_point(self):

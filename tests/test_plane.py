@@ -236,6 +236,85 @@ class TestInverseBranch:
             inverse_branch((0, 0), np.array([0.3, 0.3]), 1.0)
 
 
+class TestBatchedBranchEngine:
+    """``plane._inverse_branch_grid`` returns the points of ``inverse_branch``
+    bit for bit and raises the same error classes."""
+
+    @staticmethod
+    def _targets(rng, lam, n):
+        """n targets into diamonds |m|, |n| <= 3: generic, near-tie (|w| from
+        1e13 to 1e40, where the pole often wins, and |w| = lam(1 +- 3e-12) and
+        lam(1 +- 1e-13), the latter read in both hemisphere charts), tiny and
+        huge ones."""
+        poles = rng.integers(-3, 4, (n, 2))
+        kind = np.arange(n) % 5
+        r = np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [rng.uniform(0.0, 30.0, n), 10.0 ** rng.uniform(13.0, 40.0, n),
+             lam * (1.0 + rng.choice([-3e-12, 3e-12, -1e-13, 1e-13], n)),
+             10.0 ** rng.uniform(-300.0, 2.0, n)],
+            10.0 ** rng.uniform(40.0, 308.0, n))
+        ang = rng.uniform(0.0, 2.0 * math.pi, n)
+        return [tuple(q) for q in poles.tolist()], r * np.cos(ang), r * np.sin(ang)
+
+    @staticmethod
+    def _grid(poles, wx, wy, lam):
+        loc = np.array([pole_location(q) for q in poles]).reshape(-1, 2)
+        return plane._inverse_branch_grid(loc[:, 0], loc[:, 1], wx, wy, lam)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 1.0, 1.3, 2.0, 3.0])
+    def test_points_match_scalar_engine(self, lam):
+        poles, wx, wy = self._targets(np.random.default_rng(int(lam * 100)), lam, 1000)
+        x, y = self._grid(poles, wx, wy, lam)
+        pole_wins = 0
+        for q, w, got in zip(poles, zip(wx.tolist(), wy.tolist()), zip(x.tolist(), y.tolist())):
+            want = inverse_branch(q, w, lam)
+            assert struct.pack("2d", *got) == want.tobytes()
+            pole_wins += want.tobytes() == pole_location(q).tobytes()
+        assert pole_wins > 100
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_same_error_classes(self, lam):
+        half = lam / SQRT2
+        good = [(3.0, -1.0), (0.2, 5.0)]
+        bad = [(half, half), (-half, half), (0.3 * half, -0.3 * half), (0.0, 0.0),
+               (math.inf, 0.0), (math.nan, 1.0), (1.7e308, 1.0)]
+        for w in bad:
+            try:
+                inverse_branch((1, -2), w, lam)
+            except (BranchDomainError, ValueError) as e:
+                want = type(e)
+            else:
+                assert lam > 1.0 and w == (1.7e308, 1.0)  # w / lam is finite
+                continue
+            wx, wy = np.array([*good, w, *good]).T
+            with pytest.raises(want) as caught:
+                self._grid([(1, -2)] * len(wx), wx, wy, lam)
+            assert type(caught.value) is want
+
+    def test_residual_error_names_target_lam_and_residual(self, monkeypatch):
+        def shifted(x, y, z, lam):
+            tx, ty, tz, finite = core.tangent3_grid(x, y, z, lam)
+            return tx + 1e-3, ty, tz, finite
+
+        monkeypatch.setattr(plane, "tangent3_grid", shifted)
+        with pytest.raises(BranchResidualError, match=r"\(3\.0, 1\.0\).*lam=1\.3.*residual"):
+            self._grid([(0, 1)] * 2, np.array([3.0, 2.5]), np.array([1.0, -1.0]), 1.3)
+
+    def test_empty_batch(self):
+        x, y = self._grid([], np.array([]), np.array([]), 1.0)
+        assert x.shape == y.shape == (0,)
+
+    def test_segment_distance_grid_matches_scalar_up_to_rounding(self):
+        rng = np.random.default_rng(29)
+        for lam in (0.5, 1.0, 3.0):
+            pts = rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-4.0, 2.0, (500, 1))
+            pts[::3, 1] = pts[::3, 0]
+            got = plane._diagonal_segment_distance_grid(pts[:, 0], pts[:, 1], lam)
+            want = [diagonal_segment_distance(p, lam) for p in pts]
+            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+
 class TestPreimages:
     def test_pole_lattice_from_infinity(self):
         got = preimages_tangent3(INFINITY, 1.0, (-4, 4, -4, 4))

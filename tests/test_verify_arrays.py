@@ -32,12 +32,30 @@ PORTED = [
     (verify.check_basin_classification, ref.check_basin_classification),
     (verify.check_derivative_lower_bound, ref.check_derivative_lower_bound),
     (verify.check_diagonal_invariance, ref.check_diagonal_invariance),
+    (verify.check_branch_roundtrip, ref.check_branch_roundtrip),
+    (verify.check_branch_contraction, ref.check_branch_contraction),
+    (verify.check_pole_expansion, ref.check_pole_expansion),
 ]
+
+# checks that draw nothing, still loop point by point, or draw one seed for
+# an analysis sampler compared below; a check moved onto arrays belongs in
+# PORTED
+SCALAR_LOOP = {
+    verify.check_axis_fixed_point, verify.check_eigen_crosscheck,
+    verify.check_calibration, verify.check_offaxis_monotonicity,
+    verify.check_third_component_bound, verify.check_parabolic_bound,
+    verify.check_petal_membership, verify.check_petal_boundary_fixed,
+    verify.check_petal_absorbed, verify.check_lines_absorbed, verify.check_blowup,
+    verify.check_itinerary_shadow, verify.check_itinerary_cauchy,
+    verify.check_itinerary_roundtrip, verify.check_periodic_cycles,
+    verify.check_periodic_near_escaping,
+}
 
 # details made of counts, which rounding cannot move, or printed to a
 # precision the last-bit differences of the grid kernel do not reach here
 EXACT_DETAIL = {"half-space-invariance", "basin-classification",
-                "derivative-lower-bound", "diagonal-invariance"}
+                "derivative-lower-bound", "diagonal-invariance", "branch-contraction",
+                "pole-expansion"}
 
 
 @pytest.mark.parametrize("lam", LAMS)
@@ -55,6 +73,14 @@ def test_check_matches_scalar_reference(check, reference, lam):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         if got.name in EXACT_DETAIL:
             assert got.detail == want.detail
+
+
+def test_every_check_is_ported_or_named_scalar():
+    # so no array port can skip the generator-state gate above
+    ported = {check for check, _ in PORTED}
+    assert not ported & SCALAR_LOOP
+    assert ported | SCALAR_LOOP == set(verify.SUITES["all"])
+    assert len(verify.SUITES["all"]) == len(ported) + len(SCALAR_LOOP)
 
 
 @pytest.mark.parametrize("lam", LAMS)
