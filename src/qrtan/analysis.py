@@ -12,6 +12,7 @@ statements, including the full-space blow-up probe.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -192,6 +193,15 @@ ESCAPE_RUN = 8
 ESCAPE_NORM = 50.0
 
 
+def _check_escape_rule(escape_run, escape_norm):
+    """Raise ValueError unless escape_run is an integer >= 1 and
+    escape_norm is positive and finite."""
+    if not (isinstance(escape_run, numbers.Integral) and escape_run >= 1):
+        raise ValueError(f"escape_run must be an integer >= 1, got {escape_run!r}")
+    if not (math.isfinite(escape_norm) and escape_norm > 0.0):
+        raise ValueError(f"escape_norm must be positive and finite, got {escape_norm!r}")
+
+
 class Fate(Enum):
     TO_UPPER_FIXED = "ToUpperFixed"
     TO_LOWER_FIXED = "ToLowerFixed"
@@ -223,6 +233,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
+    _check_escape_rule(escape_run, escape_norm)
     targets = [(Fate.TO_ORIGIN, 0.0)]
     if lam > 1.0:
         xi = axis_fixed_point(lam)

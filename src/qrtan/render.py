@@ -6,7 +6,9 @@ the loop: it iterates only the pixels still live, and an escape-depth
 render also stops each pixel at its first passage above the depth
 threshold.  A pixel's arithmetic does not depend on which other pixels
 are still in the loop, so the output bytes equal those of iterating
-every pixel to ``max_iter``.  Output is 8-bit RGB, written as binary
+every pixel to ``max_iter``.  Where the escape threshold is at least the
+depth threshold, an escape-depth render skips the escape rule, which
+could not change its image.  Output is 8-bit RGB, written as binary
 PPM (P6) so golden files need no image library; PNG is available on
 request, written with the standard library.  Rendering is
 deterministic: the grid is cut into fixed row blocks, each block is
@@ -17,12 +19,11 @@ thread count can change the wall time but never a byte of the image.
 import math
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CAPTURE_TOL, ESCAPE_NORM, ESCAPE_RUN, SETTLE
+from .analysis import CAPTURE_TOL, ESCAPE_NORM, ESCAPE_RUN, SETTLE, _check_escape_rule
 from .core import HALF_PI, QUARTER_PI, tangent3_grid
 
 # no code for the axis fixed points: no orbit of the plane z = 0 reaches them
@@ -71,6 +72,7 @@ class RenderConfig:
             raise ValueError("capture tolerance must be positive and finite")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
+        _check_escape_rule(self.escape_run, self.escape_norm)
         if self.depth_norm is None:
             # a few times lam sits beyond every bounded invariant structure,
             # so first passage above it marks a genuine far excursion while
@@ -130,7 +132,10 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     and state, and a pixel leaves at a pole hit, origin capture or
     escape.  With ``depth_only`` it also leaves at its first depth
     passage, keeping fate 0 with ``when`` set to that step; the depth
-    array is the same as without it.
+    array is the same as without it.  If also ``escape_norm >=
+    depth_norm``, an escape (norm above ``escape_norm``) could only come
+    at a pixel's first depth passage, so the escape rule is skipped:
+    such a pixel keeps fate 0 too, with the same ``depth`` and ``when``.
     """
     shape = x.shape
     size = x.size
@@ -143,8 +148,11 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     px = x.astype(float).ravel()
     py = y.astype(float).ravel()
     run_origin = np.zeros(size, dtype=np.int16)
-    grow = np.zeros(size, dtype=np.int16)
-    prev_cn = np.full(size, np.nan)
+    # whether the escape rule (diamond-centre growth) runs; see above
+    growth = not depth_only or cfg.escape_norm < cfg.depth_norm
+    if growth:
+        grow = np.zeros(size, dtype=np.int16)
+        prev_cn = np.full(size, np.nan)
     nodepth = np.ones(size, dtype=bool)
     live = np.ones(size, dtype=bool)
 
@@ -158,8 +166,10 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
         if n_live == 0:
             break
         if (idx.size - n_live) * _COMPACT_SHARE >= idx.size:
-            idx, px, py, run_origin, grow, prev_cn, nodepth = (
-                a[live] for a in (idx, px, py, run_origin, grow, prev_cn, nodepth))
+            idx, px, py, run_origin, nodepth = (
+                a[live] for a in (idx, px, py, run_origin, nodepth))
+            if growth:
+                grow, prev_cn = grow[live], prev_cn[live]
             live = np.ones(n_live, dtype=bool)
         px, py, _, finite = tangent3_grid(px, py, 0.0, cfg.lam)
         hit = live & ~finite
@@ -181,32 +191,42 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
         # the axis fixed points at z = +-xi are unreachable from z = 0
         # (the plane is exactly invariant), so the origin is the only
         # convergence target a basin render can see
-        cx, cy, tracked = _diamond_centers(px, py)
-        tracked &= live
-        cn = np.hypot(cx, cy, out=cx)
-        grew = cn > prev_cn  # False where prev_cn is NaN
-        grew &= tracked
-        grow += 1
-        grow *= grew
-        # NaN where the pixel is not tracked: its next step cannot count as growth
-        np.putmask(cn, ~tracked, np.nan)
-        prev_cn = cn
-        newdepth = norm > cfg.depth_norm
-        newdepth &= tracked
-        newdepth &= nodepth
-        deeper = newdepth.any()
-        if deeper:
-            depth[idx[newdepth]] = step
-            nodepth &= ~newdepth
-        esc = grow >= cfg.escape_run
-        esc &= tracked
-        esc &= norm > cfg.escape_norm
-        if esc.any():
-            retire(esc, _FATE_ESCAPING, step)
-            live &= ~esc
-        if depth_only and deeper:
-            when[idx[newdepth]] = step
-            live &= ~newdepth
+        if growth:
+            cx, cy, tracked = _diamond_centers(px, py)
+            tracked &= live
+            cn = np.hypot(cx, cy, out=cx)
+            grew = cn > prev_cn  # False where prev_cn is NaN
+            grew &= tracked
+            grow += 1
+            grow *= grew
+            # NaN where the pixel is not tracked: its next step cannot count as growth
+            np.putmask(cn, ~tracked, np.nan)
+            prev_cn = cn
+            newdepth = norm > cfg.depth_norm
+            newdepth &= tracked
+            newdepth &= nodepth
+            deeper = newdepth.any()
+            if deeper:
+                depth[idx[newdepth]] = step
+                nodepth &= ~newdepth
+            esc = grow >= cfg.escape_run
+            esc &= tracked
+            esc &= norm > cfg.escape_norm
+            if esc.any():
+                retire(esc, _FATE_ESCAPING, step)
+                live &= ~esc
+            if depth_only and deeper:
+                when[idx[newdepth]] = step
+                live &= ~newdepth
+        else:
+            # depth only, and no live pixel has passed yet (nodepth stays
+            # True); the diamond lookup is elementwise, so it runs on the
+            # pixels above depth_norm only
+            far = np.flatnonzero(live & (norm > cfg.depth_norm))
+            far = far[_diamond_centers(px[far], py[far])[2]]
+            sel = idx[far]
+            depth[sel] = when[sel] = step
+            live[far] = False
     when[idx[live]] = cfg.max_iter
     return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
 
@@ -272,6 +292,9 @@ def _run_blocks(cfg: RenderConfig, worker, out):
     blocks = [(r, min(r + _ROW_BLOCK, cfg.height))
               for r in range(0, cfg.height, _ROW_BLOCK)]
     if cfg.threads > 1:
+        # imported here: it pulls in logging, which a one-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, blocks))
     else:

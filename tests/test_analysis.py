@@ -216,6 +216,19 @@ class TestClassifyOrbit:
         with pytest.raises(ValueError):
             classify_orbit(np.array([0.1, 0.1, 0.1]), 1.0, max_iter=0)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("escape_run", dict(escape_run=0, escape_norm=math.nan)),
+        ("escape_run", dict(escape_run=2.5, escape_norm=-3.0)),
+        ("escape_run", dict(escape_run=-1)),
+        ("escape_norm", dict(escape_norm=math.nan)),
+        ("escape_norm", dict(escape_norm=math.inf)),
+        ("escape_norm", dict(escape_norm=0.0)),
+        ("escape_norm", dict(escape_norm=-3.0)),
+    ])
+    def test_rejects_bad_escape_rule(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            classify_orbit(np.array([0.1, 0.2, 0.0]), 1.0, max_iter=10, **kwargs)
+
     def test_axis_fixed_point_solved_once_per_lam(self, monkeypatch):
         solves = []
         bisect = analysis._bisect

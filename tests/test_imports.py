@@ -1,4 +1,4 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and ``import qrtan`` stays lean.
 
 A stdlib ``ast`` scan of the package (its ``__init__.py`` re-exports
 excepted), the tests and the demos: every name an ``import`` statement
@@ -6,6 +6,9 @@ binds must be referenced somewhere in the same file.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,3 +48,17 @@ def test_no_unused_imports():
              for path in _scanned_files()
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # concurrent.futures (and the logging it pulls in) serves only a
+    # multi-thread render, which imports it itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, qrtan, qrtan.cli\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

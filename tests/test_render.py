@@ -70,6 +70,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least 1"):
             RenderConfig(lam=1.0, **{field: value})
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("escape_run", dict(escape_run=0, escape_norm=math.nan)),
+        ("escape_run", dict(escape_run=2.5, escape_norm=-3.0)),
+        ("escape_run", dict(escape_run=-1)),
+        ("escape_norm", dict(escape_norm=math.nan)),
+        ("escape_norm", dict(escape_norm=math.inf)),
+        ("escape_norm", dict(escape_norm=0.0)),
+        ("escape_norm", dict(escape_norm=-3.0)),
+    ])
+    def test_rejects_bad_escape_rule(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RenderConfig(lam=1.0, **kwargs)
+
+    def test_accepts_numpy_integer_escape_run(self):
+        assert RenderConfig(lam=1.0, escape_run=np.int64(3)).escape_run == 3
+
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             RenderConfig(lam=1.0, width=0)
@@ -497,6 +513,72 @@ class TestGridKernelBitIdentity:
         monkeypatch.setitem(globals(), "_reference_tangent3_grid", scripted_map())
         _assert_identical(got, _reference_classify_plane_block(x, y, cfg))
         assert got[0][0, 0] == _FATE_ESCAPING and got[1][0, 0] == 4
+
+
+class TestEscapeRuleSkip:
+    """With depth_only and escape_norm >= depth_norm the loop skips the
+    escape rule: an escape could only come at a pixel's first depth
+    passage, which ends the pixel with the same depth and when."""
+
+    # (lam, escape_norm, escape_run, window); the second has
+    # escape_norm == depth_norm, the edge where the rule is still skipped
+    SKIPPED = [
+        (1.2, 5.0, 2, None),
+        (2.0, 8.0, 2, None),
+        (2.0, 10.0, 3, (0.0, 0.0, 2.0, 2.0)),
+    ]
+
+    @pytest.mark.parametrize("lam,escape_norm,escape_run,window", SKIPPED)
+    def test_fate_moves_only_for_escapes_at_passage(self, lam, escape_norm, escape_run,
+                                                    window):
+        extra = {} if window is None else {"window": window}
+        cfg = RenderConfig(lam=lam, width=48, height=48, max_iter=100,
+                           escape_norm=escape_norm, escape_run=escape_run, **extra)
+        assert cfg.escape_norm >= cfg.depth_norm
+        gx, gy = block_with_poles(cfg)
+        want_fate, want_when, want_depth = _reference_classify_plane_block(
+            gx, gy, cfg, depth_only=True)
+        fate, when, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
+        np.testing.assert_array_equal(depth, want_depth)
+        np.testing.assert_array_equal(when, want_when)
+        at_passage = (want_fate == _FATE_ESCAPING) & (want_depth == want_when)
+        assert np.count_nonzero(at_passage) > 0
+        np.testing.assert_array_equal(fate[~at_passage], want_fate[~at_passage])
+        assert not fate[at_passage].any()
+        assert not (fate == _FATE_ESCAPING).any()
+
+    @staticmethod
+    def _lookup_norms(monkeypatch):
+        """Record the norms of the points each _diamond_centers call gets."""
+        norms = []
+
+        def recording(x, y):
+            norms.append(np.hypot(x, y))
+            return _diamond_centers(x, y)
+
+        monkeypatch.setattr(render, "_diamond_centers", recording)
+        return norms
+
+    def test_default_escape_render_looks_up_only_far_points(self, monkeypatch):
+        norms = self._lookup_norms(monkeypatch)
+        cfg = RenderConfig(lam=2.0, width=32, height=32, max_iter=60)
+        assert compute_escape_depth(cfg).any()
+        seen = np.concatenate(norms)
+        assert seen.size > 0
+        assert (seen > cfg.depth_norm).all()
+
+    @pytest.mark.parametrize("escape", [False, True])
+    def test_escape_rule_still_looks_up_near_points(self, monkeypatch, escape):
+        # a basin render, and an escape render whose depth_norm is above
+        # escape_norm, both still run the diamond lookup near the origin
+        norms = self._lookup_norms(monkeypatch)
+        if escape:
+            cfg = RenderConfig(lam=2.0, width=16, height=16, max_iter=20, depth_norm=60.0)
+            compute_escape_depth(cfg)
+        else:
+            cfg = RenderConfig(lam=2.0, width=16, height=16, max_iter=20)
+            render_basin(cfg)
+        assert (np.concatenate(norms) <= cfg.depth_norm).any()
 
 
 class TestBasinContent:
