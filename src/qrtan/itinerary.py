@@ -87,17 +87,16 @@ def itinerary_of(p, lam: float, n_terms: int):
     return symbols, StopReason.COMPLETE
 
 
-def _check_tail(itin: Itinerary, lam: float, n: int):
+def _check_tail(itin: Itinerary, lam: float, symbols):
     r = required_tail_radius(lam)
-    norms = [vec_norm(pole_location(itin.symbol(j))) for j in range(n)]
-    tail_start = len(itin.prefix)
-    for j in range(tail_start, n):
+    norms = [vec_norm(pole_location(s)) for s in symbols]
+    n = len(norms)
+    for j in range(len(itin.prefix), n):
         if norms[j] <= r:
             raise ValueError(
                 f"tail pole {j} has norm {norms[j]:.3f} <= calibrated radius {r:.3f}")
         if j + 1 < n and norms[j + 1] < norms[j] - 1e-12:
             raise ValueError("tail pole norms must be nondecreasing")
-    return norms
 
 
 def point_from_itinerary(itin: Itinerary, lam: float, n_compose: int = 30,
@@ -113,12 +112,13 @@ def point_from_itinerary(itin: Itinerary, lam: float, n_compose: int = 30,
     """
     if itin.tail is None and len(itin.prefix) <= n_compose:
         raise ValueError("need a tail rule (or a prefix longer than n_compose)")
-    _check_tail(itin, lam, n_compose + 1)
-    w = pole_location(itin.symbol(n_compose)).copy()
+    symbols = itin.symbols(n_compose + 1)
+    _check_tail(itin, lam, symbols)
+    w = pole_location(symbols[n_compose])
     waypoints = [None] * (n_compose + 1)
     waypoints[n_compose] = w
     for j in range(n_compose - 1, -1, -1):
-        w = inverse_branch(itin.symbol(j), w, lam)
+        w = inverse_branch(symbols[j], w, lam)
         waypoints[j] = w
     if return_waypoints:
         return w, waypoints

@@ -13,6 +13,7 @@ of the tangent map's preimages in a box serves both the inverse branches
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -42,6 +43,9 @@ from .core import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# poles with both coordinates below this map to INFINITY exactly (the fold lands
+# on the tile centre): the branch engines price them from the target alone
+_EXACT_POLES = 2.0 ** 40
 
 
 class PoleIndex(NamedTuple):
@@ -247,12 +251,8 @@ def beam_sector_eigenvalues(p, lam: float = 1.0):
         return None
     r = math.hypot(a, b)
     if (px + py) % 2 == 0:
-        mu1 = math.tan(a) / r
-        mu2 = a * (1.0 + math.tan(a) ** 2) / r
-        return (lam * mu1, lam * mu2)
-    mu3 = (math.cos(a) / math.sin(a)) / r
-    mu4 = -a / (math.sin(a) ** 2 * r)
-    return (lam * mu3, lam * mu4)
+        return (lam * (math.tan(a) / r), lam * (a * (1.0 + math.tan(a) ** 2) / r))
+    return (lam * (math.cos(a) / math.sin(a) / r), lam * (-a / (math.sin(a) ** 2 * r)))
 
 
 def fold_orientation(p):
@@ -302,16 +302,20 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     For finite w the candidate preimages are reconstructed in closed
     form: pull w/lam back through the Mobius map to a unit vector, read
     off the hemisphere chart point, and enumerate the finitely many
-    reflection-group images near the diamond; the candidate is accepted
+    reflection-group images in the diamond; the candidate is accepted
     only if its forward image reproduces w within 1e-9 (chordal).
-    w = INFINITY maps to the pole itself.
+    w = INFINITY maps to the pole itself, which also competes last (and
+    wins only strictly) for targets near infinity.  q must be integers.
 
     Everything runs on Python floats through the float cores of the
     Mobius pullback, the chart, the map and the chordal metric; only the
     returned point is an array.
     """
-    q = PoleIndex(*q)
-    lx, ly = _pole_xy(q.m, q.n)
+    try:
+        m, n = map(operator.index, q)
+    except TypeError:
+        raise ValueError(f"pole index {tuple(q)} is not a pair of integers") from None
+    lx, ly = _pole_xy(m, n)
     if is_infinity(w):
         return np.array([lx, ly])
     wx, wy = float(w[0]), float(w[1])
@@ -321,27 +325,27 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     x, y = wx / lam, wy / lam
     _require_finite(x, y)
     candidates = _branch_candidates(*_cayley_inverse_xyz(x, y, 0.0), lx, ly)
-    # the pole itself certifies targets near infinity in the chordal metric
-    candidates.append((lx, ly))
-    target = (wx, wy, 0.0)
+    near = abs(lx) < _EXACT_POLES > abs(ly)  # else the pole is evaluated forward
     ww = wx * wx + wy * wy
+    at_infinity = _chordal_infinite(ww, (wx, wy))  # the residual of a pole hit
     best = None
     best_res = math.inf
-    for cx, cy in candidates:
+    for cx, cy in candidates if near else candidates + [(lx, ly)]:
         t = _tangent3_xyz(cx, cy, 0.0, lam)
         if t is None:
-            res = _chordal_infinite(ww, (wx, wy))
+            res = at_infinity
         else:
             tx, ty = t[0], t[1]
             dx, dy = tx - wx, ty - wy
             res = _chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
-                                  (dx, dy, 0.0), (tx, ty, 0.0), target)
+                                  (dx, dy, 0.0), (tx, ty, 0.0), (wx, wy, 0.0))
         if res < best_res:
-            best_res = res
-            best = (cx, cy)
+            best, best_res = (cx, cy), res
+    if near and at_infinity < best_res:
+        best, best_res = (lx, ly), at_infinity
     if best is None or best_res > 1e-9:
         raise BranchResidualError(
-            f"no preimage of {(wx, wy)} in diamond {tuple(q)} (best residual {best_res:.3e})")
+            f"no preimage of {(wx, wy)} in diamond {(m, n)} (best residual {best_res:.3e})")
     return np.array(best)
 
 
@@ -370,6 +374,7 @@ def _inverse_branch_grid(lx, ly, wx, wy, lam):
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError(_NONFINITE)
         s = 1.0 / (x * x + y * y + 1.0)
+        ww = wx * wx + wy * wy
     ux = 2.0 * s * x
     uy = 2.0 * s * y
     uz = -1.0 + 2.0 * s
@@ -386,9 +391,10 @@ def _inverse_branch_grid(lx, ly, wx, wy, lam):
     # (slot >> 2) * 2 + (slot & 1) of ys, and slot 16, row 8 of both, is the pole
     pair = np.array([[0, 1], [1, 0]])
     ys, y_ok = ys[[[0], [1]], pair], y_ok[[[0], [1]], pair]
-    ok = np.ones((17, n), dtype=bool)
+    ok = np.empty((17, n), dtype=bool)
     ok[:16] = (x_ok[:, :, :, None] & y_ok[:, :, None]
                & np.stack([uz >= -1e-12, uz <= 1e-12])[:, None, None, None]).reshape(16, n)
+    ok[16] = np.maximum(np.abs(lx), np.abs(ly)) >= _EXACT_POLES  # far poles go forward
     xs = np.concatenate([xs.reshape(8, n), lx[None]])
     ys = np.concatenate([ys.reshape(8, n), ly[None]])
     slot, col = np.nonzero(ok)
@@ -397,6 +403,9 @@ def _inverse_branch_grid(lx, ly, wx, wy, lam):
     keep = np.abs(cx - lx[col]) + np.abs(cy - ly[col]) <= HALF_PI + 1e-9
     slot, col, cx, cy = slot[keep], col[keep], cx[keep], cy[keep]
     res = np.full((17, n), np.inf)
+    res[16] = 2.0 / np.sqrt(1.0 + ww)  # the pole, priced as in inverse_branch
+    for i in np.flatnonzero(ww == math.inf):
+        res[16, i] = _chordal_infinite(math.inf, (wx[i], wy[i]))
     res[slot, col] = chordal_grid(tangent3_grid(cx, cy, 0.0, lam)[:3], (wx[col], wy[col], 0.0))
     best = np.argmin(res, axis=0)
     cols = np.arange(n)
@@ -410,8 +419,8 @@ def _inverse_branch_grid(lx, ly, wx, wy, lam):
 
 
 def _family_slots(a, center):
-    """``_family_members`` (half-width pi/2 + 2e-9) for arrays a of shape
-    (2 charts, n): (values, valid), indexed [chart, offset, slot, target].
+    """``_chart_preimages``' families (half-width pi/2 + 2e-9) for arrays a of
+    shape (2 charts, n): (values, valid), indexed [chart, offset, slot, target].
 
     The scalar loop runs k from floor((center - half - off)/pi) up to 3
     further; its members, at most two consecutive k since the box is just
@@ -438,42 +447,40 @@ def _branch_candidates(ux, uy, uz, lx, ly):
     rounding in the box test can never drop a point the L1 test keeps.
     """
     half = HALF_PI + 2e-9
-    return [(x, y) for x, y in _chart_preimages(ux, uy, uz, lx, half, ly, half)
-            if abs(x - lx) + abs(y - ly) <= HALF_PI + 1e-9]
+    return _chart_preimages(ux, uy, uz, lx, half, ly, half, HALF_PI + 1e-9)
 
 
-def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y):
-    """Points (x, y) with |x-cx| <= half_x, |y-cy| <= half_y whose Zorich
-    direction is the unit vector (ux, uy, uz).
-
-    The chart point of each hemisphere generates two pi-periodic families
-    per coordinate (direct and reflected), and the coordinate parities
-    must add up to the hemisphere flip.
-    """
-    charts = []
-    if uz >= -1e-12:
-        charts.append((_hemisphere_xy(ux, uy, uz), 0))
-    if uz <= 1e-12:
-        charts.append((_hemisphere_xy(ux, uy, -uz), 1))
-    for (a, b), need in charts:
-        ys = _family_members(b, cy, half_y)
-        for x, parx in _family_members(a, cx, half_x):
-            for y, pary in ys:
-                if (parx + pary) % 2 == need:
-                    yield x, y
-
-
-def _family_members(a, center, half):
-    """Points of {a/2 + k*pi} u {(pi-a)/2 + k*pi} within ``half`` of
-    ``center``, tagged with their per-coordinate reflection parity."""
+def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y, radius=math.inf):
+    """The points (x, y) with |x-cx| <= half_x, |y-cy| <= half_y and
+    |x-cx| + |y-cy| <= radius whose Zorich direction is the unit vector
+    (ux, uy, uz), as a list.  The chart point (a, b) of each hemisphere,
+    upper then lower, gives the families a/2 + k*pi (direct) and
+    (pi-a)/2 + k*pi (reflected), k rising, per coordinate; x runs over the
+    direct then the reflected members, y likewise inside it, keeping the
+    pairs whose reflection parities add up to the hemisphere flip."""
+    pi, floor, ceil = math.pi, math.floor, math.ceil
     out = []
-    for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
-        klo = math.floor((center - half - off) / math.pi)
-        khi = math.ceil((center + half - off) / math.pi)
-        for k in range(klo, khi + 1):
-            x = off + k * math.pi
-            if center - half <= x <= center + half:
-                out.append((x, par))
+    xlo, xhi, ylo, yhi = cx - half_x, cx + half_x, cy - half_y, cy + half_y
+    for flip, sz in ((0, uz), (1, -uz)):
+        if not sz >= -1e-12:
+            continue
+        a, b = _hemisphere_xy(ux, uy, sz)
+        fam = []  # x direct, x reflected, y direct, y reflected
+        for off, lo, hi in ((a / 2.0, xlo, xhi), ((pi - a) / 2.0, xlo, xhi),
+                            (b / 2.0, ylo, yhi), ((pi - b) / 2.0, ylo, yhi)):
+            k, top = floor((lo - off) / pi), ceil((hi - off) / pi)
+            members = []
+            while k <= top and (x := off + k * pi) <= hi:  # x rises with k
+                if x >= lo:
+                    members.append(x)
+                k += 1
+            fam.append(members)
+        xd, xr, yd, yr = fam
+        for xs, ys in ((xd, yr), (xr, yd)) if flip else ((xd, yd), (xr, yr)):
+            for x in xs:
+                for y in ys:
+                    if abs(x - cx) + abs(y - cy) <= radius:
+                        out.append((x, y))
     return out
 
 
@@ -644,28 +651,19 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
     rng = np.random.default_rng(_SEED)
     inscribed = HALF_PI / SQRT2  # largest ball inside a diamond
     radii = inscribed * 0.98 * (2.0 ** (-np.arange(_N_RADII) / 8.0))
-    delta = None
-    for r in radii:
-        if _min_singular_on_ball(lam, float(r), rng) >= 2.0:
-            delta = float(r)
-            break
+    delta = next((float(r) for r in radii if _min_singular_on_ball(lam, float(r), rng) >= 2.0),
+                 None)
     if delta is None:
         raise RuntimeError(f"derivative never reaches 2 near poles at lam={lam}")
 
     c = pole_location(_BASE_POLE)
     r1 = max(1.5 * lam / SQRT2, 1.0)
     for _ in range(60):
-        ang = rng.uniform(0.0, 2.0 * math.pi, 400)
-        ok = True
-        for t in ang:
-            w = np.array([r1 * math.cos(t), r1 * math.sin(t)])
-            if diagonal_segment_distance(w, lam) == 0.0:
-                continue
-            s = inverse_branch(_BASE_POLE, w, lam)
-            if vec_norm(s - c) >= 0.98 * delta:
-                ok = False
-                break
-        if ok:
+        circle = ((r1 * math.cos(t), r1 * math.sin(t))
+                  for t in rng.uniform(0.0, 2.0 * math.pi, 400))
+        if all(diagonal_segment_distance(w, lam) == 0.0
+               or vec_norm(inverse_branch(_BASE_POLE, w, lam) - c) < 0.98 * delta
+               for w in circle):
             break
         r1 *= 1.5
     else:

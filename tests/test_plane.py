@@ -2,6 +2,7 @@
 branches and the expansion calibration."""
 
 import math
+import re
 import struct
 import warnings
 
@@ -1218,3 +1219,264 @@ class TestNonFinitePoints:
         # diamond apart there, so no diamond is resolved
         for p in [(1e308, 1e308), (1e308, -1e308), (-1e308, 1e308), (-1e308, -1e308)]:
             assert containing_diamond(p) is None
+
+
+# ---------------------------------------------------------------------------
+# the float inverse-branch engine before its enumerator became one loop and
+# the pole was priced from the target, kept verbatim (renamed) as the
+# reference: the engine must return the same bytes.  The array-level
+# ``_reference_inverse_branch`` is no oracle beyond |w| ~ 1e77, where its
+# product (1 + |p|^2)(1 + |q|^2) overflows and a residual reads 0, so huge
+# targets are compared with this one alone.
+
+def _reference_float_inverse_branch(q, w, lam: float = 1.0):
+    q = PoleIndex(*q)
+    lx, ly = plane._pole_xy(q.m, q.n)
+    if is_infinity(w):
+        return np.array([lx, ly])
+    wx, wy = float(w[0]), float(w[1])
+    if (wy == wx or wy == -wx) and abs(wx) <= lam / SQRT2:
+        raise BranchDomainError("target lies on the removed diagonal segment")
+    x, y = wx / lam, wy / lam
+    core._require_finite(x, y)
+    candidates = _reference_float_branch_candidates(*core._cayley_inverse_xyz(x, y, 0.0), lx, ly)
+    candidates.append((lx, ly))
+    target = (wx, wy, 0.0)
+    ww = wx * wx + wy * wy
+    best = None
+    best_res = math.inf
+    for cx, cy in candidates:
+        t = core._tangent3_xyz(cx, cy, 0.0, lam)
+        if t is None:
+            res = core._chordal_infinite(ww, (wx, wy))
+        else:
+            tx, ty = t[0], t[1]
+            dx, dy = tx - wx, ty - wy
+            res = core._chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
+                                       (dx, dy, 0.0), (tx, ty, 0.0), target)
+        if res < best_res:
+            best_res = res
+            best = (cx, cy)
+    if best is None or best_res > 1e-9:
+        raise BranchResidualError(
+            f"no preimage of {(wx, wy)} in diamond {tuple(q)} (best residual {best_res:.3e})")
+    return np.array(best)
+
+
+def _reference_float_branch_candidates(ux, uy, uz, lx, ly):
+    half = HALF_PI + 2e-9
+    return [(x, y) for x, y in _reference_float_chart_preimages(ux, uy, uz, lx, half, ly, half)
+            if abs(x - lx) + abs(y - ly) <= HALF_PI + 1e-9]
+
+
+def _reference_float_chart_preimages(ux, uy, uz, cx, half_x, cy, half_y):
+    charts = []
+    if uz >= -1e-12:
+        charts.append((core._hemisphere_xy(ux, uy, uz), 0))
+    if uz <= 1e-12:
+        charts.append((core._hemisphere_xy(ux, uy, -uz), 1))
+    for (a, b), need in charts:
+        ys = _reference_float_family_members(b, cy, half_y)
+        for x, parx in _reference_float_family_members(a, cx, half_x):
+            for y, pary in ys:
+                if (parx + pary) % 2 == need:
+                    yield x, y
+
+
+def _reference_float_family_members(a, center, half):
+    out = []
+    for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
+        klo = math.floor((center - half - off) / math.pi)
+        khi = math.ceil((center + half - off) / math.pi)
+        for k in range(klo, khi + 1):
+            x = off + k * math.pi
+            if center - half <= x <= center + half:
+                out.append((x, par))
+    return out
+
+
+def _polar(rng, r):
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    return (r * math.cos(ang), r * math.sin(ang))
+
+
+class TestScalarBranchWork:
+    """``inverse_branch`` enumerates the diamond's candidates in one loop and
+    prices the pole from the target: the same bytes, only the work its
+    answer needs, and integer pole indices only."""
+
+    LAMS = (0.5, 0.9, 1.0, 2.0, 3.0)
+    BOUND = plane._EXACT_POLES
+
+    @pytest.mark.parametrize("q", [(0.5, 0), (1.2, 3.0), (1.0, 2), (0, np.float64(2.0)),
+                                   ("1", 2), (None, 0)])
+    def test_rejects_non_integral_pole_index(self, q):
+        for w in ((0.3, 0.2), INFINITY):
+            with pytest.raises(ValueError, match=re.escape(f"pole index {tuple(q)}")) as caught:
+                inverse_branch(q, w, 1.0)
+            assert type(caught.value) is ValueError
+            assert "\n" not in str(caught.value)
+
+    def test_accepts_numpy_integer_index(self):
+        w = (0.3, 0.2)
+        want = inverse_branch((1, -2), w, 1.3)
+        for q in [(np.int64(1), np.int32(-2)), np.array([1, -2]), PoleIndex(1, -2),
+                  [np.int8(1), -2]]:
+            assert inverse_branch(q, w, 1.3).tobytes() == want.tobytes()
+            assert inverse_branch(q, INFINITY, 1.3).tobytes() == pole_location((1, -2)).tobytes()
+
+    def test_pole_maps_to_infinity_below_bound(self):
+        # the closed-form pole residual rests on this: below the bound every
+        # pole folds onto its tile centre and the map is exactly infinite
+        rng = np.random.default_rng(401)
+        top = math.log10(self.BOUND / HALF_PI)
+        m, n = (np.rint(rng.choice([-1.0, 1.0], (2, 5000)) * 10.0 ** rng.uniform(0.0, top, (2, 5000)))
+                .astype(np.int64).tolist())
+        edge = int(self.BOUND / HALF_PI) - 1  # |n + m| or |n - m + 1| just inside the bound
+        poles = list(zip(m, n)) + [(0, edge), (0, -edge - 1), (-edge // 2, edge - edge // 2),
+                                   (edge // 2, -(edge - edge // 2) + 1)]
+        checked = 0
+        for lam in (0.5, 1.0, 2.0, 3.7):
+            for pm, pn in poles:
+                lx, ly = plane._pole_xy(pm, pn)
+                if max(abs(lx), abs(ly)) >= self.BOUND:
+                    continue
+                assert core._tangent3_xyz(lx, ly, 0.0, lam) is None, (pm, pn)
+                checked += 1
+        assert checked > 4 * 4000
+        # far beyond it the fold can miss the centre, so poles there keep the
+        # forward evaluation
+        far = [plane._pole_xy(int(j), 0) for j in rng.integers(10**17, 10**18, 200)]
+        assert any(core._tangent3_xyz(x, y, 0.0, 1.0) is not None for x, y in far)
+
+    def test_past_bound_matches_references(self):
+        rng = np.random.default_rng(409)
+        j0 = math.ceil(self.BOUND / HALF_PI)
+        cases = []
+        for i in range(400):
+            j = j0 + int(rng.integers(0, 64)) if i % 2 else int(10.0 ** rng.uniform(12.5, 17.0))
+            if i % 4 < 2:
+                q = (j // 2, j - j // 2)  # x = j*pi/2 past the bound
+            else:
+                q = (-(j // 2), j - j // 2 - 1)  # y = j*pi/2 past the bound
+            cases.append((q, _polar(rng, 10.0 ** rng.uniform(-3.0, 40.0)),
+                          self.LAMS[i % len(self.LAMS)]))
+        pole_wins = 0
+        for q, w, lam in cases:
+            lx, ly = plane._pole_xy(*q)
+            assert max(abs(lx), abs(ly)) >= self.BOUND
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = _outcome(_reference_inverse_branch, q, w, lam)
+            got = _outcome(inverse_branch, q, w, lam)
+            _assert_same(got, want)
+            _assert_same(got, _outcome(_reference_float_inverse_branch, q, w, lam))
+            grid = _outcome(plane._inverse_branch_grid, lx, ly, w[0], w[1], lam)
+            if isinstance(got, np.ndarray):
+                pole_wins += got.tobytes() == pole_location(q).tobytes()
+                assert struct.pack("2d", grid[0][0], grid[1][0]) == got.tobytes()
+            else:
+                assert grid[0] is got[0]
+        assert pole_wins > 50
+
+    def test_forward_evaluations_are_the_candidates(self, monkeypatch):
+        evaluated = []
+        engine = core._tangent3_xyz
+
+        def counting(x, y, z, lam):
+            evaluated.append((x, y))
+            return engine(x, y, z, lam)
+
+        monkeypatch.setattr(plane, "_tangent3_xyz", counting)
+        rng = np.random.default_rng(419)
+        for i in range(300):
+            lam = self.LAMS[i % len(self.LAMS)]
+            q = tuple(int(v) for v in rng.integers(-6, 7, 2))
+            w = _polar(rng, 10.0 ** rng.uniform(-6.0, 30.0))
+            lx, ly = plane._pole_xy(*q)
+            want = plane._branch_candidates(
+                *core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0), lx, ly)
+            del evaluated[:]
+            inverse_branch(q, w, lam)
+            assert evaluated == want  # never the pole itself
+            inverse_branch(q, INFINITY, lam)
+            assert evaluated == want
+
+    def test_point_from_itinerary_reads_each_tail_symbol_once(self):
+        reads = []
+
+        def tail(j):
+            reads.append(j)
+            return (0, j + 3)
+
+        itin = Itinerary(prefix=[(1, 1), (-1, -1)], tail=tail)
+        point_from_itinerary(itin, 2.0, n_compose=12)
+        assert sorted(reads) == list(range(2, 13))
+
+    def test_wide_targets_match_references(self):
+        # poles up to |m|, |n| = 1e6; |w| = lam(1 +- 1e-13), read in both
+        # hemisphere charts; |w| from 1e150 to 1e308 (beyond ~1.3e154 the
+        # pole's residual takes the hypot branch); and |w| from 1e-300 to
+        # 1e-200, where every residual reads 0 and the first candidate wins
+        rng = np.random.default_rng(421)
+        firsts = two_chart = 0
+        for i in range(2000):
+            lam = self.LAMS[i % len(self.LAMS)]
+            kind = i % 4
+            q = tuple(int(v) for v in rng.integers(-10**6, 10**6 + 1, 2))
+            if kind == 0:
+                w = INFINITY if i % 40 == 0 else _polar(rng, 10.0 ** rng.uniform(-3.0, 3.0))
+            elif kind == 1:
+                w = _polar(rng, lam * (1.0 + (1e-13 if i % 8 < 4 else -1e-13)))
+            elif kind == 2:
+                w = _polar(rng, 10.0 ** rng.uniform(150.0, 308.0))
+            else:
+                w = _polar(rng, 10.0 ** rng.uniform(-300.0, -200.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(inverse_branch, q, w, lam)
+            _assert_same(got, _outcome(_reference_float_inverse_branch, q, w, lam))
+            if kind != 2:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    _assert_same(got, _outcome(_reference_inverse_branch, q, w, lam))
+            if kind in (1, 3):
+                u = core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0)
+                if kind == 1:
+                    two_chart += abs(u[2]) <= 1e-12
+                else:
+                    cands = plane._branch_candidates(*u, *plane._pole_xy(*q))
+                    assert got.tobytes() == np.array(cands[0]).tobytes()
+                    firsts += 1
+        assert firsts == 500 and two_chart > 400
+
+    def test_enumerator_matches_references(self):
+        # boxes of every width about centres up to 1e18 (beyond ~1e15 the
+        # family loop ends on its k bound, not on the box), and the
+        # preimages of targets near far poles
+        rng = np.random.default_rng(431)
+        found = 0
+        for i in range(600):
+            u = rng.normal(size=3)
+            if i % 3 == 0:
+                u[2] = rng.uniform(-1e-12, 1e-12) * np.linalg.norm(u[:2])
+            u = (u / np.linalg.norm(u)).tolist()
+            cx, cy = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(0.0, 18.0, 2)
+            hx, hy = 10.0 ** rng.uniform(-3.0, 1.5, 2)
+            assert (plane._chart_preimages(*u, cx, hx, cy, hy)
+                    == list(_reference_float_chart_preimages(*u, cx, hx, cy, hy)))
+            assert (plane._branch_candidates(*u, cx, cy)
+                    == _reference_float_branch_candidates(*u, cx, cy))
+            lam = self.LAMS[i % len(self.LAMS)]
+            lx, ly = plane._pole_xy(*(int(v) for v in rng.integers(-10**6, 10**6 + 1, 2)))
+            box = (lx - hx, lx + hx, ly - hy, ly + hy)
+            if i % 5 == 0:
+                target = INFINITY
+            elif i % 5 == 1:
+                target = np.array([*_polar(rng, lam * (1.0 + rng.choice([-1e-13, 1e-13]))), 0.0])
+            else:
+                target = rng.normal(size=3) * [3.0, 3.0, 0.5 if i % 2 else 0.0]
+            want = _outcome(_reference_preimages_tangent3, target, lam, box)
+            _assert_same(_outcome(preimages_tangent3, target, lam, box), want)
+            found += len(want)
+        assert found > 300
