@@ -13,6 +13,7 @@ statements, including the full-space blow-up probe.
 import functools
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -241,8 +242,8 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
         targets.append((Fate.TO_LOWER_FIXED, -xi))
     runs = [0] * len(targets)
     x, y, z = _checked_vec3(v)[1]
-    grow_run = 0
-    prev_center_norm = None
+    # the last plane iterates, as many as the escape rule reads
+    recent = deque(maxlen=escape_run + 1)
     for it in range(1, max_iter + 1):
         p = _tangent3_xyz(x, y, z, lam)
         if p is None:
@@ -257,21 +258,30 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
             if runs[i] >= SETTLE:
                 return FateRecord(fate, it, d, np.array(p))
         # escape bookkeeping only makes sense on the invariant plane
-        idx = containing_diamond(p) if z == 0.0 else None
-        if idx is None:
-            grow_run = 0
-            prev_center_norm = None
+        if z != 0.0:
+            recent.clear()
             continue
-        lx, ly = _pole_xy(*idx)
-        cn = math.sqrt(lx * lx + ly * ly)
-        if prev_center_norm is not None and cn > prev_center_norm:
-            grow_run += 1
-        else:
-            grow_run = 0
-        prev_center_norm = cn
-        if grow_run >= escape_run and math.sqrt(xy2) > escape_norm:
+        recent.append(p)
+        if (math.sqrt(xy2) > escape_norm and len(recent) > escape_run
+                and _centre_norms_grow(recent)):
             return FateRecord(Fate.ESCAPING, it, 0.0, np.array(p))
     return FateRecord(Fate.UNDECIDED, max_iter, math.nan, np.array(p))
+
+
+def _centre_norms_grow(points):
+    """Whether every point lies in an open pole diamond and the diamonds'
+    centre norms strictly increase along the points."""
+    prev = -math.inf
+    for p in points:
+        idx = containing_diamond(p)
+        if idx is None:
+            return False
+        lx, ly = _pole_xy(*idx)
+        cn = math.sqrt(lx * lx + ly * ly)
+        if not cn > prev:
+            return False
+        prev = cn
+    return True
 
 
 # ---------------------------------------------------------------------------

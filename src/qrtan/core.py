@@ -455,7 +455,12 @@ def fold_axis_grid(x, half_width):
     odd = np.floor(half) < half
     k *= width
     np.subtract(x, k, out=k)
-    return np.where(odd, -k, k), odd
+    # reflect odd tiles by the sign 1 - 2*odd: exact, and branch-free
+    # unlike a select on random parities
+    sign = np.multiply(odd, -2.0, out=half)
+    sign += 1.0
+    k *= sign
+    return k, odd
 
 
 # 1/n2 overflows exactly for 0 < n2 <= 2^-1024 (a subnormal |b|^2)
@@ -489,8 +494,12 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
     fx, ox = fold_axis_grid(coords[0], QUARTER_PI)
     fy, oy = fold_axis_grid(coords[1], QUARTER_PI)
     odd = ox ^ oy
-    m = np.abs(fx)
-    np.maximum(m, np.abs(fy), out=m)
+    r = np.abs(fx)
+    lo = np.abs(fy)
+    m = np.maximum(r, lo)
+    np.minimum(r, lo, out=lo)
+    # libm's hypot takes fabs and orders its arguments: same bits, no swap
+    np.hypot(m, lo, out=r)
     cm = np.cos(m)
     f = np.sin(m, out=m)
     f *= cm
@@ -509,11 +518,10 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
         denom += np.multiply(th, th, out=e)
         bz = np.divide(th, denom, out=th)
         f *= s2
-    r = np.hypot(fx, fy)
-    nonzero = r > 0.0
+    # where r = 0, f = cos(0) sin(0) = 0 already, and r = 1 keeps it 0
+    r[r == 0.0] = 1.0
     r *= denom
-    # where r = 0, f = cos(0) sin(0) = 0 already
-    np.divide(f, r, out=f, where=nonzero)
+    f /= r
     bx = np.multiply(fx, f, out=fx)
     by = np.multiply(fy, f, out=fy)
     b = (bx, by) if plane else (bx, by, bz)
@@ -527,8 +535,12 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
         pole = low & (n2 == 0.0)
         near = low ^ pole
         near_vals = [lam * (c[near] / n2[near]) for c in b]
-    # the reciprocal only where it is used and finite, 1 elsewhere
-    inv = np.where(odd & (n2 > _RECIP_FLOOR), n2, 1.0)
+    # the reciprocal only where it is used and finite, 1 elsewhere (n2*1 + 0
+    # and n2*0 + 1 are exact)
+    used = n2 > _RECIP_FLOOR
+    used &= odd
+    inv = np.multiply(n2, used)
+    inv += ~used
     np.divide(1.0, inv, out=inv)
     for c in b:
         c *= lam

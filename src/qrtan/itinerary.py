@@ -89,13 +89,14 @@ def itinerary_of(p, lam: float, n_terms: int):
 
 def _check_tail(itin: Itinerary, lam: float, symbols):
     r = required_tail_radius(lam)
-    norms = [vec_norm(pole_location(s)) for s in symbols]
+    start = len(itin.prefix)
+    norms = [vec_norm(pole_location(s)) for s in symbols[start:]]
     n = len(norms)
-    for j in range(len(itin.prefix), n):
-        if norms[j] <= r:
-            raise ValueError(
-                f"tail pole {j} has norm {norms[j]:.3f} <= calibrated radius {r:.3f}")
-        if j + 1 < n and norms[j + 1] < norms[j] - 1e-12:
+    for i in range(n):
+        if norms[i] <= r:
+            raise ValueError(f"tail pole {start + i} has norm {norms[i]:.3f} "
+                             f"<= calibrated radius {r:.3f}")
+        if i + 1 < n and norms[i + 1] < norms[i] - 1e-12:
             raise ValueError("tail pole norms must be nondecreasing")
 
 

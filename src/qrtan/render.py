@@ -1,19 +1,17 @@
 """Basin and escape-depth images of the plane dynamics.
 
 Pixels are classified with the same fate logic as the scalar orbit
-classifier, but vectorized over the whole grid.  Decided pixels leave
-the loop: it iterates only the pixels still live, and an escape-depth
-render also stops each pixel at its first passage above the depth
-threshold.  A pixel's arithmetic does not depend on which other pixels
-are still in the loop, so the output bytes equal those of iterating
-every pixel to ``max_iter``.  Where the escape threshold is at least the
-depth threshold, an escape-depth render skips the escape rule, which
-could not change its image.  Output is 8-bit RGB, written as binary
-PPM (P6) so golden files need no image library; PNG is available on
-request, written with the standard library.  Rendering is
-deterministic: the grid is cut into fixed row blocks, each block is
-computed by pure array code, and assembly is by block index, so the
-thread count can change the wall time but never a byte of the image.
+classifier, but vectorized: one loop per image (per band of rows with
+several threads) streams the pixels through a working set.  A pixel
+leaves it when decided or at ``max_iter``, and an escape-depth render
+also stops each pixel at its first passage above the depth threshold.
+A pixel's arithmetic does not depend on which other pixels share the
+set, so the bytes equal those of iterating every pixel to
+``max_iter``, for any set size, band or thread count.  Where the escape
+threshold is at least the depth threshold, an escape-depth render skips
+the escape rule, which could not change its image.  Output is 8-bit
+RGB, written as binary PPM (P6) so golden files need no image library;
+PNG is available on request, written with the standard library.
 """
 
 import math
@@ -39,8 +37,8 @@ _DEFAULT_WINDOW = (-QUARTER_PI, -QUARTER_PI, 3 * QUARTER_PI, 3 * QUARTER_PI)
 # resizing the arrays, which costs resident memory through the allocator
 _COMPACT_SHARE = 4
 
-# rows per work unit; fixed, so the thread count never changes a byte
-_ROW_BLOCK = 64
+# the most pixels the render loop carries at once
+_WORKING_SET = 16384
 
 
 @dataclass
@@ -83,16 +81,21 @@ class RenderConfig:
             raise ValueError("escape-depth threshold must be positive and finite")
 
 
+def _pixel_axes(cfg: RenderConfig, row0: int, row1: int):
+    """x of the pixel columns and y of rows [row0, row1)."""
+    x0, y0, x1, y1 = cfg.window
+    xs = x0 + (np.arange(cfg.width) + 0.5) * (x1 - x0) / cfg.width
+    ys = y1 - (np.arange(row0, row1) + 0.5) * (y1 - y0) / cfg.height
+    return xs, ys
+
+
 def pixel_grid(cfg: RenderConfig, row0: int, row1: int):
     """Plane coordinates of pixel centres for rows [row0, row1).
 
     Row 0 is the top of the image and y increases upward, so the top row
     carries the largest y.
     """
-    x0, y0, x1, y1 = cfg.window
-    xs = x0 + (np.arange(cfg.width) + 0.5) * (x1 - x0) / cfg.width
-    ys = y1 - (np.arange(row0, row1) + 0.5) * (y1 - y0) / cfg.height
-    return np.meshgrid(xs, ys)
+    return np.meshgrid(*_pixel_axes(cfg, row0, row1))
 
 
 def _diamond_centers(x, y):
@@ -118,6 +121,20 @@ def _diamond_centers(x, y):
     return cx, cy, dx < HALF_PI
 
 
+def _flat_slice(rows, start, stop):
+    """``rows.ravel()[start:stop]``, copying only the rows it touches."""
+    w = rows.shape[1]
+    r0 = start // w
+    return rows[r0:-(-stop // w)].ravel()[start - r0 * w:stop - r0 * w]
+
+
+def _far(px, py, mx, bound, sel):
+    """Indices where ``sel`` and hypot(px, py) > bound; the hypot is at most
+    2 mx (mx = max(|px|, |py|)), so only mx >= bound/2 takes it."""
+    c = np.flatnonzero(sel & (mx >= 0.5 * bound))
+    return c[np.hypot(px[c], py[c]) > bound]
+
+
 def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
@@ -126,68 +143,104 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     ``escape_run`` consecutive strictly-growing diamond-centre norms
     plus norm above ``escape_norm``.  Also returns the first step at
     which each orbit exceeded ``depth_norm`` inside a diamond (the
-    escape depth; 0 where that never happened).
+    escape depth; 0 where that never happened).  ``x`` and ``y`` are
+    broadcast together, so a row of x and a column of y give an image.
 
-    Only live pixels are iterated: the loop carries their flat indices
-    and state, and a pixel leaves at a pole hit, origin capture or
-    escape.  With ``depth_only`` it also leaves at its first depth
-    passage, keeping fate 0 with ``when`` set to that step; the depth
-    array is the same as without it.  If also ``escape_norm >=
-    depth_norm``, an escape (norm above ``escape_norm``) could only come
-    at a pixel's first depth passage, so the escape rule is skipped:
-    such a pixel keeps fate 0 too, with the same ``depth`` and ``when``.
+    Pixels enter a working set of at most ``_WORKING_SET`` entries in
+    flat order, each counting its own steps, and leave at a pole hit,
+    origin capture, escape or their ``max_iter``-th step.  With
+    ``depth_only`` a pixel also leaves at its first depth passage,
+    keeping fate 0 with ``when`` set to that step; the depth array is
+    the same as without it.  If also ``escape_norm >= depth_norm``, an
+    escape (norm above ``escape_norm``) could only come at a pixel's
+    first depth passage, so the escape rule is skipped: such a pixel
+    keeps fate 0 too, with the same ``depth`` and ``when``.
     """
-    shape = x.shape
-    size = x.size
-    fate = np.zeros(size, dtype=np.uint8)
-    when = np.zeros(size, dtype=np.int32)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    # rows along the last axis, so a run of flat indices spans few rows
+    w = max(shape[-1], 1) if shape else 1
+    xr, yr = (np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(-1, w)
+              for c in (x, y))
+    size = xr.size
+    # depth first, below the loop's temporaries: an escape render keeps it,
+    # and there it leaves them one free block (fate first fragmented the
+    # heap, peak RSS +0.5 MiB at 256x256)
     depth = np.zeros(size, dtype=np.int32)
-    # state of the carried pixels; entries done since the last compaction
-    # stay carried, masked out by ``live``
-    idx = np.arange(size)
-    px = x.astype(float).ravel()
-    py = y.astype(float).ravel()
-    run_origin = np.zeros(size, dtype=np.int16)
+    when = np.zeros(size, dtype=np.int32)
+    fate = np.zeros(size, dtype=np.uint8)
     # whether the escape rule (diamond-centre growth) runs; see above
     growth = not depth_only or cfg.escape_norm < cfg.depth_norm
+    # the working set in entry order: flat index, the loop step before the
+    # pixel's first, point and rule state.  Done entries stay, masked out
+    # by ``live``, until a quarter is done; then the live ones move to the
+    # front and new pixels fill the room, which never outgrows the arrays
+    # (it starts as n done entries).
+    n = min(_WORKING_SET, size)
+    idx, born = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int32)
+    px, py = np.empty(n), np.empty(n)
+    run_origin, nodepth = np.empty(n, dtype=np.int16), np.empty(n, dtype=bool)
     if growth:
-        grow = np.zeros(size, dtype=np.int16)
-        prev_cn = np.full(size, np.nan)
-    nodepth = np.ones(size, dtype=bool)
-    live = np.ones(size, dtype=bool)
+        grow, prev_cn = np.empty(n, dtype=np.int16), np.empty(n)
+    live = np.zeros(n, dtype=bool)
+    entered = step = 0
 
-    def retire(done, code, step):
+    def retire(done, code):
         sel = idx[done]
         fate[sel] = code
-        when[sel] = step
+        when[sel] = step - born[done]
 
-    for step in range(1, cfg.max_iter + 1):
+    def refill(a, fill):
+        a[:n_live] = a[keep]
+        a[n_live:n] = fill
+        return a[:n]
+
+    while True:
         n_live = np.count_nonzero(live)
-        if n_live == 0:
-            break
-        if (idx.size - n_live) * _COMPACT_SHARE >= idx.size:
-            idx, px, py, run_origin, nodepth = (
-                a[live] for a in (idx, px, py, run_origin, nodepth))
+        if (n - n_live) * _COMPACT_SHARE >= n:
+            k = min(n - n_live, size - entered)
+            if n_live + k == 0:
+                break
+            keep = np.flatnonzero(live)
+            n = n_live + k
+            idx = refill(idx, np.arange(entered, entered + k))
+            born = refill(born, step)
+            px = refill(px, _flat_slice(xr, entered, entered + k))
+            py = refill(py, _flat_slice(yr, entered, entered + k))
+            run_origin = refill(run_origin, 0)
+            nodepth = refill(nodepth, True)
             if growth:
-                grow, prev_cn = grow[live], prev_cn[live]
-            live = np.ones(n_live, dtype=bool)
+                grow = refill(grow, 0)
+                prev_cn = refill(prev_cn, np.nan)
+            live = refill(live, True)
+            del keep  # as large as the set; the steps need the room
+            entered += k
+        step += 1
         px, py, _, finite = tangent3_grid(px, py, 0.0, cfg.lam)
-        hit = live & ~finite
-        if hit.any():
-            retire(hit, _FATE_POLE, step)
-            depth[idx[hit & nodepth]] = step  # a pole hit tops any norm threshold
-            px[hit] = py[hit] = 0.0  # inf placeholders would warn until compaction
+        if not finite.all():
+            pole = ~finite
+            hit = live & pole
+            retire(hit, _FATE_POLE)
+            hit &= nodepth
+            depth[idx[hit]] = step - born[hit]  # a pole hit tops any norm threshold
+            px[pole] = py[pole] = 0.0  # inf placeholders would warn until compaction
             live &= finite
-        norm = np.hypot(px, py)
-        # distance to the origin is the norm: z = 0 throughout
-        close = norm < cfg.tol
+        # distance to the origin is the norm: z = 0 throughout.  It is at
+        # least mx, so only entries with mx < tol take the hypot
+        mx = np.abs(px)
+        np.maximum(mx, np.abs(py), out=mx)
+        close = mx < cfg.tol
         close &= live
-        run_origin += 1
-        run_origin *= close
-        captured = live & (run_origin >= SETTLE)
-        if captured.any():
-            retire(captured, _FATE_ORIGIN, step)
-            live &= ~captured
+        if close.any():
+            c = np.flatnonzero(close)
+            close[c] = np.hypot(px[c], py[c]) < cfg.tol
+            run_origin += 1
+            run_origin *= close
+            captured = run_origin >= SETTLE  # only live pixels are close
+            if captured.any():
+                retire(captured, _FATE_ORIGIN)
+                live &= ~captured
+        else:
+            run_origin[:] = 0
         # the axis fixed points at z = +-xi are unreachable from z = 0
         # (the plane is exactly invariant), so the origin is the only
         # convergence target a basin render can see
@@ -202,32 +255,31 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             # NaN where the pixel is not tracked: its next step cannot count as growth
             np.putmask(cn, ~tracked, np.nan)
             prev_cn = cn
-            newdepth = norm > cfg.depth_norm
-            newdepth &= tracked
-            newdepth &= nodepth
-            deeper = newdepth.any()
-            if deeper:
-                depth[idx[newdepth]] = step
-                nodepth &= ~newdepth
+            deeper = _far(px, py, mx, cfg.depth_norm, tracked & nodepth)
+            depth[idx[deeper]] = step - born[deeper]
+            nodepth[deeper] = False
             esc = grow >= cfg.escape_run
             esc &= tracked
-            esc &= norm > cfg.escape_norm
-            if esc.any():
-                retire(esc, _FATE_ESCAPING, step)
-                live &= ~esc
-            if depth_only and deeper:
-                when[idx[newdepth]] = step
-                live &= ~newdepth
+            esc = _far(px, py, mx, cfg.escape_norm, esc)
+            retire(esc, _FATE_ESCAPING)
+            live[esc] = False
+            if depth_only:
+                when[idx[deeper]] = step - born[deeper]
+                live[deeper] = False
         else:
             # depth only, and no live pixel has passed yet (nodepth stays
             # True); the diamond lookup is elementwise, so it runs on the
             # pixels above depth_norm only
-            far = np.flatnonzero(live & (norm > cfg.depth_norm))
+            far = _far(px, py, mx, cfg.depth_norm, live)
             far = far[_diamond_centers(px[far], py[far])[2]]
             sel = idx[far]
-            depth[sel] = when[sel] = step
+            depth[sel] = when[sel] = step - born[far]
             live[far] = False
-    when[idx[live]] = cfg.max_iter
+        # pixels at their max_iter-th step stay undecided; they entered
+        # first, so they lead the set
+        last = np.searchsorted(born, step - cfg.max_iter, side="right")
+        when[idx[:last][live[:last]]] = cfg.max_iter
+        live[:last] = False
     return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
 
 
@@ -287,21 +339,23 @@ def colorize_depth(depth, max_iter):
 # ---------------------------------------------------------------------------
 # drivers
 
-def _run_blocks(cfg: RenderConfig, worker, out):
-    """Fill ``out`` row block by row block with ``worker((r0, r1))``."""
-    blocks = [(r, min(r + _ROW_BLOCK, cfg.height))
-              for r in range(0, cfg.height, _ROW_BLOCK)]
-    if cfg.threads > 1:
-        # imported here: it pulls in logging, which a one-thread run never needs
-        from concurrent.futures import ThreadPoolExecutor
+def _render(cfg: RenderConfig, finish, **kwargs):
+    """``finish`` of classify_plane_block's arrays over the image, one band
+    of rows per thread; no pixel's arithmetic depends on its band."""
+    xs, ys = _pixel_axes(cfg, 0, cfg.height)
+    ys = ys[:, np.newaxis]
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(worker, blocks))
-    else:
-        results = map(worker, blocks)
-    for (r0, r1), chunk in zip(blocks, results):
-        out[r0:r1] = chunk
-    return out
+    def band(y):
+        return finish(classify_plane_block(xs, y, cfg, **kwargs))
+
+    if cfg.threads == 1:
+        return band(ys)
+    # imported here: it pulls in logging, which a one-thread run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        bands = np.array_split(ys, min(cfg.threads, cfg.height))
+        return np.concatenate(list(pool.map(band, bands)))
 
 
 def render_basin(cfg: RenderConfig) -> np.ndarray:
@@ -309,25 +363,13 @@ def render_basin(cfg: RenderConfig) -> np.ndarray:
 
     Returns an (height, width, 3) uint8 array, row 0 at the top.
     """
-    def worker(block):
-        r0, r1 = block
-        gx, gy = pixel_grid(cfg, r0, r1)
-        fate, when, _ = classify_plane_block(gx, gy, cfg)
-        return colorize_fates(fate, when, cfg.max_iter)
-
-    return _run_blocks(cfg, worker, np.empty((cfg.height, cfg.width, 3), dtype=np.uint8))
+    return _render(cfg, lambda r: colorize_fates(r[0], r[1], cfg.max_iter))
 
 
 def compute_escape_depth(cfg: RenderConfig) -> np.ndarray:
     """First step at which each pixel's orbit exceeds depth_norm inside a
     diamond (0 where that never happens within max_iter)."""
-    def worker(block):
-        r0, r1 = block
-        gx, gy = pixel_grid(cfg, r0, r1)
-        _, _, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
-        return depth
-
-    return _run_blocks(cfg, worker, np.empty((cfg.height, cfg.width), dtype=np.int32))
+    return _render(cfg, lambda r: r[2], depth_only=True)
 
 
 def render_escape_depth(cfg: RenderConfig) -> np.ndarray:

@@ -417,6 +417,46 @@ class TestGridEvaluation:
             assert np.array_equal(a, b[flat])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestKernelPlatformAssumptions:
+    """Identities of the platform's arithmetic that tangent3_grid relies on
+    for bit identity; a libm or numpy that breaks one fails here first."""
+
+    def test_hypot_ignores_signs_and_order(self):
+        rng = np.random.default_rng(83)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300,
+                            1e300, -1e300, 1.0, -1.0])
+        a = np.concatenate([rng.standard_normal(20000) * 10.0 ** rng.integers(-320, 300, 20000),
+                            np.repeat(special, special.size)])
+        b = np.concatenate([rng.standard_normal(20000) * 10.0 ** rng.integers(-320, 300, 20000),
+                            np.tile(special, special.size)])
+        b[:5000] = a[:5000] * rng.uniform(0.5, 2.0, 5000)  # comparable magnitudes
+        want = _bits(np.hypot(a, b))
+        assert np.array_equal(_bits(np.hypot(np.abs(b), np.abs(a))), want)
+        hi = np.maximum(np.abs(a), np.abs(b))
+        lo = np.minimum(np.abs(a), np.abs(b))
+        assert np.array_equal(_bits(np.hypot(hi, lo)), want)
+
+    def test_sign_product_fold_equals_select(self):
+        rng = np.random.default_rng(89)
+        # tile indices up to 2**52, where both parities occur, and beyond
+        # 2**53, where every float index is even
+        k = np.concatenate([rng.integers(-2**52, 2**52, 4000),
+                            rng.integers(2**53, 2**62, 2000) * rng.choice([-1, 1], 2000)])
+        x = np.concatenate([rng.uniform(-50.0, 50.0, 4000),
+                            (k + rng.uniform(-0.5, 0.5, k.size)) * HALF_PI,
+                            (k[:50] + 0.5) * HALF_PI, [0.0, -0.0, QUARTER_PI, -QUARTER_PI]])
+        folded, odd = fold_axis_grid(x, QUARTER_PI)
+        tile = np.floor((x + QUARTER_PI) / HALF_PI)
+        u = x - tile * HALF_PI
+        assert np.array_equal(_bits(folded), _bits(np.where(odd, -u, u)))
+        assert np.array_equal(odd, tile.astype(np.int64) % 2 != 0)
+        assert odd.any() and not odd.all()
+
+
 class TestChordal:
     def test_infinity_cases(self):
         assert chordal(INFINITY, INFINITY) == 0.0

@@ -581,6 +581,80 @@ class TestEscapeRuleSkip:
         assert (np.concatenate(norms) <= cfg.depth_norm).any()
 
 
+class TestWorkingSet:
+    """The loop streams an image's pixels through one working set (one per
+    band with threads); no byte may depend on its size, which may cut the
+    rows anywhere."""
+
+    SMALL = 97  # odd, so refills cut the 32-wide rows at shifting offsets
+
+    @pytest.mark.parametrize("depth_only", [False, True])
+    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
+    def test_small_set_matches_reference(self, monkeypatch, lam, escape_norm, escape_run,
+                                         depth_only):
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
+                           escape_norm=escape_norm, escape_run=escape_run)
+        gx, gy = block_with_poles(cfg)
+        default = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+        want = _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+        monkeypatch.setattr(render, "_WORKING_SET", self.SMALL)
+        got = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+        _assert_identical(got, default)
+        # where the escape rule is skipped only fate may differ from the
+        # reference (see TestEscapeRuleSkip)
+        first = 1 if depth_only and cfg.escape_norm >= cfg.depth_norm else 0
+        _assert_identical(got[first:], want[first:])
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_axes_broadcast_like_the_grid(self, monkeypatch, small):
+        if small:
+            monkeypatch.setattr(render, "_WORKING_SET", self.SMALL)
+        cfg = RenderConfig(lam=1.1107, width=30, height=20, max_iter=120)
+        gx, gy = pixel_grid(cfg, 0, cfg.height)
+        for depth_only in (False, True):
+            _assert_identical(
+                classify_plane_block(gx[0], gy[:, :1], cfg, depth_only=depth_only),
+                classify_plane_block(gx, gy, cfg, depth_only=depth_only))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_small_set_renders_equal_default(self, monkeypatch, threads):
+        basin = RenderConfig(lam=1.1107, width=40, height=30, max_iter=150)
+        escape = RenderConfig(lam=2.0, width=40, height=30, max_iter=80)
+        want = render_basin(basin), compute_escape_depth(escape)
+        monkeypatch.setattr(render, "_WORKING_SET", self.SMALL)
+        basin.threads = escape.threads = threads
+        _assert_identical((render_basin(basin), compute_escape_depth(escape)), want)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_one_call_per_band_on_axes(self, monkeypatch, threads):
+        shapes = []
+
+        def recording(x, y, cfg, **kwargs):
+            shapes.append((np.shape(x), np.shape(y)))
+            return classify_plane_block(x, y, cfg, **kwargs)
+
+        monkeypatch.setattr(render, "classify_plane_block", recording)
+        cfg = RenderConfig(lam=2.0, width=24, height=10, max_iter=40, threads=threads)
+        render_basin(cfg)
+        compute_escape_depth(cfg)
+        bands = [(4, 1), (3, 1), (3, 1)] if threads == 3 else [(10, 1)]
+        assert sorted(shapes) == sorted(((24,), b) for b in bands * 2)
+
+    def test_escape_render_kernel_calls(self, monkeypatch):
+        # the 256x256 lambda = 2 escape render streams its 65 536 pixels
+        # through few kernel calls, none over the working set
+        sizes = []
+
+        def counting(x, y, z, lam):
+            sizes.append(np.size(x))
+            return tangent3_grid(x, y, z, lam)
+
+        monkeypatch.setattr(render, "tangent3_grid", counting)
+        compute_escape_depth(RenderConfig(lam=2.0, width=256, height=256, max_iter=200))
+        assert len(sizes) <= 350
+        assert max(sizes) <= render._WORKING_SET
+
+
 class TestBasinContent:
     def test_petal_pixels_captured_by_origin(self):
         # inside the petal region every pixel's orbit falls to the origin
