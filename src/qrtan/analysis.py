@@ -350,22 +350,6 @@ def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
     return int(np.count_nonzero(~(img_ratio < ratio)))
 
 
-def diagonal_reduction_error(lam: float, n_samples: int = 200, seed: int = 0) -> float:
-    """Max error of T_lam(x, a*x, 0) = (t, a*t, 0) with t = mu*tan(x),
-    mu = lam/sqrt(1+a^2), over random diagonal samples."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        a = rng.uniform(-1.0, 1.0)
-        x = rng.uniform(-QUARTER_PI, QUARTER_PI)
-        mu = lam / math.sqrt(1.0 + a * a)
-        t = mu * math.tan(x)
-        img = tangent3(np.array([x, a * x, 0.0]), lam)
-        want = np.array([t, a * t, 0.0])
-        worst = max(worst, float(np.linalg.norm(img - want)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # blow-up probe
 

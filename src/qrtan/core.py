@@ -111,14 +111,15 @@ def _chordal_finite(dd, pp, qq, d, p, q):
     qq = |q|^2, with the coordinates of d = p - q, p and q for the fallback.
 
     The squared form wherever it is finite and positive, or 0 with
-    dd = 0.  Where a squared norm overflowed (|p| or |q| beyond ~1e154,
-    e.g. next to a pole) the form is infinite, NaN or a spurious 0, and
-    the same distance comes from hypot instead.  Shared by ``chordal``
+    p = q.  Where a squared norm overflowed (|p| or |q| beyond ~1e154,
+    e.g. next to a pole) or dd underflowed (|p - q| below ~1e-162) the
+    form is infinite, NaN or a spurious 0, and the same distance comes
+    from hypot instead.  Shared by ``chordal``
     (squared norms from numpy's dot), the inverse-branch residual
     (squared norms on Python floats) and ``chordal_grid``.
     """
     dist = _chordal_ratio(dd, pp, qq, math.sqrt)
-    if 0.0 < dist < math.inf or dd == 0.0:
+    if 0.0 < dist < math.inf or not any(d):
         return dist
     return _chordal_scaled(d, p, q)
 
@@ -188,7 +189,8 @@ def chordal_grid(p, q):
         dist[one] = 2.0 / np.sqrt(1.0 + np.where(pinf, qq, pp)[one])
     both = pinf & qinf
     dist[both] = 0.0
-    fallback = ~(((dist > 0.0) & (dist < math.inf)) | (dd == 0.0) | both)
+    same = (d[0] == 0.0) & (d[1] == 0.0) & (d[2] == 0.0)
+    fallback = ~(((dist > 0.0) & (dist < math.inf)) | same | both)
     for i in np.flatnonzero(fallback):
         di, pi, qi = (tuple(float(c.flat[i]) for c in t)
                       for t in (d, (px, py, pz), (qx, qy, qz)))

@@ -102,13 +102,6 @@ def plane_map(p, lam: float = 1.0):
     return t[:2]
 
 
-def plane_chordal(a, b) -> float:
-    ainf, binf = is_infinity(a), is_infinity(b)
-    pa = a if ainf else np.array([float(a[0]), float(a[1]), 0.0])
-    pb = b if binf else np.array([float(b[0]), float(b[1]), 0.0])
-    return chordal(pa, pb)
-
-
 # ---------------------------------------------------------------------------
 # derivative
 
@@ -211,13 +204,9 @@ def jacobian_plane_map(p, lam: float = 1.0) -> JacobianSample:
     j = _plane_jacobian(p, lam)
     (a, b), (c, d) = j.tolist()
     smin, smax = _singular_values(a, b, c, d, math.sqrt, max)
-    tr = a + d
-    disc = tr * tr - 4.0 * (a * d - b * c)
-    eig = None
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        eig = tuple(sorted(((tr - sq) / 2.0, (tr + sq) / 2.0)))
-    return JacobianSample(np.array([float(p[0]), float(p[1])]), j, smin, smax, eig)
+    lo, hi, real = _real_eigenvalues(a, b, c, d, math.sqrt, max)
+    return JacobianSample(np.array([float(p[0]), float(p[1])]), j, smin, smax,
+                          (lo, hi) if real else None)
 
 
 def _singular_values(a, b, c, d, sqrt, maximum):
@@ -229,6 +218,16 @@ def _singular_values(a, b, c, d, sqrt, maximum):
     smax = sqrt((f + root) / 2.0)
     smin = sqrt(maximum((f - root) / 2.0, 0.0))
     return smin, smax
+
+
+def _real_eigenvalues(a, b, c, d, sqrt, maximum):
+    """(lo, hi, real) for [[a, b], [c, d]] in closed form: the eigenvalues
+    lo <= hi where they are real (``real``: tr^2 >= 4 det), with ``sqrt``
+    and ``maximum`` from math (floats) or numpy (arrays)."""
+    tr = a + d
+    disc = tr * tr - 4.0 * (a * d - b * c)
+    sq = sqrt(maximum(disc, 0.0))
+    return (tr - sq) / 2.0, (tr + sq) / 2.0, disc >= 0.0
 
 
 def singular_values_2x2(a, b, c, d):

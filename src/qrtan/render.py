@@ -4,14 +4,17 @@ Pixels are classified with the same fate logic as the scalar orbit
 classifier, but vectorized: one loop per image (per band of rows with
 several threads) streams the pixels through a working set.  A pixel
 leaves it when decided or at ``max_iter``, and an escape-depth render
-also stops each pixel at its first passage above the depth threshold.
-A pixel's arithmetic does not depend on which other pixels share the
-set, so the bytes equal those of iterating every pixel to
-``max_iter``, for any set size, band or thread count.  Where the escape
-threshold is at least the depth threshold, an escape-depth render skips
-the escape rule, which could not change its image.  Output is 8-bit
-RGB, written as binary PPM (P6) so golden files need no image library;
-PNG is available on request, written with the standard library.
+also stops each pixel at its first passage above the depth threshold,
+found by one rule: the pixels above it, then the diamond lookup on
+those.  Only that render tracks the passage; a basin image never reads
+it, and its depth array stays 0.  A pixel's arithmetic does not depend
+on which other pixels share the set, so the bytes equal those of
+iterating every pixel to ``max_iter``, for any set size, band or
+thread count.  Where the escape threshold is at least the depth
+threshold, an escape-depth render skips the escape rule, which could
+not change its image.  Output is 8-bit RGB, written as binary PPM (P6)
+so golden files need no image library; PNG is available on request,
+written with the standard library.
 """
 
 import math
@@ -141,20 +144,21 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     Mirrors the scalar classifier: convergence needs SETTLE
     consecutive steps inside ``tol`` of a target, escape needs
     ``escape_run`` consecutive strictly-growing diamond-centre norms
-    plus norm above ``escape_norm``.  Also returns the first step at
-    which each orbit exceeded ``depth_norm`` inside a diamond (the
-    escape depth; 0 where that never happened).  ``x`` and ``y`` are
-    broadcast together, so a row of x and a column of y give an image.
+    plus norm above ``escape_norm``.  ``x`` and ``y`` are broadcast
+    together, so a row of x and a column of y give an image.
 
     Pixels enter a working set of at most ``_WORKING_SET`` entries in
     flat order, each counting its own steps, and leave at a pole hit,
     origin capture, escape or their ``max_iter``-th step.  With
-    ``depth_only`` a pixel also leaves at its first depth passage,
-    keeping fate 0 with ``when`` set to that step; the depth array is
-    the same as without it.  If also ``escape_norm >= depth_norm``, an
-    escape (norm above ``escape_norm``) could only come at a pixel's
-    first depth passage, so the escape rule is skipped: such a pixel
-    keeps fate 0 too, with the same ``depth`` and ``when``.
+    ``depth_only`` a pixel also leaves at its first passage above
+    ``depth_norm`` inside a diamond, keeping its fate (0, or 4 where it
+    escapes at that very step) with ``when`` set to that step.  The
+    returned depth is then the escape depth: that step, or the step of
+    a pole hit, 0 where neither came.  Without ``depth_only`` nothing
+    tracks the passage and the depth array stays all 0.  If also
+    ``escape_norm >= depth_norm``, an escape could only come at a
+    pixel's first passage, so the escape rule is skipped: such a pixel
+    keeps fate 0, with the same ``depth`` and ``when``.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     # rows along the last axis, so a run of flat indices spans few rows
@@ -178,7 +182,7 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     n = min(_WORKING_SET, size)
     idx, born = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int32)
     px, py = np.empty(n), np.empty(n)
-    run_origin, nodepth = np.empty(n, dtype=np.int16), np.empty(n, dtype=bool)
+    run_origin = np.empty(n, dtype=np.int16)
     if growth:
         grow, prev_cn = np.empty(n, dtype=np.int16), np.empty(n)
     live = np.zeros(n, dtype=bool)
@@ -207,7 +211,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             px = refill(px, _flat_slice(xr, entered, entered + k))
             py = refill(py, _flat_slice(yr, entered, entered + k))
             run_origin = refill(run_origin, 0)
-            nodepth = refill(nodepth, True)
             if growth:
                 grow = refill(grow, 0)
                 prev_cn = refill(prev_cn, np.nan)
@@ -220,8 +223,8 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             pole = ~finite
             hit = live & pole
             retire(hit, _FATE_POLE)
-            hit &= nodepth
-            depth[idx[hit]] = step - born[hit]  # a pole hit tops any norm threshold
+            if depth_only:
+                depth[idx[hit]] = step - born[hit]  # a pole hit tops any norm threshold
             px[pole] = py[pole] = 0.0  # inf placeholders would warn until compaction
             live &= finite
         # distance to the origin is the norm: z = 0 throughout.  It is at
@@ -244,6 +247,13 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
         # the axis fixed points at z = +-xi are unreachable from z = 0
         # (the plane is exactly invariant), so the origin is the only
         # convergence target a basin render can see
+        if depth_only:
+            # every live pixel is before its first passage; the diamond
+            # lookup runs on the pixels above depth_norm only.  Taken before
+            # the escape rule retires anyone and applied after it, so a
+            # pixel escaping at its passage keeps fate 4 with depth == when
+            far = _far(px, py, mx, cfg.depth_norm, live)
+            far = far[_diamond_centers(px[far], py[far])[2]]
         if growth:
             cx, cy, tracked = _diamond_centers(px, py)
             tracked &= live
@@ -255,23 +265,12 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             # NaN where the pixel is not tracked: its next step cannot count as growth
             np.putmask(cn, ~tracked, np.nan)
             prev_cn = cn
-            deeper = _far(px, py, mx, cfg.depth_norm, tracked & nodepth)
-            depth[idx[deeper]] = step - born[deeper]
-            nodepth[deeper] = False
             esc = grow >= cfg.escape_run
             esc &= tracked
             esc = _far(px, py, mx, cfg.escape_norm, esc)
             retire(esc, _FATE_ESCAPING)
             live[esc] = False
-            if depth_only:
-                when[idx[deeper]] = step - born[deeper]
-                live[deeper] = False
-        else:
-            # depth only, and no live pixel has passed yet (nodepth stays
-            # True); the diamond lookup is elementwise, so it runs on the
-            # pixels above depth_norm only
-            far = _far(px, py, mx, cfg.depth_norm, live)
-            far = far[_diamond_centers(px[far], py[far])[2]]
+        if depth_only:
             sel = idx[far]
             depth[sel] = when[sel] = step - born[far]
             live[far] = False

@@ -222,13 +222,8 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
         lambda p: plane._distance_to_nonsmooth_grid(p[:, 0], p[:, 1]) > 1e-3).T
     a, b, c, d = plane._jacobian_grid(x, y, lam)
     worst_sv = float(singular_values_2x2(a, b, c, d)[0].min())
-    tr = a + d
-    disc = tr * tr - 4.0 * (a * d - b * c)
-    real = disc >= 0.0
-    tr = tr[real]
-    sq = np.sqrt(disc[real])
-    worst_eig = float(np.min(np.minimum(np.abs(tr - sq), np.abs(tr + sq)) / 2.0,
-                             initial=math.inf))
+    lo, hi, real = plane._real_eigenvalues(a, b, c, d, np.sqrt, np.maximum)
+    worst_eig = float(np.min(np.minimum(np.abs(lo[real]), np.abs(hi[real])), initial=math.inf))
     return CheckResult("derivative-lower-bound", worst_eig >= bound,
                        f"min |eigenvalue| {worst_eig:.4f} vs bound {bound:.4f} "
                        f"(least singular value seen {worst_sv:.4f})")

@@ -223,7 +223,7 @@ def check_branch_roundtrip(lam, rng, n_targets=200):
             count += 1
             x = plane.inverse_branch(q, w, lam)
             img = plane.plane_map(x, lam)
-            worst = max(worst, plane.plane_chordal(img, w))
+            worst = max(worst, chordal([*img, 0.0], [*w, 0.0]))
     return CheckResult("branch-roundtrip", worst < 1e-9,
                        f"max chordal residual {worst:.2e}")
 

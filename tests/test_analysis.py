@@ -15,7 +15,6 @@ from qrtan.analysis import (
     axis_fixed_point,
     blowup_probe,
     classify_orbit,
-    diagonal_reduction_error,
     offaxis_monotonicity_violations,
     offaxis_ratio,
     parabolic_decrease_check,
@@ -266,8 +265,15 @@ class TestInequalities:
                 assert abs(img[2] - lam * math.tanh(z)) < 1e-12
 
     def test_diagonal_one_dimensional_reduction(self):
+        # T(x, a x, 0) = (t, a t, 0) with t = mu tan(x), mu = lam/sqrt(1 + a^2)
         for lam in (0.9, 1.2, 2.0):
-            assert diagonal_reduction_error(lam, n_samples=300, seed=5) < 1e-12
+            rng = np.random.default_rng(5)
+            for _ in range(300):
+                a = rng.uniform(-1.0, 1.0)
+                x = rng.uniform(-QUARTER_PI, QUARTER_PI)
+                t = lam / math.sqrt(1.0 + a * a) * math.tan(x)
+                img = tangent3(np.array([x, a * x, 0.0]), lam)
+                assert np.linalg.norm(img - np.array([t, a * t, 0.0])) < 1e-12
 
 
 class TestBasinSweep:

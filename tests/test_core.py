@@ -537,6 +537,18 @@ class TestChordal:
                            np.array([near, [-1e150, 0.0, 0.0], far]).T)
         assert got.tolist() == [chordal(far, near), chordal(far, [-1e150, 0.0, 0.0]), 0.0]
 
+    def test_close_points_are_not_at_distance_zero(self):
+        # |p - q|^2 underflows to 0.0 for two distinct points; hypot gives
+        # the value, and only p = q (signed zeros included) reads 0.0
+        pairs = [([1e-170, 0.0, 0.0], [0.0, 0.0, 0.0]), ([0.0, 3e-200, -4e-200], [0.0] * 3),
+                 ([1.0, 2e-300, 0.0], [1.0, 0.0, 0.0]), ([5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                 ([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0])]
+        want = [2e-170, 1e-199, 2e-300, 1e-323, 0.0]
+        got = [chordal(p, q) for p, q in pairs]
+        assert [math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, want)] == [True] * 5
+        grid = chordal_grid(np.array([p for p, _ in pairs]).T, np.array([q for _, q in pairs]).T)
+        assert grid.tolist() == got
+
     def test_grid_matches_scalar(self):
         # the grid sums squared norms left to right where chordal takes
         # numpy's dot, so values agree to rounding; infinity (any infinite
@@ -568,8 +580,9 @@ class TestChordal:
             p = rng.normal(size=3) * 10.0 ** rng.uniform(-300.0, 150.0)
             q = rng.normal(size=3) * 10.0 ** rng.uniform(-300.0, 150.0)
             want = reference(p, q)
-            if want == 0.0 and float((p - q) @ (p - q)) > 0.0:
-                # (1 + |p|^2)(1 + |q|^2) overflowed: the value comes from hypot
+            if want == 0.0 and (p - q).any():
+                # (1 + |p|^2)(1 + |q|^2) overflowed or |p - q|^2 underflowed:
+                # the value comes from hypot
                 want = 2.0 * (math.hypot(*(p - q)) / math.hypot(1.0, *p)) / math.hypot(1.0, *q)
             assert chordal(p, q) == want
 

@@ -1,12 +1,17 @@
-"""No module imports a name it never uses, and ``import qrtan`` stays lean.
+"""No module imports a name it never uses, no package function or class
+goes unused, and ``import qrtan`` stays lean.
 
-A stdlib ``ast`` scan of the package (its ``__init__.py`` re-exports
+Stdlib ``ast`` scans.  Of the package (its ``__init__.py`` re-exports
 excepted), the tests and the demos: every name an ``import`` statement
-binds must be referenced somewhere in the same file.
+binds must be referenced somewhere in the same file.  Of the package:
+every top-level function and class must be referenced in the package
+beyond its definition, exported by ``qrtan/__init__.py``, a
+``[project.scripts]`` entry point, or used from ``bench/`` or ``demos/``.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +53,50 @@ def test_no_unused_imports():
              for path in _scanned_files()
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _read_names(node):
+    """Names the code under ``node`` reads: bare names and attributes."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unused_definitions(package: dict, kept: set):
+    """Top-level functions and classes of ``package`` (file name to source)
+    that no top-level statement of the package other than their own
+    definition reads, and that are not in ``kept``."""
+    parts = [(name, node) for name, source in sorted(package.items())
+             for node in ast.parse(source).body]
+    reads = [(node, _read_names(node)) for _, node in parts]
+    return [f"{name}: {node.name}" for name, node in parts
+            if isinstance(node, _DEFINITIONS) and node.name not in kept
+            and not any(node.name in names for other, names in reads if other is not node)]
+
+
+def test_definition_scan_flags_only_unused_names():
+    package = {"a.py": "def f():\n    return g()\n\ndef g():\n    return g()\n\n"
+                       "class C:\n    pass\n",
+               "b.py": "import a\n\ndef h():\n    return a.f\n\ndef k():\n    return k\n"}
+    assert unused_definitions(package, set()) == ["a.py: C", "b.py: h", "b.py: k"]
+    assert unused_definitions(package, {"C", "k"}) == ["b.py: h"]
+
+
+def test_no_unused_definitions():
+    # kept: the names qrtan/__init__.py exports, the [project.scripts]
+    # entry points, and every name that bench/ or demos/ reads
+    src = ROOT / "src" / "qrtan"
+    package = {p.name: p.read_text() for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+    kept = {alias.asname or alias.name
+            for node in ast.walk(ast.parse((src / "__init__.py").read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1].split("\n[")[0]
+    kept |= set(re.findall(r":(\w+)\"", scripts))
+    for path in sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        kept |= _read_names(ast.parse(path.read_text()))
+    assert unused_definitions(package, kept) == []
 
 
 def test_import_leaves_thread_pool_unloaded():

@@ -17,6 +17,7 @@ from qrtan.core import (
     _beam_formula,
     _checked_vec3,
     as_vec3,
+    chordal,
     fold_axis,
     is_infinity,
     tangent3,
@@ -47,7 +48,6 @@ from qrtan.plane import (
     distance_to_nonsmooth,
     inverse_branch,
     jacobian_plane_map,
-    plane_chordal,
     plane_map,
     pole_expansion_ratio,
     pole_location,
@@ -184,7 +184,7 @@ class TestInverseBranch:
             x = inverse_branch(q, w, lam)
             c = pole_location(q)
             assert abs(x[0] - c[0]) + abs(x[1] - c[1]) <= HALF_PI + 1e-9
-            worst = max(worst, plane_chordal(plane_map(x, lam), w))
+            worst = max(worst, chordal([*plane_map(x, lam), 0.0], [*w, 0.0]))
         assert worst < 1e-9
 
     @settings(max_examples=300, deadline=None)
@@ -196,7 +196,7 @@ class TestInverseBranch:
         x = inverse_branch((m, n), w, lam)
         c = pole_location((m, n))
         assert abs(x[0] - c[0]) + abs(x[1] - c[1]) <= HALF_PI + 1e-9
-        assert plane_chordal(plane_map(x, lam), w) < 1e-9
+        assert chordal([*plane_map(x, lam), 0.0], [*w, 0.0]) < 1e-9
 
     def test_identity_on_diamond(self):
         rng = np.random.default_rng(11)
@@ -335,7 +335,6 @@ class TestPreimages:
         assert preimages_tangent3([0, 0, -lam], lam, (-10, 10, -10, 10)) == []
 
     def test_generic_target_verified(self):
-        from qrtan.core import tangent3, chordal
         lam = 2.0
         target = np.array([3.0, -2.0, 1.0])
         got = preimages_tangent3(target, lam, (-7, 7, -7, 7))
@@ -521,11 +520,13 @@ def _reference_chordal(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = p - q
-    dist = 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
-    if math.isfinite(dist):
+    dd = float(d @ d)
+    dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
+    if math.isfinite(dist) and (dd > 0.0 or not d.any()):
         return dist
-    # a squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a pole):
-    # the same distance from hypot, which scales instead of squaring
+    # a squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a pole)
+    # or |p - q|^2 underflowed (|p - q| below ~1e-162): the same distance from
+    # hypot, which scales instead of squaring
     scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
     return 2.0 * scaled / math.hypot(1.0, *q.tolist())
 
@@ -1417,7 +1418,9 @@ class TestScalarBranchWork:
         # poles up to |m|, |n| = 1e6; |w| = lam(1 +- 1e-13), read in both
         # hemisphere charts; |w| from 1e150 to 1e308 (beyond ~1.3e154 the
         # pole's residual takes the hypot branch); and |w| from 1e-300 to
-        # 1e-200, where every residual reads 0 and the first candidate wins
+        # 1e-200, where |image - w|^2 underflows, the residuals come from
+        # hypot, and the first least residual wins (there the candidates'
+        # residuals tie, so it is the first candidate)
         rng = np.random.default_rng(421)
         firsts = two_chart = 0
         for i in range(2000):
@@ -1446,8 +1449,10 @@ class TestScalarBranchWork:
                     two_chart += abs(u[2]) <= 1e-12
                 else:
                     cands = plane._branch_candidates(*u, *plane._pole_xy(*q))
-                    assert got.tobytes() == np.array(cands[0]).tobytes()
-                    firsts += 1
+                    res = [chordal([*plane_map(c, lam), 0.0], [*w, 0.0]) for c in cands]
+                    assert min(res) > 0.0
+                    assert got.tobytes() == np.array(cands[int(np.argmin(res))]).tobytes()
+                    firsts += got.tobytes() == np.array(cands[0]).tobytes()
         assert firsts == 500 and two_chart > 400
 
     def test_enumerator_matches_references(self):

@@ -16,6 +16,7 @@ from qrtan.render import (
     _FATE_POLE,
     RenderConfig,
     _diamond_centers,
+    _far,
     classify_plane_block,
     colorize_depth,
     colorize_fates,
@@ -125,7 +126,8 @@ class TestDeterminism:
 
 def full_grid_classify(x, y, cfg):
     """Reference loop: every pixel carried to max_iter through full-array
-    masked passes.  classify_plane_block must match it bit for bit."""
+    masked passes.  classify_plane_block must match it bit for bit: its
+    fate and when in a basin call, its depth in an escape-depth call."""
     shape = x.shape
     px = x.astype(float).copy()
     py = y.astype(float).copy()
@@ -167,6 +169,13 @@ def full_grid_classify(x, y, cfg):
     return fate, when, depth
 
 
+def _as_returned(reference, depth_only=False):
+    """A reference loop's (fate, when, depth) as classify_plane_block
+    returns it: a basin call tracks no depth and returns zeros."""
+    fate, when, depth = reference
+    return fate, when, depth if depth_only else np.zeros_like(depth)
+
+
 # (lam, escape_norm, escape_run) covering every fate a z = 0 render meets
 FATE_MIXES = [
     (0.9, 50.0, 8),      # origin captures
@@ -195,10 +204,31 @@ class TestLiveSet:
                            escape_norm=escape_norm, escape_run=escape_run)
         gx, gy = block_with_poles(cfg)
         expected = full_grid_classify(gx, gy, cfg)
-        for got, want in zip(classify_plane_block(gx, gy, cfg), expected):
+        for got, want in zip(classify_plane_block(gx, gy, cfg), _as_returned(expected)):
             np.testing.assert_array_equal(got, want)
         _, _, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
         np.testing.assert_array_equal(depth, expected[2])
+
+    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
+    def test_basin_call_tracks_no_depth(self, monkeypatch, lam, escape_norm, escape_run):
+        # a basin call returns an all-zero depth and makes no depth_norm
+        # test; the same block has an escape depth
+        bounds = []
+
+        def recording(px, py, mx, bound, sel):
+            bounds.append(bound)
+            return _far(px, py, mx, bound, sel)
+
+        monkeypatch.setattr(render, "_far", recording)
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
+                           escape_norm=escape_norm, escape_run=escape_run)
+        gx, gy = block_with_poles(cfg)
+        depth = classify_plane_block(gx, gy, cfg)[2]
+        assert depth.dtype == np.int32 and depth.shape == gx.shape
+        assert not depth.any()
+        assert cfg.depth_norm not in bounds
+        assert classify_plane_block(gx, gy, cfg, depth_only=True)[2].any()
+        assert cfg.depth_norm in bounds
 
     @settings(max_examples=40, deadline=None)
     @given(lam=st.floats(0.5, 3.0),
@@ -215,7 +245,7 @@ class TestLiveSet:
                            width=width, height=height, max_iter=max_iter,
                            escape_norm=escape_factor * 4.0 * lam)
         gx, gy = pixel_grid(cfg, 0, height)
-        _, _, full = classify_plane_block(gx, gy, cfg)
+        _, _, full = full_grid_classify(gx, gy, cfg)
         np.testing.assert_array_equal(compute_escape_depth(cfg), full)
 
     @pytest.mark.parametrize("depth_only", [False, True])
@@ -480,7 +510,8 @@ class TestGridKernelBitIdentity:
             cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=100,
                                escape_norm=escape_norm, escape_run=escape_run)
             gx, gy = block_with_poles(cfg)
-            want = _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+            want = _as_returned(
+                _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only), depth_only)
             _assert_identical(classify_plane_block(gx, gy, cfg, depth_only=depth_only),
                               want)
             rows = [classify_plane_block(gx[i:i + 1], gy[i:i + 1], cfg,
@@ -511,7 +542,7 @@ class TestGridKernelBitIdentity:
         monkeypatch.setattr(render, "tangent3_grid", scripted_map())
         got = classify_plane_block(x, y, cfg)
         monkeypatch.setitem(globals(), "_reference_tangent3_grid", scripted_map())
-        _assert_identical(got, _reference_classify_plane_block(x, y, cfg))
+        _assert_identical(got, _as_returned(_reference_classify_plane_block(x, y, cfg)))
         assert got[0][0, 0] == _FATE_ESCAPING and got[1][0, 0] == 4
 
 
@@ -596,7 +627,14 @@ class TestWorkingSet:
                            escape_norm=escape_norm, escape_run=escape_run)
         gx, gy = block_with_poles(cfg)
         default = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
-        want = _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only)
+        want = _as_returned(_reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only),
+                            depth_only)
+        if depth_only and cfg.escape_norm < cfg.depth_norm:
+            # escapes both at a pixel's first passage and before it, so the
+            # order of the escape and passage rules is exercised (62 and 57)
+            escaped = want[0] == _FATE_ESCAPING
+            assert np.count_nonzero(escaped & (want[2] == want[1])) > 0
+            assert np.count_nonzero(escaped & (want[2] == 0)) > 0
         monkeypatch.setattr(render, "_WORKING_SET", self.SMALL)
         got = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
         _assert_identical(got, default)
