@@ -33,7 +33,6 @@ from .core import (
 )
 from .plane import (
     SQRT2,
-    _pole_xy,
     containing_diamond,
     pole_location,
     preimages_tangent3,
@@ -230,7 +229,10 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
     nature (the escaping set is totally disconnected): the orbit must
     sit in pole diamonds whose centre norms strictly increased for
     ``escape_run`` consecutive steps while the orbit norm exceeds
-    ``escape_norm``.  Anything else at the horizon is Undecided.
+    ``escape_norm``.  The centres are (i, j) pi/2 for integers i, j, and
+    their norms are compared as the Python integers i^2 + j^2, so a step
+    between distinct centres of equal norm is no growth, at any size.
+    Anything else at the horizon is Undecided.
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
@@ -270,17 +272,19 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
 
 def _centre_norms_grow(points):
     """Whether every point lies in an open pole diamond and the diamonds'
-    centre norms strictly increase along the points."""
-    prev = -math.inf
+    centre norms strictly increase along the points; diamond (m, n) has
+    centre (i, j) pi/2 with i = n + m, j = n - m + 1, and i^2 + j^2 is
+    compared."""
+    prev = -1
     for p in points:
         idx = containing_diamond(p)
         if idx is None:
             return False
-        lx, ly = _pole_xy(*idx)
-        cn = math.sqrt(lx * lx + ly * ly)
-        if not cn > prev:
+        i, j = idx.n + idx.m, idx.n - idx.m + 1
+        n2 = i * i + j * j
+        if not n2 > prev:
             return False
-        prev = cn
+        prev = n2
     return True
 
 

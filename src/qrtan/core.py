@@ -547,13 +547,17 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
     for c in b:
         c *= lam
         c *= inv
-    t = (bx, by, np.full(bx.shape, lam * z) if plane else bz)
+    # tz and finite take the room of f and used, which are dead by now
+    if plane:
+        f.fill(lam * z)
+    t = (bx, by, f if plane else bz)
     if pole is None:
-        finite = np.ones(bx.shape, dtype=bool)
+        finite = used
+        finite.fill(True)
     else:
         for c, v in zip(t, near_vals):
             c[near] = v
         for c in t:
             c[pole] = np.inf
-        finite = ~pole
+        finite = np.logical_not(pole, out=used)
     return tuple(a.reshape(shape) for a in (*t, finite))

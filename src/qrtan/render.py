@@ -102,7 +102,8 @@ def pixel_grid(cfg: RenderConfig, row0: int, row1: int):
 
 
 def _diamond_centers(x, y):
-    """Vectorized diamond lookup: centre coordinates and strict membership."""
+    """Vectorized diamond lookup: the integers (i, j) of the centre
+    (i, j) pi/2, as floats, and strict membership."""
     n = x + y
     n -= HALF_PI
     n /= math.pi
@@ -111,17 +112,17 @@ def _diamond_centers(x, y):
     np.subtract(HALF_PI, m, out=m)
     m /= math.pi
     np.rint(m, out=m)
-    cx = n + m
-    cx *= HALF_PI
+    i = n + m
     n -= m
     n += 1
-    cy = np.multiply(n, HALF_PI, out=n)
-    dx = np.subtract(x, cx, out=m)
+    dx = np.multiply(i, HALF_PI, out=m)
+    np.subtract(x, dx, out=dx)
     np.abs(dx, out=dx)
-    dy = y - cy
+    dy = np.multiply(n, HALF_PI)
+    np.subtract(y, dy, out=dy)
     np.abs(dy, out=dy)
     dx += dy
-    return cx, cy, dx < HALF_PI
+    return i, n, dx < HALF_PI
 
 
 def _flat_slice(rows, start, stop):
@@ -144,8 +145,14 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     Mirrors the scalar classifier: convergence needs SETTLE
     consecutive steps inside ``tol`` of a target, escape needs
     ``escape_run`` consecutive strictly-growing diamond-centre norms
-    plus norm above ``escape_norm``.  ``x`` and ``y`` are broadcast
-    together, so a row of x and a column of y give an image.
+    plus norm above ``escape_norm``.  The centre norms are compared as
+    i^2 + j^2 for the centre (i, j) pi/2, in float64: exact, and so the
+    same rule as ``classify_orbit``'s, for centres within 2^26 pi/2
+    (about 1.05e8) of the origin in each coordinate.  Beyond that the
+    squares and their sum round, and past about 2e154 they overflow to
+    inf, so a step from there to there is no growth.  ``x`` and ``y``
+    are broadcast together, so a row of x and a column of y give an
+    image.
 
     Pixels enter a working set of at most ``_WORKING_SET`` entries in
     flat order, each counting its own steps, and leave at a pole hit,
@@ -184,7 +191,7 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     px, py = np.empty(n), np.empty(n)
     run_origin = np.empty(n, dtype=np.int16)
     if growth:
-        grow, prev_cn = np.empty(n, dtype=np.int16), np.empty(n)
+        chain, prev_n2 = np.empty(n, dtype=np.int16), np.empty(n)
     live = np.zeros(n, dtype=bool)
     entered = step = 0
 
@@ -212,8 +219,8 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             py = refill(py, _flat_slice(yr, entered, entered + k))
             run_origin = refill(run_origin, 0)
             if growth:
-                grow = refill(grow, 0)
-                prev_cn = refill(prev_cn, np.nan)
+                chain = refill(chain, 0)
+                prev_n2 = refill(prev_n2, 0.0)
             live = refill(live, True)
             del keep  # as large as the set; the steps need the room
             entered += k
@@ -255,19 +262,20 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             far = _far(px, py, mx, cfg.depth_norm, live)
             far = far[_diamond_centers(px[far], py[far])[2]]
         if growth:
-            cx, cy, tracked = _diamond_centers(px, py)
+            # chain: how many diamonds in a row the orbit has visited with
+            # strictly growing i^2 + j^2, 0 off the diamonds; after a step
+            # off them it becomes 1 whatever prev_n2 holds
+            i, j, tracked = _diamond_centers(px, py)
             tracked &= live
-            cn = np.hypot(cx, cy, out=cx)
-            grew = cn > prev_cn  # False where prev_cn is NaN
+            n2 = np.multiply(i, i, out=i)
+            n2 += np.multiply(j, j, out=j)
+            grew = n2 > prev_n2
             grew &= tracked
-            grow += 1
-            grow *= grew
-            # NaN where the pixel is not tracked: its next step cannot count as growth
-            np.putmask(cn, ~tracked, np.nan)
-            prev_cn = cn
-            esc = grow >= cfg.escape_run
-            esc &= tracked
-            esc = _far(px, py, mx, cfg.escape_norm, esc)
+            chain += 1
+            chain *= grew
+            np.maximum(chain, tracked, out=chain)
+            prev_n2 = n2
+            esc = _far(px, py, mx, cfg.escape_norm, chain > cfg.escape_run)
             retire(esc, _FATE_ESCAPING)
             live[esc] = False
         if depth_only:

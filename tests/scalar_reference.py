@@ -5,7 +5,8 @@ sampler or plane ratio of the same name ran before it moved onto
 ``tangent3_grid``, the batched branch engine and the float core, kept
 verbatim (names and imports aside) so the tests can require the array
 versions to reach the same verdicts, consume the same random numbers
-and, for ``classify_orbit``, return the same fates.
+and, for ``classify_orbit``, return the same fates.  ``classify_orbit``
+compares its diamond-centre norms as integers, as the library does.
 The bisections are the full 200-step loops, without the early stop.
 """
 
@@ -26,7 +27,7 @@ from qrtan.core import (
     tangent3_composed,
     vec_norm,
 )
-from qrtan.plane import SQRT2, containing_diamond, pole_location
+from qrtan.plane import SQRT2, containing_diamond
 from qrtan.verify import CheckResult
 
 
@@ -401,7 +402,9 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
         if p[2] == 0.0:
             idx = containing_diamond(p[:2])
             if idx is not None:
-                cn = vec_norm(pole_location(idx))
+                # the centre is (n + m, n - m + 1) pi/2; its norm over pi/2,
+                # squared, is an integer, compared exactly
+                cn = (idx.n + idx.m) ** 2 + (idx.n - idx.m + 1) ** 2
                 if prev_center_norm is not None and cn > prev_center_norm:
                     grow_run += 1
                 else:

@@ -25,7 +25,7 @@ from qrtan.analysis import (
 )
 from qrtan.core import INFINITY, as_vec3, chordal, is_infinity, tangent3
 from qrtan.itinerary import Itinerary, point_from_itinerary
-from qrtan.plane import pole_location, preimages_tangent3
+from qrtan.plane import containing_diamond, pole_location, preimages_tangent3
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -203,6 +203,23 @@ class TestClassifyOrbit:
         rec = classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50,
                              escape_run=5, escape_norm=18.0)
         assert rec.fate is Fate.ESCAPING
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 40 + 1])
+    @pytest.mark.parametrize("first,second", [((2, 11), (5, 10)), ((8, 11), (4, 13))])
+    def test_equal_centre_norms_are_no_growth(self, first, second, scale):
+        # a step between distinct diamond centres (i, j) pi/2 of equal norm
+        # (i^2 + j^2 is 125, then 185, times scale^2) is no growth, at any
+        # size; at scale 1, math.sqrt of the float norms splits the second
+        def near(i, j):
+            i, j = scale * i, scale * j
+            p = (i * HALF_PI + 0.1, j * HALF_PI + 0.2)
+            q = containing_diamond(p)
+            assert (q.n + q.m, q.n - q.m + 1) == (i, j)
+            return p
+
+        assert not analysis._centre_norms_grow([near(*first), near(*second)])
+        larger = (second[0] + 1, second[1] + 1)
+        assert analysis._centre_norms_grow([near(*first), near(*larger)])
 
     def test_undecided_is_honest(self):
         # a petal-boundary fixed point never converges to a target nor escapes

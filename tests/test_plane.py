@@ -516,17 +516,21 @@ def _reference_chordal(p, q) -> float:
         return 0.0
     if pinf or qinf:
         f = np.asarray(q if pinf else p, dtype=float)
-        return 2.0 / math.sqrt(1.0 + float(f @ f))
+        ff = float(f @ f)
+        if ff == math.inf:  # |f| beyond ~1.34e154: hypot scales instead
+            return 2.0 / math.hypot(1.0, *f.tolist())
+        return 2.0 / math.sqrt(1.0 + ff)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = p - q
     dd = float(d @ d)
     dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + float(p @ p)) * (1.0 + float(q @ q)))
-    if math.isfinite(dist) and (dd > 0.0 or not d.any()):
+    if 0.0 < dist < math.inf or not d.any():
         return dist
-    # a squared norm overflowed (|p| or |q| beyond ~1e154, e.g. next to a pole)
-    # or |p - q|^2 underflowed (|p - q| below ~1e-162): the same distance from
-    # hypot, which scales instead of squaring
+    # a squared norm or their product (1 + |p|^2)(1 + |q|^2) overflowed
+    # (|p| |q| beyond ~1e154, e.g. next to a pole: the distance reads 0,
+    # inf or NaN) or |p - q|^2 underflowed (|p - q| below ~1e-162): the
+    # same distance from hypot, which scales instead of squaring
     scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
     return 2.0 * scaled / math.hypot(1.0, *q.tolist())
 
@@ -1184,6 +1188,13 @@ class TestFloatPlanePathBitIdentity:
             # w / lam overflows for lam < 1
             cases += [((0, 0), p) for p in self.NON_FINITE + [(math.inf, -math.inf),
                                                                (1.7e308, 1.0)]]
+            # |w| from 1e77 to 1.26e154 at far poles: (1 + |p|^2)(1 + |q|^2)
+            # overflows in a residual, which both sides then take from hypot
+            for _ in range(40):
+                q = tuple(int(k) for k in rng.integers(-1000, 1001, 2))
+                r = 10.0 ** rng.uniform(77.0, 154.1)
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                cases.append((q, (r * math.cos(ang), r * math.sin(ang))))
             for q, w in cases:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -1225,10 +1236,7 @@ class TestNonFinitePoints:
 # ---------------------------------------------------------------------------
 # the float inverse-branch engine before its enumerator became one loop and
 # the pole was priced from the target, kept verbatim (renamed) as the
-# reference: the engine must return the same bytes.  The array-level
-# ``_reference_inverse_branch`` is no oracle beyond |w| ~ 1e77, where its
-# product (1 + |p|^2)(1 + |q|^2) overflows and a residual reads 0, so huge
-# targets are compared with this one alone.
+# reference: the engine must return the same bytes.
 
 def _reference_float_inverse_branch(q, w, lam: float = 1.0):
     q = PoleIndex(*q)

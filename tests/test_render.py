@@ -136,7 +136,7 @@ def full_grid_classify(x, y, cfg):
     depth = np.zeros(shape, dtype=np.int32)
     run_origin = np.zeros(shape, dtype=np.int16)
     grow = np.zeros(shape, dtype=np.int16)
-    prev_cn = np.full(shape, np.nan)
+    prev_n2 = np.full(shape, np.nan)
     alive = np.ones(shape, dtype=bool)
     zeros = np.zeros(shape)
     with np.errstate(invalid="ignore"):
@@ -155,11 +155,12 @@ def full_grid_classify(x, y, cfg):
             fate[captured] = _FATE_ORIGIN
             when[captured] = step
             alive &= ~captured
-            cx, cy, inside = _diamond_centers(px, py)
-            cn = np.hypot(cx, cy)
-            grew = alive & inside & ~np.isnan(prev_cn) & (cn > prev_cn)
+            # the centre norms compared as i^2 + j^2, exact at these sizes
+            ci, cj, inside = _reference_diamond_centers(px, py)
+            n2 = np.square(ci) + np.square(cj)
+            grew = alive & inside & ~np.isnan(prev_n2) & (n2 > prev_n2)
             grow = np.where(grew, grow + 1, 0)
-            prev_cn = np.where(alive & inside, cn, np.nan)
+            prev_n2 = np.where(alive & inside, n2, np.nan)
             depth[alive & inside & (norm > cfg.depth_norm) & (depth == 0)] = step
             esc = alive & inside & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
             fate[esc] = _FATE_ESCAPING
@@ -282,8 +283,10 @@ class TestLiveSet:
 
 # ---------------------------------------------------------------------------
 # the grid kernel, the diamond lookup and the render loop as they were
-# before they ran in place, kept verbatim as the reference (only the names
-# changed): the in-place code must give the same arrays, bit for bit
+# before they ran in place, kept as the reference: only the names changed,
+# and the diamond lookup returns the centre's integers (i, j), whose
+# i^2 + j^2 the escape rule compares.  The in-place code must give the
+# same arrays, bit for bit
 
 def _reference_fold_axis_grid(x, half_width):
     """Vectorized fold_axis; returns (folded, parity) arrays."""
@@ -336,7 +339,7 @@ def _reference_diamond_centers(x, y):
     cx = (n + m) * HALF_PI
     cy = (n - m + 1) * HALF_PI
     inside = (np.abs(x - cx) + np.abs(y - cy)) < HALF_PI
-    return cx, cy, inside
+    return n + m, n - m + 1, inside
 
 
 def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
@@ -351,7 +354,7 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
     py = y.astype(float).ravel()
     run_origin = np.zeros(size, dtype=np.int16)
     grow = np.zeros(size, dtype=np.int16)
-    prev_cn = np.full(size, np.nan)
+    prev_n2 = np.full(size, np.nan)
     nodepth = np.ones(size, dtype=bool)
     live = np.ones(size, dtype=bool)
 
@@ -365,8 +368,8 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         if n_live == 0:
             break
         if (idx.size - n_live) * _COMPACT_SHARE >= idx.size:
-            idx, px, py, run_origin, grow, prev_cn, nodepth = (
-                a[live] for a in (idx, px, py, run_origin, grow, prev_cn, nodepth))
+            idx, px, py, run_origin, grow, prev_n2, nodepth = (
+                a[live] for a in (idx, px, py, run_origin, grow, prev_n2, nodepth))
             live = np.ones(n_live, dtype=bool)
         px, py, _, finite = _reference_tangent3_grid(px, py, zeros[:idx.size], cfg.lam)
         hit = live & ~finite
@@ -380,12 +383,12 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         captured = live & (run_origin >= SETTLE)
         retire(captured, _FATE_ORIGIN, step)
         live &= ~captured
-        cx, cy, inside = _reference_diamond_centers(px, py)
-        cn = np.hypot(cx, cy)
+        ci, cj, inside = _reference_diamond_centers(px, py)
+        n2 = ci * ci + cj * cj  # the centre norm squared over (pi/2)^2
         tracked = live & inside
-        grew = tracked & (cn > prev_cn)  # False where prev_cn is NaN
+        grew = tracked & (n2 > prev_n2)  # False where prev_n2 is NaN
         grow = np.where(grew, grow + 1, 0)
-        prev_cn = np.where(tracked, cn, np.nan)
+        prev_n2 = np.where(tracked, n2, np.nan)
         newdepth = tracked & (norm > cfg.depth_norm) & nodepth
         depth[idx[newdepth]] = step
         nodepth &= ~newdepth
@@ -520,11 +523,10 @@ class TestGridKernelBitIdentity:
             _assert_identical([np.concatenate([r[k] for r in rows]) for k in range(3)],
                               want)
 
-    def test_step_off_the_diamonds_breaks_the_growth_run(self, monkeypatch):
-        # a scripted orbit: step 1 lands on a diamond edge (untracked), then
-        # the centre norms grow; the growth run starts at step 2, so with
-        # escape_run 2 the escape comes at step 4, not 3
-        path = [(math.pi, 0.0), (10.3, 0.2), (20.3, 0.2), (40.3, 0.2), (80.3, 0.2)]
+    @staticmethod
+    def _classify_scripted(monkeypatch, path, escape_run):
+        """One pixel's (fate, when) over a scripted orbit, from
+        classify_plane_block and, checked equal, from the reference."""
 
         def scripted_map():
             steps = iter(path)
@@ -535,15 +537,42 @@ class TestGridKernelBitIdentity:
                 return np.full(n, fx), np.full(n, fy), np.zeros(n), np.ones(n, dtype=bool)
             return grid_map
 
-        assert not _diamond_centers(np.array([math.pi]), np.array([0.0]))[2][0]
         cfg = RenderConfig(lam=1.0, width=1, height=1, max_iter=len(path),
-                           escape_norm=5.0, escape_run=2)
+                           escape_norm=5.0, escape_run=escape_run)
         x, y = np.array([[0.1]]), np.array([[0.2]])
         monkeypatch.setattr(render, "tangent3_grid", scripted_map())
         got = classify_plane_block(x, y, cfg)
         monkeypatch.setitem(globals(), "_reference_tangent3_grid", scripted_map())
         _assert_identical(got, _as_returned(_reference_classify_plane_block(x, y, cfg)))
-        assert got[0][0, 0] == _FATE_ESCAPING and got[1][0, 0] == 4
+        return got[0][0, 0], got[1][0, 0]
+
+    def test_step_off_the_diamonds_breaks_the_growth_run(self, monkeypatch):
+        # a scripted orbit: step 1 lands on a diamond edge (untracked), then
+        # the centre norms grow; the growth run starts at step 2, so with
+        # escape_run 2 the escape comes at step 4, not 3
+        path = [(math.pi, 0.0), (10.3, 0.2), (20.3, 0.2), (40.3, 0.2), (80.3, 0.2)]
+        assert not _diamond_centers(np.array([math.pi]), np.array([0.0]))[2][0]
+        assert self._classify_scripted(monkeypatch, path, 2) == (_FATE_ESCAPING, 4)
+
+    @pytest.mark.parametrize("first,second", [((2, 11), (5, 10)), ((8, 11), (4, 13))])
+    def test_equal_centre_norms_are_no_growth(self, monkeypatch, first, second):
+        # distinct diamond centres (i, j) pi/2 of equal norm (i^2 + j^2 is
+        # 125, then 185), where np.hypot puts the second above the first:
+        # with escape_run 1 the step between them would escape if it
+        # counted as growth.  A step to a larger centre does escape
+        def orbit(*centres):
+            return [(i * HALF_PI + 0.1, j * HALF_PI + 0.2) for i, j in centres]
+
+        assert first[0] ** 2 + first[1] ** 2 == second[0] ** 2 + second[1] ** 2
+        cx, cy = (np.array(c) * HALF_PI for c in zip(first, second))
+        assert np.hypot(cx[1], cy[1]) > np.hypot(cx[0], cy[0])
+        i, j, inside = _diamond_centers(*(np.array(c) for c in zip(*orbit(first, second))))
+        assert inside.all()
+        np.testing.assert_array_equal(np.stack([i, j], axis=1), [first, second])
+        assert self._classify_scripted(monkeypatch, orbit(first, second), 1) == (0, 2)
+        larger = (second[0] + 1, second[1] + 1)
+        assert self._classify_scripted(monkeypatch, orbit(first, larger), 1) == (
+            _FATE_ESCAPING, 2)
 
 
 class TestEscapeRuleSkip:
