@@ -45,7 +45,6 @@ from .analysis import (
     axis_fixed_point,
     blowup_probe,
     classify_orbit,
-    offaxis_ratio,
     petal_contains,
     smallest_tan_fixed_point,
 )

@@ -3,11 +3,11 @@
 For lam > 1 the scaled tangent map has attracting fixed points at
 (0, 0, +-xi) where xi solves lam*tanh(xi) = xi, and the open half-spaces
 are their basins; for lam <= 1 everything off the plane falls into the
-origin.  On the plane, for lam < sqrt(2), an explicit union of diagonal
-sectors (the "petal" region) is absorbed by the origin.  This module
-solves the scalar fixed-point equations, classifies orbits with an
-honest Undecided outcome, and carries the sampled checks behind those
-statements, including the full-space blow-up probe.
+origin.  On the plane, for lam < sqrt(2), the petal region {|T(q)| < |q|}
+of the central square is absorbed by the origin.  This module solves the
+scalar fixed-point equations, classifies orbits with an honest Undecided
+outcome, and carries the sampled checks behind those statements,
+including the full-space blow-up probe.
 """
 
 import functools
@@ -102,64 +102,30 @@ def smallest_tan_fixed_point(mu: float) -> float:
     return x
 
 
-def offaxis_ratio(v) -> float:
-    """max(|x|, |y|) / z for a point with z > 0.
-
-    Strictly decreases along orbits in the upper half-space (away from
-    the axis), which is the engine of the basin argument.
-    """
-    v = as_vec3(v)
-    if not v[2] > 0.0:
-        raise ValueError("defined for z > 0 only")
-    return max(abs(float(v[0])), abs(float(v[1]))) / float(v[2])
-
-
 # ---------------------------------------------------------------------------
 # petal region in the plane
 
-def petal_x_bound(lam: float, alpha_sq: float):
-    """Half-length bound of the petal sector with slope^2 = alpha_sq, or None
-    when the sector is empty (alpha_sq outside (lam^2 - 1, 1])."""
-    if not (lam * lam - 1.0 < alpha_sq <= 1.0):
-        return None
-    mu = lam / math.sqrt(1.0 + alpha_sq)
-    if mu >= 1.0:
-        return None
-    return min(QUARTER_PI, smallest_tan_fixed_point(mu))
-
-
 def petal_contains(p, lam: float) -> bool:
-    """Membership in the petal region Q (union of two diagonal sector fans).
+    """Membership in the petal region Q = {q in S : lam*tan(m) < |q|}.
 
-    Defined for 0 < lam < sqrt(2).  A point (x, a*x) with a^2 in
-    (lam^2 - 1, 1] belongs when |x| < min(pi/4, bound(a)); the second
-    fan swaps the roles of the coordinates.  For lam <= pi/4 this
-    reduces to the whole open square (-pi/4, pi/4)^2.
+    S is the open square m = max(|x|, |y|) < pi/4, where the plane map is
+    F(q) = lam*q*tan(m)/|q|, so Q is where |F(q)| < |q| (README, "The
+    petal region").  Defined for 0 < lam < sqrt(2).
     """
     if not (0.0 < lam < SQRT2):
         raise ValueError("petal region defined for 0 < lam < sqrt(2)")
     x, y = float(p[0]), float(p[1])
-    if x == 0.0 and y == 0.0:
-        return True
-    for base, other in ((x, y), (y, x)):
-        if base == 0.0 or abs(other) > abs(base):
-            continue
-        alpha_sq = (other / base) ** 2
-        bound = petal_x_bound(lam, alpha_sq)
-        if bound is not None and abs(base) < bound:
-            return True
-    return False
+    m = max(abs(x), abs(y))
+    return m < QUARTER_PI and (m == 0.0 or lam * math.tan(m) < math.hypot(x, y))
 
 
 def petal_boundary_residual(lam: float, n_samples: int = 100):
     """Max |T_lam(p) - p| over petal-boundary points inside the open square.
 
-    Those points are fixed: along a diagonal line with slope a the map
-    acts as the one-dimensional mu*tan with mu = lam/sqrt(1+a^2), and
-    the boundary abscissa is that map's smallest positive fixed point.
-    Only boundary abscissas strictly below pi/4 exist as boundary points
-    of the open square; for lam <= pi/4 there are none and (0.0, 0)
-    is returned.
+    Along the ray of slope a the map acts as mu*tan with
+    mu = lam/sqrt(1+a^2), and the boundary abscissa is that map's
+    smallest positive fixed point; only those below pi/4 lie in the open
+    square.  For lam <= pi/4 there are none and (0.0, 0) is returned.
     """
     if not (0.0 < lam < SQRT2):
         raise ValueError("need 0 < lam < sqrt(2)")
@@ -168,8 +134,9 @@ def petal_boundary_residual(lam: float, n_samples: int = 100):
     worst = 0.0
     count = 0
     for a2 in alphas_sq:
-        bound = petal_x_bound(lam, float(a2))
-        if bound is None or bound >= QUARTER_PI:
+        # a2 > lam^2 - 1 on every sample, so mu < 1
+        bound = smallest_tan_fixed_point(lam / math.sqrt(1.0 + float(a2)))
+        if bound >= QUARTER_PI:
             continue
         a = math.sqrt(float(a2))
         for sx in (1.0, -1.0):
@@ -335,8 +302,10 @@ def third_component_bound_violations(lam: float, n_samples: int = 10_000,
 
 def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
                                     seed: int = 0) -> int:
-    """Count violations of offaxis_ratio(T(v)) < offaxis_ratio(v) on random
-    upper-half-space samples with max(|x|,|y|) bounded away from 0.
+    """Count violations of ratio(T(v)) < ratio(v), ratio = max(|x|, |y|)/z,
+    on random upper-half-space samples with max(|x|,|y|) bounded away
+    from 0.  The ratio strictly decreasing along orbits is the engine of
+    the basin argument.
 
     A sample is the triple (uniform(-10, 10), uniform(-10, 10),
     uniform(1e-6, 10)); an image at a pole or off the upper half-space

@@ -81,7 +81,9 @@ def build_parser():
             sp.add_argument("--max-iter", type=int, default=500)
             sp.add_argument("--tol", type=float, default=analysis.CAPTURE_TOL)
             sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads; output bytes do not depend on this")
+                            help="worker threads, one band of rows each; output bytes "
+                                 "do not depend on this, and more threads than CPUs "
+                                 "slow the render")
             sp.add_argument("--out", required=True, help="output image path")
             sp.add_argument("--png", action="store_true",
                             help="write PNG instead of the default binary PPM")

@@ -376,9 +376,8 @@ def _beam_formula(x: float, y: float, z: float):
 def _tangent3_xyz(x: float, y: float, z: float, lam):
     """tangent3 on three finite Python floats: [tx, ty, tz], or None at a pole.
 
-    The float-level core under tangent3 (and so plane_map), the
-    finite-difference stencil and the inverse-branch scan; it builds no
-    array.
+    The float-level core under tangent3 (and so plane_map),
+    classify_orbit and the inverse-branch scan; it builds no array.
     """
     fx, px = fold_axis(x, QUARTER_PI)
     fy, py = fold_axis(y, QUARTER_PI)

@@ -683,9 +683,8 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
 
     # sup of |F| over the diamond minus the eps-ball (sampled, with margin)
     pts = _ball_samples(rng, c, HALF_PI, 4 * _N_SAMPLES)
-    keep = [abs(p[0] - c[0]) + abs(p[1] - c[1]) < HALF_PI
-            and math.hypot(p[0] - c[0], p[1] - c[1]) >= eps for p in pts]
-    pts = pts[np.array(keep)]
+    dx, dy = pts[:, 0] - c[0], pts[:, 1] - c[1]
+    pts = pts[(np.abs(dx) + np.abs(dy) < HALF_PI) & (np.hypot(dx, dy) >= eps)]
     fx, fy, _, finite = tangent3_grid(pts[:, 0], pts[:, 1], 0.0, lam)
     far = float(np.hypot(fx[finite], fy[finite]).max()) * 1.05
     branch_radius = far + HALF_PI * 1.05

@@ -358,17 +358,24 @@ def check_petal_boundary_fixed(lam, rng):
                        f"max residual {worst:.2e} over {count} boundary points")
 
 
+# uniform draws check_petal_absorbed may spend looking for its samples
+_PETAL_DRAWS = 200_000
+
+
 def check_petal_absorbed(lam, rng, n=300):
     """Petal samples are classified as captured by the origin (lam < sqrt2).
 
     Samples keep away from the petal boundary (where convergence slows
     without limit) and, for lam >= 1, away from the axis directions
     (whose one-dimensional contraction factor lam/sqrt(1+slope^2)
-    approaches 1, the parabolic regime no finite budget resolves).
+    approaches 1, the parabolic regime no finite budget resolves).  At
+    most ``_PETAL_DRAWS`` points are drawn.
     """
     bad = 0
     tried = 0
-    while tried < n:
+    for _ in range(_PETAL_DRAWS):
+        if tried == n:
+            break
         p = rng.uniform(-QUARTER_PI, QUARTER_PI, 2)
         if not analysis.petal_contains(p, lam):
             continue
@@ -381,20 +388,20 @@ def check_petal_absorbed(lam, rng, n=300):
         rec = analysis.classify_orbit(np.array([p[0], p[1], 0.0]), lam, max_iter=2500)
         if rec.fate is not analysis.Fate.TO_ORIGIN:
             bad += 1
+    if tried == 0:
+        return CheckResult("petal-absorbed", True, "vacuous at this lam")
+    found = "" if tried == n else f"; {tried} of {n} found in {_PETAL_DRAWS} draws"
     return CheckResult("petal-absorbed", bad == 0,
-                       f"{bad}/{n} petal orbits strayed (sectors with "
-                       "contraction factor <= 0.99)")
+                       f"{bad}/{tried} petal orbits strayed (sectors with "
+                       f"contraction factor <= 0.99){found}")
 
 
 def _petal_rate(p, lam):
-    """Asymptotic contraction factor of the petal sector containing p."""
+    """Contraction factor lam*m/|p| of the ray through p, m = max(|x|, |y|)."""
     x, y = float(p[0]), float(p[1])
     if x == 0.0 and y == 0.0:
         return 0.0
-    base, other = (x, y) if abs(y) <= abs(x) else (y, x)
-    if base == 0.0:
-        return 1.0
-    return lam / math.sqrt(1.0 + (other / base) ** 2)
+    return lam * max(abs(x), abs(y)) / math.hypot(x, y)
 
 
 def check_lines_absorbed(lam, rng, n=200):
@@ -570,9 +577,11 @@ def _applies(check, lam):
         return lam > 1.0
     if check is check_parabolic_bound:
         return lam == 1.0
-    if check in (check_petal_membership, check_petal_boundary_fixed,
-                 check_petal_absorbed):
+    if check in (check_petal_membership, check_petal_boundary_fixed):
         return 0.0 < lam < SQRT2
+    if check is check_petal_absorbed:
+        # every ray's factor is at least lam/sqrt(2); above 0.99 none is sampled
+        return 0.0 < lam and lam / SQRT2 <= 0.99
     if check is check_lines_absorbed:
         return lam < 1.0
     if check is check_basin_classification:

@@ -8,6 +8,9 @@ versions to reach the same verdicts, consume the same random numbers
 and, for ``classify_orbit``, return the same fates.  ``classify_orbit``
 compares its diamond-centre norms as integers, as the library does.
 The bisections are the full 200-step loops, without the early stop.
+``petal_contains`` is the petal test as two fans of sectors, each
+bounded by a bisected fixed point of ``mu*tan``, that the closed form
+``lam*tan(m) < |q|`` replaced.
 """
 
 import math
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from qrtan import analysis, plane
-from qrtan.analysis import Fate, FateRecord, offaxis_ratio
+from qrtan.analysis import Fate, FateRecord
 from qrtan.core import (
     HALF_PI,
     INFINITY,
@@ -366,6 +369,40 @@ def smallest_tan_fixed_point(mu: float) -> float:
     return x
 
 
+def petal_x_bound(lam: float, alpha_sq: float):
+    """Half-length bound of the petal sector with slope^2 = alpha_sq, or None
+    when the sector is empty (alpha_sq outside (lam^2 - 1, 1])."""
+    if not (lam * lam - 1.0 < alpha_sq <= 1.0):
+        return None
+    mu = lam / math.sqrt(1.0 + alpha_sq)
+    if mu >= 1.0:
+        return None
+    return min(QUARTER_PI, smallest_tan_fixed_point(mu))
+
+
+def petal_contains(p, lam: float) -> bool:
+    """Membership in the petal region Q (union of two diagonal sector fans).
+
+    Defined for 0 < lam < sqrt(2).  A point (x, a*x) with a^2 in
+    (lam^2 - 1, 1] belongs when |x| < min(pi/4, bound(a)); the second
+    fan swaps the roles of the coordinates.  For lam <= pi/4 this
+    reduces to the whole open square (-pi/4, pi/4)^2.
+    """
+    if not (0.0 < lam < SQRT2):
+        raise ValueError("petal region defined for 0 < lam < sqrt(2)")
+    x, y = float(p[0]), float(p[1])
+    if x == 0.0 and y == 0.0:
+        return True
+    for base, other in ((x, y), (y, x)):
+        if base == 0.0 or abs(other) > abs(base):
+            continue
+        alpha_sq = (other / base) ** 2
+        bound = petal_x_bound(lam, alpha_sq)
+        if bound is not None and abs(base) < bound:
+            return True
+    return False
+
+
 def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = 1e-6,
                    escape_run: int = 8, escape_norm: float = 50.0,
                    settle: int = 3) -> FateRecord:
@@ -460,8 +497,9 @@ def third_component_bound_violations(lam: float, n_samples: int = 10_000,
 
 def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
                                     seed: int = 0) -> int:
-    """Count violations of offaxis_ratio(T(v)) < offaxis_ratio(v) on random
-    upper-half-space samples with max(|x|,|y|) bounded away from 0."""
+    """Count violations of ratio(T(v)) < ratio(v), ratio = max(|x|,|y|)/z,
+    on random upper-half-space samples with max(|x|,|y|) bounded away
+    from 0."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(n_samples):
@@ -473,6 +511,6 @@ def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
         if is_infinity(img) or not img[2] > 0.0:
             bad += 1
             continue
-        if not offaxis_ratio(img) < offaxis_ratio(v):
+        if not max(abs(img[0]), abs(img[1])) / img[2] < max(abs(v[0]), abs(v[1])) / v[2]:
             bad += 1
     return bad

@@ -1,11 +1,14 @@
 """Tests for fixed points, basins, the petal region, fate classification and
 the blow-up probe."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import scalar_reference as ref
 from qrtan import analysis
 from qrtan.analysis import (
     BlowupReport,
@@ -16,7 +19,6 @@ from qrtan.analysis import (
     blowup_probe,
     classify_orbit,
     offaxis_monotonicity_violations,
-    offaxis_ratio,
     parabolic_decrease_check,
     petal_boundary_residual,
     petal_contains,
@@ -98,14 +100,6 @@ class TestSmallestTanFixedPoint:
 
 
 class TestOffaxisRatio:
-    def test_values(self):
-        assert offaxis_ratio([1, 2, 4]) == 0.5
-        assert offaxis_ratio([0, 0, 3]) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            offaxis_ratio([1, 1, 0])
-
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_decreases_along_orbits(self, lam):
         assert offaxis_monotonicity_violations(lam, n_samples=10_000, seed=1) == 0
@@ -153,6 +147,60 @@ class TestPetalRegion:
             rec = classify_orbit(np.array([p[0], p[1], 0.0]), lam,
                                  max_iter=3000, tol=1e-6)
             assert rec.fate is Fate.TO_ORIGIN
+
+
+class TestPetalClosedForm:
+    """The closed form against the sector fans it replaced, and the facts
+    that make it the petal (README, "The petal region")."""
+
+    def test_agrees_with_sector_fans(self, monkeypatch):
+        # the reference bisects once per slope^2; points along one ray repeat it
+        monkeypatch.setattr(ref, "petal_x_bound",
+                            functools.lru_cache(maxsize=1024)(ref.petal_x_bound))
+        rng = np.random.default_rng(22)
+        total = 0
+        wrong = []
+        for lam in np.linspace(0.3, 1.414, 11):
+            pts = rng.uniform(-0.85, 0.85, (300, 2)).tolist()
+            for a in rng.uniform(-1.0, 1.0, 220):
+                mu = lam / math.sqrt(1.0 + a * a)
+                ts = rng.uniform(0.0, 0.85, 40).tolist()
+                for edge in ([QUARTER_PI] + ([smallest_tan_fixed_point(mu)]
+                                             if mu < 1.0 else [])):
+                    ts += [edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]
+                for t in ts:
+                    for x in (t, -t):
+                        pts += [(x, a * x), (a * x, x)]
+            wrong += [(p, lam) for p in pts
+                      if petal_contains(p, lam) != ref.petal_contains(p, lam)]
+            total += len(pts)
+        assert total >= 400_000
+        assert wrong == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 1.414), st.floats(-QUARTER_PI, QUARTER_PI),
+           st.floats(-QUARTER_PI, QUARTER_PI))
+    def test_rays_invariant(self, lam, x, y):
+        # on the central square F(q) = lam*q*tan(m)/|q|
+        m, r = max(abs(x), abs(y)), math.hypot(x, y)
+        assume(1e-8 < m < QUARTER_PI)
+        fx, fy, fz = tangent3(np.array([x, y, 0.0]), lam)
+        assert fz == 0.0
+        assert abs(x * fy - y * fx) <= 1e-13 * r * math.hypot(fx, fy)
+        assert x * fx + y * fy > 0.0
+        assert math.hypot(fx, fy) == pytest.approx(lam * math.tan(m), rel=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 1.414), st.floats(-QUARTER_PI, QUARTER_PI),
+           st.floats(-QUARTER_PI, QUARTER_PI))
+    def test_petal_traps(self, lam, x, y):
+        # F(Q) in Q with |F(q)| < |q|; kept off the boundary, where F(q) = q
+        m, r = max(abs(x), abs(y)), math.hypot(x, y)
+        assume(m > 1e-8 and petal_contains((x, y), lam))
+        assume(lam * math.tan(m) < (1.0 - 1e-9) * r)
+        fx, fy, _ = tangent3(np.array([x, y, 0.0]), lam)
+        assert math.hypot(fx, fy) < r
+        assert petal_contains((fx, fy), lam)
 
 
 class TestPetalBoundary:

@@ -15,7 +15,7 @@ EXPORTS = [
     "RenderConfig", "axis_fixed_point", "blowup_probe", "calibrate_expansion", "cayley",
     "cayley_inverse", "chordal", "classify_orbit", "containing_diamond",
     "hemisphere_to_square", "inverse_branch", "is_infinity", "iterate", "itinerary_of",
-    "jacobian_plane_map", "offaxis_ratio", "periodic_near_escaping",
+    "jacobian_plane_map", "periodic_near_escaping",
     "periodic_point_from_cycle", "petal_contains", "plane_map", "point_from_itinerary",
     "pole_location", "render_basin", "render_escape_depth", "required_tail_radius",
     "smallest_tan_fixed_point", "square_to_hemisphere", "tangent3", "tangent3_composed",

@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -12,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrtan.cli import main
+from qrtan.cli import build_parser, main
 from qrtan.itinerary import ContractionFailure
 from qrtan.plane import BranchResidualError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, capsys):
@@ -332,14 +336,48 @@ class TestInputValidation:
         assert err == "error: no preimage of (1.0, 2.0) in diamond (1, 1)\n"
 
 
+def run_module(*argv, timeout=None):
+    # the child does not see pytest's pythonpath setting, so hand it src/
+    # for a checkout where qrtan is not installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "qrtan.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child does not see pytest's pythonpath setting, so hand it src/
-        # for a checkout where qrtan is not installed
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-m", "qrtan.cli", "solve-xi0",
-                               "--lambda", "2"], capture_output=True, text=True, env=env)
+        proc = run_module("solve-xi0", "--lambda", "2")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.91500804815"
+
+    @pytest.mark.parametrize("args, absorbed", [
+        (["--lambda", "1.41"], False),
+        (["--lambda", "1.40", "--suite", "analysis", "--fast"], True)])
+    def test_verify_near_sqrt2_finishes(self, args, absorbed):
+        # every ray's contraction factor is at least lam/sqrt(2), so near
+        # sqrt(2) petal-absorbed finds few or no samples; it must still return
+        proc = run_module("verify", *args, timeout=60)
+        assert proc.returncode == 0
+        assert not [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+        assert ("petal-absorbed" in proc.stdout) == absorbed
+
+
+def test_readme_command_lines_parse():
+    # every qrtan line of the README's "Command line" block names only
+    # subcommands and flags the parser has
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("qrtan ")]
+    assert len(commands) >= 8
+    rejected = []
+    for argv in commands:
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append((argv, err.getvalue()))
+    assert rejected == []

@@ -1,9 +1,11 @@
 """Tests of the verification-suite plumbing (the individual checks are
 exercised through run_suite by the CLI tests and the acceptance suite)."""
 
+import numpy as np
 import pytest
 
 from qrtan.cli import main
+from qrtan import verify
 from qrtan.verify import SUITES, run_suite
 
 
@@ -45,3 +47,16 @@ def test_seed_9706_passes(lam, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert not [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_petal_absorbed_reports_samples_found(monkeypatch):
+    monkeypatch.setattr(verify, "_PETAL_DRAWS", 20_000)
+    few = verify.check_petal_absorbed(1.39, np.random.default_rng(0), n=60)
+    assert few.passed
+    found = int(few.detail.split("; ")[1].split()[0])
+    assert 0 < found < 60
+    assert few.detail == (f"0/{found} petal orbits strayed (sectors with contraction "
+                          f"factor <= 0.99); {found} of 60 found in 20000 draws")
+    # lam/sqrt(2) > 0.99: no ray is slow enough to sample
+    none = verify.check_petal_absorbed(1.4142, np.random.default_rng(0), n=60)
+    assert none.passed and none.detail == "vacuous at this lam"
