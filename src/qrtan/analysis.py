@@ -12,7 +12,6 @@ including the full-space blow-up probe.
 
 import functools
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -153,20 +152,11 @@ def petal_boundary_residual(lam: float, n_samples: int = 100):
 # ---------------------------------------------------------------------------
 # orbit classification
 
-# the fate rules of classify_orbit, which the renderer and the CLI share
+# the fate rules, read by classify_orbit and the renderer when called
 SETTLE = 3
 CAPTURE_TOL = 1e-6
 ESCAPE_RUN = 8
 ESCAPE_NORM = 50.0
-
-
-def _check_escape_rule(escape_run, escape_norm):
-    """Raise ValueError unless escape_run is an integer >= 1 and
-    escape_norm is positive and finite."""
-    if not (isinstance(escape_run, numbers.Integral) and escape_run >= 1):
-        raise ValueError(f"escape_run must be an integer >= 1, got {escape_run!r}")
-    if not (math.isfinite(escape_norm) and escape_norm > 0.0):
-        raise ValueError(f"escape_norm must be positive and finite, got {escape_norm!r}")
 
 
 class Fate(Enum):
@@ -186,24 +176,21 @@ class FateRecord:
     witness: object  # final point, or INFINITY for a pole hit
 
 
-def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
-                   escape_run: int = ESCAPE_RUN,
-                   escape_norm: float = ESCAPE_NORM) -> FateRecord:
+def classify_orbit(v, lam: float, max_iter: int = 500) -> FateRecord:
     """Iterate the scaled tangent map and name the orbit's fate.
 
-    Convergence fates require staying within ``tol`` of the target for
-    SETTLE consecutive steps.  The escape call is heuristic by
+    Convergence fates require staying within CAPTURE_TOL of the target
+    for SETTLE consecutive steps.  The escape call is heuristic by
     nature (the escaping set is totally disconnected): the orbit must
     sit in pole diamonds whose centre norms strictly increased for
-    ``escape_run`` consecutive steps while the orbit norm exceeds
-    ``escape_norm``.  The centres are (i, j) pi/2 for integers i, j, and
+    ESCAPE_RUN consecutive steps while the orbit norm exceeds
+    ESCAPE_NORM.  The centres are (i, j) pi/2 for integers i, j, and
     their norms are compared as the Python integers i^2 + j^2, so a step
     between distinct centres of equal norm is no growth, at any size.
     Anything else at the horizon is Undecided.
     """
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
-    _check_escape_rule(escape_run, escape_norm)
     targets = [(Fate.TO_ORIGIN, 0.0)]
     if lam > 1.0:
         xi = axis_fixed_point(lam)
@@ -212,7 +199,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
     runs = [0] * len(targets)
     x, y, z = _checked_vec3(v)[1]
     # the last plane iterates, as many as the escape rule reads
-    recent = deque(maxlen=escape_run + 1)
+    recent = deque(maxlen=ESCAPE_RUN + 1)
     for it in range(1, max_iter + 1):
         p = _tangent3_xyz(x, y, z, lam)
         if p is None:
@@ -223,7 +210,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
         for i, (fate, tz) in enumerate(targets):
             dz = z - tz
             d = math.sqrt(xy2 + dz * dz)
-            runs[i] = runs[i] + 1 if d < tol else 0
+            runs[i] = runs[i] + 1 if d < CAPTURE_TOL else 0
             if runs[i] >= SETTLE:
                 return FateRecord(fate, it, d, np.array(p))
         # escape bookkeeping only makes sense on the invariant plane
@@ -231,7 +218,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500, tol: float = CAPTURE_TOL,
             recent.clear()
             continue
         recent.append(p)
-        if (math.sqrt(xy2) > escape_norm and len(recent) > escape_run
+        if (math.sqrt(xy2) > ESCAPE_NORM and len(recent) > ESCAPE_RUN
                 and _centre_norms_grow(recent)):
             return FateRecord(Fate.ESCAPING, it, 0.0, np.array(p))
     return FateRecord(Fate.UNDECIDED, max_iter, math.nan, np.array(p))

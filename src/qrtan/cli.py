@@ -79,7 +79,6 @@ def build_parser():
             sp.add_argument("--res", type=_parse_res, default=(256, 256),
                             help="image resolution WIDTHxHEIGHT (default 256x256)")
             sp.add_argument("--max-iter", type=int, default=500)
-            sp.add_argument("--tol", type=float, default=analysis.CAPTURE_TOL)
             sp.add_argument("--threads", type=int, default=1,
                             help="worker threads, one band of rows each; output bytes "
                                  "do not depend on this, and more threads than CPUs "
@@ -151,7 +150,7 @@ def _config_record(args, command, **extra):
 def _cmd_render(args, escape):
     w, h = args.res
     cfg = RenderConfig(lam=args.lam, window=tuple(args.window), width=w, height=h,
-                       max_iter=args.max_iter, tol=args.tol, threads=args.threads,
+                       max_iter=args.max_iter, threads=args.threads,
                        depth_norm=getattr(args, "r_esc", None))
     img = render_escape_depth(cfg) if escape else render_basin(cfg)
     if args.png:
@@ -221,7 +220,7 @@ def _cmd_verify(args):
 
 def _check_inputs(args):
     """Reject a bad parameter, start point, step count, window, threshold,
-    tolerance or thread count before any output is written."""
+    iteration count or thread count before any output is written."""
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
     start = getattr(args, "start", None)
@@ -240,9 +239,6 @@ def _check_inputs(args):
     max_iter = getattr(args, "max_iter", None)
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"--max-iter must be at least 1, got {max_iter}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {tol:g}")
     threads = getattr(args, "threads", None)
     if threads is not None and threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")

@@ -6,15 +6,15 @@ several threads) streams the pixels through a working set.  A pixel
 leaves it when decided or at ``max_iter``, and an escape-depth render
 also stops each pixel at its first passage above the depth threshold,
 found by one rule: the pixels above it, then the diamond lookup on
-those.  Only that render tracks the passage; a basin image never reads
-it, and its depth array stays 0.  A pixel's arithmetic does not depend
-on which other pixels share the set, so the bytes equal those of
-iterating every pixel to ``max_iter``, for any set size, band or
-thread count.  Where the escape threshold is at least the depth
-threshold, an escape-depth render skips the escape rule, which could
-not change its image.  Output is 8-bit RGB, written as binary PPM (P6)
-so golden files need no image library; PNG is available on request,
-written with the standard library.
+those.  Only that render tracks the passage, and only a basin render
+runs the escape rule; a basin image never reads the passage, and its
+depth array stays 0.  The fate rules are the constants of ``analysis``.
+A pixel's arithmetic does not depend on which other pixels share the
+set, so the bytes equal those of iterating every pixel to
+``max_iter``, for any set size, band or thread count.  Output is
+8-bit RGB, written as binary PPM (P6) so golden files need no image
+library; PNG is available on request, written with the standard
+library.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CAPTURE_TOL, ESCAPE_NORM, ESCAPE_RUN, SETTLE, _check_escape_rule
+from . import analysis
 from .core import HALF_PI, QUARTER_PI, tangent3_grid
 
 # no code for the axis fixed points: no orbit of the plane z = 0 reaches them
@@ -51,9 +51,6 @@ class RenderConfig:
     width: int = 256
     height: int = 256
     max_iter: int = 500
-    tol: float = CAPTURE_TOL
-    escape_run: int = ESCAPE_RUN
-    escape_norm: float = ESCAPE_NORM  # orbit-fate heuristic threshold
     depth_norm: float = None     # escape-depth threshold; default 4*lam
     threads: int = 1
 
@@ -69,11 +66,8 @@ class RenderConfig:
             raise ValueError("resolution must be positive")
         if self.max_iter < 1:
             raise ValueError("iteration count must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("capture tolerance must be positive and finite")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
-        _check_escape_rule(self.escape_run, self.escape_norm)
         if self.depth_norm is None:
             # a few times lam sits beyond every bounded invariant structure,
             # so first passage above it marks a genuine far excursion while
@@ -142,30 +136,27 @@ def _far(px, py, mx, bound, sel):
 def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
-    Mirrors the scalar classifier: convergence needs SETTLE
-    consecutive steps inside ``tol`` of a target, escape needs
-    ``escape_run`` consecutive strictly-growing diamond-centre norms
-    plus norm above ``escape_norm``.  The centre norms are compared as
-    i^2 + j^2 for the centre (i, j) pi/2, in float64: exact, and so the
-    same rule as ``classify_orbit``'s, for centres within 2^26 pi/2
-    (about 1.05e8) of the origin in each coordinate.  Beyond that the
-    squares and their sum round, and past about 2e154 they overflow to
-    inf, so a step from there to there is no growth.  ``x`` and ``y``
-    are broadcast together, so a row of x and a column of y give an
-    image.
+    Mirrors the scalar classifier, reading the same constants of
+    ``analysis`` when called: convergence needs SETTLE consecutive steps
+    inside CAPTURE_TOL of a target, escape needs ESCAPE_RUN consecutive
+    strictly-growing diamond-centre norms plus norm above ESCAPE_NORM.
+    The centre norms are compared as i^2 + j^2 for the centre (i, j)
+    pi/2, in float64: exact, and so the same rule as ``classify_orbit``'s,
+    for centres within 2^26 pi/2 (about 1.05e8) of the origin in each
+    coordinate.  Beyond that the squares and their sum round, and past
+    about 2e154 they overflow to inf, so a step from there to there is
+    no growth.  ``x`` and ``y`` are broadcast together, so a row of x
+    and a column of y give an image.
 
     Pixels enter a working set of at most ``_WORKING_SET`` entries in
     flat order, each counting its own steps, and leave at a pole hit,
     origin capture, escape or their ``max_iter``-th step.  With
-    ``depth_only`` a pixel also leaves at its first passage above
-    ``depth_norm`` inside a diamond, keeping its fate (0, or 4 where it
-    escapes at that very step) with ``when`` set to that step.  The
-    returned depth is then the escape depth: that step, or the step of
-    a pole hit, 0 where neither came.  Without ``depth_only`` nothing
-    tracks the passage and the depth array stays all 0.  If also
-    ``escape_norm >= depth_norm``, an escape could only come at a
-    pixel's first passage, so the escape rule is skipped: such a pixel
-    keeps fate 0, with the same ``depth`` and ``when``.
+    ``depth_only`` the escape rule does not run, and a pixel leaves
+    instead at its first passage above ``depth_norm`` inside a diamond,
+    keeping fate 0 with ``when`` set to that step.  The returned depth
+    is then the escape depth: that step, or the step of a pole hit, 0
+    where neither came.  Without ``depth_only`` nothing tracks the
+    passage and the depth array stays all 0.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     # rows along the last axis, so a run of flat indices spans few rows
@@ -179,8 +170,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     depth = np.zeros(size, dtype=np.int32)
     when = np.zeros(size, dtype=np.int32)
     fate = np.zeros(size, dtype=np.uint8)
-    # whether the escape rule (diamond-centre growth) runs; see above
-    growth = not depth_only or cfg.escape_norm < cfg.depth_norm
     # the working set in entry order: flat index, the loop step before the
     # pixel's first, point and rule state.  Done entries stay, masked out
     # by ``live``, until a quarter is done; then the live ones move to the
@@ -190,7 +179,7 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     idx, born = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int32)
     px, py = np.empty(n), np.empty(n)
     run_origin = np.empty(n, dtype=np.int16)
-    if growth:
+    if not depth_only:
         chain, prev_n2 = np.empty(n, dtype=np.int16), np.empty(n)
     live = np.zeros(n, dtype=bool)
     entered = step = 0
@@ -218,7 +207,7 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             px = refill(px, _flat_slice(xr, entered, entered + k))
             py = refill(py, _flat_slice(yr, entered, entered + k))
             run_origin = refill(run_origin, 0)
-            if growth:
+            if not depth_only:
                 chain = refill(chain, 0)
                 prev_n2 = refill(prev_n2, 0.0)
             live = refill(live, True)
@@ -235,17 +224,17 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             px[pole] = py[pole] = 0.0  # inf placeholders would warn until compaction
             live &= finite
         # distance to the origin is the norm: z = 0 throughout.  It is at
-        # least mx, so only entries with mx < tol take the hypot
+        # least mx, so only entries with mx < CAPTURE_TOL take the hypot
         mx = np.abs(px)
         np.maximum(mx, np.abs(py), out=mx)
-        close = mx < cfg.tol
+        close = mx < analysis.CAPTURE_TOL
         close &= live
         if close.any():
             c = np.flatnonzero(close)
-            close[c] = np.hypot(px[c], py[c]) < cfg.tol
+            close[c] = np.hypot(px[c], py[c]) < analysis.CAPTURE_TOL
             run_origin += 1
             run_origin *= close
-            captured = run_origin >= SETTLE  # only live pixels are close
+            captured = run_origin >= analysis.SETTLE  # only live pixels are close
             if captured.any():
                 retire(captured, _FATE_ORIGIN)
                 live &= ~captured
@@ -256,12 +245,13 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
         # convergence target a basin render can see
         if depth_only:
             # every live pixel is before its first passage; the diamond
-            # lookup runs on the pixels above depth_norm only.  Taken before
-            # the escape rule retires anyone and applied after it, so a
-            # pixel escaping at its passage keeps fate 4 with depth == when
+            # lookup runs on the pixels above depth_norm only
             far = _far(px, py, mx, cfg.depth_norm, live)
             far = far[_diamond_centers(px[far], py[far])[2]]
-        if growth:
+            sel = idx[far]
+            depth[sel] = when[sel] = step - born[far]
+            live[far] = False
+        else:
             # chain: how many diamonds in a row the orbit has visited with
             # strictly growing i^2 + j^2, 0 off the diamonds; after a step
             # off them it becomes 1 whatever prev_n2 holds
@@ -275,13 +265,9 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             chain *= grew
             np.maximum(chain, tracked, out=chain)
             prev_n2 = n2
-            esc = _far(px, py, mx, cfg.escape_norm, chain > cfg.escape_run)
+            esc = _far(px, py, mx, analysis.ESCAPE_NORM, chain > analysis.ESCAPE_RUN)
             retire(esc, _FATE_ESCAPING)
             live[esc] = False
-        if depth_only:
-            sel = idx[far]
-            depth[sel] = when[sel] = step - born[far]
-            live[far] = False
         # pixels at their max_iter-th step stay undecided; they entered
         # first, so they lead the set
         last = np.searchsorted(born, step - cfg.max_iter, side="right")

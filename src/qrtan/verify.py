@@ -14,14 +14,16 @@ adapts to the parameter it is given.
 
 A sampled check evaluates all its points in one array pass: the map
 through ``tangent3_grid``, distances through ``chordal_grid`` and the
-plane derivative through its closed form on arrays.  The oracles stay
-independent of that kernel: complex ``tan`` for the embedded planes,
-the scalar ``tangent3_composed`` for the unfolded route.  Orbit checks
-run ``classify_orbit``, which iterates on Python floats.  The checks
-share one random generator, and each draws the same values, in the same
-count, as drawing one sample at a time would: a rejection sampler draws
-blocks of its remaining need, so it never draws past its last accepted
-sample.
+plane derivative through its closed form on arrays.  Two loop point by
+point instead: ``derivative-eigen-crosscheck``, whose oracle is the
+scalar Jacobian, and ``petal-membership``, a few hundred scalar probes.
+The oracles stay independent of that kernel: complex ``tan`` for the
+embedded planes, the scalar ``tangent3_composed`` for the unfolded
+route.  Orbit checks run ``classify_orbit``, which iterates on Python
+floats.  The checks share one random generator, and each draws the
+same values, in the same count, as drawing one sample at a time would:
+a rejection sampler draws blocks of its remaining need, so it never
+draws past its last accepted sample.
 """
 
 import math
@@ -193,14 +195,16 @@ def check_parabolic_bound(lam, rng, n=10_000):
                        "third component below z - z^3/24 on the cusp region")
 
 
-def _accepted_uniform(rng, n, low, high, dim, keep):
+def _accepted_uniform(rng, n, low, high, dim, keep, limit=math.inf):
     """n rows of rng.uniform(low, high, dim) that pass ``keep`` (a mask of a
-    block of rows), drawn in blocks of the remaining need: the same
-    values, in the same count, as drawing one row at a time until n pass.
+    block of rows), drawn in blocks of the remaining need, at most
+    ``limit`` rows in all: the same values, in the same count, as
+    drawing one row at a time until n pass or the limit is spent.
     """
-    blocks = []
-    while n > 0:
-        block = rng.uniform(low, high, (n, dim))
+    blocks = [np.empty((0, dim))]
+    while n > 0 and limit > 0:
+        block = rng.uniform(low, high, (min(n, limit), dim))
+        limit -= len(block)
         block = block[keep(block)]
         blocks.append(block)
         n -= len(block)
@@ -371,23 +375,19 @@ def check_petal_absorbed(lam, rng, n=300):
     approaches 1, the parabolic regime no finite budget resolves).  At
     most ``_PETAL_DRAWS`` points are drawn.
     """
-    bad = 0
-    tried = 0
-    for _ in range(_PETAL_DRAWS):
-        if tried == n:
-            break
-        p = rng.uniform(-QUARTER_PI, QUARTER_PI, 2)
-        if not analysis.petal_contains(p, lam):
-            continue
+    def sampled(p):
         # points right at the boundary converge arbitrarily slowly
-        if not analysis.petal_contains(p * 1.05, lam):
-            continue
-        if _petal_rate(p, lam) > 0.99:
-            continue
-        tried += 1
-        rec = analysis.classify_orbit(np.array([p[0], p[1], 0.0]), lam, max_iter=2500)
-        if rec.fate is not analysis.Fate.TO_ORIGIN:
-            bad += 1
+        return (analysis.petal_contains(p, lam)
+                and analysis.petal_contains((p[0] * 1.05, p[1] * 1.05), lam)
+                and _petal_rate(p, lam) <= 0.99)
+
+    pts = _accepted_uniform(
+        rng, n, -QUARTER_PI, QUARTER_PI, 2,
+        lambda block: np.array([sampled(p) for p in block.tolist()], dtype=bool),
+        _PETAL_DRAWS)
+    tried = len(pts)
+    bad = sum(analysis.classify_orbit(np.array([x, y, 0.0]), lam, max_iter=2500).fate
+              is not analysis.Fate.TO_ORIGIN for x, y in pts.tolist())
     if tried == 0:
         return CheckResult("petal-absorbed", True, "vacuous at this lam")
     found = "" if tried == n else f"; {tried} of {n} found in {_PETAL_DRAWS} draws"

@@ -2,7 +2,8 @@
 
 Each function below is the one-point-at-a-time body that the check,
 sampler or plane ratio of the same name ran before it moved onto
-``tangent3_grid``, the batched branch engine and the float core, kept
+``tangent3_grid``, the batched branch engine, the float core or block
+draws, kept
 verbatim (names and imports aside) so the tests can require the array
 versions to reach the same verdicts, consume the same random numbers
 and, for ``classify_orbit``, return the same fates.  ``classify_orbit``
@@ -31,7 +32,7 @@ from qrtan.core import (
     vec_norm,
 )
 from qrtan.plane import SQRT2, containing_diamond
-from qrtan.verify import CheckResult
+from qrtan.verify import CheckResult, _petal_rate
 
 
 def _sample_points(rng, n, span=10.0, z=None):
@@ -270,6 +271,34 @@ def check_pole_expansion(lam, rng, n_pairs=1000):
     ok = ratio >= 2.0 - 0.01
     return CheckResult("pole-expansion", ok,
                        f"min ratio {ratio:.4f} on eps={cal.eps:.4f} ball")
+
+
+def check_petal_absorbed(lam, rng, n=300, draws=200_000):
+    """Petal samples are classified as captured by the origin (lam < sqrt2);
+    at most ``draws`` points are drawn."""
+    bad = 0
+    tried = 0
+    for _ in range(draws):
+        if tried == n:
+            break
+        p = rng.uniform(-QUARTER_PI, QUARTER_PI, 2)
+        if not analysis.petal_contains(p, lam):
+            continue
+        # points right at the boundary converge arbitrarily slowly
+        if not analysis.petal_contains(p * 1.05, lam):
+            continue
+        if _petal_rate(p, lam) > 0.99:
+            continue
+        tried += 1
+        rec = analysis.classify_orbit(np.array([p[0], p[1], 0.0]), lam, max_iter=2500)
+        if rec.fate is not analysis.Fate.TO_ORIGIN:
+            bad += 1
+    if tried == 0:
+        return CheckResult("petal-absorbed", True, "vacuous at this lam")
+    found = "" if tried == n else f"; {tried} of {n} found in {draws} draws"
+    return CheckResult("petal-absorbed", bad == 0,
+                       f"{bad}/{tried} petal orbits strayed (sectors with "
+                       f"contraction factor <= 0.99){found}")
 
 
 def branch_contraction_ratio(q, p, pairs, lam: float = 1.0) -> float:

@@ -144,8 +144,7 @@ class TestPetalRegion:
             count += 1
             img = tangent3(np.array([p[0], p[1], 0.0]), lam)
             assert petal_contains(img[:2], lam)
-            rec = classify_orbit(np.array([p[0], p[1], 0.0]), lam,
-                                 max_iter=3000, tol=1e-6)
+            rec = classify_orbit(np.array([p[0], p[1], 0.0]), lam, max_iter=3000)
             assert rec.fate is Fate.TO_ORIGIN
 
 
@@ -242,14 +241,14 @@ class TestClassifyOrbit:
         assert is_infinity(rec.witness)
         assert rec.iterations == 1
 
-    def test_escaping_constructed_point(self):
+    def test_escaping_constructed_point(self, fate_rule):
         # a point built to run through diamonds of growing norm; thresholds
         # chosen inside the horizon where forward iteration is trustworthy
         lam = 2.0
         itin = Itinerary(prefix=[], tail=lambda j: (0, j + 3))
         v = point_from_itinerary(itin, lam, n_compose=28)
-        rec = classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50,
-                             escape_run=5, escape_norm=18.0)
+        fate_rule(ESCAPE_RUN=5, ESCAPE_NORM=18.0)
+        rec = classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50)
         assert rec.fate is Fate.ESCAPING
 
     @pytest.mark.parametrize("scale", [1, 2 ** 40 + 1])
@@ -280,18 +279,29 @@ class TestClassifyOrbit:
         with pytest.raises(ValueError):
             classify_orbit(np.array([0.1, 0.1, 0.1]), 1.0, max_iter=0)
 
-    @pytest.mark.parametrize("field,kwargs", [
-        ("escape_run", dict(escape_run=0, escape_norm=math.nan)),
-        ("escape_run", dict(escape_run=2.5, escape_norm=-3.0)),
-        ("escape_run", dict(escape_run=-1)),
-        ("escape_norm", dict(escape_norm=math.nan)),
-        ("escape_norm", dict(escape_norm=math.inf)),
-        ("escape_norm", dict(escape_norm=0.0)),
-        ("escape_norm", dict(escape_norm=-3.0)),
-    ])
-    def test_rejects_bad_escape_rule(self, field, kwargs):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            classify_orbit(np.array([0.1, 0.2, 0.0]), 1.0, max_iter=10, **kwargs)
+    @pytest.mark.parametrize("knob", ["tol", "escape_run", "escape_norm"])
+    def test_fate_rules_are_not_options(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            classify_orbit(np.array([0.1, 0.2, 0.0]), 1.0, max_iter=10, **{knob: 1})
+
+    def test_reads_capture_tolerance_when_called(self, fate_rule):
+        v = np.array([0.3, 0.2, 0.0])
+        assert classify_orbit(v, 0.5, max_iter=200).fate is Fate.TO_ORIGIN
+        fate_rule(CAPTURE_TOL=0.0)  # no distance is below 0: nothing settles
+        assert classify_orbit(v, 0.5, max_iter=200).fate is Fate.UNDECIDED
+
+    @pytest.mark.parametrize("blocking", [dict(ESCAPE_NORM=math.inf), dict(ESCAPE_RUN=100)])
+    def test_reads_escape_rule_when_called(self, fate_rule, blocking):
+        # the escaping point above, with a rule it meets, then with one it
+        # cannot meet in 50 steps
+        lam = 2.0
+        v = point_from_itinerary(Itinerary(prefix=[], tail=lambda j: (0, j + 3)), lam,
+                                 n_compose=28)
+        start = np.array([v[0], v[1], 0.0])
+        fate_rule(ESCAPE_RUN=5, ESCAPE_NORM=18.0)
+        assert classify_orbit(start, lam, max_iter=50).fate is Fate.ESCAPING
+        fate_rule(**blocking)
+        assert classify_orbit(start, lam, max_iter=50).fate is Fate.UNDECIDED
 
     def test_axis_fixed_point_solved_once_per_lam(self, monkeypatch):
         solves = []

@@ -1,13 +1,14 @@
-"""The public surface: the names ``qrtan`` exports and the fields of
-``RenderConfig``.  Adding or removing an export or a render option changes
-these lists, so it shows up as a reviewed diff."""
+"""The public surface: the names ``qrtan`` exports, the fields of
+``RenderConfig`` and the parameters of ``classify_orbit``.  Adding or
+removing an export, a render option or an orbit-fate option changes these
+lists, so it shows up as a reviewed diff."""
 
 import dataclasses
 import inspect
 import types
 
 import qrtan
-from qrtan import analysis, cli
+from qrtan import analysis, cli, render
 from qrtan.render import RenderConfig
 
 EXPORTS = [
@@ -22,8 +23,12 @@ EXPORTS = [
     "tangent3_grid", "write_ppm", "zorich",
 ]
 
-RENDER_FIELDS = ["lam", "window", "width", "height", "max_iter", "tol", "escape_run",
-                 "escape_norm", "depth_norm", "threads"]
+RENDER_FIELDS = ["lam", "window", "width", "height", "max_iter", "depth_norm", "threads"]
+
+# the fate rules are constants of analysis, not options
+CLASSIFY_ORBIT_PARAMS = ["v", "lam", "max_iter"]
+
+FATE_RULES = ["SETTLE", "CAPTURE_TOL", "ESCAPE_RUN", "ESCAPE_NORM"]
 
 
 def test_exported_names():
@@ -37,13 +42,15 @@ def test_render_config_fields():
     assert [f.name for f in dataclasses.fields(RenderConfig)] == RENDER_FIELDS
 
 
+def test_classify_orbit_parameters():
+    assert list(inspect.signature(analysis.classify_orbit).parameters) == CLASSIFY_ORBIT_PARAMS
+
+
 def test_fate_rules_have_one_home():
+    # the render module, its config and the CLI keep no copy of the rules
+    assert all(isinstance(getattr(analysis, name), (int, float)) for name in FATE_RULES)
+    assert not any(hasattr(render, name) or hasattr(cli, name) for name in FATE_RULES)
     cfg = RenderConfig(lam=1.0)
-    assert (cfg.tol, cfg.escape_run, cfg.escape_norm) == (
-        analysis.CAPTURE_TOL, analysis.ESCAPE_RUN, analysis.ESCAPE_NORM)
-    defaults = inspect.signature(analysis.classify_orbit).parameters
-    assert (defaults["tol"].default, defaults["escape_run"].default,
-            defaults["escape_norm"].default) == (
-        analysis.CAPTURE_TOL, analysis.ESCAPE_RUN, analysis.ESCAPE_NORM)
+    assert not any(hasattr(cfg, knob) for knob in ("tol", "escape_run", "escape_norm"))
     args = cli.build_parser().parse_args(["render-basin", "--lambda", "1", "--out", "x.ppm"])
-    assert args.tol == analysis.CAPTURE_TOL
+    assert not hasattr(args, "tol")

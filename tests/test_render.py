@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qrtan import render
+from qrtan import analysis, render
 from qrtan.analysis import SETTLE, petal_contains
 from qrtan.core import tangent3_grid
 from qrtan.render import (
@@ -36,7 +36,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = RenderConfig(lam=2.0)
         assert cfg.window == (-QUARTER_PI, -QUARTER_PI, 3 * QUARTER_PI, 3 * QUARTER_PI)
-        assert cfg.max_iter == 500 and cfg.tol == 1e-6
+        assert cfg.max_iter == 500
         assert cfg.depth_norm == 8.0  # 4 * lam
 
     def test_rejects_degenerate_window(self):
@@ -60,32 +60,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least 1"):
             RenderConfig(lam=1.0, max_iter=max_iter)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
-    def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="positive and finite"):
-            RenderConfig(lam=1.0, tol=tol)
-
     @pytest.mark.parametrize("field", ["threads"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_rejects_bad_work_split(self, field, value):
         with pytest.raises(ValueError, match="at least 1"):
             RenderConfig(lam=1.0, **{field: value})
 
-    @pytest.mark.parametrize("field,kwargs", [
-        ("escape_run", dict(escape_run=0, escape_norm=math.nan)),
-        ("escape_run", dict(escape_run=2.5, escape_norm=-3.0)),
-        ("escape_run", dict(escape_run=-1)),
-        ("escape_norm", dict(escape_norm=math.nan)),
-        ("escape_norm", dict(escape_norm=math.inf)),
-        ("escape_norm", dict(escape_norm=0.0)),
-        ("escape_norm", dict(escape_norm=-3.0)),
-    ])
-    def test_rejects_bad_escape_rule(self, field, kwargs):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            RenderConfig(lam=1.0, **kwargs)
-
-    def test_accepts_numpy_integer_escape_run(self):
-        assert RenderConfig(lam=1.0, escape_run=np.int64(3)).escape_run == 3
+    @pytest.mark.parametrize("knob", ["tol", "escape_run", "escape_norm"])
+    def test_fate_rules_are_not_options(self, knob):
+        # the fate rules are constants of analysis, not render options
+        with pytest.raises(TypeError, match=knob):
+            RenderConfig(lam=1.0, **{knob: 1})
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -124,10 +109,12 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
-def full_grid_classify(x, y, cfg):
+def full_grid_classify(x, y, cfg, depth_only=False):
     """Reference loop: every pixel carried to max_iter through full-array
-    masked passes.  classify_plane_block must match it bit for bit: its
-    fate and when in a basin call, its depth in an escape-depth call."""
+    masked passes, with the fate rule of ``analysis`` at call time.
+    classify_plane_block must match it bit for bit: its fate and when in
+    a basin call, and with ``depth_only``, where neither runs the escape
+    rule, its depth in an escape-depth call."""
     shape = x.shape
     px = x.astype(float).copy()
     py = y.astype(float).copy()
@@ -150,7 +137,7 @@ def full_grid_classify(x, y, cfg):
             depth[hit & (depth == 0)] = step
             alive &= finite
             norm = np.hypot(px, py)
-            run_origin = np.where(alive & (norm < cfg.tol), run_origin + 1, 0)
+            run_origin = np.where(alive & (norm < analysis.CAPTURE_TOL), run_origin + 1, 0)
             captured = alive & (run_origin >= SETTLE)
             fate[captured] = _FATE_ORIGIN
             when[captured] = step
@@ -162,7 +149,10 @@ def full_grid_classify(x, y, cfg):
             grow = np.where(grew, grow + 1, 0)
             prev_n2 = np.where(alive & inside, n2, np.nan)
             depth[alive & inside & (norm > cfg.depth_norm) & (depth == 0)] = step
-            esc = alive & inside & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
+            if depth_only:
+                continue
+            esc = (alive & inside & (norm > analysis.ESCAPE_NORM)
+                   & (grow >= analysis.ESCAPE_RUN))
             fate[esc] = _FATE_ESCAPING
             when[esc] = step
             alive &= ~esc
@@ -177,12 +167,12 @@ def _as_returned(reference, depth_only=False):
     return fate, when, depth if depth_only else np.zeros_like(depth)
 
 
-# (lam, escape_norm, escape_run) covering every fate a z = 0 render meets
+# (lam, ESCAPE_NORM, ESCAPE_RUN) covering every fate a z = 0 render meets
 FATE_MIXES = [
     (0.9, 50.0, 8),      # origin captures
     (1.1107, 50.0, 8),   # origin captures and undecided pixels
-    (1.5, 5.0, 2),       # escapes, escape_norm below depth_norm
-    (2.0, 10.0, 3),      # escapes, escape_norm above depth_norm
+    (1.5, 5.0, 2),       # escapes, ESCAPE_NORM below depth_norm
+    (2.0, 10.0, 3),      # escapes, ESCAPE_NORM above depth_norm
 ]
 
 
@@ -195,23 +185,31 @@ def block_with_poles(cfg):
     return gx, gy
 
 
+# (lam, depth_norm) with depth_norm above ESCAPE_NORM (50): --r-esc 51 to
+# 200, and lam 13 and 20 at the default 4 * lam
+ABOVE_ESCAPE_NORM = [(2.0, 51.0), (2.0, 60.0), (2.0, 100.0), (3.0, 200.0), (5.0, 80.0),
+                     (1.5, 55.0), (13.0, None), (20.0, None)]
+
+
 class TestLiveSet:
     """The loop drops decided pixels; no pixel's result may depend on
     which other pixels share its block or when they leave."""
 
     @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_matches_full_grid_loop(self, lam, escape_norm, escape_run):
-        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
-                           escape_norm=escape_norm, escape_run=escape_run)
+    def test_matches_full_grid_loop(self, fate_rule, lam, escape_norm, escape_run):
+        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         expected = full_grid_classify(gx, gy, cfg)
         for got, want in zip(classify_plane_block(gx, gy, cfg), _as_returned(expected)):
             np.testing.assert_array_equal(got, want)
         _, _, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
-        np.testing.assert_array_equal(depth, expected[2])
+        want = full_grid_classify(gx, gy, cfg, depth_only=True)[2]
+        np.testing.assert_array_equal(depth, want)
 
     @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_basin_call_tracks_no_depth(self, monkeypatch, lam, escape_norm, escape_run):
+    def test_basin_call_tracks_no_depth(self, monkeypatch, fate_rule, lam, escape_norm,
+                                        escape_run):
         # a basin call returns an all-zero depth and makes no depth_norm
         # test; the same block has an escape depth
         bounds = []
@@ -221,8 +219,8 @@ class TestLiveSet:
             return _far(px, py, mx, bound, sel)
 
         monkeypatch.setattr(render, "_far", recording)
-        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
-                           escape_norm=escape_norm, escape_run=escape_run)
+        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         depth = classify_plane_block(gx, gy, cfg)[2]
         assert depth.dtype == np.int32 and depth.shape == gx.shape
@@ -231,7 +229,9 @@ class TestLiveSet:
         assert classify_plane_block(gx, gy, cfg, depth_only=True)[2].any()
         assert cfg.depth_norm in bounds
 
-    @settings(max_examples=40, deadline=None)
+    # the fixture only sets the rule, which each example sets afresh
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lam=st.floats(0.5, 3.0),
            x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0),
            span_x=st.floats(0.05, 3.0), span_y=st.floats(0.05, 3.0),
@@ -239,21 +239,23 @@ class TestLiveSet:
            max_iter=st.integers(1, 120),
            escape_factor=st.floats(0.1, 4.0))
     def test_early_stopped_depth_matches_full_classification(
-            self, lam, x0, y0, span_x, span_y, width, height, max_iter, escape_factor):
-        # escape_factor < 1 puts escape_norm below depth_norm, where an
-        # escape can end a pixel before its first depth passage
+            self, fate_rule, lam, x0, y0, span_x, span_y, width, height, max_iter,
+            escape_factor):
+        # escape_factor < 1 puts ESCAPE_NORM below depth_norm, where the
+        # escape rule, if it ran, could end a pixel before its first passage
+        fate_rule(ESCAPE_NORM=escape_factor * 4.0 * lam, ESCAPE_RUN=2)
         cfg = RenderConfig(lam=lam, window=(x0, y0, x0 + span_x, y0 + span_y),
-                           width=width, height=height, max_iter=max_iter,
-                           escape_norm=escape_factor * 4.0 * lam)
+                           width=width, height=height, max_iter=max_iter)
         gx, gy = pixel_grid(cfg, 0, height)
-        _, _, full = full_grid_classify(gx, gy, cfg)
+        _, _, full = full_grid_classify(gx, gy, cfg, depth_only=True)
         np.testing.assert_array_equal(compute_escape_depth(cfg), full)
 
     @pytest.mark.parametrize("depth_only", [False, True])
     @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_pixels_independent_of_block(self, lam, escape_norm, escape_run, depth_only):
-        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
-                           escape_norm=escape_norm, escape_run=escape_run)
+    def test_pixels_independent_of_block(self, fate_rule, lam, escape_norm, escape_run,
+                                         depth_only):
+        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         block = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
         assert np.count_nonzero(block[0] == _FATE_POLE) == 3
@@ -272,6 +274,68 @@ class TestLiveSet:
         for k, whole in enumerate(block):
             np.testing.assert_array_equal(np.concatenate([r[k] for r in rows]), whole)
 
+    @pytest.mark.parametrize("depth_norm", [None, 60.0])
+    def test_depth_render_looks_up_only_far_points(self, monkeypatch, depth_norm):
+        # an escape-depth render runs no escape rule, so the diamond lookup
+        # sees only points above depth_norm, also where depth_norm is above
+        # ESCAPE_NORM (60 > 50)
+        norms = []
+
+        def recording(x, y):
+            norms.append(np.hypot(x, y))
+            return _diamond_centers(x, y)
+
+        monkeypatch.setattr(render, "_diamond_centers", recording)
+        cfg = RenderConfig(lam=2.0, width=32, height=32, max_iter=60, depth_norm=depth_norm)
+        assert compute_escape_depth(cfg).any()
+        seen = np.concatenate(norms)
+        assert seen.size > 0
+        assert (seen > cfg.depth_norm).all()
+
+    @pytest.mark.parametrize("depth_norm", [None, 60.0])
+    def test_basin_render_looks_up_near_points(self, monkeypatch, depth_norm):
+        # a basin render runs the escape rule, whose diamond lookup takes
+        # points near the origin too, whatever depth_norm is
+        norms = []
+
+        def recording(x, y):
+            norms.append(np.hypot(x, y))
+            return _diamond_centers(x, y)
+
+        monkeypatch.setattr(render, "_diamond_centers", recording)
+        cfg = RenderConfig(lam=2.0, width=16, height=16, max_iter=20, depth_norm=depth_norm)
+        render_basin(cfg)
+        assert (np.concatenate(norms) <= min(cfg.depth_norm, analysis.ESCAPE_NORM)).any()
+
+    @pytest.mark.parametrize("lam,depth_norm", ABOVE_ESCAPE_NORM)
+    def test_depth_above_escape_norm_is_first_passage(self, lam, depth_norm):
+        # every pixel's depth is its first passage above depth_norm, from
+        # a loop that never runs the escape rule
+        cfg = RenderConfig(lam=lam, width=32, height=32, max_iter=200, depth_norm=depth_norm)
+        assert cfg.depth_norm > analysis.ESCAPE_NORM
+        gx, gy = pixel_grid(cfg, 0, cfg.height)
+        depth = compute_escape_depth(cfg)
+        assert depth.any()
+        np.testing.assert_array_equal(depth, full_grid_classify(gx, gy, cfg, depth_only=True)[2])
+
+    @pytest.mark.parametrize("lam,rule,gone", [
+        (0.9, dict(CAPTURE_TOL=0.0), _FATE_ORIGIN),
+        (1.5, dict(ESCAPE_NORM=math.inf), _FATE_ESCAPING),
+        (1.5, dict(ESCAPE_RUN=10 ** 6), _FATE_ESCAPING),
+    ])
+    def test_reads_fate_rule_when_called(self, fate_rule, lam, rule, gone):
+        # a short escape rule gives the block escapes; each constant set
+        # out of reach takes its fate away, as in the full-grid loop
+        fate_rule(ESCAPE_NORM=5.0, ESCAPE_RUN=2)
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
+        gx, gy = block_with_poles(cfg)
+        assert (classify_plane_block(gx, gy, cfg)[0] == gone).any()
+        fate_rule(**rule)
+        got = classify_plane_block(gx, gy, cfg)
+        assert not (got[0] == gone).any()
+        for g, want in zip(got, _as_returned(full_grid_classify(gx, gy, cfg))):
+            np.testing.assert_array_equal(g, want)
+
     def test_depth_only_retires_at_first_passage(self):
         cfg = RenderConfig(lam=2.0, width=32, height=32, max_iter=120)
         gx, gy = pixel_grid(cfg, 0, cfg.height)
@@ -284,9 +348,10 @@ class TestLiveSet:
 # ---------------------------------------------------------------------------
 # the grid kernel, the diamond lookup and the render loop as they were
 # before they ran in place, kept as the reference: only the names changed,
-# and the diamond lookup returns the centre's integers (i, j), whose
-# i^2 + j^2 the escape rule compares.  The in-place code must give the
-# same arrays, bit for bit
+# the diamond lookup returns the centre's integers (i, j), whose i^2 + j^2
+# the escape rule compares, and the loop reads the fate rule of
+# ``analysis`` and runs the escape rule only without ``depth_only``.  The
+# in-place code must give the same arrays, bit for bit
 
 def _reference_fold_axis_grid(x, half_width):
     """Vectorized fold_axis; returns (folded, parity) arrays."""
@@ -379,7 +444,7 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         live &= finite
         norm = np.hypot(px, py)
         d_origin = norm  # z = 0 throughout
-        run_origin = np.where(live & (d_origin < cfg.tol), run_origin + 1, 0)
+        run_origin = np.where(live & (d_origin < analysis.CAPTURE_TOL), run_origin + 1, 0)
         captured = live & (run_origin >= SETTLE)
         retire(captured, _FATE_ORIGIN, step)
         live &= ~captured
@@ -392,12 +457,14 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         newdepth = tracked & (norm > cfg.depth_norm) & nodepth
         depth[idx[newdepth]] = step
         nodepth &= ~newdepth
-        esc = tracked & (norm > cfg.escape_norm) & (grow >= cfg.escape_run)
-        retire(esc, _FATE_ESCAPING, step)
-        live &= ~esc
         if depth_only:
             when[idx[newdepth]] = step
             live &= ~newdepth
+        else:
+            esc = (tracked & (norm > analysis.ESCAPE_NORM)
+                   & (grow >= analysis.ESCAPE_RUN))
+            retire(esc, _FATE_ESCAPING, step)
+            live &= ~esc
     when[idx[live]] = cfg.max_iter
     return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
 
@@ -508,10 +575,10 @@ class TestGridKernelBitIdentity:
 
     @pytest.mark.parametrize("depth_only", [False, True])
     @pytest.mark.parametrize("lam", LAMS)
-    def test_classify_matches_reference(self, lam, depth_only):
+    def test_classify_matches_reference(self, fate_rule, lam, depth_only):
         for escape_norm, escape_run in ((50.0, 8), (5.0, 2)):
-            cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=100,
-                               escape_norm=escape_norm, escape_run=escape_run)
+            fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+            cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=100)
             gx, gy = block_with_poles(cfg)
             want = _as_returned(
                 _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only), depth_only)
@@ -524,7 +591,7 @@ class TestGridKernelBitIdentity:
                               want)
 
     @staticmethod
-    def _classify_scripted(monkeypatch, path, escape_run):
+    def _classify_scripted(monkeypatch, fate_rule, path, escape_run):
         """One pixel's (fate, when) over a scripted orbit, from
         classify_plane_block and, checked equal, from the reference."""
 
@@ -537,8 +604,8 @@ class TestGridKernelBitIdentity:
                 return np.full(n, fx), np.full(n, fy), np.zeros(n), np.ones(n, dtype=bool)
             return grid_map
 
-        cfg = RenderConfig(lam=1.0, width=1, height=1, max_iter=len(path),
-                           escape_norm=5.0, escape_run=escape_run)
+        fate_rule(ESCAPE_NORM=5.0, ESCAPE_RUN=escape_run)
+        cfg = RenderConfig(lam=1.0, width=1, height=1, max_iter=len(path))
         x, y = np.array([[0.1]]), np.array([[0.2]])
         monkeypatch.setattr(render, "tangent3_grid", scripted_map())
         got = classify_plane_block(x, y, cfg)
@@ -546,16 +613,17 @@ class TestGridKernelBitIdentity:
         _assert_identical(got, _as_returned(_reference_classify_plane_block(x, y, cfg)))
         return got[0][0, 0], got[1][0, 0]
 
-    def test_step_off_the_diamonds_breaks_the_growth_run(self, monkeypatch):
+    def test_step_off_the_diamonds_breaks_the_growth_run(self, monkeypatch, fate_rule):
         # a scripted orbit: step 1 lands on a diamond edge (untracked), then
         # the centre norms grow; the growth run starts at step 2, so with
         # escape_run 2 the escape comes at step 4, not 3
         path = [(math.pi, 0.0), (10.3, 0.2), (20.3, 0.2), (40.3, 0.2), (80.3, 0.2)]
         assert not _diamond_centers(np.array([math.pi]), np.array([0.0]))[2][0]
-        assert self._classify_scripted(monkeypatch, path, 2) == (_FATE_ESCAPING, 4)
+        assert self._classify_scripted(monkeypatch, fate_rule, path, 2) == (
+            _FATE_ESCAPING, 4)
 
     @pytest.mark.parametrize("first,second", [((2, 11), (5, 10)), ((8, 11), (4, 13))])
-    def test_equal_centre_norms_are_no_growth(self, monkeypatch, first, second):
+    def test_equal_centre_norms_are_no_growth(self, monkeypatch, fate_rule, first, second):
         # distinct diamond centres (i, j) pi/2 of equal norm (i^2 + j^2 is
         # 125, then 185), where np.hypot puts the second above the first:
         # with escape_run 1 the step between them would escape if it
@@ -569,76 +637,11 @@ class TestGridKernelBitIdentity:
         i, j, inside = _diamond_centers(*(np.array(c) for c in zip(*orbit(first, second))))
         assert inside.all()
         np.testing.assert_array_equal(np.stack([i, j], axis=1), [first, second])
-        assert self._classify_scripted(monkeypatch, orbit(first, second), 1) == (0, 2)
+        assert self._classify_scripted(monkeypatch, fate_rule, orbit(first, second), 1) == (
+            0, 2)
         larger = (second[0] + 1, second[1] + 1)
-        assert self._classify_scripted(monkeypatch, orbit(first, larger), 1) == (
+        assert self._classify_scripted(monkeypatch, fate_rule, orbit(first, larger), 1) == (
             _FATE_ESCAPING, 2)
-
-
-class TestEscapeRuleSkip:
-    """With depth_only and escape_norm >= depth_norm the loop skips the
-    escape rule: an escape could only come at a pixel's first depth
-    passage, which ends the pixel with the same depth and when."""
-
-    # (lam, escape_norm, escape_run, window); the second has
-    # escape_norm == depth_norm, the edge where the rule is still skipped
-    SKIPPED = [
-        (1.2, 5.0, 2, None),
-        (2.0, 8.0, 2, None),
-        (2.0, 10.0, 3, (0.0, 0.0, 2.0, 2.0)),
-    ]
-
-    @pytest.mark.parametrize("lam,escape_norm,escape_run,window", SKIPPED)
-    def test_fate_moves_only_for_escapes_at_passage(self, lam, escape_norm, escape_run,
-                                                    window):
-        extra = {} if window is None else {"window": window}
-        cfg = RenderConfig(lam=lam, width=48, height=48, max_iter=100,
-                           escape_norm=escape_norm, escape_run=escape_run, **extra)
-        assert cfg.escape_norm >= cfg.depth_norm
-        gx, gy = block_with_poles(cfg)
-        want_fate, want_when, want_depth = _reference_classify_plane_block(
-            gx, gy, cfg, depth_only=True)
-        fate, when, depth = classify_plane_block(gx, gy, cfg, depth_only=True)
-        np.testing.assert_array_equal(depth, want_depth)
-        np.testing.assert_array_equal(when, want_when)
-        at_passage = (want_fate == _FATE_ESCAPING) & (want_depth == want_when)
-        assert np.count_nonzero(at_passage) > 0
-        np.testing.assert_array_equal(fate[~at_passage], want_fate[~at_passage])
-        assert not fate[at_passage].any()
-        assert not (fate == _FATE_ESCAPING).any()
-
-    @staticmethod
-    def _lookup_norms(monkeypatch):
-        """Record the norms of the points each _diamond_centers call gets."""
-        norms = []
-
-        def recording(x, y):
-            norms.append(np.hypot(x, y))
-            return _diamond_centers(x, y)
-
-        monkeypatch.setattr(render, "_diamond_centers", recording)
-        return norms
-
-    def test_default_escape_render_looks_up_only_far_points(self, monkeypatch):
-        norms = self._lookup_norms(monkeypatch)
-        cfg = RenderConfig(lam=2.0, width=32, height=32, max_iter=60)
-        assert compute_escape_depth(cfg).any()
-        seen = np.concatenate(norms)
-        assert seen.size > 0
-        assert (seen > cfg.depth_norm).all()
-
-    @pytest.mark.parametrize("escape", [False, True])
-    def test_escape_rule_still_looks_up_near_points(self, monkeypatch, escape):
-        # a basin render, and an escape render whose depth_norm is above
-        # escape_norm, both still run the diamond lookup near the origin
-        norms = self._lookup_norms(monkeypatch)
-        if escape:
-            cfg = RenderConfig(lam=2.0, width=16, height=16, max_iter=20, depth_norm=60.0)
-            compute_escape_depth(cfg)
-        else:
-            cfg = RenderConfig(lam=2.0, width=16, height=16, max_iter=20)
-            render_basin(cfg)
-        assert (np.concatenate(norms) <= cfg.depth_norm).any()
 
 
 class TestWorkingSet:
@@ -650,27 +653,18 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("depth_only", [False, True])
     @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_small_set_matches_reference(self, monkeypatch, lam, escape_norm, escape_run,
-                                         depth_only):
-        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150,
-                           escape_norm=escape_norm, escape_run=escape_run)
+    def test_small_set_matches_reference(self, monkeypatch, fate_rule, lam, escape_norm,
+                                         escape_run, depth_only):
+        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         default = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
         want = _as_returned(_reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only),
                             depth_only)
-        if depth_only and cfg.escape_norm < cfg.depth_norm:
-            # escapes both at a pixel's first passage and before it, so the
-            # order of the escape and passage rules is exercised (62 and 57)
-            escaped = want[0] == _FATE_ESCAPING
-            assert np.count_nonzero(escaped & (want[2] == want[1])) > 0
-            assert np.count_nonzero(escaped & (want[2] == 0)) > 0
         monkeypatch.setattr(render, "_WORKING_SET", self.SMALL)
         got = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
         _assert_identical(got, default)
-        # where the escape rule is skipped only fate may differ from the
-        # reference (see TestEscapeRuleSkip)
-        first = 1 if depth_only and cfg.escape_norm >= cfg.depth_norm else 0
-        _assert_identical(got[first:], want[first:])
+        _assert_identical(got, want)
 
     @pytest.mark.parametrize("small", [False, True])
     def test_axes_broadcast_like_the_grid(self, monkeypatch, small):

@@ -38,8 +38,9 @@ PORTED = [
 ]
 
 # checks that draw nothing, still loop point by point, or draw one seed for
-# an analysis sampler compared below; a check moved onto arrays belongs in
-# PORTED
+# an analysis sampler compared below (petal-absorbed classifies its samples
+# one by one, and its block draws are compared below too); a check moved
+# onto arrays belongs in PORTED
 SCALAR_LOOP = {
     verify.check_axis_fixed_point, verify.check_eigen_crosscheck,
     verify.check_calibration, verify.check_offaxis_monotonicity,
@@ -94,6 +95,40 @@ def test_analysis_samplers_match_scalar_reference(lam):
     for eps, seed in ((0.05, 2), (0.05, 304), (2.0, 1)):
         assert analysis.parabolic_decrease_check(eps, 2000, seed) == \
             ref.parabolic_decrease_check(eps, 2000, seed)
+
+
+@pytest.mark.parametrize("lam", (0.5, 0.9, 1.2, 1.39, 1.40))
+def test_petal_absorbed_draws_match_scalar_reference(monkeypatch, lam):
+    # the block draws take the same points and leave the same generator
+    # state as one draw at a time, also where the draw cap cuts them short
+    monkeypatch.setattr(verify, "_PETAL_DRAWS", 5_000)
+    for seed in SEEDS:
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify.check_petal_absorbed(lam, rng, n=60)
+        assert got == ref.check_petal_absorbed(lam, rng_ref, n=60, draws=5_000)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("lam", (0.5, 1.39, 1.40))
+def test_petal_absorbed_draws_in_blocks(monkeypatch, lam):
+    # each draw takes the remaining need in one block, capped by what is
+    # left of _PETAL_DRAWS, so blocks shrink and are fewer than the points
+    monkeypatch.setattr(verify, "_PETAL_DRAWS", 5_000)
+    blocks = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, *args):
+            out = self.rng.uniform(*args)
+            blocks.append(len(out))
+            return out
+
+    verify.check_petal_absorbed(lam, Recording(np.random.default_rng(0)), n=60)
+    assert blocks[0] == 60
+    assert blocks == sorted(blocks, reverse=True)
+    assert len(blocks) < sum(blocks) <= 5_000
 
 
 def test_sampler_violation_counts_match_scalar_reference():
@@ -159,11 +194,12 @@ def _orbit_starts(lam):
 
 
 @pytest.mark.parametrize("lam", (0.5, 0.9, 1.0, 1.1107, 2.0))
-def test_classify_orbit_matches_scalar_reference(lam):
+def test_classify_orbit_matches_scalar_reference(fate_rule, lam):
     for v in _orbit_starts(lam):
-        for kw in ({"max_iter": 400}, {"max_iter": 60, "tol": 1e-3}):
-            got = analysis.classify_orbit(v, lam, **kw)
-            want = ref.classify_orbit(v, lam, **kw)
+        for max_iter, tol in ((400, 1e-6), (60, 1e-3)):
+            fate_rule(CAPTURE_TOL=tol)
+            got = analysis.classify_orbit(v, lam, max_iter)
+            want = ref.classify_orbit(v, lam, max_iter, tol=tol)
             assert (got.fate, got.iterations) == (want.fate, want.iterations)
             assert is_infinity(got.witness) == is_infinity(want.witness)
             if not is_infinity(want.witness):
@@ -174,14 +210,14 @@ def test_classify_orbit_matches_scalar_reference(lam):
                                                  nan_ok=True)
 
 
-def test_classify_orbit_escape_matches_scalar_reference():
+def test_classify_orbit_escape_matches_scalar_reference(fate_rule):
     lam = 2.0
     v = point_from_itinerary(Itinerary(prefix=[], tail=lambda j: (0, j + 3)), lam,
                              n_compose=28)
     fates = set()
     for run, norm in ((5, 18.0), (3, 10.0), (8, 50.0)):
-        got = analysis.classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50,
-                                      escape_run=run, escape_norm=norm)
+        fate_rule(ESCAPE_RUN=run, ESCAPE_NORM=norm)
+        got = analysis.classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50)
         want = ref.classify_orbit(np.array([v[0], v[1], 0.0]), lam, max_iter=50,
                                   escape_run=run, escape_norm=norm)
         assert (got.fate, got.iterations) == (want.fate, want.iterations)
