@@ -125,28 +125,27 @@ def petal_boundary_residual(lam: float, n_samples: int = 100):
     mu = lam/sqrt(1+a^2), and the boundary abscissa is that map's
     smallest positive fixed point; only those below pi/4 lie in the open
     square.  For lam <= pi/4 there are none and (0.0, 0) is returned.
+    Each boundary point is bisected on its own ray; the map then takes
+    them all in one ``tangent3_grid`` pass.
     """
     if not (0.0 < lam < SQRT2):
         raise ValueError("need 0 < lam < sqrt(2)")
     lo = max(lam * lam - 1.0, 0.0)
-    alphas_sq = np.linspace(lo, 1.0, n_samples + 1)[1:]
-    worst = 0.0
-    count = 0
-    for a2 in alphas_sq:
+    xs, ys = [], []
+    for a2 in np.linspace(lo, 1.0, n_samples + 1)[1:].tolist():
         # a2 > lam^2 - 1 on every sample, so mu < 1
-        bound = smallest_tan_fixed_point(lam / math.sqrt(1.0 + float(a2)))
+        bound = smallest_tan_fixed_point(lam / math.sqrt(1.0 + a2))
         if bound >= QUARTER_PI:
             continue
-        a = math.sqrt(float(a2))
+        a = math.sqrt(a2)
         for sx in (1.0, -1.0):
             for sa in (1.0, -1.0):
                 x = sx * bound
-                for p in (np.array([x, sa * a * x, 0.0]),
-                          np.array([sa * a * x, x, 0.0])):
-                    img = tangent3(p, lam)
-                    worst = max(worst, float(np.linalg.norm(img - p)))
-                    count += 1
-    return worst, count
+                xs += [x, sa * a * x]
+                ys += [sa * a * x, x]
+    x, y = np.array(xs), np.array(ys)
+    tx, ty, _, _ = tangent3_grid(x, y, 0.0, lam)
+    return float(np.max(np.hypot(tx - x, ty - y), initial=0.0)), len(xs)
 
 
 # ---------------------------------------------------------------------------

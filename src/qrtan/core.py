@@ -272,6 +272,9 @@ def hemisphere_to_square(u) -> tuple:
     return _hemisphere_xy(float(u[0]), float(u[1]), float(u[2]))
 
 
+_EXP_OVERFLOW = "e^z overflows; use the beam form of the tangent map instead"
+
+
 def zorich(v) -> np.ndarray:
     """Zorich map: e^z times the hemisphere chart, unfolded by reflections.
 
@@ -282,7 +285,7 @@ def zorich(v) -> np.ndarray:
     v = as_vec3(v)
     scale = math.exp(v[2])
     if math.isinf(scale):
-        raise OverflowError("e^z overflows; use the beam form of the tangent map instead")
+        raise OverflowError(_EXP_OVERFLOW)
     fx, px = fold_axis(float(v[0]), HALF_PI)
     fy, py = fold_axis(float(v[1]), HALF_PI)
     img = scale * square_to_hemisphere(fx, fy)
@@ -412,14 +415,12 @@ def tangent3_composed(v, lam: float = 1.0):
     """lam * (cayley o zorich)(2v); the unfolded definition of the map.
 
     Raises OverflowError when e^{2 v_z} is out of range, which is why
-    tangent3 uses the beam form.  Kept as the independent cross-check of
-    the folded evaluation.
+    tangent3 uses the beam form.  The one-point case of
+    ``_tangent3_composed_grid``, the independent cross-check of the
+    folded evaluation.
     """
-    v = as_vec3(v)
-    w = cayley(zorich(2.0 * v))
-    if is_infinity(w):
-        return INFINITY
-    return lam * w
+    t = np.concatenate(_tangent3_composed_grid(*as_vec3(v)[:, None], lam))
+    return INFINITY if np.isinf(t[0]) else t
 
 
 def iterate(v, lam: float, n: int):
@@ -462,6 +463,43 @@ def fold_axis_grid(x, half_width):
     sign += 1.0
     k *= sign
     return k, odd
+
+
+def _tangent3_composed_grid(x, y, z, lam):
+    """tangent3_composed on parallel coordinate arrays: (tx, ty, tz), with
+    a pole as infinite coordinates, as ``chordal_grid`` reads them.
+
+    The unfolded route at 2v, step by step as ``zorich`` and ``cayley``
+    take it: the fold at pi/2, the hemisphere chart, e^{2z}, the flip
+    through z = 0 on odd parity, then Cayley.  It shares no code with the
+    beam formula, so it stays an independent oracle for ``tangent3_grid``.
+    Raises OverflowError when any e^{2z} overflows.
+    """
+    x, y, z = (2.0 * np.asarray(c, dtype=float) for c in (x, y, z))
+    with np.errstate(over="ignore"):
+        scale = np.exp(z)
+    if np.isinf(scale).any():
+        raise OverflowError(_EXP_OVERFLOW)
+    fx, ox = fold_axis_grid(x, HALF_PI)
+    fy, oy = fold_axis_grid(y, HALF_PI)
+    r = np.hypot(fx, fy)
+    # the chart sends the centre to the north pole (0, 0, 1), zeros unsigned
+    centre = r == 0.0
+    r[centre] = 1.0
+    fx[centre] = fy[centre] = 0.0
+    m = np.maximum(np.abs(fx), np.abs(fy))
+    s = np.sin(m) / r
+    px, py, pz = scale * (fx * s), scale * (fy * s), scale * np.cos(m)
+    np.negative(pz, out=pz, where=ox ^ oy)
+    t = pz + 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = px * px + py * py + t * t
+        rr = 2.0 / d
+        w = (lam * (rr * px), lam * (rr * py), lam * (1.0 - rr * t))
+    pole = ~np.isfinite(rr)
+    for c in w:
+        c[pole] = np.inf
+    return w
 
 
 # 1/n2 overflows exactly for 0 < n2 <= 2^-1024 (a subnormal |b|^2)

@@ -235,31 +235,6 @@ def singular_values_2x2(a, b, c, d):
     return _singular_values(a, b, c, d, np.sqrt, np.maximum)
 
 
-def beam_sector_eigenvalues(p, lam: float = 1.0):
-    """Closed-form eigenvalues of the beam-map derivative over the folded point.
-
-    Valid when p folds into the open sector 0 < |y| < |x| < pi/4 of the
-    fundamental square.  Even parity gives (tan a / r, a sec^2 a / r)
-    and odd parity (cot a / r, -a csc^2 a / r), with a = folded |x| and
-    r = hypot of the folded point, all scaled by lam.  Returns None
-    outside the sector.
-    """
-    fx, px, fy, py = _fold_point(p)
-    a, b = abs(fx), abs(fy)
-    if not (0.0 < b < a < QUARTER_PI):
-        return None
-    r = math.hypot(a, b)
-    if (px + py) % 2 == 0:
-        return (lam * (math.tan(a) / r), lam * (a * (1.0 + math.tan(a) ** 2) / r))
-    return (lam * (math.cos(a) / math.sin(a) / r), lam * (-a / (math.sin(a) ** 2 * r)))
-
-
-def fold_orientation(p):
-    """diag(+-1, +-1) giving the local derivative of the beam folding at p."""
-    _, kx, _, ky = _fold_point(p)
-    return np.diag([(-1.0) ** kx, (-1.0) ** ky])
-
-
 # ---------------------------------------------------------------------------
 # inverse branches
 

@@ -14,16 +14,15 @@ adapts to the parameter it is given.
 
 A sampled check evaluates all its points in one array pass: the map
 through ``tangent3_grid``, distances through ``chordal_grid`` and the
-plane derivative through its closed form on arrays.  Two loop point by
-point instead: ``derivative-eigen-crosscheck``, whose oracle is the
-scalar Jacobian, and ``petal-membership``, a few hundred scalar probes.
+plane derivative through its closed form on arrays.  Only
+``petal-membership``, a few hundred scalar probes, loops point by point.
 The oracles stay independent of that kernel: complex ``tan`` for the
-embedded planes, the scalar ``tangent3_composed`` for the unfolded
-route.  Orbit checks run ``classify_orbit``, which iterates on Python
-floats.  The checks share one random generator, and each draws the
-same values, in the same count, as drawing one sample at a time would:
-a rejection sampler draws blocks of its remaining need, so it never
-draws past its last accepted sample.
+embedded planes, the unfolded route on arrays for the beam.  Orbit
+checks run ``classify_orbit``, which iterates on Python floats.  The
+checks share one random generator, and each draws the same values, in
+the same count, as drawing one sample at a time would: a rejection
+sampler draws blocks of its remaining need, so it never draws past its
+last accepted sample.
 """
 
 import math
@@ -35,11 +34,10 @@ from . import analysis, itinerary, plane
 from .core import (
     HALF_PI,
     QUARTER_PI,
+    _tangent3_composed_grid,
     chordal_grid,
     fold_axis_grid,
-    is_infinity,
     tangent3,
-    tangent3_composed,
     tangent3_grid,
 )
 from .plane import SQRT2, singular_values_2x2
@@ -138,12 +136,11 @@ def check_composed_consistency(lam, rng, n=10_000):
     # keep the first n samples at least 1e-6 from every fold line
     gap = np.minimum(*(QUARTER_PI - np.abs(fold_axis_grid(pts[:, k], QUARTER_PI)[0])
                        for k in (0, 1)))
-    pts = pts[~(gap < 1e-6)][:n]
-    oracle = [tangent3_composed(v, lam) for v in pts]
-    want = np.array([(math.inf,) * 3 if is_infinity(w) else w for w in oracle]).reshape(-1, 3)
-    worst = _max(chordal_grid(tangent3_grid(*pts.T, lam)[:3], want.T))
+    x, y, z = pts[~(gap < 1e-6)][:n].T
+    worst = _max(chordal_grid(tangent3_grid(x, y, z, lam)[:3],
+                              _tangent3_composed_grid(x, y, z, lam)))
     return CheckResult("composed-vs-beam-consistency", worst < 1e-9,
-                       f"max chordal error {worst:.2e} over {len(pts)} samples")
+                       f"max chordal error {worst:.2e} over {len(x)} samples")
 
 
 def check_axis_action(lam, rng, n=2_000):
@@ -233,6 +230,12 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
                        f"(least singular value seen {worst_sv:.4f})")
 
 
+def _in_eigen_sector(p):
+    """Rows of p folding into 0 < |fy| < |fx| < pi/4, 1e-3 off the non-smooth set."""
+    a, b = (np.abs(fold_axis_grid(c, QUARTER_PI)[0]) for c in p.T)
+    return (0.0 < b) & (b < a) & (plane._distance_to_nonsmooth_grid(*p.T) > 1e-3)
+
+
 def check_eigen_crosscheck(lam, rng, n=500):
     """The plane Jacobian reproduces the closed-form sector eigenvalues.
 
@@ -240,26 +243,20 @@ def check_eigen_crosscheck(lam, rng, n=500):
     rounding error of the computed pair grows like 1e-16/r^2: about
     1.5e-10 at the 1e-3 cut-off, well inside the 1e-8 tolerance.
     """
-    worst = 0.0
-    used = 0
-    while used < n:
-        p = rng.uniform(-6, 6, 2)
-        closed = plane.beam_sector_eigenvalues(p, lam)
-        if closed is None or plane.distance_to_nonsmooth(p) <= 1e-3:
-            continue
-        used += 1
-        s = plane.jacobian_plane_map(p, lam)
-        beam_j = s.matrix @ plane.fold_orientation(p)
-        tr = beam_j[0, 0] + beam_j[1, 1]
-        det = float(np.linalg.det(beam_j))
-        disc = tr * tr - 4 * det
-        if disc < 0:
-            worst = math.inf
-            break
-        got = sorted([(tr - math.sqrt(disc)) / 2, (tr + math.sqrt(disc)) / 2])
-        want = sorted(closed)
-        for g, w in zip(got, want):
-            worst = max(worst, abs(g - w) / max(abs(w), 1e-12))
+    x, y = _accepted_uniform(rng, n, -6, 6, 2, _in_eigen_sector).T
+    (fx, ox), (fy, oy) = fold_axis_grid(x, QUARTER_PI), fold_axis_grid(y, QUARTER_PI)
+    # without the fold's signs DF has eigenvalues lam*(g(a), a g'(a))/r, g = tan or cot
+    a, r, odd = np.abs(fx), np.hypot(fx, fy), ox ^ oy
+    t, s = np.tan(a), np.sin(a)
+    e1 = lam * np.where(odd, np.cos(a) / s / r, t / r)
+    e2 = lam * np.where(odd, -a / (s * s * r), a * (1.0 + t * t) / r)
+    sx, sy = 1.0 - 2.0 * ox, 1.0 - 2.0 * oy
+    j11, j12, j21, j22 = plane._jacobian_grid(x, y, lam)
+    lo, hi, real = plane._real_eigenvalues(j11 * sx, j12 * sy, j21 * sx, j22 * sy,
+                                           np.sqrt, np.maximum)
+    err = np.maximum(*(np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
+                       for got, want in ((lo, np.minimum(e1, e2)), (hi, np.maximum(e1, e2)))))
+    worst = _max(np.where(real, err, math.inf))
     return CheckResult("derivative-eigen-crosscheck", worst < 1e-8,
                        f"max relative eigenvalue error {worst:.2e}")
 
@@ -381,10 +378,15 @@ def check_petal_absorbed(lam, rng, n=300):
                 and analysis.petal_contains((p[0] * 1.05, p[1] * 1.05), lam)
                 and _petal_rate(p, lam) <= 0.99)
 
-    pts = _accepted_uniform(
-        rng, n, -QUARTER_PI, QUARTER_PI, 2,
-        lambda block: np.array([sampled(p) for p in block.tolist()], dtype=bool),
-        _PETAL_DRAWS)
+    def keep(block):
+        # lam*m < |p| is necessary for lam*tan(m) < |p| (tan m >= m); a few
+        # ulp of slack cover numpy's hypot differing from math's
+        m = np.abs(block).max(axis=1)
+        out = (lam * m < np.hypot(*block.T) * (1.0 + 1e-15)) | (m == 0.0)
+        out[out] = [sampled(p) for p in block[out].tolist()]
+        return out
+
+    pts = _accepted_uniform(rng, n, -QUARTER_PI, QUARTER_PI, 2, keep, _PETAL_DRAWS)
     tried = len(pts)
     bad = sum(analysis.classify_orbit(np.array([x, y, 0.0]), lam, max_iter=2500).fate
               is not analysis.Fate.TO_ORIGIN for x, y in pts.tolist())

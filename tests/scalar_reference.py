@@ -11,7 +11,11 @@ compares its diamond-centre norms as integers, as the library does.
 The bisections are the full 200-step loops, without the early stop.
 ``petal_contains`` is the petal test as two fans of sectors, each
 bounded by a bisected fixed point of ``mu*tan``, that the closed form
-``lam*tan(m) < |q|`` replaced.
+``lam*tan(m) < |q|`` replaced.  ``tangent3_composed`` is the unfolded
+route through the scalar ``zorich`` and ``cayley``, and
+``beam_sector_eigenvalues`` and ``fold_orientation`` are the scalar
+closed forms the eigenvalue cross-check read before it moved onto
+arrays.
 """
 
 import math
@@ -25,11 +29,12 @@ from qrtan.core import (
     INFINITY,
     QUARTER_PI,
     as_vec3,
+    cayley,
     chordal,
     is_infinity,
     tangent3,
-    tangent3_composed,
     vec_norm,
+    zorich,
 )
 from qrtan.plane import SQRT2, containing_diamond
 from qrtan.verify import CheckResult, _petal_rate
@@ -138,6 +143,15 @@ def check_composed_consistency(lam, rng, n=10_000):
                        f"max chordal error {worst:.2e} over {used} samples")
 
 
+def tangent3_composed(v, lam: float = 1.0):
+    """lam * (cayley o zorich)(2v); the unfolded definition of the map."""
+    v = as_vec3(v)
+    w = cayley(zorich(2.0 * v))
+    if is_infinity(w):
+        return INFINITY
+    return lam * w
+
+
 def _fold_gap(x):
     from qrtan.core import fold_axis
     f, p = fold_axis(float(x), QUARTER_PI)
@@ -192,6 +206,91 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
     return CheckResult("derivative-lower-bound", worst_eig >= bound,
                        f"min |eigenvalue| {worst_eig:.4f} vs bound {bound:.4f} "
                        f"(least singular value seen {worst_sv:.4f})")
+
+
+def beam_sector_eigenvalues(p, lam: float = 1.0):
+    """Closed-form eigenvalues of the beam-map derivative over the folded point.
+
+    Valid when p folds into the open sector 0 < |y| < |x| < pi/4 of the
+    fundamental square.  Even parity gives (tan a / r, a sec^2 a / r)
+    and odd parity (cot a / r, -a csc^2 a / r), with a = folded |x| and
+    r = hypot of the folded point, all scaled by lam.  Returns None
+    outside the sector.
+    """
+    fx, px, fy, py = plane._fold_point(p)
+    a, b = abs(fx), abs(fy)
+    if not (0.0 < b < a < QUARTER_PI):
+        return None
+    r = math.hypot(a, b)
+    if (px + py) % 2 == 0:
+        return (lam * (math.tan(a) / r), lam * (a * (1.0 + math.tan(a) ** 2) / r))
+    return (lam * (math.cos(a) / math.sin(a) / r), lam * (-a / (math.sin(a) ** 2 * r)))
+
+
+def fold_orientation(p):
+    """diag(+-1, +-1) giving the local derivative of the beam folding at p."""
+    _, kx, _, ky = plane._fold_point(p)
+    return np.diag([(-1.0) ** kx, (-1.0) ** ky])
+
+
+def check_eigen_crosscheck(lam, rng, n=500):
+    """The plane Jacobian reproduces the closed-form sector eigenvalues."""
+    worst = 0.0
+    used = 0
+    while used < n:
+        p = rng.uniform(-6, 6, 2)
+        closed = beam_sector_eigenvalues(p, lam)
+        if closed is None or plane.distance_to_nonsmooth(p) <= 1e-3:
+            continue
+        used += 1
+        s = plane.jacobian_plane_map(p, lam)
+        beam_j = s.matrix @ fold_orientation(p)
+        tr = beam_j[0, 0] + beam_j[1, 1]
+        det = float(np.linalg.det(beam_j))
+        disc = tr * tr - 4 * det
+        if disc < 0:
+            worst = math.inf
+            break
+        got = sorted([(tr - math.sqrt(disc)) / 2, (tr + math.sqrt(disc)) / 2])
+        want = sorted(closed)
+        for g, w in zip(got, want):
+            worst = max(worst, abs(g - w) / max(abs(w), 1e-12))
+    return CheckResult("derivative-eigen-crosscheck", worst < 1e-8,
+                       f"max relative eigenvalue error {worst:.2e}")
+
+
+def petal_boundary_residual(lam: float, n_samples: int = 100):
+    """Max |T_lam(p) - p| over petal-boundary points inside the open square."""
+    if not (0.0 < lam < SQRT2):
+        raise ValueError("need 0 < lam < sqrt(2)")
+    lo = max(lam * lam - 1.0, 0.0)
+    alphas_sq = np.linspace(lo, 1.0, n_samples + 1)[1:]
+    worst = 0.0
+    count = 0
+    for a2 in alphas_sq:
+        # a2 > lam^2 - 1 on every sample, so mu < 1
+        bound = smallest_tan_fixed_point(lam / math.sqrt(1.0 + float(a2)))
+        if bound >= QUARTER_PI:
+            continue
+        a = math.sqrt(float(a2))
+        for sx in (1.0, -1.0):
+            for sa in (1.0, -1.0):
+                x = sx * bound
+                for p in (np.array([x, sa * a * x, 0.0]),
+                          np.array([sa * a * x, x, 0.0])):
+                    img = tangent3(p, lam)
+                    worst = max(worst, float(np.linalg.norm(img - p)))
+                    count += 1
+    return worst, count
+
+
+def check_petal_boundary_fixed(lam, rng):
+    """Petal boundary points inside the open square are fixed (pi/4 < lam < sqrt2)."""
+    worst, count = petal_boundary_residual(lam, n_samples=100)
+    if count == 0:
+        return CheckResult("petal-boundary-fixed", True, "vacuous at this lam")
+    return CheckResult("petal-boundary-fixed", worst < 1e-9,
+                       f"max residual {worst:.2e} over {count} boundary points")
 
 
 def check_diagonal_invariance(lam, rng, n=500):

@@ -40,7 +40,6 @@ from qrtan.plane import (
     BranchResidualError,
     JacobianSample,
     PoleIndex,
-    beam_sector_eigenvalues,
     branch_contraction_ratio,
     calibrate_expansion,
     containing_diamond,
@@ -124,22 +123,27 @@ class TestJacobian:
         np.testing.assert_allclose(want, [1.0145, 1.2056], rtol=2e-4)
 
     def test_fd_matches_closed_form_across_sector(self):
+        # where p folds into the sector 0 < |fy| < |fx| < pi/4, DF without the
+        # fold's reflections has eigenvalues (g(a)/r, a g'(a)/r), a = |fx|,
+        # r = |(fx, fy)|, g = tan on even tiles and cot on odd ones
         rng = np.random.default_rng(3)
         used = 0
         while used < 300:
             p = rng.uniform(-6, 6, 2)
-            closed = beam_sector_eigenvalues(p, 1.0)
-            if closed is None or distance_to_nonsmooth(p) < 1e-3:
+            (fx, px), (fy, py) = fold_axis(p[0], QUARTER_PI), fold_axis(p[1], QUARTER_PI)
+            a, b = abs(fx), abs(fy)
+            if not 0.0 < b < a < QUARTER_PI or distance_to_nonsmooth(p) < 1e-3:
                 continue
             used += 1
-            s = jacobian_plane_map(p, 1.0)
-            from qrtan.plane import fold_orientation
-            j = s.matrix @ fold_orientation(p)
-            tr, det = j[0, 0] + j[1, 1], float(np.linalg.det(j))
-            disc = tr * tr - 4 * det
-            assert disc >= 0
-            got = sorted([(tr - math.sqrt(disc)) / 2, (tr + math.sqrt(disc)) / 2])
-            np.testing.assert_allclose(got, sorted(closed), rtol=1e-8)
+            r = math.hypot(a, b)
+            if (px + py) % 2:
+                closed = [1.0 / math.tan(a) / r, -a / (math.sin(a) ** 2 * r)]
+            else:
+                closed = [math.tan(a) / r, a / (math.cos(a) ** 2 * r)]
+            j = jacobian_plane_map(p, 1.0).matrix * [(-1.0) ** px, (-1.0) ** py]
+            lo, hi, real = plane._real_eigenvalues(*j.ravel().tolist(), math.sqrt, max)
+            assert real
+            np.testing.assert_allclose([lo, hi], sorted(closed), rtol=1e-8)
 
     def test_eigenvalue_floor(self):
         # |eigenvalues| >= lam/sqrt(2) wherever the derivative exists
@@ -1215,8 +1219,7 @@ class TestNonFinitePoints:
     """Plane entry points reject inf and NaN with the ValueError of tangent3."""
 
     @pytest.mark.parametrize("fn", [containing_diamond, distance_to_nonsmooth,
-                                    jacobian_plane_map, beam_sector_eigenvalues,
-                                    plane.fold_orientation, plane_map])
+                                    jacobian_plane_map, plane_map])
     @pytest.mark.parametrize("p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
                                    (0.5, math.nan)])
     def test_rejected_with_tangent3_message(self, fn, p):

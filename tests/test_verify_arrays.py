@@ -8,13 +8,15 @@ verdict *and* leave the generator in the same state.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
-from qrtan import analysis, verify
-from qrtan.core import is_infinity
+from qrtan import analysis, core, plane, verify
+from qrtan.core import _tangent3_composed_grid, chordal, is_infinity, tangent3_composed
 from qrtan.itinerary import Itinerary, point_from_itinerary
 from qrtan.plane import inverse_branch, pole_location
 
@@ -35,6 +37,8 @@ PORTED = [
     (verify.check_branch_roundtrip, ref.check_branch_roundtrip),
     (verify.check_branch_contraction, ref.check_branch_contraction),
     (verify.check_pole_expansion, ref.check_pole_expansion),
+    (verify.check_eigen_crosscheck, ref.check_eigen_crosscheck),
+    (verify.check_petal_boundary_fixed, ref.check_petal_boundary_fixed),
 ]
 
 # checks that draw nothing, still loop point by point, or draw one seed for
@@ -42,10 +46,10 @@ PORTED = [
 # one by one, and its block draws are compared below too); a check moved
 # onto arrays belongs in PORTED
 SCALAR_LOOP = {
-    verify.check_axis_fixed_point, verify.check_eigen_crosscheck,
+    verify.check_axis_fixed_point,
     verify.check_calibration, verify.check_offaxis_monotonicity,
     verify.check_third_component_bound, verify.check_parabolic_bound,
-    verify.check_petal_membership, verify.check_petal_boundary_fixed,
+    verify.check_petal_membership,
     verify.check_petal_absorbed, verify.check_lines_absorbed, verify.check_blowup,
     verify.check_itinerary_shadow, verify.check_itinerary_cauchy,
     verify.check_itinerary_roundtrip, verify.check_periodic_cycles,
@@ -62,18 +66,125 @@ EXACT_DETAIL = {"half-space-invariance", "basin-classification",
 @pytest.mark.parametrize("lam", LAMS)
 @pytest.mark.parametrize("check,reference", PORTED, ids=lambda c: getattr(c, "__name__", ""))
 def test_check_matches_scalar_reference(check, reference, lam):
-    kw = verify._FAST_KW[check]
+    kw = verify._FAST_KW.get(check, {})
     for seed in SEEDS:
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         # start mid-stream, as a check does inside the suite
         rng.uniform(size=seed % 7)
         rng_ref.uniform(size=seed % 7)
+        if check is verify.check_petal_boundary_fixed and not verify._applies(check, lam):
+            # outside 0 < lam < sqrt(2) both refuse alike
+            for c, r in ((check, rng), (reference, rng_ref)):
+                with pytest.raises(ValueError, match="need 0 < lam < sqrt"):
+                    c(lam, r, **kw)
+            continue
         got = check(lam, rng, **kw)
         want = reference(lam, rng_ref, **kw)
         assert (got.name, got.passed) == (want.name, want.passed)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         if got.name in EXACT_DETAIL:
             assert got.detail == want.detail
+
+
+@pytest.mark.parametrize("lam", (0.7, 0.8, 0.9, 1.0, 1.2, 1.39, 1.41))
+def test_petal_boundary_residual_matches_scalar_reference(lam):
+    # the same boundary points, evaluated in one grid pass
+    worst, count = analysis.petal_boundary_residual(lam)
+    want_worst, want_count = ref.petal_boundary_residual(lam)
+    assert count == want_count
+    assert abs(worst - want_worst) <= 1e-15
+    assert (count == 0) == (lam <= math.pi / 4)
+
+
+def test_petal_boundary_residual_makes_one_grid_call(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return core.tangent3_grid(*args)
+
+    monkeypatch.setattr(analysis, "tangent3_grid", counting)
+    assert analysis.petal_boundary_residual(1.2)[1] == 800
+    assert calls == [800]
+
+
+def test_suite_makes_no_scalar_jacobian_or_composed_calls(monkeypatch):
+    # every binding of the two scalar routes in a loaded qrtan module counts,
+    # so a check that imports either one again is caught too
+    calls = []
+    for fn in (plane.jacobian_plane_map, core.tangent3_composed):
+        def counting(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qrtan" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    plane.jacobian_plane_map((0.5, 0.2), 1.0)
+    core.tangent3_composed((0.5, 0.2, 0.1), 1.0)
+    assert calls == ["jacobian_plane_map", "tangent3_composed"]
+    calls.clear()
+    for lam in LAMS:
+        assert all(r.passed for r in verify.run_suite(lam, "all", fast=True))
+    assert calls == []
+
+
+def test_unfolded_route_matches_scalar_reference():
+    # points on both tile parities of T (tiles pi/2 wide), across the e^{2z} range
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-6.0, 6.0, (4000, 3))
+    pts[:1000, 2] = 0.0
+    pts[1000:2000, 2] = rng.uniform(-350.0, 354.0, 1000)
+    tiles = np.floor(pts[:, :2] / (math.pi / 2) + 0.5).astype(int)
+    assert 0.3 < ((tiles[:, 0] + tiles[:, 1]) % 2).mean() < 0.7
+    lam = 1.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.column_stack(_tangent3_composed_grid(*pts.T, lam))
+    worst = 0.0
+    for v, g in zip(pts, got):
+        # the scalar cayley squares huge points with numpy's overflow warning
+        with np.errstate(over="ignore"):
+            want = ref.tangent3_composed(v, lam)
+        assert tangent3_composed(v, lam).tobytes() == g.tobytes()
+        worst = max(worst, chordal(g, want))
+    assert worst < 1e-14
+
+
+def test_unfolded_route_at_and_next_to_poles():
+    # poles are infinite coordinates on arrays and INFINITY at one point, as
+    # in the scalar route; next to a pole the images agree chordally
+    rng = np.random.default_rng(5)
+    poles = np.array([plane.pole_location((m, n)) for m in range(-4, 5) for n in range(-4, 5)])
+    zero = np.zeros(len(poles))
+    tx, ty, tz = _tangent3_composed_grid(poles[:, 0], poles[:, 1], zero, 2.0)
+    assert np.isinf(tx).all() and np.isinf(ty).all() and np.isinf(tz).all()
+    for x, y in poles:
+        assert is_infinity(tangent3_composed((x, y, 0.0), 2.0))
+        assert is_infinity(ref.tangent3_composed((x, y, 0.0), 2.0))
+    ang = rng.uniform(0.0, 2.0 * math.pi, len(poles))
+    eps = 10.0 ** rng.uniform(-12.0, -3.0, len(poles))
+    near = np.column_stack([poles[:, 0] + eps * np.cos(ang), poles[:, 1] + eps * np.sin(ang),
+                            eps * rng.uniform(-1.0, 1.0, len(poles))])
+    got = np.column_stack(_tangent3_composed_grid(*near.T, 2.0))
+    assert np.isfinite(got).all()
+    worst = max(chordal(g, ref.tangent3_composed(v, 2.0)) for v, g in zip(near, got))
+    assert worst < 1e-14
+
+
+def test_unfolded_route_overflows_without_a_warning():
+    z = np.array([0.0, 1.0, 355.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="e\\^z overflows"):
+            _tangent3_composed_grid(np.zeros(3), np.zeros(3), z, 1.0)
+        with pytest.raises(OverflowError):
+            tangent3_composed((0.0, 0.0, 400.0))
+        # e^{2z} underflowing to 0 is the omitted value's limit, not an error
+        tx, ty, tz = _tangent3_composed_grid(np.zeros(2), np.ones(2), np.array([-400.0, -1e5]),
+                                             1.5)
+        assert np.array_equal(np.column_stack([tx, ty, tz]), [[0.0, 0.0, -1.5]] * 2)
+    with pytest.raises(OverflowError):
+        ref.tangent3_composed((0.0, 0.0, 400.0))
 
 
 def test_every_check_is_ported_or_named_scalar():
