@@ -299,32 +299,36 @@ def cayley(p):
 
     (x,y,z) -> (2rx, 2ry, 1 - 2r(z+1)) with r = 1/(x^2+y^2+(z+1)^2).
     Sends 0 to (0,0,-1), (0,0,-1) to infinity and infinity to (0,0,1);
-    the 3D stand-in for w -> i(1-w)/(1+w).
+    the 3D stand-in for w -> i(1-w)/(1+w).  Computed on Python floats, so
+    a point too large to square tends to (0,0,1) without a warning.
     """
     if is_infinity(p):
         return np.array([0.0, 0.0, 1.0])
-    p = as_vec3(p)
-    d = p[0] * p[0] + p[1] * p[1] + (p[2] + 1.0) ** 2
+    x, y, z = _checked_vec3(p)[1]
+    t = z + 1.0
+    d = x * x + y * y + _square(t)
     if d == 0.0:
         return INFINITY
     r = 1.0 / d
-    return np.array([2.0 * r * p[0], 2.0 * r * p[1], 1.0 - 2.0 * r * (p[2] + 1.0)])
+    return np.array([2.0 * r * x, 2.0 * r * y, 1.0 - 2.0 * r * t])
+
+
+def _square(t: float) -> float:
+    """t^2 by libm's pow, as numpy's scalar power computes it (it is not
+    always the rounded t*t), and inf where it overflows, as there."""
+    try:
+        return t ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _cayley_inverse_xyz(x: float, y: float, z: float):
     """cayley_inverse on three finite Python floats: [u, v, w], or None at infinity.
 
     The float-level core under cayley_inverse and the inverse branches.
-    (1 - z)^2 is libm's pow, as numpy's scalar power computes it (it is
-    not always the rounded (1 - z)*(1 - z)); where it overflows it is inf
-    as there.
     """
     t = 1.0 - z
-    try:
-        t2 = t ** 2
-    except OverflowError:
-        t2 = math.inf
-    d = x * x + y * y + t2
+    d = x * x + y * y + _square(t)
     if d == 0.0:
         return None
     s = 1.0 / d
@@ -380,7 +384,8 @@ def _tangent3_xyz(x: float, y: float, z: float, lam):
     """tangent3 on three finite Python floats: [tx, ty, tz], or None at a pole.
 
     The float-level core under tangent3 (and so plane_map),
-    classify_orbit and the inverse-branch scan; it builds no array.
+    classify_orbit, the inverse-branch scan and the symbolic layer's
+    forward steps; it builds no array.
     """
     fx, px = fold_axis(x, QUARTER_PI)
     fy, py = fold_axis(y, QUARTER_PI)

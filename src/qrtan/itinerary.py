@@ -15,7 +15,7 @@ backward-constructed orbit point is pushed one step forward and compared
 to the next.  A single long double-precision forward run is useless
 here; local expansion near the visited poles multiplies and wipes out
 all digits after roughly ten symbols, while every one-step comparison is
-good to ~1e-12.
+good to ~1e-12.  Forward steps run on the float core ``_tangent3_xyz``.
 """
 
 import math
@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_infinity, vec_norm
+from .core import _require_finite, _tangent3_xyz, vec_norm
 from .plane import (
     PoleIndex,
     _plane_jacobian,
+    _pole_xy,
+    _require_positive_lam,
     containing_diamond,
     inverse_branch,
-    plane_map,
     pole_location,
     required_tail_radius,
 )
@@ -73,31 +74,34 @@ def itinerary_of(p, lam: float, n_terms: int):
     reliable to a depth set by the accumulated local expansion, roughly
     ten to twenty symbols for moderate tails.
     """
+    _require_positive_lam(lam)
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
     symbols = []
-    cur = np.array([float(p[0]), float(p[1])])
+    x, y = float(p[0]), float(p[1])
     for _ in range(n_terms):
-        idx = containing_diamond(cur)
+        idx = containing_diamond((x, y))
         if idx is None:
             return symbols, StopReason.LEFT_DIAMONDS
         symbols.append(idx)
-        nxt = plane_map(cur, lam)
-        if is_infinity(nxt):
+        t = _tangent3_xyz(x, y, 0.0, lam)
+        if t is None:
             return symbols, StopReason.POLE_HIT
-        cur = nxt
+        x, y = t[0], t[1]
     return symbols, StopReason.COMPLETE
 
 
 def _check_tail(itin: Itinerary, lam: float, symbols):
     r = required_tail_radius(lam)
     start = len(itin.prefix)
-    norms = [vec_norm(pole_location(s)) for s in symbols[start:]]
-    n = len(norms)
-    for i in range(n):
-        if norms[i] <= r:
-            raise ValueError(f"tail pole {start + i} has norm {norms[i]:.3f} "
-                             f"<= calibrated radius {r:.3f}")
-        if i + 1 < n and norms[i + 1] < norms[i] - 1e-12:
+    prev = 0.0
+    for i, s in enumerate(symbols[start:], start):
+        norm = math.hypot(*_pole_xy(*s))
+        if norm < prev - 1e-12:
             raise ValueError("tail pole norms must be nondecreasing")
+        if norm <= r:
+            raise ValueError(f"tail pole {i} has norm {norm:.3f} <= calibrated radius {r:.3f}")
+        prev = norm
 
 
 def point_from_itinerary(itin: Itinerary, lam: float, n_compose: int = 30,
@@ -111,19 +115,17 @@ def point_from_itinerary(itin: Itinerary, lam: float, n_compose: int = 30,
     x_j = S_{p_j} o ... o S_{p_{n-1}}(centre) comes along, x_0 being the
     answer.
     """
+    if n_compose < 0:
+        raise ValueError(f"n_compose must be nonnegative, got {n_compose}")
     if itin.tail is None and len(itin.prefix) <= n_compose:
         raise ValueError("need a tail rule (or a prefix longer than n_compose)")
     symbols = itin.symbols(n_compose + 1)
     _check_tail(itin, lam, symbols)
-    w = pole_location(symbols[n_compose])
-    waypoints = [None] * (n_compose + 1)
-    waypoints[n_compose] = w
-    for j in range(n_compose - 1, -1, -1):
-        w = inverse_branch(symbols[j], w, lam)
-        waypoints[j] = w
-    if return_waypoints:
-        return w, waypoints
-    return w
+    waypoints = [pole_location(symbols[n_compose])]
+    for idx in reversed(symbols[:n_compose]):
+        waypoints.append(inverse_branch(idx, waypoints[-1], lam))
+    waypoints.reverse()
+    return (waypoints[0], waypoints) if return_waypoints else waypoints[0]
 
 
 def shadow_check(waypoints, itin: Itinerary, lam: float, depth: int):
@@ -134,16 +136,18 @@ def shadow_check(waypoints, itin: Itinerary, lam: float, depth: int):
     check is a single-step evaluation, so the certificate does not decay
     with depth.  Returns (ok, worst_gap).
     """
+    if not 0 <= depth < len(waypoints):
+        raise ValueError(f"depth must be in [0, {len(waypoints) - 1}], got {depth}")
     worst = 0.0
     for j in range(depth):
-        x = waypoints[j]
-        idx = containing_diamond(x)
-        if idx != itin.symbol(j):
+        x, y = float(waypoints[j][0]), float(waypoints[j][1])
+        if containing_diamond((x, y)) != itin.symbol(j):
             return False, math.inf
-        img = plane_map(x, lam)
-        if is_infinity(img):
+        t = _tangent3_xyz(x, y, 0.0, lam)
+        if t is None:
             return False, math.inf
-        gap = vec_norm(img - waypoints[j + 1])
+        nxt = waypoints[j + 1]
+        gap = math.hypot(t[0] - nxt[0], t[1] - nxt[1])
         worst = max(worst, gap)
         if gap > 1e-8:
             return False, worst
@@ -176,14 +180,6 @@ class PeriodicPoint:
     orbit: list              # the k cycle points
 
 
-def _composed_branch(cycle, lam):
-    def apply(w):
-        for idx in reversed(cycle):
-            w = inverse_branch(idx, w, lam)
-        return w
-    return apply
-
-
 def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicPoint:
     """Fixed point of the composed inverse branch along a pole cycle.
 
@@ -198,7 +194,7 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicPo
     cycle = spec.cycle
     r = required_tail_radius(lam)
     for idx in cycle:
-        norm = vec_norm(pole_location(idx))
+        norm = math.hypot(*_pole_xy(*idx))
         if norm <= r:
             raise ValueError(
                 f"cycle pole {tuple(idx)} has norm {norm:.3f} <= calibrated radius {r:.3f}")
@@ -208,22 +204,18 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicPo
 def _solve_cycle(cycle, lam, max_iter):
     """Iterate the composed branch from the first pole, abort if the steps
     stop contracting, polish, and verify one period forward."""
-    comp = _composed_branch(cycle, lam)
-    y = pole_location(cycle[0]).copy()
-    prev_step = None
+    y = pole_location(cycle[0])
+    prev_step = 0.0
     noncontract = 0
     for _ in range(max_iter):
-        y_next = comp(y)
+        y_next = y
+        for idx in reversed(cycle):
+            y_next = inverse_branch(idx, y_next, lam)
         step = vec_norm(y_next - y)
         y = y_next
-        if prev_step is not None and prev_step > 0.0:
-            if step >= prev_step:
-                noncontract += 1
-                if noncontract >= 5:
-                    raise ContractionFailure(
-                        "composed branch map is not contracting on this cycle")
-            else:
-                noncontract = 0
+        noncontract = noncontract + 1 if 0.0 < prev_step <= step else 0
+        if noncontract >= 5:
+            raise ContractionFailure("composed branch map is not contracting on this cycle")
         prev_step = step
         if step < 1e-13:
             break
@@ -241,27 +233,34 @@ def _newton_polish(y, cycle, lam):
     ``orbit`` is the forward orbit [y, F y, ..., F^k y] of the returned
     point, or None when it hits a pole.  The Jacobian of F^k is the
     chain-rule product of the closed-form one-step Jacobians at the orbit
-    points; each point's forward orbit is run once.
+    points; each point's forward orbit is run once, on floats.
     """
     def forward(p):
-        pts = [np.array(p)]
+        x, y = float(p[0]), float(p[1])
+        _require_finite(x, y)
+        pts = [(x, y)]
         for _ in cycle:
-            q = plane_map(pts[-1], lam)
-            if is_infinity(q):
+            t = _tangent3_xyz(x, y, 0.0, lam)
+            if t is None:
                 return None
-            pts.append(q)
+            x, y = t[0], t[1]
+            pts.append((x, y))
         return pts
 
-    best = np.array(y)
-    best_pts = forward(best)
-    if best_pts is None:
-        return best, None
-    g = best_pts[-1] - best_pts[0]
-    best_r = vec_norm(g)
-    for _ in range(6):
+    best = cand = np.array(y)
+    best_pts, best_r = None, math.inf
+    for _ in range(7):  # the start, then up to six Newton candidates
+        pts = forward(cand)
+        if pts is None:
+            break
+        g = np.subtract(pts[-1], pts[0])
+        r = vec_norm(g)
+        if not r < best_r:
+            break
+        best, best_r, best_pts = cand, r, pts
         jac = np.eye(2)
         try:
-            for p in best_pts[:-1]:
+            for p in pts[:-1]:
                 jac = _plane_jacobian(p, lam) @ jac
             delta = np.linalg.solve(jac - np.eye(2), -g)
         except (ZeroDivisionError, np.linalg.LinAlgError):
@@ -269,15 +268,7 @@ def _newton_polish(y, cycle, lam):
         cand = best + delta
         if np.array_equal(cand, best):
             break  # the step is below the resolution of best
-        pts = forward(cand)
-        if pts is None:
-            break
-        g = pts[-1] - pts[0]
-        r = vec_norm(g)
-        if not r < best_r:
-            break
-        best, best_r, best_pts = cand, r, pts
-    return best, best_pts
+    return best, best_pts and [np.array(p) for p in best_pts]
 
 
 def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
@@ -300,7 +291,7 @@ def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
     if len(symbols) < 3:
         raise ValueError(f"itinerary too short ({reason}); not an escaping candidate")
     r = required_tail_radius(lam)
-    norms = [vec_norm(pole_location(s)) for s in symbols]
+    norms = [math.hypot(*_pole_xy(*s)) for s in symbols]
     last_err = "no admissible symbol block"
     start = next((j for j in range(len(symbols) - 2) if min(norms[j], norms[j + 1]) > r),
                  len(symbols))

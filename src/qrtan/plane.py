@@ -93,8 +93,8 @@ def plane_map(p, lam: float = 1.0):
 
     A single call of ``tangent3`` (so the float core's exact z = 0
     branch), which also rejects a non-finite point.  The inverse-branch
-    scan, which evaluates F many times per result, calls the float core
-    directly instead.
+    scan and the symbolic layer, which evaluate F many times per result,
+    call the float core directly instead.
     """
     t = tangent3([float(p[0]), float(p[1]), 0.0], lam)
     if is_infinity(t):
@@ -607,6 +607,12 @@ def _min_singular_on_ball(lam, radius, rng):
     return float(smin.min())
 
 
+def _require_positive_lam(lam):
+    """Raise the ValueError for a scaling parameter that is not positive (or NaN)."""
+    if not lam > 0.0:
+        raise ValueError(f"scaling parameter must be positive, got {lam}")
+
+
 def calibrate_expansion(lam: float) -> ExpansionCalibration:
     """Scan for the certificate radii at parameter lam (cached, seeded).
 
@@ -616,8 +622,7 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
     keeping |F| > 2*r1, capped below pi/4.  Calibration failure raises,
     it never returns a bogus certificate.
     """
-    if not lam > 0.0:
-        raise ValueError("scaling parameter must be positive")
+    _require_positive_lam(lam)
     key = float(lam)
     hit = _CALIBRATION_CACHE.get(key)
     if hit is not None:

@@ -15,7 +15,9 @@ bounded by a bisected fixed point of ``mu*tan``, that the closed form
 route through the scalar ``zorich`` and ``cayley``, and
 ``beam_sector_eigenvalues`` and ``fold_orientation`` are the scalar
 closed forms the eigenvalue cross-check read before it moved onto
-arrays.
+arrays.  ``itinerary_of``, ``shadow_check`` and ``newton_polish`` are the
+symbolic layer's forward steps through ``plane_map``, one array per
+step, before they moved onto the float core.
 """
 
 import math
@@ -36,6 +38,7 @@ from qrtan.core import (
     vec_norm,
     zorich,
 )
+from qrtan.itinerary import StopReason
 from qrtan.plane import SQRT2, containing_diamond
 from qrtan.verify import CheckResult, _petal_rate
 
@@ -642,3 +645,77 @@ def offaxis_monotonicity_violations(lam: float, n_samples: int = 10_000,
         if not max(abs(img[0]), abs(img[1])) / img[2] < max(abs(v[0]), abs(v[1])) / v[2]:
             bad += 1
     return bad
+
+
+def itinerary_of(p, lam: float, n_terms: int):
+    """Read off the diamond indices visited by the forward orbit of p."""
+    symbols = []
+    cur = np.array([float(p[0]), float(p[1])])
+    for _ in range(n_terms):
+        idx = containing_diamond(cur)
+        if idx is None:
+            return symbols, StopReason.LEFT_DIAMONDS
+        symbols.append(idx)
+        nxt = plane.plane_map(cur, lam)
+        if is_infinity(nxt):
+            return symbols, StopReason.POLE_HIT
+        cur = nxt
+    return symbols, StopReason.COMPLETE
+
+
+def shadow_check(waypoints, itin, lam: float, depth: int):
+    """Verify, symbol by symbol, that the constructed orbit runs the itinerary."""
+    worst = 0.0
+    for j in range(depth):
+        x = waypoints[j]
+        idx = containing_diamond(x)
+        if idx != itin.symbol(j):
+            return False, math.inf
+        img = plane.plane_map(x, lam)
+        if is_infinity(img):
+            return False, math.inf
+        gap = vec_norm(img - waypoints[j + 1])
+        worst = max(worst, gap)
+        if gap > 1e-8:
+            return False, worst
+    return True, worst
+
+
+def newton_polish(y, cycle, lam):
+    """Up to six Newton steps on g(y) = F^k(y) - y, keeping only residual
+    improvements; returns (point, orbit)."""
+    def forward(p):
+        pts = [np.array(p)]
+        for _ in cycle:
+            q = plane.plane_map(pts[-1], lam)
+            if is_infinity(q):
+                return None
+            pts.append(q)
+        return pts
+
+    best = np.array(y)
+    best_pts = forward(best)
+    if best_pts is None:
+        return best, None
+    g = best_pts[-1] - best_pts[0]
+    best_r = vec_norm(g)
+    for _ in range(6):
+        jac = np.eye(2)
+        try:
+            for p in best_pts[:-1]:
+                jac = plane._plane_jacobian(p, lam) @ jac
+            delta = np.linalg.solve(jac - np.eye(2), -g)
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            break  # an orbit point at a tile centre, or a singular step
+        cand = best + delta
+        if np.array_equal(cand, best):
+            break  # the step is below the resolution of best
+        pts = forward(cand)
+        if pts is None:
+            break
+        g = pts[-1] - pts[0]
+        r = vec_norm(g)
+        if not r < best_r:
+            break
+        best, best_r, best_pts = cand, r, pts
+    return best, best_pts

@@ -212,6 +212,31 @@ class TestCayley:
         np.testing.assert_allclose(cayley_inverse([0, 0, -1]), [0, 0, 0], atol=1e-15)
         np.testing.assert_allclose(cayley_inverse(INFINITY), [0, 0, -1])
 
+    @pytest.mark.parametrize("p", [[1e200, 0.0, 0.0], [0.0, 0.0, 1e200],
+                                   [-1e200, 3e170, -1e300], [2e154, -2e154, 0.0]])
+    def test_huge_point_tends_to_north_pole_without_warning(self, p):
+        assert np.array_equal(cayley(p), [0.0, 0.0, 1.0])
+
+    def test_far_zorich_image_goes_to_north_pole(self):
+        assert np.array_equal(cayley(zorich([0.3, 0.2, 400.0])), [0.0, 0.0, 1.0])
+
+    def test_matches_numpy_scalar_arithmetic(self):
+        # the formula on numpy float64 scalars, below the overflow of its squares
+        def reference(p):
+            p = np.asarray(p, dtype=float)
+            d = p[0] * p[0] + p[1] * p[1] + (p[2] + 1.0) ** 2
+            if d == 0.0:
+                return INFINITY
+            r = 1.0 / d
+            return np.array([2.0 * r * p[0], 2.0 * r * p[1], 1.0 - 2.0 * r * (p[2] + 1.0)])
+
+        rng = np.random.default_rng(29)
+        pts = rng.normal(size=(3000, 3)) * 10.0 ** rng.uniform(-8, 150, (3000, 1))
+        pts = [*pts, *rng.integers(-3, 4, size=(200, 3)), [1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+               [-0.0, 0.0, -1.0], [1e-300, 0.0, -1.0]]
+        for p in pts:
+            _assert_same(cayley(p), reference(p))
+
     def test_roundtrip_chordal(self):
         rng = np.random.default_rng(23)
         worst = 0.0

@@ -1,13 +1,15 @@
 """Tests for the symbolic-dynamics layer: itineraries, nested-branch
 construction, and periodic points."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qrtan import itinerary, plane
-from qrtan.core import is_infinity
+import scalar_reference as ref
+from qrtan import core, itinerary, plane
+from qrtan.core import HALF_PI, is_infinity
 from qrtan.itinerary import (
     Itinerary,
     PeriodicCycleSpec,
@@ -47,6 +49,59 @@ def mixed_itinerary(head_len=16, rot=0):
         return (0, j - len(head) + 19)  # norms resume growing past the head
 
     return Itinerary(prefix=[], tail=tail)
+
+
+# pole-index steps along which pole norms grow without bound
+TAIL_DIRECTIONS = [(0, 1), (1, 1), (1, -1), (-1, -1), (-1, 0)]
+
+
+def seeded_symbolic(lam, seed, n_itineraries=3, n_cycles=3):
+    """Seeded itineraries and cycles over the poles of norm in (r, r + 2 pi],
+    r the calibrated tail radius: six such poles then a straight outward
+    tail, and period-1..4 cycles of them."""
+    rng = np.random.default_rng(seed)
+    r = required_tail_radius(lam)
+    reach = int((r + 2.0 * math.pi) / HALF_PI) + 2
+    pool = [(m, n) for m in range(-reach, reach + 1) for n in range(-reach, reach + 1)
+            if r < float(np.linalg.norm(pole_location((m, n)))) <= r + 2.0 * math.pi]
+    itineraries = []
+    for _ in range(n_itineraries):
+        prefix = [pool[i] for i in rng.integers(0, len(pool), 6)]
+        dm, dn = TAIL_DIRECTIONS[int(rng.integers(len(TAIL_DIRECTIONS)))]
+        # pole k * (dm, dn) has norm above k pi / 2, which clears r from k0 on
+        k0 = int(r / HALF_PI) + int(rng.integers(0, 4))
+        itineraries.append(Itinerary(prefix=prefix,
+                                     tail=lambda j, dm=dm, dn=dn, k0=k0: ((j + k0) * dm,
+                                                                          (j + k0) * dn)))
+    cycles = [[PoleIndex(*pool[i]) for i in rng.integers(0, len(pool), int(rng.integers(1, 5)))]
+              for _ in range(n_cycles)]
+    return itineraries, cycles
+
+
+def _hex(p):
+    return " ".join(float(c).hex() for c in p)
+
+
+def symbolic_record(lam, seed):
+    """Every output of the seeded constructions as text, floats in hex:
+    each itinerary point with its waypoints, shadow verdict and read-back,
+    and each cycle's point, residual and orbit."""
+    itineraries, cycles = seeded_symbolic(lam, seed)
+    lines = []
+    for itin in itineraries:
+        x, wps = point_from_itinerary(itin, lam, n_compose=26, return_waypoints=True)
+        ok, _ = shadow_check(wps, itin, lam, 20)
+        symbols, reason = itinerary_of(x, lam, 20)
+        lines += [_hex(x), *map(_hex, wps), str(ok), repr(symbols), reason]
+    for cycle in cycles:
+        res = periodic_point_from_cycle(PeriodicCycleSpec(cycle=cycle), lam)
+        lines += [_hex(res.point), float(res.residual).hex(), *map(_hex, res.orbit)]
+    return "\n".join(lines)
+
+
+# SHA-256 of symbolic_record at lam 1 and 2, seed 0, as the plane_map-based
+# symbolic layer produced it; any change to the layer must keep these bytes
+SYMBOLIC_SHA256 = "63ed96d599a4dc0cb6499917a37802a180414f7da7afe2468304089090ea7734"
 
 
 class TestItineraryOf:
@@ -178,16 +233,16 @@ class TestPeriodicCycles:
         # the next Jacobian, so no point is pushed forward twice
         seen = []
 
-        def recording(p, lam):
-            seen.append(np.asarray(p, dtype=float).tobytes())
-            return plane_map(p, lam)
+        def recording(x, y, z, lam):
+            seen.append((x, y, z))
+            return core._tangent3_xyz(x, y, z, lam)
 
         cycle = [PoleIndex(*c) for c in ((1, 1), (-1, -1), (0, 1))]
         y = pole_location(cycle[0])
-        comp = itinerary._composed_branch(cycle, LAM)
         for _ in range(5):
-            y = comp(y)
-        monkeypatch.setattr(itinerary, "plane_map", recording)
+            for idx in reversed(cycle):
+                y = plane.inverse_branch(idx, y, LAM)
+        monkeypatch.setattr(itinerary, "_tangent3_xyz", recording)
         itinerary._newton_polish(y, cycle, LAM)
         assert len(seen) >= 2 * len(cycle)  # the start and one Newton candidate
         assert len(set(seen)) == len(seen)
@@ -243,6 +298,86 @@ class TestPeriodicNearEscaping:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             periodic_near_escaping(np.array([0.2, 1.4]), 0.0, LAM)
+
+
+class TestSymbolicInputChecks:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_itinerary_of_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError) as want:
+            plane.calibrate_expansion(lam)
+        with pytest.raises(ValueError) as got:
+            itinerary_of((0.2, 1.4), lam, 5)
+        assert str(got.value) == str(want.value)
+        assert str(lam) in str(got.value) and "\n" not in str(got.value)
+
+    def test_itinerary_of_rejects_negative_length(self):
+        with pytest.raises(ValueError, match=r"^n_terms must be nonnegative, got -1$"):
+            itinerary_of((0.2, 1.4), LAM, -1)
+
+    def test_point_from_itinerary_rejects_negative_compositions(self):
+        with pytest.raises(ValueError, match=r"^n_compose must be nonnegative, got -1$"):
+            point_from_itinerary(growing_itinerary(), LAM, n_compose=-1)
+
+    @pytest.mark.parametrize("depth", [-1, 27, 40])
+    def test_shadow_check_rejects_depth_outside_the_waypoints(self, depth):
+        itin = growing_itinerary()
+        _, wps = point_from_itinerary(itin, LAM, n_compose=26, return_waypoints=True)
+        with pytest.raises(ValueError, match=rf"^depth must be in \[0, 26\], got {depth}$"):
+            shadow_check(wps, itin, LAM, depth)
+
+
+class TestFloatPathMatchesPlaneMap:
+    """The forward steps on the float core reproduce the plane_map versions
+    they replaced (``scalar_reference``) bit for bit; a shadow gap, a norm
+    taken by hypot instead of numpy's dot, may move by one ulp."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_shadow_check(self, lam):
+        itineraries, _ = seeded_symbolic(lam, 1, n_itineraries=6, n_cycles=0)
+        for itin, other in zip(itineraries, itineraries[1:] + itineraries[:1]):
+            _, wps = point_from_itinerary(itin, lam, n_compose=26, return_waypoints=True)
+            nudged = list(wps)
+            nudged[3] = wps[3] + 1e-6  # one step misses by ~1e-6
+            # the last depth ends at the pole of symbol 26
+            for w, it, depth in [*((wps, itin, d) for d in (0, 1, 5, 20, 26)),
+                                 (nudged, itin, 20), (wps, other, 20)]:
+                ok, gap = shadow_check(w, it, lam, depth)
+                want_ok, want_gap = ref.shadow_check(w, it, lam, depth)
+                assert ok == want_ok
+                assert gap == want_gap or abs(gap - want_gap) <= math.ulp(want_gap)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_itinerary_of(self, lam):
+        itineraries, _ = seeded_symbolic(lam, 2, n_itineraries=6, n_cycles=0)
+        starts = [point_from_itinerary(itin, lam, n_compose=28) for itin in itineraries]
+        starts += [*np.random.default_rng(3).uniform(-10.0, 10.0, (200, 2)),
+                   pole_location((1, 1)), (1.0, 1.0), (0.0, 0.0)]
+        for p in starts:
+            for n in (0, 1, 25):
+                assert itinerary_of(p, lam, n) == ref.itinerary_of(p, lam, n)
+
+    @pytest.mark.parametrize("cycle,lam", [
+        *((c, lam) for lam in (1.0, 2.0) for c in seeded_symbolic(lam, 4, 0, 8)[1]),
+        (LOW_POLES[:7], 2.0), ([(1, -1)], 1.5), ([(0, 0)], 1.1107), ([(1, 0)], 3.0)])
+    def test_newton_polish(self, cycle, lam):
+        cycle = [PoleIndex(*c) for c in cycle]
+        y = pole_location(cycle[0])
+        for sweeps in range(40):
+            if sweeps in (1, 3, 39):  # a rough start, a closer one, a converged one
+                point, orbit = itinerary._newton_polish(y, cycle, lam)
+                want_point, want_orbit = ref.newton_polish(y, cycle, lam)
+                assert point.tobytes() == want_point.tobytes()
+                assert (orbit is None) == (want_orbit is None)
+                assert [p.tobytes() for p in orbit or []] == [
+                    p.tobytes() for p in want_orbit or []]
+            for idx in reversed(cycle):
+                y = plane.inverse_branch(idx, y, lam)
+
+
+class TestPinnedOutputs:
+    def test_symbolic_outputs_keep_their_bytes(self):
+        text = "\n".join(symbolic_record(lam, 0) for lam in (1.0, 2.0))
+        assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_SHA256
 
 
 class TestTailRadiusRegimes:

@@ -28,7 +28,6 @@ from qrtan.itinerary import (
     Itinerary,
     PeriodicCycleSpec,
     PeriodicPoint,
-    _composed_branch,
     _newton_polish,
     _solve_cycle,
     periodic_near_escaping,
@@ -652,7 +651,11 @@ def _reference_family_members_box(a, center, half):
 
 
 def _reference_periodic_from_mixed_cycle(spec, lam: float):
-    comp = _composed_branch(spec.cycle, lam)
+    def comp(w):
+        for idx in reversed(spec.cycle):
+            w = inverse_branch(idx, w, lam)
+        return w
+
     y = pole_location(spec.cycle[0]).copy()
     prev_step = None
     noncontract = 0
