@@ -151,7 +151,8 @@ def petal_boundary_residual(lam: float, n_samples: int = 100):
 # ---------------------------------------------------------------------------
 # orbit classification
 
-# the fate rules, read by classify_orbit and the renderer when called
+# the fate rules, read when called: all by classify_orbit, the first two
+# by the renderer
 SETTLE = 3
 CAPTURE_TOL = 1e-6
 ESCAPE_RUN = 8

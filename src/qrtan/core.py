@@ -310,6 +310,8 @@ def cayley(p):
     if d == 0.0:
         return INFINITY
     r = 1.0 / d
+    if r == math.inf:  # d subnormal, within about 1e-154 of the pole
+        return np.array([2.0 * x / d, 2.0 * y / d, 1.0 - 2.0 * t / d])
     return np.array([2.0 * r * x, 2.0 * r * y, 1.0 - 2.0 * r * t])
 
 
@@ -332,6 +334,8 @@ def _cayley_inverse_xyz(x: float, y: float, z: float):
     if d == 0.0:
         return None
     s = 1.0 / d
+    if s == math.inf:  # d subnormal, within about 1e-154 of (0, 0, 1)
+        return [2.0 * x / d, 2.0 * y / d, -1.0 + 2.0 * t / d]
     return [2.0 * s * x, 2.0 * s * y, -1.0 + 2.0 * s * t]
 
 

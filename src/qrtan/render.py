@@ -1,20 +1,21 @@
 """Basin and escape-depth images of the plane dynamics.
 
-Pixels are classified with the same fate logic as the scalar orbit
-classifier, but vectorized: one loop per image (per band of rows with
-several threads) streams the pixels through a working set.  A pixel
-leaves it when decided or at ``max_iter``, and an escape-depth render
-also stops each pixel at its first passage above the depth threshold,
-found by one rule: the pixels above it, then the diamond lookup on
-those.  Only that render tracks the passage, and only a basin render
-runs the escape rule; a basin image never reads the passage, and its
-depth array stays 0.  The fate rules are the constants of ``analysis``.
-A pixel's arithmetic does not depend on which other pixels share the
-set, so the bytes equal those of iterating every pixel to
-``max_iter``, for any set size, band or thread count.  Output is
+Pixels are classified by the origin-capture and pole rules of the scalar
+orbit classifier, vectorized: one loop per image (per band of rows with
+several threads) streams the pixels through a working set.  A basin
+pixel has three outcomes: captured by the origin, a pole hit, or
+undecided at ``max_iter``.  The escape rule of ``classify_orbit`` does
+not run here: the escaping plane orbits form a thin exceptional set, and
+no pixel of the renders measured in the README lands on it.  An
+escape-depth render also stops each pixel at its first passage above the
+depth threshold, found by one rule: the pixels above it, then the diamond
+lookup on those.  Only that render tracks the passage; a basin image's
+depth array stays 0.  The capture rule reads the constants of
+``analysis``.  A pixel's arithmetic does not depend on which other
+pixels share the set, so the bytes equal those of iterating every pixel
+to ``max_iter``, for any set size, band or thread count.  Output is
 8-bit RGB, written as binary PPM (P6) so golden files need no image
-library; PNG is available on request, written with the standard
-library.
+library; PNG is available on request, written with the standard library.
 """
 
 import math
@@ -30,6 +31,7 @@ from .core import HALF_PI, QUARTER_PI, tangent3_grid
 # no code for the axis fixed points: no orbit of the plane z = 0 reaches them
 _FATE_UNDECIDED = 0
 _FATE_ORIGIN = 1
+# no render gives it; kept while the benchmark's fate table reads it
 _FATE_ESCAPING = 4
 _FATE_POLE = 5
 
@@ -96,8 +98,8 @@ def pixel_grid(cfg: RenderConfig, row0: int, row1: int):
 
 
 def _diamond_centers(x, y):
-    """Vectorized diamond lookup: the integers (i, j) of the centre
-    (i, j) pi/2, as floats, and strict membership."""
+    """Vectorized strict membership in the open pole diamonds, whose
+    centres are (n + m, n - m + 1) pi/2 for integers n, m."""
     n = x + y
     n -= HALF_PI
     n /= math.pi
@@ -109,14 +111,14 @@ def _diamond_centers(x, y):
     i = n + m
     n -= m
     n += 1
-    dx = np.multiply(i, HALF_PI, out=m)
+    dx = np.multiply(i, HALF_PI, out=i)
     np.subtract(x, dx, out=dx)
     np.abs(dx, out=dx)
-    dy = np.multiply(n, HALF_PI)
+    dy = np.multiply(n, HALF_PI, out=n)
     np.subtract(y, dy, out=dy)
     np.abs(dy, out=dy)
     dx += dy
-    return i, n, dx < HALF_PI
+    return dx < HALF_PI
 
 
 def _flat_slice(rows, start, stop):
@@ -136,27 +138,21 @@ def _far(px, py, mx, bound, sel):
 def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
-    Mirrors the scalar classifier, reading the same constants of
-    ``analysis`` when called: convergence needs SETTLE consecutive steps
-    inside CAPTURE_TOL of a target, escape needs ESCAPE_RUN consecutive
-    strictly-growing diamond-centre norms plus norm above ESCAPE_NORM.
-    The centre norms are compared as i^2 + j^2 for the centre (i, j)
-    pi/2, in float64: exact, and so the same rule as ``classify_orbit``'s,
-    for centres within 2^26 pi/2 (about 1.05e8) of the origin in each
-    coordinate.  Beyond that the squares and their sum round, and past
-    about 2e154 they overflow to inf, so a step from there to there is
-    no growth.  ``x`` and ``y`` are broadcast together, so a row of x
-    and a column of y give an image.
+    Mirrors the scalar classifier's capture rule, reading the constants
+    of ``analysis`` when called: convergence needs SETTLE consecutive
+    steps inside CAPTURE_TOL of the origin.  The escape rule does not
+    run, so a pixel's fate is origin, pole or undecided.  ``x`` and ``y``
+    are broadcast together, so a row of x and a column of y give an
+    image.
 
     Pixels enter a working set of at most ``_WORKING_SET`` entries in
     flat order, each counting its own steps, and leave at a pole hit,
-    origin capture, escape or their ``max_iter``-th step.  With
-    ``depth_only`` the escape rule does not run, and a pixel leaves
-    instead at its first passage above ``depth_norm`` inside a diamond,
-    keeping fate 0 with ``when`` set to that step.  The returned depth
-    is then the escape depth: that step, or the step of a pole hit, 0
-    where neither came.  Without ``depth_only`` nothing tracks the
-    passage and the depth array stays all 0.
+    origin capture or their ``max_iter``-th step.  With ``depth_only`` a
+    pixel leaves also at its first passage above ``depth_norm`` inside a
+    diamond, keeping fate 0 with ``when`` set to that step.  The
+    returned depth is then the escape depth: that step, or the step of a
+    pole hit, 0 where neither came.  Without ``depth_only`` nothing
+    tracks the passage and the depth array stays all 0.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     # rows along the last axis, so a run of flat indices spans few rows
@@ -179,8 +175,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     idx, born = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int32)
     px, py = np.empty(n), np.empty(n)
     run_origin = np.empty(n, dtype=np.int16)
-    if not depth_only:
-        chain, prev_n2 = np.empty(n, dtype=np.int16), np.empty(n)
     live = np.zeros(n, dtype=bool)
     entered = step = 0
 
@@ -207,9 +201,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             px = refill(px, _flat_slice(xr, entered, entered + k))
             py = refill(py, _flat_slice(yr, entered, entered + k))
             run_origin = refill(run_origin, 0)
-            if not depth_only:
-                chain = refill(chain, 0)
-                prev_n2 = refill(prev_n2, 0.0)
             live = refill(live, True)
             del keep  # as large as the set; the steps need the room
             entered += k
@@ -247,27 +238,10 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             # every live pixel is before its first passage; the diamond
             # lookup runs on the pixels above depth_norm only
             far = _far(px, py, mx, cfg.depth_norm, live)
-            far = far[_diamond_centers(px[far], py[far])[2]]
+            far = far[_diamond_centers(px[far], py[far])]
             sel = idx[far]
             depth[sel] = when[sel] = step - born[far]
             live[far] = False
-        else:
-            # chain: how many diamonds in a row the orbit has visited with
-            # strictly growing i^2 + j^2, 0 off the diamonds; after a step
-            # off them it becomes 1 whatever prev_n2 holds
-            i, j, tracked = _diamond_centers(px, py)
-            tracked &= live
-            n2 = np.multiply(i, i, out=i)
-            n2 += np.multiply(j, j, out=j)
-            grew = n2 > prev_n2
-            grew &= tracked
-            chain += 1
-            chain *= grew
-            np.maximum(chain, tracked, out=chain)
-            prev_n2 = n2
-            esc = _far(px, py, mx, analysis.ESCAPE_NORM, chain > analysis.ESCAPE_RUN)
-            retire(esc, _FATE_ESCAPING)
-            live[esc] = False
         # pixels at their max_iter-th step stay undecided; they entered
         # first, so they lead the set
         last = np.searchsorted(born, step - cfg.max_iter, side="right")
@@ -311,13 +285,12 @@ def _log_fraction(when, max_iter):
 def colorize_fates(fate, when, max_iter):
     """Fate hue with log-scaled capture-time lightness: fast capture into the
     origin is dark blue, slow capture drifts through yellow to red; pole hits
-    are white, escapes light grey, undecided black."""
+    are white, undecided black."""
     t = _log_fraction(when, max_iter)
     img = np.zeros(fate.shape + (3,), dtype=float)
     origin = fate == _FATE_ORIGIN
     img[origin] = _ramp(t[origin], _ORIGIN_ANCHORS)
     img[fate == _FATE_POLE] = (255.0, 255.0, 255.0)
-    img[fate == _FATE_ESCAPING] = (210.0, 210.0, 218.0)
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 

@@ -268,6 +268,14 @@ class TestClassifyOrbit:
         larger = (second[0] + 1, second[1] + 1)
         assert analysis._centre_norms_grow([near(*first), near(*larger)])
 
+    def test_step_off_the_diamonds_is_no_growth(self):
+        # (pi, 0) lies on a diamond edge, in no open diamond, so a run
+        # through it does not grow; the centres after it alone do
+        growing = [(10.3, 0.2), (20.3, 0.2), (40.3, 0.2), (80.3, 0.2)]
+        assert containing_diamond((math.pi, 0.0)) is None
+        assert not analysis._centre_norms_grow([(math.pi, 0.0), *growing])
+        assert analysis._centre_norms_grow(growing)
+
     def test_undecided_is_honest(self):
         # a petal-boundary fixed point never converges to a target nor escapes
         lam = 1.2

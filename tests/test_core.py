@@ -217,6 +217,19 @@ class TestCayley:
     def test_huge_point_tends_to_north_pole_without_warning(self, p):
         assert np.array_equal(cayley(p), [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("x,y", [(1e-160, 0.0), (0.0, -3e-156)])
+    def test_points_next_to_the_pole_have_finite_images(self, x, y):
+        # the squared distance to the pole is subnormal and its reciprocal
+        # overflows; the image is still about (2/x, 2/y) off the axis, with
+        # the last coordinate +1 for cayley and -1 for its inverse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = cayley([x, y, -1.0]), cayley_inverse([x, y, 1.0])
+        for got, w in ((a, 1.0), (b, -1.0)):
+            assert np.isfinite(got).all()
+            want = [2.0 / x if x else 0.0, 2.0 / y if y else 0.0, w]
+            np.testing.assert_allclose(got, want, rtol=1e-3)
+
     def test_far_zorich_image_goes_to_north_pole(self):
         assert np.array_equal(cayley(zorich([0.3, 0.2, 400.0])), [0.0, 0.0, 1.0])
 

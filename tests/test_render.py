@@ -11,7 +11,6 @@ from qrtan.analysis import SETTLE, petal_contains
 from qrtan.core import tangent3_grid
 from qrtan.render import (
     _COMPACT_SHARE,
-    _FATE_ESCAPING,
     _FATE_ORIGIN,
     _FATE_POLE,
     RenderConfig,
@@ -111,10 +110,10 @@ class TestDeterminism:
 
 def full_grid_classify(x, y, cfg, depth_only=False):
     """Reference loop: every pixel carried to max_iter through full-array
-    masked passes, with the fate rule of ``analysis`` at call time.
-    classify_plane_block must match it bit for bit: its fate and when in
-    a basin call, and with ``depth_only``, where neither runs the escape
-    rule, its depth in an escape-depth call."""
+    masked passes, with the capture rule of ``analysis`` at call time and
+    no escape rule.  classify_plane_block must match it bit for bit: its
+    fate and when in a basin call, and with ``depth_only`` its depth in
+    an escape-depth call."""
     shape = x.shape
     px = x.astype(float).copy()
     py = y.astype(float).copy()
@@ -122,8 +121,6 @@ def full_grid_classify(x, y, cfg, depth_only=False):
     when = np.zeros(shape, dtype=np.int32)
     depth = np.zeros(shape, dtype=np.int32)
     run_origin = np.zeros(shape, dtype=np.int16)
-    grow = np.zeros(shape, dtype=np.int16)
-    prev_n2 = np.full(shape, np.nan)
     alive = np.ones(shape, dtype=bool)
     zeros = np.zeros(shape)
     with np.errstate(invalid="ignore"):
@@ -142,20 +139,8 @@ def full_grid_classify(x, y, cfg, depth_only=False):
             fate[captured] = _FATE_ORIGIN
             when[captured] = step
             alive &= ~captured
-            # the centre norms compared as i^2 + j^2, exact at these sizes
-            ci, cj, inside = _reference_diamond_centers(px, py)
-            n2 = np.square(ci) + np.square(cj)
-            grew = alive & inside & ~np.isnan(prev_n2) & (n2 > prev_n2)
-            grow = np.where(grew, grow + 1, 0)
-            prev_n2 = np.where(alive & inside, n2, np.nan)
+            inside = _reference_diamond_centers(px, py)
             depth[alive & inside & (norm > cfg.depth_norm) & (depth == 0)] = step
-            if depth_only:
-                continue
-            esc = (alive & inside & (norm > analysis.ESCAPE_NORM)
-                   & (grow >= analysis.ESCAPE_RUN))
-            fate[esc] = _FATE_ESCAPING
-            when[esc] = step
-            alive &= ~esc
     when[alive] = cfg.max_iter
     return fate, when, depth
 
@@ -167,13 +152,10 @@ def _as_returned(reference, depth_only=False):
     return fate, when, depth if depth_only else np.zeros_like(depth)
 
 
-# (lam, ESCAPE_NORM, ESCAPE_RUN) covering every fate a z = 0 render meets
-FATE_MIXES = [
-    (0.9, 50.0, 8),      # origin captures
-    (1.1107, 50.0, 8),   # origin captures and undecided pixels
-    (1.5, 5.0, 2),       # escapes, ESCAPE_NORM below depth_norm
-    (2.0, 10.0, 3),      # escapes, ESCAPE_NORM above depth_norm
-]
+# lam covering every fate a z = 0 render meets: origin captures (0.9),
+# captures and undecided pixels (1.1107), undecided only (1.5, 2); every
+# block adds pole hits
+FATE_MIXES = [0.9, 1.1107, 1.5, 2.0]
 
 
 def block_with_poles(cfg):
@@ -195,9 +177,8 @@ class TestLiveSet:
     """The loop drops decided pixels; no pixel's result may depend on
     which other pixels share its block or when they leave."""
 
-    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_matches_full_grid_loop(self, fate_rule, lam, escape_norm, escape_run):
-        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+    @pytest.mark.parametrize("lam", FATE_MIXES)
+    def test_matches_full_grid_loop(self, lam):
         cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         expected = full_grid_classify(gx, gy, cfg)
@@ -207,9 +188,8 @@ class TestLiveSet:
         want = full_grid_classify(gx, gy, cfg, depth_only=True)[2]
         np.testing.assert_array_equal(depth, want)
 
-    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_basin_call_tracks_no_depth(self, monkeypatch, fate_rule, lam, escape_norm,
-                                        escape_run):
+    @pytest.mark.parametrize("lam", FATE_MIXES)
+    def test_basin_call_tracks_no_depth(self, monkeypatch, lam):
         # a basin call returns an all-zero depth and makes no depth_norm
         # test; the same block has an escape depth
         bounds = []
@@ -219,7 +199,6 @@ class TestLiveSet:
             return _far(px, py, mx, bound, sel)
 
         monkeypatch.setattr(render, "_far", recording)
-        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
         cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         depth = classify_plane_block(gx, gy, cfg)[2]
@@ -251,10 +230,8 @@ class TestLiveSet:
         np.testing.assert_array_equal(compute_escape_depth(cfg), full)
 
     @pytest.mark.parametrize("depth_only", [False, True])
-    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_pixels_independent_of_block(self, fate_rule, lam, escape_norm, escape_run,
-                                         depth_only):
-        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+    @pytest.mark.parametrize("lam", FATE_MIXES)
+    def test_pixels_independent_of_block(self, lam, depth_only):
         cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         block = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
@@ -293,19 +270,21 @@ class TestLiveSet:
         assert (seen > cfg.depth_norm).all()
 
     @pytest.mark.parametrize("depth_norm", [None, 60.0])
-    def test_basin_render_looks_up_near_points(self, monkeypatch, depth_norm):
-        # a basin render runs the escape rule, whose diamond lookup takes
-        # points near the origin too, whatever depth_norm is
-        norms = []
+    def test_basin_render_makes_no_diamond_lookup(self, monkeypatch, depth_norm):
+        # a basin render runs no escape rule and tracks no depth, so it
+        # never asks for diamond membership; an escape-depth render does
+        calls = []
 
         def recording(x, y):
-            norms.append(np.hypot(x, y))
+            calls.append(np.size(x))
             return _diamond_centers(x, y)
 
         monkeypatch.setattr(render, "_diamond_centers", recording)
         cfg = RenderConfig(lam=2.0, width=16, height=16, max_iter=20, depth_norm=depth_norm)
         render_basin(cfg)
-        assert (np.concatenate(norms) <= min(cfg.depth_norm, analysis.ESCAPE_NORM)).any()
+        assert calls == []
+        compute_escape_depth(cfg)
+        assert calls
 
     @pytest.mark.parametrize("lam,depth_norm", ABOVE_ESCAPE_NORM)
     def test_depth_above_escape_norm_is_first_passage(self, lam, depth_norm):
@@ -318,23 +297,27 @@ class TestLiveSet:
         assert depth.any()
         np.testing.assert_array_equal(depth, full_grid_classify(gx, gy, cfg, depth_only=True)[2])
 
-    @pytest.mark.parametrize("lam,rule,gone", [
-        (0.9, dict(CAPTURE_TOL=0.0), _FATE_ORIGIN),
-        (1.5, dict(ESCAPE_NORM=math.inf), _FATE_ESCAPING),
-        (1.5, dict(ESCAPE_RUN=10 ** 6), _FATE_ESCAPING),
-    ])
-    def test_reads_fate_rule_when_called(self, fate_rule, lam, rule, gone):
-        # a short escape rule gives the block escapes; each constant set
-        # out of reach takes its fate away, as in the full-grid loop
-        fate_rule(ESCAPE_NORM=5.0, ESCAPE_RUN=2)
-        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
+    def test_reads_fate_rule_when_called(self, fate_rule):
+        # CAPTURE_TOL set out of reach takes the origin captures away, as
+        # in the full-grid loop
+        cfg = RenderConfig(lam=0.9, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
-        assert (classify_plane_block(gx, gy, cfg)[0] == gone).any()
-        fate_rule(**rule)
+        assert (classify_plane_block(gx, gy, cfg)[0] == _FATE_ORIGIN).any()
+        fate_rule(CAPTURE_TOL=0.0)
         got = classify_plane_block(gx, gy, cfg)
-        assert not (got[0] == gone).any()
+        assert not (got[0] == _FATE_ORIGIN).any()
         for g, want in zip(got, _as_returned(full_grid_classify(gx, gy, cfg))):
             np.testing.assert_array_equal(g, want)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0])
+    def test_escape_rule_does_not_reach_a_basin_call(self, fate_rule, lam):
+        # a short escape rule, which gave this block escapes while the
+        # render ran it, leaves a basin call's arrays as they are
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
+        gx, gy = block_with_poles(cfg)
+        want = classify_plane_block(gx, gy, cfg)
+        fate_rule(ESCAPE_NORM=5.0, ESCAPE_RUN=2)
+        _assert_identical(classify_plane_block(gx, gy, cfg), want)
 
     def test_depth_only_retires_at_first_passage(self):
         cfg = RenderConfig(lam=2.0, width=32, height=32, max_iter=120)
@@ -348,10 +331,9 @@ class TestLiveSet:
 # ---------------------------------------------------------------------------
 # the grid kernel, the diamond lookup and the render loop as they were
 # before they ran in place, kept as the reference: only the names changed,
-# the diamond lookup returns the centre's integers (i, j), whose i^2 + j^2
-# the escape rule compares, and the loop reads the fate rule of
-# ``analysis`` and runs the escape rule only without ``depth_only``.  The
-# in-place code must give the same arrays, bit for bit
+# the diamond lookup returns membership alone, and the loop reads the
+# capture rule of ``analysis`` and runs no escape rule.  The in-place code
+# must give the same arrays, bit for bit
 
 def _reference_fold_axis_grid(x, half_width):
     """Vectorized fold_axis; returns (folded, parity) arrays."""
@@ -403,8 +385,7 @@ def _reference_diamond_centers(x, y):
     m = np.round((HALF_PI - v) / math.pi)
     cx = (n + m) * HALF_PI
     cy = (n - m + 1) * HALF_PI
-    inside = (np.abs(x - cx) + np.abs(y - cy)) < HALF_PI
-    return n + m, n - m + 1, inside
+    return (np.abs(x - cx) + np.abs(y - cy)) < HALF_PI
 
 
 def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
@@ -418,8 +399,6 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
     px = x.astype(float).ravel()
     py = y.astype(float).ravel()
     run_origin = np.zeros(size, dtype=np.int16)
-    grow = np.zeros(size, dtype=np.int16)
-    prev_n2 = np.full(size, np.nan)
     nodepth = np.ones(size, dtype=bool)
     live = np.ones(size, dtype=bool)
 
@@ -433,8 +412,8 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         if n_live == 0:
             break
         if (idx.size - n_live) * _COMPACT_SHARE >= idx.size:
-            idx, px, py, run_origin, grow, prev_n2, nodepth = (
-                a[live] for a in (idx, px, py, run_origin, grow, prev_n2, nodepth))
+            idx, px, py, run_origin, nodepth = (
+                a[live] for a in (idx, px, py, run_origin, nodepth))
             live = np.ones(n_live, dtype=bool)
         px, py, _, finite = _reference_tangent3_grid(px, py, zeros[:idx.size], cfg.lam)
         hit = live & ~finite
@@ -448,23 +427,12 @@ def _reference_classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False
         captured = live & (run_origin >= SETTLE)
         retire(captured, _FATE_ORIGIN, step)
         live &= ~captured
-        ci, cj, inside = _reference_diamond_centers(px, py)
-        n2 = ci * ci + cj * cj  # the centre norm squared over (pi/2)^2
-        tracked = live & inside
-        grew = tracked & (n2 > prev_n2)  # False where prev_n2 is NaN
-        grow = np.where(grew, grow + 1, 0)
-        prev_n2 = np.where(tracked, n2, np.nan)
-        newdepth = tracked & (norm > cfg.depth_norm) & nodepth
+        newdepth = live & _reference_diamond_centers(px, py) & (norm > cfg.depth_norm) & nodepth
         depth[idx[newdepth]] = step
         nodepth &= ~newdepth
         if depth_only:
             when[idx[newdepth]] = step
             live &= ~newdepth
-        else:
-            esc = (tracked & (norm > analysis.ESCAPE_NORM)
-                   & (grow >= analysis.ESCAPE_RUN))
-            retire(esc, _FATE_ESCAPING, step)
-            live &= ~esc
     when[idx[live]] = cfg.max_iter
     return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
 
@@ -571,77 +539,19 @@ class TestGridKernelBitIdentity:
         e = (rng.integers(-6, 7, 400) + 0.5) * math.pi
         for x, y in ((rng.uniform(-50, 50, 4000), rng.uniform(-50, 50, 4000)),
                      (sx, sy), (t, e - t), (t, e + t), _pole_lattice()):
-            _assert_identical(_diamond_centers(x, y), _reference_diamond_centers(x, y))
+            _assert_identical([_diamond_centers(x, y)], [_reference_diamond_centers(x, y)])
 
     @pytest.mark.parametrize("depth_only", [False, True])
     @pytest.mark.parametrize("lam", LAMS)
-    def test_classify_matches_reference(self, fate_rule, lam, depth_only):
-        for escape_norm, escape_run in ((50.0, 8), (5.0, 2)):
-            fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
-            cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=100)
-            gx, gy = block_with_poles(cfg)
-            want = _as_returned(
-                _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only), depth_only)
-            _assert_identical(classify_plane_block(gx, gy, cfg, depth_only=depth_only),
-                              want)
-            rows = [classify_plane_block(gx[i:i + 1], gy[i:i + 1], cfg,
-                                         depth_only=depth_only)
-                    for i in range(cfg.height)]
-            _assert_identical([np.concatenate([r[k] for r in rows]) for k in range(3)],
-                              want)
-
-    @staticmethod
-    def _classify_scripted(monkeypatch, fate_rule, path, escape_run):
-        """One pixel's (fate, when) over a scripted orbit, from
-        classify_plane_block and, checked equal, from the reference."""
-
-        def scripted_map():
-            steps = iter(path)
-
-            def grid_map(x, y, z, lam):
-                fx, fy = next(steps)
-                n = np.size(x)
-                return np.full(n, fx), np.full(n, fy), np.zeros(n), np.ones(n, dtype=bool)
-            return grid_map
-
-        fate_rule(ESCAPE_NORM=5.0, ESCAPE_RUN=escape_run)
-        cfg = RenderConfig(lam=1.0, width=1, height=1, max_iter=len(path))
-        x, y = np.array([[0.1]]), np.array([[0.2]])
-        monkeypatch.setattr(render, "tangent3_grid", scripted_map())
-        got = classify_plane_block(x, y, cfg)
-        monkeypatch.setitem(globals(), "_reference_tangent3_grid", scripted_map())
-        _assert_identical(got, _as_returned(_reference_classify_plane_block(x, y, cfg)))
-        return got[0][0, 0], got[1][0, 0]
-
-    def test_step_off_the_diamonds_breaks_the_growth_run(self, monkeypatch, fate_rule):
-        # a scripted orbit: step 1 lands on a diamond edge (untracked), then
-        # the centre norms grow; the growth run starts at step 2, so with
-        # escape_run 2 the escape comes at step 4, not 3
-        path = [(math.pi, 0.0), (10.3, 0.2), (20.3, 0.2), (40.3, 0.2), (80.3, 0.2)]
-        assert not _diamond_centers(np.array([math.pi]), np.array([0.0]))[2][0]
-        assert self._classify_scripted(monkeypatch, fate_rule, path, 2) == (
-            _FATE_ESCAPING, 4)
-
-    @pytest.mark.parametrize("first,second", [((2, 11), (5, 10)), ((8, 11), (4, 13))])
-    def test_equal_centre_norms_are_no_growth(self, monkeypatch, fate_rule, first, second):
-        # distinct diamond centres (i, j) pi/2 of equal norm (i^2 + j^2 is
-        # 125, then 185), where np.hypot puts the second above the first:
-        # with escape_run 1 the step between them would escape if it
-        # counted as growth.  A step to a larger centre does escape
-        def orbit(*centres):
-            return [(i * HALF_PI + 0.1, j * HALF_PI + 0.2) for i, j in centres]
-
-        assert first[0] ** 2 + first[1] ** 2 == second[0] ** 2 + second[1] ** 2
-        cx, cy = (np.array(c) * HALF_PI for c in zip(first, second))
-        assert np.hypot(cx[1], cy[1]) > np.hypot(cx[0], cy[0])
-        i, j, inside = _diamond_centers(*(np.array(c) for c in zip(*orbit(first, second))))
-        assert inside.all()
-        np.testing.assert_array_equal(np.stack([i, j], axis=1), [first, second])
-        assert self._classify_scripted(monkeypatch, fate_rule, orbit(first, second), 1) == (
-            0, 2)
-        larger = (second[0] + 1, second[1] + 1)
-        assert self._classify_scripted(monkeypatch, fate_rule, orbit(first, larger), 1) == (
-            _FATE_ESCAPING, 2)
+    def test_classify_matches_reference(self, lam, depth_only):
+        cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=100)
+        gx, gy = block_with_poles(cfg)
+        want = _as_returned(
+            _reference_classify_plane_block(gx, gy, cfg, depth_only=depth_only), depth_only)
+        _assert_identical(classify_plane_block(gx, gy, cfg, depth_only=depth_only), want)
+        rows = [classify_plane_block(gx[i:i + 1], gy[i:i + 1], cfg, depth_only=depth_only)
+                for i in range(cfg.height)]
+        _assert_identical([np.concatenate([r[k] for r in rows]) for k in range(3)], want)
 
 
 class TestWorkingSet:
@@ -652,10 +562,8 @@ class TestWorkingSet:
     SMALL = 97  # odd, so refills cut the 32-wide rows at shifting offsets
 
     @pytest.mark.parametrize("depth_only", [False, True])
-    @pytest.mark.parametrize("lam,escape_norm,escape_run", FATE_MIXES)
-    def test_small_set_matches_reference(self, monkeypatch, fate_rule, lam, escape_norm,
-                                         escape_run, depth_only):
-        fate_rule(ESCAPE_NORM=escape_norm, ESCAPE_RUN=escape_run)
+    @pytest.mark.parametrize("lam", FATE_MIXES)
+    def test_small_set_matches_reference(self, monkeypatch, lam, depth_only):
         cfg = RenderConfig(lam=lam, width=32, height=24, max_iter=150)
         gx, gy = block_with_poles(cfg)
         default = classify_plane_block(gx, gy, cfg, depth_only=depth_only)
