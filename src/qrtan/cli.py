@@ -80,9 +80,10 @@ def build_parser():
                             help="image resolution WIDTHxHEIGHT (default 256x256)")
             sp.add_argument("--max-iter", type=int, default=500)
             sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads, one band of rows each; output bytes "
-                                 "do not depend on this, and more threads than CPUs "
-                                 "slow the render")
+                            help="worker threads, each classifying a share of the "
+                                 "pixels; output bytes do not depend on this.  Threads "
+                                 "pay only on large, long renders; on small or quick "
+                                 "ones they slow the render several times")
             sp.add_argument("--out", required=True, help="output image path")
             sp.add_argument("--png", action="store_true",
                             help="write PNG instead of the default binary PPM")

@@ -1,21 +1,25 @@
 """Basin and escape-depth images of the plane dynamics.
 
 Pixels are classified by the origin-capture and pole rules of the scalar
-orbit classifier, vectorized: one loop per image (per band of rows with
-several threads) streams the pixels through a working set.  A basin
-pixel has three outcomes: captured by the origin, a pole hit, or
-undecided at ``max_iter``.  The escape rule of ``classify_orbit`` does
-not run here: the escaping plane orbits form a thin exceptional set, and
-no pixel of the renders measured in the README lands on it.  An
-escape-depth render also stops each pixel at its first passage above the
-depth threshold, found by one rule: the pixels above it, then the diamond
-lookup on those.  Only that render tracks the passage; a basin image's
-depth array stays 0.  The capture rule reads the constants of
-``analysis``.  A pixel's arithmetic does not depend on which other
-pixels share the set, so the bytes equal those of iterating every pixel
-to ``max_iter``, for any set size, band or thread count.  Output is
-8-bit RGB, written as binary PPM (P6) so golden files need no image
-library; PNG is available on request, written with the standard library.
+orbit classifier, vectorized: one loop per image (per band with several
+threads) streams the pixels through a working set.  Only one pixel per
+first-step class runs: pixels whose first step reads the same folded
+input, or its x<->y mirror, share an orbit up to the swap, and the map
+and the loop's rules commute with the swap bit for bit, so the others
+copy its arrays.  A basin pixel has three outcomes: captured by the
+origin, a pole hit, or undecided at ``max_iter``.  The escape rule of
+``classify_orbit`` does not run here: the escaping plane orbits form a
+thin exceptional set, and no pixel of the renders measured in the README
+lands on it.  An escape-depth render also stops each pixel at its first
+passage above the depth threshold, found by one rule: the pixels above
+it, then the diamond lookup on those.  Only that render tracks the
+passage; a basin image's depth array stays 0.  The capture rule reads
+the constants of ``analysis``.  A pixel's arithmetic does not depend on
+which other pixels share the set, so the bytes equal those of iterating
+every pixel to ``max_iter``, for any set size, band or thread count.
+Output is 8-bit RGB, written as binary PPM (P6) so golden files need no
+image library; PNG is available on request, written with the standard
+library.
 """
 
 import math
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .core import HALF_PI, QUARTER_PI, tangent3_grid
+from .core import HALF_PI, QUARTER_PI, fold_axis_grid, tangent3_grid
 
 # no code for the axis fixed points: no orbit of the plane z = 0 reaches them
 _FATE_UNDECIDED = 0
@@ -66,6 +70,10 @@ class RenderConfig:
             raise ValueError("window must be non-degenerate")
         if self.width < 1 or self.height < 1:
             raise ValueError("resolution must be positive")
+        # the farthest pixel centre's offset, as _pixel_axes computes it
+        if not all(math.isfinite((n - 0.5) * (b - a))
+                   for n, a, b in ((self.width, x0, x1), (self.height, y0, y1))):
+            raise ValueError("window extent overflows: " + ",".join(f"{c:g}" for c in self.window))
         if self.max_iter < 1:
             raise ValueError("iteration count must be at least 1")
         if self.threads < 1:
@@ -121,11 +129,12 @@ def _diamond_centers(x, y):
     return dx < HALF_PI
 
 
-def _flat_slice(rows, start, stop):
-    """``rows.ravel()[start:stop]``, copying only the rows it touches."""
-    w = rows.shape[1]
-    r0 = start // w
-    return rows[r0:-(-stop // w)].ravel()[start - r0 * w:stop - r0 * w]
+def _in_diamond(x, y):
+    """``_diamond_centers`` on (min(x, y), max(x, y)).  The diamonds are
+    symmetric under the swap (x, y) -> (y, x), but the lookup rounds
+    x - y and y - x apart within about an ulp of the edges x - y = k pi;
+    this order makes the membership commute with the swap bit for bit."""
+    return _diamond_centers(np.minimum(x, y), np.maximum(x, y))
 
 
 def _far(px, py, mx, bound, sel):
@@ -135,7 +144,7 @@ def _far(px, py, mx, bound, sel):
     return c[np.hypot(px[c], py[c]) > bound]
 
 
-def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
+def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=None):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
     Mirrors the scalar classifier's capture rule, reading the constants
@@ -153,13 +162,16 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
     returned depth is then the escape depth: that step, or the step of a
     pole hit, 0 where neither came.  Without ``depth_only`` nothing
     tracks the passage and the depth array stays all 0.
+
+    With ``pixels``, a 1-D array of flat indices into the block, only
+    those pixels run, entering in that order, and the arrays returned are
+    theirs.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    # rows along the last axis, so a run of flat indices spans few rows
     w = max(shape[-1], 1) if shape else 1
     xr, yr = (np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(-1, w)
               for c in (x, y))
-    size = xr.size
+    size = xr.size if pixels is None else pixels.size
     # depth first, below the loop's temporaries: an escape render keeps it,
     # and there it leaves them one free block (fate first fragmented the
     # heap, peak RSS +0.5 MiB at 256x256)
@@ -196,10 +208,14 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
                 break
             keep = np.flatnonzero(live)
             n = n_live + k
-            idx = refill(idx, np.arange(entered, entered + k))
+            fresh = np.arange(entered, entered + k)
+            idx = refill(idx, fresh)
             born = refill(born, step)
-            px = refill(px, _flat_slice(xr, entered, entered + k))
-            py = refill(py, _flat_slice(yr, entered, entered + k))
+            # the entering pixels' rows and columns in the block
+            at = np.divmod(fresh if pixels is None else pixels[entered:entered + k], w)
+            px = refill(px, xr[at])
+            py = refill(py, yr[at])
+            del fresh, at
             run_origin = refill(run_origin, 0)
             live = refill(live, True)
             del keep  # as large as the set; the steps need the room
@@ -238,7 +254,7 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
             # every live pixel is before its first passage; the diamond
             # lookup runs on the pixels above depth_norm only
             far = _far(px, py, mx, cfg.depth_norm, live)
-            far = far[_diamond_centers(px[far], py[far])]
+            far = far[_in_diamond(px[far], py[far])]
             sel = idx[far]
             depth[sel] = when[sel] = step - born[far]
             live[far] = False
@@ -247,7 +263,9 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False):
         last = np.searchsorted(born, step - cfg.max_iter, side="right")
         when[idx[:last][live[:last]]] = cfg.max_iter
         live[:last] = False
-    return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
+    if pixels is None:
+        return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
+    return fate, when, depth
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +323,107 @@ def colorize_depth(depth, max_iter):
 # ---------------------------------------------------------------------------
 # drivers
 
-def _render(cfg: RenderConfig, finish, **kwargs):
-    """``finish`` of classify_plane_block's arrays over the image, one band
-    of rows per thread; no pixel's arithmetic depends on its band."""
-    xs, ys = _pixel_axes(cfg, 0, cfg.height)
-    ys = ys[:, np.newaxis]
+def _first_step_classes(xs, ys):
+    """Each pixel's representative among those with the same first step,
+    for the grid of columns ``xs`` and rows ``ys``.
 
-    def band(y):
-        return finish(classify_plane_block(xs, y, cfg, **kwargs))
+    ``tangent3_grid`` reads a point only as (fx, fy, ox ^ oy): the folded
+    coordinates and the tile parity.  Two pixels whose inputs are equal
+    bit for bit, or equal after the swap (x, y) -> (y, x), have the same
+    orbit up to that swap, so the same fate, ``when`` and depth: the
+    kernel and the loop's rules commute with the swap bit for bit.  Each
+    column and row gets a key, its folded value's bit pattern (+0.0 and
+    -0.0 stay apart) and its parity.  A pixel's representative is the
+    least flat index among its images under the identity, the flip of
+    both parities, the swap and both.  Each image's least index is a row
+    term plus a column term looked up per key, so no sort runs.
+
+    Returns ``band(i0, i1)``: for the pixel rows [i0, i1), each pixel's
+    representative (an (i1 - i0, len(xs)) array of flat indices) and the
+    representatives among them (their flat indices, increasing).
+    """
+    h, w = ys.size, xs.size
+    keys, firsts = [], []
+    for axis in (xs, ys):
+        f, odd = fold_axis_grid(axis, QUARTER_PI)
+        keys.append(list(zip(f.view(np.int64).tolist(), odd.tolist())))
+        first = {}
+        for i, key in enumerate(keys[-1]):
+            first.setdefault(key, i)
+        firsts.append(first)
+    (cols, rows), flipped = keys, [[(v, not o) for v, o in k] for k in keys]
+
+    def term(keys, axis):
+        # the least column (axis 0) or row (axis 1) with each key, as a
+        # flat-index term; a key the axis lacks gives h*w, past every pixel
+        first, scale = firsts[axis], (1, w)[axis]
+        return np.array([first.get(k, h * w // scale) for k in keys], dtype=np.intp) * scale
+
+    # (row table, column table) of each image; the swap reads a row's key
+    # among the columns and a column's among the rows
+    images = [(term(rows, 1), term(cols, 0)), (term(flipped[1], 1), term(flipped[0], 0)),
+              (term(rows, 0), term(cols, 1)), (term(flipped[1], 0), term(flipped[0], 1))]
+
+    def band(i0, i1):
+        rep = np.add.outer(images[0][0][i0:i1], images[0][1])
+        tmp = np.empty_like(rep)
+        for r, c in images[1:]:
+            np.minimum(rep, np.add.outer(r[i0:i1], c, out=tmp), out=rep)
+        own = np.arange(i0 * w, i1 * w)
+        return rep, own[rep.ravel() == own]
+
+    return band
+
+
+def _render(cfg: RenderConfig, *, depth_only=False):
+    """fate and when over the image, or with ``depth_only`` the escape
+    depth, from classify_plane_block on one representative pixel per
+    first-step class (``_first_step_classes``), split into one band per
+    thread; every other pixel copies its representative's values.  The
+    bytes are those of classifying every pixel: no pixel's arithmetic
+    depends on which others share its call.  The class maps are built a
+    band of rows at a time, so they never take an image's room."""
+    h, w = cfg.height, cfg.width
+    # the images first, below the temporaries: allocated after them they
+    # left the heap fragmented, peak RSS +0.27 MiB over 150 escape renders
+    image = [np.empty((h, w), dtype=t)
+             for t in ((np.int32,) if depth_only else (np.uint8, np.int32))]
+    xs, ys = _pixel_axes(cfg, 0, h)
+    classes = _first_step_classes(xs, ys)
+    step = max(1, _WORKING_SET // w)
+    bands = [(i, min(i + step, h)) for i in range(0, h, step)]
+    reps = np.concatenate([classes(*b)[1] for b in bands])
+
+    def classify(pixels):
+        return classify_plane_block(xs, ys[:, np.newaxis], cfg, depth_only=depth_only,
+                                    pixels=pixels)
 
     if cfg.threads == 1:
-        return band(ys)
-    # imported here: it pulls in logging, which a one-thread run never needs
-    from concurrent.futures import ThreadPoolExecutor
+        out = classify(reps)
+    else:
+        # imported here: it pulls in logging, which a one-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        bands = np.array_split(ys, min(cfg.threads, cfg.height))
-        return np.concatenate(list(pool.map(band, bands)))
+        k = min(cfg.threads, reps.size)
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            parts = list(pool.map(classify, np.array_split(reps, k)))
+        out = [np.concatenate(a) for a in zip(*parts)]
+    out = out[2:] if depth_only else out[:2]
+    if reps.size == h * w:
+        return [a.reshape(h, w) for a in out]
+    del reps
+    # each representative's place among them, filled band by band: no
+    # pixel's representative comes after it
+    position = np.empty(h * w, dtype=np.int32 if h * w < 2**31 else np.intp)
+    done = 0
+    for i0, i1 in bands:
+        rep, reps = classes(i0, i1)
+        position[reps] = np.arange(done, done + reps.size)
+        done += reps.size
+        at = position[rep]
+        for a, im in zip(out, image):
+            im[i0:i1] = a[at]
+    return image
 
 
 def render_basin(cfg: RenderConfig) -> np.ndarray:
@@ -329,13 +431,13 @@ def render_basin(cfg: RenderConfig) -> np.ndarray:
 
     Returns an (height, width, 3) uint8 array, row 0 at the top.
     """
-    return _render(cfg, lambda r: colorize_fates(r[0], r[1], cfg.max_iter))
+    return colorize_fates(*_render(cfg), cfg.max_iter)
 
 
 def compute_escape_depth(cfg: RenderConfig) -> np.ndarray:
     """First step at which each pixel's orbit exceeds depth_norm inside a
     diamond (0 where that never happens within max_iter)."""
-    return _render(cfg, lambda r: r[2], depth_only=True)
+    return _render(cfg, depth_only=True)[0]
 
 
 def render_escape_depth(cfg: RenderConfig) -> np.ndarray:

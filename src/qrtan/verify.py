@@ -194,17 +194,31 @@ def check_parabolic_bound(lam, rng, n=10_000):
 
 def _accepted_uniform(rng, n, low, high, dim, keep, limit=math.inf):
     """n rows of rng.uniform(low, high, dim) that pass ``keep`` (a mask of a
-    block of rows), drawn in blocks of the remaining need, at most
-    ``limit`` rows in all: the same values, in the same count, as
-    drawing one row at a time until n pass or the limit is spent.
+    block of rows), at most ``limit`` rows drawn in all: the same values,
+    in the same count, as drawing one row at a time until n pass or the
+    limit is spent.
+
+    The first block is the need; each later one is the remaining need at
+    the acceptance seen so far, so a rare acceptance takes a few large
+    blocks.  A block that passes more rows than needed is drawn again from
+    the generator's saved state, up to the last row taken, so the draws
+    that follow are those of the row-at-a-time loop.
     """
     blocks = [np.empty((0, dim))]
+    drawn = found = 0
     while n > 0 and limit > 0:
-        block = rng.uniform(low, high, (min(n, limit), dim))
+        size = min(-(-n * (drawn + 1) // (found + 1)), limit)
+        state = rng.bit_generator.state
+        block = rng.uniform(low, high, (size, dim))
+        taken = np.flatnonzero(keep(block))[:n]
+        if len(taken) == n and taken[-1] + 1 < size:
+            rng.bit_generator.state = state
+            block = rng.uniform(low, high, (taken[-1] + 1, dim))
         limit -= len(block)
-        block = block[keep(block)]
-        blocks.append(block)
-        n -= len(block)
+        drawn += len(block)
+        found += len(taken)
+        n -= len(taken)
+        blocks.append(block[taken])
     return np.concatenate(blocks)
 
 

@@ -268,6 +268,18 @@ class TestInputValidation:
         self.assert_usage_error(*run_cli(argv, capsys))
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("window", ["-1e308,-1e308,1e308,1e308", "-1,-1e308,1,1e308"])
+    @pytest.mark.parametrize("command", ["render-basin", "render-escape"])
+    def test_window_extent_overflow(self, command, window, tmp_path, capsys):
+        # finite entries whose extent x1 - x0 or y1 - y0 overflows
+        out_path = tmp_path / "img.ppm"
+        argv = [command, "--lambda", "2", f"--window={window}", "--res", "4x4",
+                "--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        self.assert_usage_error(code, out, err)
+        assert "window extent overflows" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("r_esc", ["0", "-1", "nan", "inf"])
     def test_bad_r_esc(self, r_esc, tmp_path, capsys):
         out_path = tmp_path / "img.ppm"

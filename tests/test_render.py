@@ -49,6 +49,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             RenderConfig(lam=1.0, window=window)
 
+    @pytest.mark.parametrize("window,res", [((-1e308, -1e308, 1e308, 1e308), 1),
+                                            ((-1.0, -1e308, 1.0, 1e308), 4),
+                                            # the extent is finite, but not 7.5 times it
+                                            ((-8e307, -1.0, 8e307, 1.0), 8)])
+    def test_rejects_overflowing_extent(self, window, res):
+        with pytest.raises(ValueError, match="window extent overflows"):
+            RenderConfig(lam=1.0, window=window, width=res, height=res)
+
+    def test_widest_window_has_finite_pixels(self):
+        cfg = RenderConfig(lam=1.0, window=(-8e307, -1e-300, 8e307, 1e-300), width=1,
+                           height=3)
+        gx, gy = pixel_grid(cfg, 0, cfg.height)
+        assert np.isfinite(gx).all() and np.isfinite(gy).all()
+
     @pytest.mark.parametrize("depth_norm", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_depth_norm(self, depth_norm):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -594,20 +608,40 @@ class TestWorkingSet:
         basin.threads = escape.threads = threads
         _assert_identical((render_basin(basin), compute_escape_depth(escape)), want)
 
+    @pytest.mark.parametrize("small", [False, True])
+    def test_pixels_select_from_the_block(self, monkeypatch, small):
+        # a subset of the block's pixels, in any order, gets the values
+        # those pixels have in the whole block
+        if small:
+            monkeypatch.setattr(render, "_WORKING_SET", self.SMALL)
+        cfg = RenderConfig(lam=1.1107, width=30, height=20, max_iter=120)
+        gx, gy = pixel_grid(cfg, 0, cfg.height)
+        pixels = np.random.default_rng(11).permutation(gx.size)[:377]
+        for depth_only in (False, True):
+            whole = classify_plane_block(gx[0], gy[:, :1], cfg, depth_only=depth_only)
+            _assert_identical(
+                classify_plane_block(gx[0], gy[:, :1], cfg, depth_only=depth_only,
+                                     pixels=pixels),
+                [a.ravel()[pixels] for a in whole])
+
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_one_call_per_band_on_axes(self, monkeypatch, threads):
-        shapes = []
+    def test_one_call_per_band_of_representatives(self, monkeypatch, threads):
+        # one call per thread on the pixel axes, each running its share of
+        # the representative pixels, fewer than the image's
+        calls = []
 
         def recording(x, y, cfg, **kwargs):
-            shapes.append((np.shape(x), np.shape(y)))
+            calls.append((np.shape(x), np.shape(y), kwargs["pixels"].tolist()))
             return classify_plane_block(x, y, cfg, **kwargs)
 
         monkeypatch.setattr(render, "classify_plane_block", recording)
         cfg = RenderConfig(lam=2.0, width=24, height=10, max_iter=40, threads=threads)
         render_basin(cfg)
         compute_escape_depth(cfg)
-        bands = [(4, 1), (3, 1), (3, 1)] if threads == 3 else [(10, 1)]
-        assert sorted(shapes) == sorted(((24,), b) for b in bands * 2)
+        reps = _representatives(cfg)[0]
+        assert reps.size < 24 * 10
+        bands = [b.tolist() for b in np.array_split(reps, threads)]
+        assert sorted(calls) == sorted([((24,), (10, 1), b) for b in bands] * 2)
 
     def test_escape_render_kernel_calls(self, monkeypatch):
         # the 256x256 lambda = 2 escape render streams its 65 536 pixels
@@ -622,6 +656,166 @@ class TestWorkingSet:
         compute_escape_depth(RenderConfig(lam=2.0, width=256, height=256, max_iter=200))
         assert len(sizes) <= 350
         assert max(sizes) <= render._WORKING_SET
+
+
+def _swap_probe_points(rng, span):
+    """Seeded points for the swap tests: uniform in [-span, span]^2, the
+    pole lattice, the tile edges (mirror lines), signed zeros beside
+    mirrors and poles."""
+    mx, my = _special_lines(rng, 200)
+    lx, ly = _pole_lattice(4)
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, HALF_PI, -HALF_PI, QUARTER_PI, 3 * QUARTER_PI])
+    signed = np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0])
+    return (np.concatenate([rng.uniform(-span, span, 2000), mx, lx, zeros]),
+            np.concatenate([rng.uniform(-span, span, 2000), my, ly, signed]))
+
+
+def _near_diamond_edges(rng, n=4000):
+    """Points within an ulp of the diamond edges x - y = k pi, outside the
+    depth threshold's disc as far points are: each y is x - k pi moved by
+    at most one ulp."""
+    k = rng.integers(-40, 41, n).astype(float)
+    k[k == 0] = 1.0
+    x = rng.uniform(-60.0, 60.0, n)
+    y = x - k * math.pi
+    step = rng.integers(-1, 2, n)
+    y = np.where(step < 0, np.nextafter(y, -np.inf), np.where(step > 0, np.nextafter(y, np.inf), y))
+    return x, y
+
+
+class TestSwapEquivariance:
+    """The map and the loop's rules commute with (x, y) -> (y, x) bit for
+    bit, which lets a render classify one pixel per first-step class."""
+
+    @pytest.mark.parametrize("span", [1.0, 10.0, 1e3, 1e6])
+    def test_kernel_commutes_with_swap(self, span):
+        rng = np.random.default_rng(int(math.log10(span)) + 701)
+        x, y = _swap_probe_points(rng, span)
+        for lam in (0.9, 1.1107, 2.0):
+            for z in (0.0, rng.uniform(-3.0, 3.0, x.size)):
+                tx, ty, tz, finite = tangent3_grid(x, y, z, lam)
+                sx, sy, sz, sfinite = tangent3_grid(y, x, z, lam)
+                _assert_identical((sx, sy, sz, sfinite), (ty, tx, tz, finite))
+                # on the plane the lattice's pole hits are in the sample
+                assert np.ndim(z) or not finite.all()
+
+    def test_capture_rule_commutes_with_swap(self):
+        rng = np.random.default_rng(709)
+        x = np.concatenate([rng.uniform(-1e-6, 1e-6, 3000),
+                            rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000),
+                            [0.0, -0.0, 5e-324, 1e-6, analysis.CAPTURE_TOL]])
+        y = rng.permutation(x) * rng.choice([-1.0, 1.0], x.size)
+        _assert_identical([np.hypot(y, x), np.maximum(np.abs(y), np.abs(x))],
+                          [np.hypot(x, y), np.maximum(np.abs(x), np.abs(y))])
+
+    def test_depth_rule_commutes_with_swap(self):
+        rng = np.random.default_rng(719)
+        x, y = _near_diamond_edges(rng)
+        far_x, far_y = rng.uniform(-1e3, 1e3, (2, 4000))
+        for a, b in ((x, y), (far_x, far_y), _pole_lattice()):
+            _assert_identical([render._in_diamond(b, a)], [render._in_diamond(a, b)])
+        # the lookup alone does not commute there: these points reach the
+        # sliver where it rounds the two orders apart
+        assert (_diamond_centers(x, y) != _diamond_centers(y, x)).any()
+        # and the ordered lookup is the lookup wherever that sliver is not
+        ok = _diamond_centers(x, y) == _diamond_centers(y, x)
+        _assert_identical([render._in_diamond(x, y)[ok]], [_diamond_centers(x, y)[ok]])
+
+
+def _representatives(cfg):
+    """The image's representative pixels (flat indices) and each pixel's
+    representative, from ``render._first_step_classes``."""
+    rep, reps = render._first_step_classes(*render._pixel_axes(cfg, 0, cfg.height))(0, cfg.height)
+    np.testing.assert_array_equal(reps, np.flatnonzero(rep.ravel() == np.arange(rep.size)))
+    return reps, rep
+
+
+# windows: the default (symmetric under the swap and the parity flip), an
+# asymmetric one and a non-square one
+CLASS_WINDOWS = [None, (-0.3, -1.1, 2.9, 0.4), (-1.0, -0.5, 4.0, 0.5)]
+
+
+def _full_axes(cfg, depth_only):
+    """classify_plane_block on the image's full pixel axes, as the render's
+    arrays: fate and when, or the depth."""
+    xs, ys = render._pixel_axes(cfg, 0, cfg.height)
+    out = classify_plane_block(xs, ys[:, np.newaxis], cfg, depth_only=depth_only)
+    return list(out[2:] if depth_only else out[:2])
+
+
+class TestFirstStepClasses:
+    """A render classifies one pixel per first-step class and copies its
+    arrays to the rest: the bytes of classifying every pixel."""
+
+    @pytest.mark.parametrize("window", CLASS_WINDOWS)
+    @pytest.mark.parametrize("lam", [0.9, 1.1107, 2.0])
+    def test_render_equals_full_axes(self, monkeypatch, window, lam):
+        kw = {} if window is None else {"window": window}
+        cfg = RenderConfig(lam=lam, width=36, height=28, max_iter=120, **kw)
+        for depth_only in (False, True):
+            want = _full_axes(cfg, depth_only)
+            for small in (False, True):
+                if small:
+                    monkeypatch.setattr(render, "_WORKING_SET", TestWorkingSet.SMALL)
+                for threads in (1, 3):
+                    cfg.threads = threads
+                    _assert_identical(render._render(cfg, depth_only=depth_only), want)
+                monkeypatch.undo()
+            cfg.threads = 1
+        got = render_basin(cfg), compute_escape_depth(cfg)
+        fate, when = _full_axes(cfg, False)
+        _assert_identical(got, (colorize_fates(fate, when, cfg.max_iter),
+                                _full_axes(cfg, True)[0]))
+
+    @pytest.mark.parametrize("window", CLASS_WINDOWS)
+    @pytest.mark.parametrize("shape", [(36, 28), (64, 64), (5, 1), (1, 7)])
+    def test_classes_against_brute_force(self, window, shape):
+        # each pixel's representative is the least flat index whose first
+        # step reads the same (fx, fy, ox ^ oy), directly or swapped
+        from qrtan.core import fold_axis_grid
+
+        kw = {} if window is None else {"window": window}
+        cfg = RenderConfig(lam=1.0, width=shape[0], height=shape[1], **kw)
+        xs, ys = render._pixel_axes(cfg, 0, cfg.height)
+        reps, rep = _representatives(cfg)
+        # any band of rows gives the same rows of the map
+        band = render._first_step_classes(xs, ys)
+        for i0 in range(ys.size):
+            i1 = min(i0 + 2, ys.size)
+            got, own = band(i0, i1)
+            np.testing.assert_array_equal(got, rep[i0:i1])
+            np.testing.assert_array_equal(own, reps[(reps >= i0 * xs.size)
+                                                   & (reps < i1 * xs.size)])
+        fx, ox = fold_axis_grid(xs, QUARTER_PI)
+        fy, oy = fold_axis_grid(ys, QUARTER_PI)
+        first, want = {}, []
+        for i in range(ys.size):
+            for j in range(xs.size):
+                a, b = sorted((fx[j:j + 1].view(np.int64)[0], fy[i:i + 1].view(np.int64)[0]))
+                key = (a, b, bool(ox[j] ^ oy[i]))
+                want.append(first.setdefault(key, i * xs.size + j))
+        np.testing.assert_array_equal(rep.ravel(), want)
+        np.testing.assert_array_equal(reps, np.unique(want))
+
+    def test_every_pixel_its_own_representative(self):
+        # no two pixels share a first step: the render skips the gather
+        cfg = RenderConfig(lam=2.0, window=(0.1, 0.23, 0.37, 0.55), width=9, height=7,
+                           max_iter=60)
+        assert _representatives(cfg)[0].size == 9 * 7
+        for depth_only in (False, True):
+            _assert_identical(render._render(cfg, depth_only=depth_only),
+                              _full_axes(cfg, depth_only))
+
+    def test_default_render_classifies_about_half(self, monkeypatch):
+        sizes = []
+
+        def recording(x, y, cfg, **kwargs):
+            sizes.append(kwargs["pixels"].size)
+            return classify_plane_block(x, y, cfg, **kwargs)
+
+        monkeypatch.setattr(render, "classify_plane_block", recording)
+        render_basin(RenderConfig(lam=2.0, width=64, height=64, max_iter=5))
+        assert 2000 <= sum(sizes) <= 2200
 
 
 class TestBasinContent:

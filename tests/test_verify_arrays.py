@@ -222,14 +222,17 @@ def test_petal_absorbed_draws_match_scalar_reference(monkeypatch, lam):
 
 @pytest.mark.parametrize("lam", (0.5, 1.39, 1.40))
 def test_petal_absorbed_draws_in_blocks(monkeypatch, lam):
-    # each draw takes the remaining need in one block, capped by what is
-    # left of _PETAL_DRAWS, so blocks shrink and are fewer than the points
+    # the first block is the need and each later one the remaining need at
+    # the acceptance seen so far, so even where almost every row is
+    # rejected a few blocks spend the draw cap (plus at most one block
+    # drawn again, up to the last row taken, after a rewind)
     monkeypatch.setattr(verify, "_PETAL_DRAWS", 5_000)
     blocks = []
 
     class Recording:
         def __init__(self, rng):
             self.rng = rng
+            self.bit_generator = rng.bit_generator
 
         def uniform(self, *args):
             out = self.rng.uniform(*args)
@@ -238,8 +241,8 @@ def test_petal_absorbed_draws_in_blocks(monkeypatch, lam):
 
     verify.check_petal_absorbed(lam, Recording(np.random.default_rng(0)), n=60)
     assert blocks[0] == 60
-    assert blocks == sorted(blocks, reverse=True)
-    assert len(blocks) < sum(blocks) <= 5_000
+    assert len(blocks) <= 4
+    assert sum(blocks) <= 2 * 5_000
 
 
 def test_sampler_violation_counts_match_scalar_reference():
