@@ -22,6 +22,7 @@ from .core import (
     HALF_PI,
     INFINITY,
     QUARTER_PI,
+    _bisect,
     _checked_vec3,
     _tangent3_xyz,
     as_vec3,
@@ -36,24 +37,6 @@ from .plane import (
     pole_location,
     preimages_tangent3,
 )
-
-
-def _bisect(below, lo, hi):
-    """Midpoint of the bracket after up to 200 bisection steps, keeping
-    ``below(lo)`` true and ``below(hi)`` false.
-
-    Once a step leaves (lo, hi) unchanged (the midpoint rounds to an
-    end), every later step would too, so the loop stops there with the
-    bits the full run gives; from a bracket of doubles that takes at
-    most a few dozen steps.
-    """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        new = (mid, hi) if below(mid) else (lo, mid)
-        if new == (lo, hi):
-            break
-        lo, hi = new
-    return 0.5 * (lo + hi)
 
 
 @functools.lru_cache(maxsize=64)

@@ -450,6 +450,24 @@ def iterate(v, lam: float, n: int):
     return out
 
 
+def _bisect(below, lo, hi):
+    """Midpoint of the bracket after up to 200 bisection steps, keeping
+    ``below(lo)`` true and ``below(hi)`` false.
+
+    Once a step leaves (lo, hi) unchanged (the midpoint rounds to an
+    end), every later step would too, so the loop stops there with the
+    bits the full run gives; from a bracket of doubles that takes at
+    most a few dozen steps.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        new = (mid, hi) if below(mid) else (lo, mid)
+        if new == (lo, hi):
+            break
+        lo, hi = new
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # vectorized evaluation (the rendering/classification workhorse)
 

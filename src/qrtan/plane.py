@@ -25,6 +25,7 @@ from .core import (
     INFINITY,
     QUARTER_PI,
     _NONFINITE,
+    _bisect,
     _cayley_inverse_xyz,
     _chordal_finite,
     _chordal_infinite,
@@ -193,6 +194,27 @@ def _plane_jacobian(p, lam):
     return np.array([[a, b], [c, d]])
 
 
+def _jacobian_grid(x, y, lam):
+    """Entries (a, b, c, d) of DF_lam = [[a, b], [c, d]] at arrays of plane
+    points, from the closed form of ``_jacobian_entries``.
+
+    The array counterpart of ``_plane_jacobian``; defined off the tile
+    centres, where tan of the fold maximum vanishes.
+    """
+    fx, ox = fold_axis_grid(np.asarray(x, dtype=float), QUARTER_PI)
+    fy, oy = fold_axis_grid(np.asarray(y, dtype=float), QUARTER_PI)
+    ax, ay = np.abs(fx), np.abs(fy)
+    on_x = ax >= ay
+    t = np.tan(np.maximum(ax, ay))
+    odd = ox ^ oy
+    g = np.where(odd, 1.0 / t, t)
+    return _jacobian_entries(
+        fx, fy, np.hypot(fx, fy),
+        np.where(on_x, np.copysign(1.0, fx), 0.0), np.where(on_x, 0.0, np.copysign(1.0, fy)),
+        g, np.where(odd, -1.0, 1.0) * (1.0 + g * g), np.where(ox, -1.0, 1.0),
+        np.where(oy, -1.0, 1.0), lam)
+
+
 def jacobian_plane_map(p, lam: float = 1.0) -> JacobianSample:
     """DF at p from the closed form, with its singular values and real eigenvalues.
 
@@ -238,27 +260,17 @@ def singular_values_2x2(a, b, c, d):
 # ---------------------------------------------------------------------------
 # inverse branches
 
-def diagonal_segment_distance(w, lam: float) -> float:
-    """Distance from w to the closed segment {(x, +-x): |x| <= lam/sqrt(2)} removed
-    from the branch domain."""
-    return _segment_distance(float(w[0]), float(w[1]), lam / SQRT2,
-                             lambda t, h: max(-h, min(h, t)), min, math.hypot)
-
-
-def _diagonal_segment_distance_grid(x, y, lam):
-    """diagonal_segment_distance on arrays (numpy's hypot may differ in
-    the last bit)."""
-    return _segment_distance(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                             lam / SQRT2, lambda t, h: np.clip(t, -h, h), np.minimum,
-                             np.hypot)
-
-
-def _segment_distance(x, y, half, clip, minimum, hypot):
-    """The distance to the segment pieces on y = x and y = -x (nearest
-    parameters t and s), with functions for floats or arrays."""
-    t = clip((x + y) / 2.0, half)
-    s = clip((x - y) / 2.0, half)
-    return minimum(hypot(x - t, y - t), hypot(x - s, y + s))
+def diagonal_segment_distance(w, lam: float):
+    """Distance from w, a point or an array of points along the last axis,
+    to the closed segment {(x, +-x): |x| <= lam/sqrt(2)} removed from the
+    branch domain: the nearer of its pieces on y = x and y = -x (nearest
+    parameters t and s)."""
+    w = np.asarray(w, dtype=float)
+    x, y = w[..., 0], w[..., 1]
+    half = lam / SQRT2
+    t = np.clip((x + y) / 2.0, -half, half)
+    s = np.clip((x - y) / 2.0, -half, half)
+    return np.minimum(np.hypot(x - t, y - t), np.hypot(x - s, y + s))
 
 
 class BranchDomainError(ValueError):
@@ -540,13 +552,17 @@ def _pair_arrays(pairs):
 class ExpansionCalibration:
     """Radii certifying the expansion picture around poles for one lam.
 
-    delta:   ball about each pole where the sampled least singular value
-             of DF stays >= 2
-    r1:      far-field radius; the circle |y| = r1 pulls back inside the
-             delta-ball
-    eps:     ball about each pole whose image stays at norm > 2*r1,
-             capped below pi/4
-    far_field_bound: sampled sup of |F| over a diamond minus its eps-ball
+    All but domain_radius are closed forms on a pole's odd tile, where
+    |F| = lam*cot(m), m the larger coordinate of the offset from the pole
+    (README, "The expansion certificate").
+
+    delta:   ball about each pole where the least singular value of DF
+             stays >= 2, at most pi/4 (the ball stays on the odd tile)
+    r1:      far-field radius; the circle |y| = r1 pulls back within
+             0.98*delta of the pole
+    eps:     ball about each pole whose image stays at norm > 2*r1
+    far_field_bound: sup of |F| over a diamond minus its eps-ball,
+             attained on the tile diagonals at distance eps
     branch_radius:   poles beyond this norm have every branch image of
              their diamond inside the eps-ball (far_field_bound plus the
              diamond circumradius, with margin)
@@ -565,46 +581,40 @@ class ExpansionCalibration:
 
 _CALIBRATION_CACHE: dict = {}
 
-_BASE_POLE = PoleIndex(0, 0)  # all diamonds are congruent under the symmetry group
-_N_RADII = 64
-_N_SAMPLES = 1000
-_SEED = 20260811
 
+def _polar_min_singular(rho, theta, lam):
+    """Least singular value of DF at distance rho from a pole, at angle
+    theta in [0, pi/4] from the axis, on the pole's odd tile.
 
-def _ball_samples(rng, center, radius, n):
-    ang = rng.uniform(0.0, 2.0 * math.pi, n)
-    rad = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-    return np.column_stack([center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang)])
-
-
-def _jacobian_grid(x, y, lam):
-    """Entries (a, b, c, d) of DF_lam = [[a, b], [c, d]] at arrays of plane
-    points, from the closed form of ``_jacobian_entries``.
-
-    The array counterpart of ``_plane_jacobian``; defined off the tile
-    centres, where tan of the fold maximum vanishes.
+    With c = cos(theta), m = rho*c and c' = sin(theta), DF in the frame
+    (radial, angular) is lam*[[-a, -b], [0, d]] with a = c csc^2 m,
+    b = c' csc^2 m and d = cot(m)/rho.  Its singular values have sum
+    hypot(a + d, b) and difference hypot(a - d, b) (times lam) and
+    product lam^2*a*d, so the least one needs no subtraction.
     """
-    fx, ox = fold_axis_grid(np.asarray(x, dtype=float), QUARTER_PI)
-    fy, oy = fold_axis_grid(np.asarray(y, dtype=float), QUARTER_PI)
-    ax, ay = np.abs(fx), np.abs(fy)
-    on_x = ax >= ay
-    t = np.tan(np.maximum(ax, ay))
-    odd = ox ^ oy
-    g = np.where(odd, 1.0 / t, t)
-    return _jacobian_entries(
-        fx, fy, np.hypot(fx, fy),
-        np.where(on_x, np.copysign(1.0, fx), 0.0), np.where(on_x, 0.0, np.copysign(1.0, fy)),
-        g, np.where(odd, -1.0, 1.0) * (1.0 + g * g), np.where(ox, -1.0, 1.0),
-        np.where(oy, -1.0, 1.0), lam)
+    c = math.cos(theta)
+    m = rho * c
+    s = math.sin(m)
+    csc2 = 1.0 / (s * s)
+    a = c * csc2
+    b = math.sin(theta) * csc2
+    d = math.cos(m) / (s * rho)
+    return 2.0 * lam * a * d / (math.hypot(a + d, b) + math.hypot(a - d, b))
 
 
-def _min_singular_on_ball(lam, radius, rng):
-    """Sampled least singular value of DF_lam on a ball about the base pole,
-    from the closed-form Jacobian on all samples at once."""
-    pts = _ball_samples(rng, pole_location(_BASE_POLE), radius, _N_SAMPLES)
-    # the ball's only tile centre is the pole itself, never sampled
-    smin, _ = singular_values_2x2(*_jacobian_grid(pts[:, 0], pts[:, 1], lam))
-    return float(smin.min())
+def _domain_radius(lam):
+    """Largest norm of a pole whose closed diamond meets the removed
+    segment, times 1 + 1e-9.
+
+    In u = x + y, v = y - x the L1 distance is the larger of |du| and
+    |dv|, pole (m, n) sits at ((2n + 1) pi/2, (1 - 2m) pi/2), and the
+    segment's piece on y = x is {v = 0, |u| <= sqrt2 lam}.  So the poles
+    within pi/2 of that piece have m in {0, 1} and n*pi <= sqrt2 lam (or
+    the mirror image, -n - 1 for n), and those of the piece on y = -x are
+    their reflections x -> -x: the farthest is pole (0, n), n the largest.
+    """
+    n = math.floor((2.0 * (lam / SQRT2) + 1e-12) / math.pi)
+    return float(np.linalg.norm(pole_location((0, n)))) * (1.0 + 1e-9)
 
 
 def _require_positive_lam(lam):
@@ -614,76 +624,36 @@ def _require_positive_lam(lam):
 
 
 def calibrate_expansion(lam: float) -> ExpansionCalibration:
-    """Scan for the certificate radii at parameter lam (cached, seeded).
+    """The certificate radii at parameter lam, in closed form (cached).
 
-    delta is the largest radius on a dyadic grid keeping the sampled
-    least singular value >= 2; r1 doubles until the circle |y| = r1
-    pulls back within delta of the pole; eps is the largest grid radius
-    keeping |F| > 2*r1, capped below pi/4.  Calibration failure raises,
-    it never returns a bogus certificate.
+    delta is the largest rho <= pi/4 whose circle keeps the least
+    singular value of DF >= 2: bisection on rho (the value falls with
+    rho) of its minimum over the angle, itself found by bisection.  Then
+    r1 = lam/tan(0.98*delta/sqrt2), eps = arctan(lam/(2*r1)) and
+    far_field_bound = lam*cot(eps/sqrt2), and branch_radius adds 1.05
+    times the diamond circumradius pi/2 to it.
     """
     _require_positive_lam(lam)
     key = float(lam)
     hit = _CALIBRATION_CACHE.get(key)
     if hit is not None:
         return hit
-    rng = np.random.default_rng(_SEED)
-    inscribed = HALF_PI / SQRT2  # largest ball inside a diamond
-    radii = inscribed * 0.98 * (2.0 ** (-np.arange(_N_RADII) / 8.0))
-    delta = next((float(r) for r in radii if _min_singular_on_ball(lam, float(r), rng) >= 2.0),
-                 None)
-    if delta is None:
-        raise RuntimeError(f"derivative never reaches 2 near poles at lam={lam}")
 
-    c = pole_location(_BASE_POLE)
-    r1 = max(1.5 * lam / SQRT2, 1.0)
-    for _ in range(60):
-        circle = ((r1 * math.cos(t), r1 * math.sin(t))
-                  for t in rng.uniform(0.0, 2.0 * math.pi, 400))
-        if all(diagonal_segment_distance(w, lam) == 0.0
-               or vec_norm(inverse_branch(_BASE_POLE, w, lam) - c) < 0.98 * delta
-               for w in circle):
-            break
-        r1 *= 1.5
-    else:
-        raise RuntimeError(f"far-field radius did not stabilize at lam={lam}")
+    def expands(rho):  # the least singular value on the circle of radius rho is >= 2
+        def f(t):
+            return _polar_min_singular(rho, t, key)
+        # f has one minimum over the angle, where its slope changes sign
+        return f(_bisect(lambda t: f(t) > f(t + 1e-8), 0.0, QUARTER_PI)) >= 2.0
 
-    eps = None
-    for r in radii:
-        if r >= QUARTER_PI:
-            continue
-        pts = _ball_samples(rng, c, float(r), _N_SAMPLES)
-        fx, fy, _, finite = tangent3_grid(pts[:, 0], pts[:, 1], 0.0, lam)
-        norms = np.where(finite, np.hypot(fx, fy), np.inf)
-        if float(norms.min()) > 2.0 * r1:
-            eps = float(r)
-            break
-    if eps is None:
-        raise RuntimeError(f"image-norm radius collapsed at lam={lam}")
-
-    # sup of |F| over the diamond minus the eps-ball (sampled, with margin)
-    pts = _ball_samples(rng, c, HALF_PI, 4 * _N_SAMPLES)
-    dx, dy = pts[:, 0] - c[0], pts[:, 1] - c[1]
-    pts = pts[(np.abs(dx) + np.abs(dy) < HALF_PI) & (np.hypot(dx, dy) >= eps)]
-    fx, fy, _, finite = tangent3_grid(pts[:, 0], pts[:, 1], 0.0, lam)
-    far = float(np.hypot(fx[finite], fy[finite]).max()) * 1.05
-    branch_radius = far + HALF_PI * 1.05
-
-    # smallest norm beyond which closed diamonds miss the removed segment
-    half = lam / SQRT2
-    ts = np.linspace(-half, half, 512)
-    dom = 0.0
-    span = int(math.ceil((lam + math.pi) / HALF_PI)) + 1
-    for m in range(-span, span + 1):
-        for n in range(-span, span + 1):
-            loc = pole_location((m, n))
-            l1 = np.minimum(np.abs(ts - loc[0]) + np.abs(ts - loc[1]),
-                            np.abs(ts - loc[0]) + np.abs(-ts - loc[1]))
-            if float(l1.min()) <= HALF_PI + 1e-12:
-                dom = max(dom, float(np.linalg.norm(loc)))
-    cal = ExpansionCalibration(lam=key, delta=delta, r1=r1, eps=eps,
-                               far_field_bound=far, branch_radius=branch_radius,
-                               domain_radius=dom * (1.0 + 1e-9))
+    delta = QUARTER_PI if expands(QUARTER_PI) else _bisect(expands, 0.0, QUARTER_PI)
+    if not expands(delta * (1.0 - 1e-12)):  # 200 halvings of pi/4 fell short of the root
+        raise RuntimeError(f"expansion radius below the bisection's reach at lam={lam}")
+    r1 = key / math.tan(0.98 * delta / SQRT2)
+    eps = math.atan(key / (2.0 * r1))
+    far = key / math.tan(eps / SQRT2)
+    cal = ExpansionCalibration(lam=key, delta=delta, r1=r1, eps=eps, far_field_bound=far,
+                               branch_radius=far + HALF_PI * 1.05,
+                               domain_radius=_domain_radius(key))
     _CALIBRATION_CACHE[key] = cal
     return cal
 

@@ -290,7 +290,7 @@ def check_branch_roundtrip(lam, rng, n_targets=200):
             return CheckResult("branch-roundtrip", False, "branch at infinity != pole")
         targets.append(_accepted_uniform(
             rng, n_targets, -20, 20, 2,
-            lambda w: ~(plane._diagonal_segment_distance_grid(w[:, 0], w[:, 1], lam) < 1e-6)))
+            lambda w: ~(plane.diagonal_segment_distance(w, lam) < 1e-6)))
     wx, wy = np.concatenate(targets).T
     centres = np.repeat([plane.pole_location(q) for q in poles], n_targets, axis=0)
     x, y = plane._inverse_branch_grid(centres[:, 0], centres[:, 1], wx, wy, lam)
@@ -328,11 +328,37 @@ def check_pole_expansion(lam, rng, n_pairs=1000):
 
 
 def check_calibration(lam, rng):
-    """The calibrated radii satisfy their defining properties."""
+    """Each calibrated radius against the map at fixed points, with no draw.
+
+    |F| at (eps/sqrt2)(+-1, +-1) from the base pole, where it reaches
+    far_field_bound, and at eps(+-1, 0) and eps(0, +-1), its least on the
+    eps-ball (2*r1); 64 points of |w| = r1 pulled back within 0.98*delta
+    in one branch pass; and DF's least singular value, >= 2 on 16 radii up
+    to delta x 256 angles at half steps (off the axes and diagonals, where
+    DF is one-sided).
+    """
     cal = plane.calibrate_expansion(lam)
-    ok = 0.0 < cal.eps < QUARTER_PI and cal.delta > 0.0 and cal.r1 > lam / SQRT2
+    cx, cy = plane.pole_location(plane.PoleIndex(0, 0))
+    s, e = cal.eps / SQRT2, cal.eps
+    fx, fy, _, _ = tangent3_grid(cx + np.array([s, -s, -s, s, e, -e, 0.0, 0.0]),
+                                 cy + np.array([s, s, -s, -s, 0.0, 0.0, e, -e]), 0.0, lam)
+    norms = np.hypot(fx, fy)
+    attained = float(norms[:4].max()) / cal.far_field_bound
+    floor = float(norms[4:].min()) / (2.0 * cal.r1)
+    t = np.arange(64) * (2.0 * math.pi / 64)
+    x, y = plane._inverse_branch_grid(cx, cy, cal.r1 * np.cos(t), cal.r1 * np.sin(t), lam)
+    pulled = float(np.hypot(x - cx, y - cy).max()) / cal.delta
+    t = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
+    rho = cal.delta / 16 * np.arange(1, 17)[:, None]
+    smin = float(singular_values_2x2(*plane._jacobian_grid(
+        cx + rho * np.cos(t), cy + rho * np.sin(t), lam))[0].min())
+    ok = (attained <= 1.0 + 1e-12 and floor >= 1.0 - 1e-12
+          and pulled <= 0.98 * (1.0 + 1e-12) and smin >= 2.0)
     return CheckResult("expansion-calibration", ok,
-                       f"delta={cal.delta:.4f} eps={cal.eps:.4f} r1={cal.r1:.2f} "
+                       f"delta={cal.delta:.4f} (least singular value {smin:.4f}), "
+                       f"r1={cal.r1:.2f} (pulls back to {pulled:.4f} delta), "
+                       f"eps={cal.eps:.4f} (least |F| {floor:.6f} x 2 r1), "
+                       f"far field {cal.far_field_bound:.2f} (reached {attained:.6f}), "
                        f"branch radius {cal.branch_radius:.2f}")
 
 

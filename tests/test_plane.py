@@ -309,15 +309,6 @@ class TestBatchedBranchEngine:
         x, y = self._grid([], np.array([]), np.array([]), 1.0)
         assert x.shape == y.shape == (0,)
 
-    def test_segment_distance_grid_matches_scalar_up_to_rounding(self):
-        rng = np.random.default_rng(29)
-        for lam in (0.5, 1.0, 3.0):
-            pts = rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-4.0, 2.0, (500, 1))
-            pts[::3, 1] = pts[::3, 0]
-            got = plane._diagonal_segment_distance_grid(pts[:, 0], pts[:, 1], lam)
-            want = [diagonal_segment_distance(p, lam) for p in pts]
-            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
-
 
 class TestPreimages:
     def test_pole_lattice_from_infinity(self):
@@ -406,6 +397,8 @@ class TestContractionExpansion:
 
 
 class TestCalibration:
+    CERT_LAMS = (0.5, 0.9, 1.0, 1.1107, 1.5, 2.0, 3.0)
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_certificate_shape(self, lam):
         cal = calibrate_expansion(lam)
@@ -418,26 +411,39 @@ class TestCalibration:
         a = calibrate_expansion(1.0)
         b = calibrate_expansion(1.0)
         assert a is b  # write-once cache per parameter
-        # the eps trend across lam is recorded, not asserted: it depends on
-        # how fast the far-field radius grows with lam in this procedure
-        record = {lam: calibrate_expansion(lam).eps for lam in (0.5, 1.0, 2.0)}
-        assert all(0 < e < math.pi / 4 for e in record.values())
+        # delta grows with lam until it reaches pi/4, and eps with delta
+        record = [calibrate_expansion(lam).eps for lam in (0.5, 1.0, 1.5, 2.0, 3.0)]
+        assert record[0] < record[1] < record[2] < record[3] == record[4] < math.pi / 4
+
+    def test_calibration_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrate_expansion made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(plane, "_CALIBRATION_CACHE", {})
+        assert calibrate_expansion(1.3).lam == 1.3
+
+    def test_tiny_lambda_raises(self):
+        # delta ~ sqrt(lam) lies beyond the bisection's 200 halvings of pi/4
+        for lam in (1e-120, 1e-200):
+            with pytest.raises(RuntimeError, match=f"lam={lam}"):
+                calibrate_expansion(lam)
+        assert calibrate_expansion(1e-30).delta == pytest.approx(6.58e-16, rel=1e-2)
 
     # calibrate_expansion(lam) field by field (lam, delta, r1, eps,
-    # far_field_bound, branch_radius, domain_radius) as the finite-difference
-    # ball sampler gave them; the closed-form sampler must not move a bit
+    # far_field_bound, branch_radius, domain_radius), from the closed forms
     PINNED = {
-        0.9: ("0x1.ccccccccccccdp-1", "0x1.2fe0d76bcf61cp-1", "0x1.2000000000000p+1",
-              "0x1.8a14d57b373dfp-3", "0x1.6ea3e00656078p+2", "0x1.d83299350df82p+2",
+        0.9: ("0x1.ccccccccccccdp-1", "0x1.38f28f4613a1ep-1", "0x1.ff09e0f30f0d9p+0",
+              "0x1.c613b82d74eb4p-3", "0x1.6c6244e9c7e01p+2", "0x1.d5f0fe187fd0ap+2",
               "0x1.921fb54b01ed6p+0"),
-        1.0: ("0x1.0000000000000p+0", "0x1.2fe0d76bcf61cp-1", "0x1.31785a67b5a74p+1",
-              "0x1.8a14d57b373dfp-3", "0x1.9760c0070a414p+2", "0x1.0077bc9ae118fp+3",
+        1.0: ("0x1.0000000000000p+0", "0x1.48ca85b33f7b8p-1", "0x1.0c65c1591a046p+1",
+              "0x1.df65e58d016d5p-3", "0x1.7f1f367e28cffp+2", "0x1.e8adeface0c08p+2",
               "0x1.921fb54b01ed6p+0"),
-        1.1107: ("0x1.1c56d5cfaacdap+0", "0x1.4b61b1f7f1153p-1", "0x1.534921da5bb54p+1",
-                 "0x1.8a14d57b373dfp-3", "0x1.00b47939fbaa5p+3", "0x1.357bd5d157a2ap+3",
+        1.1107: ("0x1.1c56d5cfaacdap+0", "0x1.5925c1738ed72p-1", "0x1.19dff167e1770p+1",
+                 "0x1.f9ed5ddba15e6p-3", "0x1.92cbac1240623p+2", "0x1.fc5a6540f852cp+2",
                  "0x1.921fb54b01ed6p+0"),
-        2.0: ("0x1.0000000000000p+1", "0x1.adbfb1056c5e9p-1", "0x1.974b2334f2346p+1",
-              "0x1.2fe0d76bcf61cp-2", "0x1.26bb47586dc5ep+3", "0x1.5b82a3efc9be3p+3",
+        2.0: ("0x1.0000000000000p+1", "0x1.921fb54442d18p-1", "0x1.a6fb8c82f304fp+1",
+              "0x1.2ce7999800d8ap-2", "0x1.2f90b53e1f6ffp+3", "0x1.645811d57b684p+3",
               "0x1.921fb54b01ed6p+0"),
     }
 
@@ -448,6 +454,79 @@ class TestCalibration:
                     ("lam", "delta", "r1", "eps", "far_field_bound", "branch_radius",
                      "domain_radius"))
         assert got == self.PINNED[lam]
+
+    @pytest.mark.parametrize("lam", CERT_LAMS)
+    def test_far_field_bound_is_the_sup(self, lam):
+        # |F| = lam*cot(m) on the pole's odd tile: the bound is reached at the
+        # four diagonal points at distance eps and exceeded nowhere on the
+        # diamond minus the eps-ball
+        cal = calibrate_expansion(lam)
+        cx, cy = pole_location((0, 0))
+        s = cal.eps / SQRT2
+        fx, fy, _, _ = core.tangent3_grid(cx + np.array([s, -s, -s, s]),
+                                          cy + np.array([s, s, -s, -s]), 0.0, lam)
+        diagonal = np.hypot(fx, fy)
+        assert diagonal.max() <= cal.far_field_bound * (1.0 + 1e-12)
+        assert diagonal.min() >= cal.far_field_bound * (1.0 - 1e-12)
+        u, v = (a.ravel() for a in np.meshgrid(*2 * [np.linspace(-HALF_PI, HALF_PI, 801)]))
+        keep = (np.abs(u) + np.abs(v) < HALF_PI) & (np.hypot(u, v) >= cal.eps)
+        fx, fy, _, finite = core.tangent3_grid(cx + u[keep], cy + v[keep], 0.0, lam)
+        assert finite.all()
+        assert np.hypot(fx, fy).max() <= cal.far_field_bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("lam", CERT_LAMS)
+    def test_branch_radius_claim(self, lam):
+        # every pole of norm in (branch_radius, branch_radius + pi]: points
+        # just inside its diamond's boundary, where |w| is least, pull back
+        # into the eps-ball about the base pole (one engine pass per 16 poles)
+        cal = calibrate_expansion(lam)
+        reach = int((cal.branch_radius + math.pi) / HALF_PI) + 2
+        poles = [pole_location((m, n)) for m in range(-reach, reach + 1)
+                 for n in range(-reach, reach + 1)]
+        poles = np.array([p for p in poles
+                          if cal.branch_radius < np.linalg.norm(p) <= cal.branch_radius + math.pi])
+        corners = HALF_PI * (1.0 - 1e-9) * np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]])
+        t = ((np.arange(2000) + 0.5) / 2000)[:, None]
+        edge = np.concatenate([(1.0 - t) * a + t * b for a, b in zip(corners, corners[1:])])
+        cx, cy = pole_location((0, 0))
+        for i in range(0, len(poles), 16):
+            w = (poles[i:i + 16, None] + edge).reshape(-1, 2)
+            x, y = plane._inverse_branch_grid(cx, cy, w[:, 0], w[:, 1], lam)
+            assert np.hypot(x - cx, y - cy).max() < cal.eps
+
+    @pytest.mark.parametrize("lam", CERT_LAMS)
+    def test_delta_minimises_over_the_angle(self, lam):
+        # the least singular value on the circle of radius rho, over a dense
+        # grid of c = max(|cos|, |sin|) of the angle (the polar form of DF):
+        # its root in rho is no smaller than delta
+        c = np.linspace(1.0 / SQRT2, 1.0, 65_537)
+        b_over_a = np.sqrt(1.0 - c * c) / c
+
+        def expands(rho):
+            m = rho * c
+            s = np.sin(m)
+            a = c / (s * s)
+            d = np.cos(m) / (s * rho)
+            b = a * b_over_a
+            smin = 2.0 * lam * a * d / (np.hypot(a + d, b) + np.hypot(a - d, b))
+            return float(smin.min()) >= 2.0
+
+        grid = QUARTER_PI if expands(QUARTER_PI) else core._bisect(expands, 0.0, QUARTER_PI)
+        assert calibrate_expansion(lam).delta <= grid
+
+    @pytest.mark.parametrize("lam", CERT_LAMS)
+    def test_delta_ball_polar_grid(self, lam):
+        # the least singular value of DF, from its Cartesian closed form, on
+        # 20 001 angles x 400 radii up to delta
+        cal = calibrate_expansion(lam)
+        cx, cy = pole_location((0, 0))
+        t = (np.arange(20_001) + 0.5) * (2.0 * math.pi / 20_001)
+        worst = math.inf
+        for j in range(0, 400, 20):
+            rho = cal.delta / 400 * np.arange(j + 1, j + 21)[:, None]
+            a, b, c, d = plane._jacobian_grid(cx + rho * np.cos(t), cy + rho * np.sin(t), lam)
+            worst = min(worst, float(singular_values_2x2(a, b, c, d)[0].min()))
+        assert worst >= 2.0
 
     def test_delta_ball_derivative(self):
         lam = 1.0

@@ -358,5 +358,5 @@ def test_bisection_stops_once_the_bracket_stops_moving():
         steps.append(t)
         return 2.0 * math.tanh(t) - t > 0.0
 
-    analysis._bisect(below, 1e-300, 2.0)
+    core._bisect(below, 1e-300, 2.0)
     assert len(steps) < 70
