@@ -33,6 +33,7 @@ from .core import (
 )
 from .plane import (
     SQRT2,
+    _require_positive_lam,
     containing_diamond,
     pole_location,
     preimages_tangent3,
@@ -172,6 +173,7 @@ def classify_orbit(v, lam: float, max_iter: int = 500) -> FateRecord:
     between distinct centres of equal norm is no growth, at any size.
     Anything else at the horizon is Undecided.
     """
+    _require_positive_lam(lam)
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
     targets = [(Fate.TO_ORIGIN, 0.0)]
@@ -353,6 +355,7 @@ def blowup_probe(center, radius: float, lam: float, targets,
     gives.  Honest non-coverage at the horizon is reported, not patched
     over.
     """
+    _require_positive_lam(lam)
     if radius <= 0.0:
         raise ValueError("need radius > 0")
     hit_tol = 0.05
@@ -377,7 +380,7 @@ def blowup_probe(center, radius: float, lam: float, targets,
     pts += center
     starts = np.vstack([center[None, :], pts])
 
-    best = {id(t): (math.inf, None, None) for t in checks}
+    best = [(math.inf, None, None)] * len(checks)  # (gap, steps, witness) per target
 
     # two-step exact witnesses through any pole inside the ball
     pole_hits = []
@@ -387,11 +390,11 @@ def blowup_probe(center, radius: float, lam: float, targets,
             loc = pole_location((m, n))
             if math.hypot(loc[0] - center[0], loc[1] - center[1]) < radius * 0.98:
                 pole_hits.append(loc)
-    for t in checks:
+    for i, t in enumerate(checks if pole_hits else ()):  # no pole, no far preimage
+        far = _far_preimage(t, lam, min_norm=max(50.0, 4.0 * math.pi / radius))
+        if far is None:
+            continue
         for loc in pole_hits:
-            far = _far_preimage(t, lam, min_norm=max(50.0, 4.0 * math.pi / radius))
-            if far is None:
-                continue
             cands = preimages_tangent3(far, lam,
                                        (loc[0] - QUARTER_PI, loc[0] + QUARTER_PI,
                                         loc[1] - QUARTER_PI, loc[1] + QUARTER_PI))
@@ -403,16 +406,16 @@ def blowup_probe(center, radius: float, lam: float, targets,
                     continue
                 p2 = tangent3(p, lam)
                 d = chordal(p2, t)
-                if d < hit_tol and d < best[id(t)][0]:
-                    best[id(t)] = (d, 2, c)
-            if best[id(t)][1] is not None:
+                if d < hit_tol and d < best[i][0]:
+                    best[i] = (d, 2, c)
+            if best[i][1] is not None:
                 break
 
     # forward sampling for whatever is still uncovered; a covered target
     # keeps its first hit, so once none is left the samples decide nothing
     alive = [np.array(s) for s in starts]
     for step in range(1, max_iter + 1):
-        if all(best[id(t)][1] is not None for t in checks):
+        if all(b[1] is not None for b in best):
             break
         nxt = []
         for p in alive:
@@ -423,17 +426,16 @@ def blowup_probe(center, radius: float, lam: float, targets,
         alive = nxt
         if not alive:
             break
-        for t in checks:
-            if best[id(t)][1] is not None:
+        for i, t in enumerate(checks):
+            if best[i][1] is not None:
                 continue
             for q in alive:
                 d = chordal(q, t)
                 if d < hit_tol:
-                    best[id(t)] = (d, step, None)
+                    best[i] = (d, step, None)
                     break
 
-    for t in checks:
-        d, m, witness = best[id(t)]
+    for t, (d, m, witness) in zip(checks, best):
         covered = m is not None
         report.results.append(TargetCoverage(
             t, covered, m, witness, d,

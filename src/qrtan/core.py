@@ -87,11 +87,6 @@ def vec_norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-# below this norm of p and of q, no squared norm in chordal (|p|^2, |q|^2,
-# |p - q|^2) can overflow: (2e153)^2 < 1.8e308
-_CHORDAL_SAFE = 1e153
-
-
 def _chordal_ratio(dd, pp, qq, sqrt):
     """2|p-q| / sqrt((1+|p|^2)(1+|q|^2)) from the squared norms dd = |p-q|^2,
     pp = |p|^2 and qq = |q|^2, with ``sqrt`` from math (floats) or numpy
@@ -99,29 +94,23 @@ def _chordal_ratio(dd, pp, qq, sqrt):
     return 2.0 * sqrt(dd) / sqrt((1.0 + pp) * (1.0 + qq))
 
 
-def _chordal_scaled(d, p, q):
-    """The same distance from the coordinates of d = p - q, p and q by hypot,
-    which scales instead of squaring, so no intermediate overflows."""
-    scaled = math.hypot(*d) / math.hypot(1.0, *p)
-    return 2.0 * scaled / math.hypot(1.0, *q)
-
-
 def _chordal_finite(dd, pp, qq, d, p, q):
     """Chordal distance of finite p and q from dd = |p-q|^2, pp = |p|^2 and
-    qq = |q|^2, with the coordinates of d = p - q, p and q for the fallback.
+    qq = |q|^2, each summed left to right over the coordinates, with the
+    coordinates of d = p - q, p and q for the fallback.
 
     The squared form wherever it is finite and positive, or 0 with
     p = q.  Where a squared norm overflowed (|p| or |q| beyond ~1e154,
     e.g. next to a pole) or dd underflowed (|p - q| below ~1e-162) the
     form is infinite, NaN or a spurious 0, and the same distance comes
-    from hypot instead.  Shared by ``chordal``
-    (squared norms from numpy's dot), the inverse-branch residual
-    (squared norms on Python floats) and ``chordal_grid``.
+    from hypot instead, which scales instead of squaring.  Shared by
+    ``chordal`` (so by ``chordal_grid``'s fallback) and the
+    inverse-branch residual.
     """
     dist = _chordal_ratio(dd, pp, qq, math.sqrt)
     if 0.0 < dist < math.inf or not any(d):
         return dist
-    return _chordal_scaled(d, p, q)
+    return 2.0 * (math.hypot(*d) / math.hypot(1.0, *p)) / math.hypot(1.0, *q)
 
 
 def _chordal_infinite(pp, p):
@@ -133,36 +122,35 @@ def _chordal_infinite(pp, p):
     return 2.0 / math.sqrt(1.0 + pp)
 
 
+def _vec3_floats(v):
+    """The coordinates of a 3-vector as a list of Python floats."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    return a.tolist()
+
+
 def chordal(p, q) -> float:
     """Chordal distance on R^3 u {inf}.
 
     d(p,q) = 2|p-q| / sqrt((1+|p|^2)(1+|q|^2)) for finite points and
     d(p,inf) = 2 / sqrt(1+|p|^2); the metric of the one-point
     compactification, bounded by 2, so comparisons near poles stay
-    meaningful.  Squared norms come from numpy's dot.  A point of norm
-    1e153 or more takes the same arithmetic with numpy's overflow
-    warning silenced, so a huge point (an image next to a pole) does not
-    warn; where a squared norm overflowed, the distance comes from hypot.
+    meaningful.  The arithmetic runs on Python floats, each squared norm
+    summed left to right, so the value equals ``chordal_grid``'s and the
+    inverse-branch residual's bit for bit.  A squared norm that
+    overflows is inf without a warning, and the distance then comes
+    from hypot.  A point other than INFINITY must be a 3-vector.
     """
-    pinf, qinf = is_infinity(p), is_infinity(q)
-    if pinf and qinf:
-        return 0.0
-    if pinf or qinf:
-        f = np.asarray(q if pinf else p, dtype=float)
-        c = f.tolist()
-        if math.hypot(*c) < _CHORDAL_SAFE:
-            return _chordal_infinite(float(f.dot(f)), c)
-        with np.errstate(over="ignore"):
-            return _chordal_infinite(float(f.dot(f)), c)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if math.hypot(*p.tolist()) < _CHORDAL_SAFE > math.hypot(*q.tolist()):
-        d = p - q
-        return _chordal_finite(float(d.dot(d)), float(p.dot(p)), float(q.dot(q)), d, p, q)
-    with np.errstate(over="ignore"):
-        d = p - q
-        sq = float(d.dot(d)), float(p.dot(p)), float(q.dot(q))
-    return _chordal_finite(*sq, d, p, q)
+    if is_infinity(p) or is_infinity(q):
+        if p is q:
+            return 0.0
+        x, y, z = c = _vec3_floats(q if is_infinity(p) else p)
+        return _chordal_infinite(x * x + y * y + z * z, c)
+    p, q = _vec3_floats(p), _vec3_floats(q)
+    d = [a - b for a, b in zip(p, q)]
+    dd, pp, qq = (x * x + y * y + z * z for x, y, z in (d, p, q))
+    return _chordal_finite(dd, pp, qq, d, p, q)
 
 
 def chordal_grid(p, q):
@@ -170,11 +158,10 @@ def chordal_grid(p, q):
 
     ``p`` and ``q`` are (x, y, z) triples of arrays, with scalars
     broadcast against them; a point with an infinite coordinate is
-    INFINITY, as ``tangent3_grid`` marks its pole hits.  The formula is
-    chordal's, with the squared norms summed left to right on the arrays
-    (chordal takes numpy's dot), so a value may differ from chordal's in
-    the last bit.  A pair whose squared form fails takes chordal's own
-    hypot fallback, point by point.
+    INFINITY, as ``tangent3_grid`` marks its pole hits.  The arithmetic
+    is chordal's, squared norms summed left to right, so each value
+    equals chordal's bit for bit.  A pair whose squared form fails is
+    handed to chordal itself, for its hypot fallback.
     """
     px, py, pz, qx, qy, qz = np.broadcast_arrays(
         *(np.asarray(c, dtype=float) for c in (*p, *q)))
@@ -192,12 +179,8 @@ def chordal_grid(p, q):
     same = (d[0] == 0.0) & (d[1] == 0.0) & (d[2] == 0.0)
     fallback = ~(((dist > 0.0) & (dist < math.inf)) | same | both)
     for i in np.flatnonzero(fallback):
-        di, pi, qi = (tuple(float(c.flat[i]) for c in t)
-                      for t in (d, (px, py, pz), (qx, qy, qz)))
-        if one.flat[i]:
-            dist.flat[i] = _chordal_infinite(math.inf, qi if pinf.flat[i] else pi)
-        else:
-            dist.flat[i] = _chordal_scaled(di, pi, qi)
+        dist.flat[i] = chordal(*(INFINITY if inf.flat[i] else [float(c.flat[i]) for c in v]
+                                 for inf, v in ((pinf, (px, py, pz)), (qinf, (qx, qy, qz)))))
     return dist
 
 

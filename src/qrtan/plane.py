@@ -297,6 +297,7 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     Mobius pullback, the chart, the map and the chordal metric; only the
     returned point is an array.
     """
+    _require_positive_lam(lam)
     try:
         m, n = map(operator.index, q)
     except TypeError:
@@ -478,6 +479,7 @@ def preimages_tangent3(target, lam: float, xy_box):
     preimages (forward chordal residual below 1e-9).  The z-coordinate
     of every preimage of a fixed target is the same number log|u|/2.
     """
+    _require_positive_lam(lam)
     u = cayley_inverse(target if is_infinity(target)
                        else np.asarray(target, dtype=float) / lam)
     if is_infinity(u):
@@ -499,8 +501,8 @@ def preimages_tangent3(target, lam: float, xy_box):
 # ---------------------------------------------------------------------------
 # contraction / expansion certificates
 
-def branch_contraction_ratio(q, p, pairs, lam: float = 1.0) -> float:
-    """max over pairs in diamond p of |S_q(w1)-S_q(w2)| / |w1-w2|.
+def branch_contraction_ratio(q, pairs, lam: float = 1.0) -> float:
+    """max over pairs of |S_q(w1)-S_q(w2)| / |w1-w2|.
 
     Coincident pairs are skipped.  The derivative bound on the branches
     caps this at sqrt(2)/lam.  One batched engine pass.
@@ -516,8 +518,8 @@ def branch_contraction_ratio(q, p, pairs, lam: float = 1.0) -> float:
     return float(np.max(np.sqrt(dx * dx + dy * dy) / d[keep], initial=0.0))
 
 
-def pole_expansion_ratio(p, pairs, lam: float = 1.0) -> float:
-    """min over pairs near pole p of |F(a)-F(b)| / |a-b|.
+def pole_expansion_ratio(pairs, lam: float = 1.0) -> float:
+    """min over pairs of |F(a)-F(b)| / |a-b|, the pairs near one pole.
 
     A pair with an infinite image expands trivially (the other image is
     finite, so the chordal gap is positive while |a-b| is tiny) and is
@@ -618,8 +620,9 @@ def _domain_radius(lam):
 
 
 def _require_positive_lam(lam):
-    """Raise the ValueError for a scaling parameter that is not positive (or NaN)."""
-    if not lam > 0.0:
+    """Raise the ValueError for a scaling parameter that is not positive and
+    finite (NaN and inf included)."""
+    if not 0.0 < lam < math.inf:
         raise ValueError(f"scaling parameter must be positive, got {lam}")
 
 
@@ -628,7 +631,8 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
 
     delta is the largest rho <= pi/4 whose circle keeps the least
     singular value of DF >= 2: bisection on rho (the value falls with
-    rho) of its minimum over the angle, itself found by bisection.  Then
+    rho) of its minimum over the angle, itself found by bisection, taken
+    a relative 1e-12 inside the root, where its guard checks it.  Then
     r1 = lam/tan(0.98*delta/sqrt2), eps = arctan(lam/(2*r1)) and
     far_field_bound = lam*cot(eps/sqrt2), and branch_radius adds 1.05
     times the diamond circumradius pi/2 to it.
@@ -645,9 +649,12 @@ def calibrate_expansion(lam: float) -> ExpansionCalibration:
         # f has one minimum over the angle, where its slope changes sign
         return f(_bisect(lambda t: f(t) > f(t + 1e-8), 0.0, QUARTER_PI)) >= 2.0
 
-    delta = QUARTER_PI if expands(QUARTER_PI) else _bisect(expands, 0.0, QUARTER_PI)
-    if not expands(delta * (1.0 - 1e-12)):  # 200 halvings of pi/4 fell short of the root
-        raise RuntimeError(f"expansion radius below the bisection's reach at lam={lam}")
+    if expands(QUARTER_PI):
+        delta = QUARTER_PI
+    else:
+        delta = _bisect(expands, 0.0, QUARTER_PI) * (1.0 - 1e-12)
+        if not expands(delta):  # 200 halvings of pi/4 fell short of the root
+            raise RuntimeError(f"expansion radius below the bisection's reach at lam={lam}")
     r1 = key / math.tan(0.98 * delta / SQRT2)
     eps = math.atan(key / (2.0 * r1))
     far = key / math.tan(eps / SQRT2)

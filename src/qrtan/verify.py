@@ -307,7 +307,7 @@ def check_branch_contraction(lam, rng, n_pairs=1000):
     pts = plane.pole_location(p) + _accepted_uniform(
         rng, 2 * n_pairs, -HALF_PI, HALF_PI, 2,
         lambda d: np.abs(d[:, 0]) + np.abs(d[:, 1]) < HALF_PI)
-    ratio = plane.branch_contraction_ratio(q, p, pts.reshape(-1, 2, 2), lam)
+    ratio = plane.branch_contraction_ratio(q, pts.reshape(-1, 2, 2), lam)
     return CheckResult("branch-contraction", ratio <= bound,
                        f"max ratio {ratio:.4f} vs bound {bound:.4f}")
 
@@ -321,7 +321,7 @@ def check_pole_expansion(lam, rng, n_pairs=1000):
     ang = u[:, :2]
     rad = cal.eps * np.sqrt(u[:, 2:])
     pairs = np.stack([c[0] + rad * np.cos(ang), c[1] + rad * np.sin(ang)], axis=-1)
-    ratio = plane.pole_expansion_ratio(plane.PoleIndex(0, 0), pairs, lam)
+    ratio = plane.pole_expansion_ratio(pairs, lam)
     ok = ratio >= 2.0 - 0.01
     return CheckResult("pole-expansion", ok,
                        f"min ratio {ratio:.4f} on eps={cal.eps:.4f} ball")
@@ -620,10 +620,10 @@ def _applies(check, lam):
     if check is check_parabolic_bound:
         return lam == 1.0
     if check in (check_petal_membership, check_petal_boundary_fixed):
-        return 0.0 < lam < SQRT2
+        return lam < SQRT2
     if check is check_petal_absorbed:
         # every ray's factor is at least lam/sqrt(2); above 0.99 none is sampled
-        return 0.0 < lam and lam / SQRT2 <= 0.99
+        return lam / SQRT2 <= 0.99
     if check is check_lines_absorbed:
         return lam < 1.0
     if check is check_basin_classification:
@@ -636,6 +636,7 @@ def run_suite(lam: float, suite: str = "all", seed: int = 0, fast: bool = False)
 
     ``fast`` trims the sample counts for use in smoke tests.
     """
+    plane._require_positive_lam(lam)
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     rng = np.random.default_rng(seed)

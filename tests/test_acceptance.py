@@ -168,7 +168,7 @@ def test_a05_derivative_bounds():
             d2 = rng.uniform(-HALF_PI, HALF_PI, 2)
             if abs(d1[0]) + abs(d1[1]) < HALF_PI and abs(d2[0]) + abs(d2[1]) < HALF_PI:
                 pairs.append((c + d1, c + d2))
-        ratios[lam_c] = (branch_contraction_ratio((0, 0), src, pairs, lam_c), bound)
+        ratios[lam_c] = (branch_contraction_ratio((0, 0), pairs, lam_c), bound)
     contraction_ok = all(r <= b for r, b in ratios.values())
 
     expansion = {}
@@ -181,7 +181,7 @@ def test_a05_derivative_bounds():
             d2 = rng.uniform(-cal.eps, cal.eps, 2)
             if np.linalg.norm(d1) < cal.eps and np.linalg.norm(d2) < cal.eps:
                 pairs.append((c + d1, c + d2))
-        expansion[lam_e] = pole_expansion_ratio((0, 0), pairs, lam_e)
+        expansion[lam_e] = pole_expansion_ratio(pairs, lam_e)
     expansion_ok = all(r >= 2.0 - 0.01 for r in expansion.values())
 
     ok = sv_ok and contraction_ok and expansion_ok

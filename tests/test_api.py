@@ -1,14 +1,19 @@
 """The public surface: the names ``qrtan`` exports, the fields of
 ``RenderConfig`` and the parameters of ``classify_orbit``.  Adding or
 removing an export, a render option or an orbit-fate option changes these
-lists, so it shows up as a reviewed diff."""
+lists, so it shows up as a reviewed diff.  And the entry points that take
+lam reject one that is not positive and finite, with one message."""
 
 import dataclasses
 import inspect
+import math
+import re
 import types
 
+import pytest
+
 import qrtan
-from qrtan import analysis, cli, render
+from qrtan import analysis, cli, itinerary, plane, render, verify
 from qrtan.render import RenderConfig
 
 EXPORTS = [
@@ -54,3 +59,28 @@ def test_fate_rules_have_one_home():
     assert not any(hasattr(cfg, knob) for knob in ("tol", "escape_run", "escape_norm"))
     args = cli.build_parser().parse_args(["render-basin", "--lambda", "1", "--out", "x.ppm"])
     assert not hasattr(args, "tol")
+
+
+LAM_ENTRY_POINTS = {
+    "inverse_branch": lambda lam: plane.inverse_branch((0, 1), (3.0, -1.0), lam),
+    "preimages_tangent3":
+        lambda lam: plane.preimages_tangent3((1.0, 2.0, 0.5), lam, (-1.0, 1.0, -1.0, 1.0)),
+    "calibrate_expansion": plane.calibrate_expansion,
+    "required_tail_radius": plane.required_tail_radius,
+    "classify_orbit": lambda lam: analysis.classify_orbit((0.1, 0.2, 0.3), lam),
+    "blowup_probe": lambda lam: analysis.blowup_probe(
+        plane.pole_location((0, 0)), 0.1, lam, [(1.0, 2.0, 3.0)], max_iter=3, n_samples=5),
+    "point_from_itinerary": lambda lam: itinerary.point_from_itinerary(
+        itinerary.Itinerary(prefix=[], tail=lambda j: (0, j + 3)), lam),
+    "periodic_point_from_cycle": lambda lam: itinerary.periodic_point_from_cycle(
+        itinerary.PeriodicCycleSpec(cycle=[(0, 5)]), lam),
+    "run_suite": lambda lam: verify.run_suite(lam, "core", fast=True),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(LAM_ENTRY_POINTS))
+def test_entry_points_reject_lambda_not_positive_and_finite(entry, lam):
+    want = f"^scaling parameter must be positive, got {re.escape(str(lam))}$"
+    with pytest.raises(ValueError, match=want):
+        LAM_ENTRY_POINTS[entry](lam)

@@ -2,6 +2,7 @@
 the tangent map itself."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -518,25 +519,24 @@ class TestChordal:
 
     def test_huge_points_keep_their_value_without_warning(self):
         # beyond ~1e154 a squared norm overflows; chordal gives what the
-        # squared-norm arithmetic and its hypot fallback give with the
-        # overflow silenced, and emits no RuntimeWarning (an error here).
-        # The fallback takes over where the squared form is not finite and
-        # positive, unless |p - q|^2 = 0, and for the distance to infinity
-        # where |p|^2 overflows
+        # squared-norm arithmetic on Python floats (which overflow to inf
+        # silently) and its hypot fallback give, and emits no RuntimeWarning
+        # (an error here).  The fallback takes over where the squared form is
+        # not finite and positive, unless |p - q|^2 = 0, and for the distance
+        # to infinity where |p|^2 overflows
         def reference(p, q):
-            with np.errstate(over="ignore"):
-                if is_infinity(q):
-                    pp = float(p @ p)
-                    if pp == math.inf:
-                        return 2.0 / math.hypot(1.0, *p.tolist())
-                    return 2.0 / math.sqrt(1.0 + pp)
-                d = p - q
-                dd = float(d @ d)
-                dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + float(p @ p))
-                                                       * (1.0 + float(q @ q)))
+            if is_infinity(q):
+                pp = _squared_norm(p.tolist())
+                if pp == math.inf:
+                    return 2.0 / math.hypot(1.0, *p.tolist())
+                return 2.0 / math.sqrt(1.0 + pp)
+            d = [a - b for a, b in zip(p.tolist(), q.tolist())]
+            dd = _squared_norm(d)
+            dist = 2.0 * math.sqrt(dd) / math.sqrt((1.0 + _squared_norm(p.tolist()))
+                                                   * (1.0 + _squared_norm(q.tolist())))
             if 0.0 < dist < math.inf or dd == 0.0:
                 return dist
-            scaled = math.hypot(*d.tolist()) / math.hypot(1.0, *p.tolist())
+            scaled = math.hypot(*d) / math.hypot(1.0, *p.tolist())
             return 2.0 * scaled / math.hypot(1.0, *q.tolist())
 
         rng = np.random.default_rng(79)
@@ -588,9 +588,8 @@ class TestChordal:
         assert grid.tolist() == got
 
     def test_grid_matches_scalar(self):
-        # the grid sums squared norms left to right where chordal takes
-        # numpy's dot, so values agree to rounding; infinity (any infinite
-        # coordinate) and the hypot fallback agree exactly
+        # both sum squared norms left to right, so values agree bit for bit,
+        # infinity (any infinite coordinate) and the hypot fallback included
         rng = np.random.default_rng(83)
         p = rng.normal(size=(3, 4000)) * 10.0 ** rng.uniform(-5.0, 300.0, (3, 4000))
         q = rng.normal(size=(3, 4000)) * 10.0 ** rng.uniform(-5.0, 300.0, (3, 4000))
@@ -603,15 +602,14 @@ class TestChordal:
             return INFINITY if np.isinf(a[:, i]).any() else a[:, i]
 
         want = np.array([chordal(point(p, i), point(q, i)) for i in range(p.shape[1])])
-        assert np.allclose(got, want, rtol=4e-16, atol=0.0)
-        assert np.array_equal(got[:140], want[:140])
+        assert np.array_equal(got, want)
         assert got[100:140].tolist() == [0.0] * 40
 
     def test_matches_squared_norm_formula_below_overflow(self):
         def reference(p, q):
-            d = p - q
-            return 2.0 * math.sqrt(float(d @ d)) / math.sqrt((1.0 + float(p @ p))
-                                                             * (1.0 + float(q @ q)))
+            d = (p - q).tolist()
+            return 2.0 * math.sqrt(_squared_norm(d)) / math.sqrt(
+                (1.0 + _squared_norm(p.tolist())) * (1.0 + _squared_norm(q.tolist())))
 
         rng = np.random.default_rng(73)
         for _ in range(5000):
@@ -623,6 +621,48 @@ class TestChordal:
                 # the value comes from hypot
                 want = 2.0 * (math.hypot(*(p - q)) / math.hypot(1.0, *p)) / math.hypot(1.0, *q)
             assert chordal(p, q) == want
+
+    def test_scalar_equals_grid_bit_for_bit(self):
+        # random pairs with norms from 1e-300 to 1e307, INFINITY on either
+        # side, equal points and signed zeros: one formula, so one value,
+        # and no RuntimeWarning from either
+        rng = np.random.default_rng(89)
+        n = 6000
+
+        def points():
+            u = rng.normal(size=(3, n))
+            return u / np.sqrt(_squared_norm(u)) * 10.0 ** rng.uniform(-300.0, 307.0, n)
+
+        p, q = points(), points()
+        p[:, :300] = np.inf
+        q[:, 200:500] = np.inf
+        q[:, 500:1000] = p[:, 500:1000]
+        p[:, 1000:1100] = rng.choice([0.0, -0.0], (3, 100))
+        q[:, 1000:1100] = rng.choice([0.0, -0.0], (3, 100))
+        q[:, 1100:1200] = p[:, 1100:1200] * (1.0 + 2.0 ** -52)
+
+        def point(a, i):
+            return INFINITY if np.isinf(a[:, i]).any() else a[:, i]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chordal_grid(p, q)
+            want = [chordal(point(p, i), point(q, i)) for i in range(n)]
+        assert [struct.pack("d", g) for g in got.tolist()] == [struct.pack("d", w) for w in want]
+        assert got[200:300].tolist() == [0.0] * 100
+        assert got[500:1100].tolist() == [0.0] * 600
+
+    def test_rejects_a_point_that_is_not_a_3_vector(self):
+        for p, q in (([1.0, 2.0], [3.0, 4.0]), ([1.0, 2.0], INFINITY),
+                     (np.zeros((3, 2)), np.zeros((3, 2)))):
+            with pytest.raises(ValueError, match="3-vector"):
+                chordal(p, q)
+
+
+def _squared_norm(v):
+    """x^2 + y^2 + z^2 summed left to right, as chordal sums it."""
+    x, y, z = v
+    return x * x + y * y + z * z
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ excepted), the tests and the demos: every name an ``import`` statement
 binds must be referenced somewhere in the same file.  Of the package:
 every top-level function and class must be referenced in the package
 beyond its definition, exported by ``qrtan/__init__.py``, a
-``[project.scripts]`` entry point, or used from ``bench/`` or ``demos/``.
+``[project.scripts]`` entry point, or used from ``bench/`` or ``demos/``;
+and every parameter of a function must be read in its body.
 """
 
 import ast
@@ -97,6 +98,51 @@ def test_no_unused_definitions():
     for path in sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
         kept |= _read_names(ast.parse(path.read_text()))
     assert unused_definitions(package, kept) == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def unused_parameters(source: str):
+    """(line, function, parameter) for each parameter of a function or lambda
+    in ``source`` that its body (nested functions included) never reads.  A
+    method's first parameter, self or cls, is not counted."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, _FUNCTIONS)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                  for p in params[id(node) in methods:] if p.arg not in read]
+    return found
+
+
+def test_parameter_scan_flags_only_unread_parameters():
+    source = ("def f(a, b=1, *args, c, **kw):\n    return a + c\n\n"
+              "def g(x, y):\n    def h():\n        return y\n    x = 2\n    return h\n\n"
+              "class C:\n    def m(self, z):\n        return 0\n\n"
+              "k = lambda u, v: u\n")
+    assert unused_parameters(source) == [
+        (1, "f", "b"), (1, "f", "args"), (1, "f", "kw"), (4, "g", "x"), (11, "m", "z"),
+        (14, "<lambda>", "v")]
+
+
+def test_no_unused_parameters():
+    # exempt: the (lam, rng) signature that run_suite calls every verify
+    # check with, whether or not the check draws or depends on lam
+    found = [f"{path.name}:{line}: {name}({param})"
+             for path in sorted((ROOT / "src" / "qrtan").glob("*.py"))
+             for line, name, param in unused_parameters(path.read_text())
+             if not (path.name == "verify.py" and name.startswith("check_")
+                     and param in ("lam", "rng"))]
+    assert found == []
 
 
 def test_import_leaves_thread_pool_unloaded():
