@@ -122,14 +122,6 @@ def _chordal_infinite(pp, p):
     return 2.0 / math.sqrt(1.0 + pp)
 
 
-def _vec3_floats(v):
-    """The coordinates of a 3-vector as a list of Python floats."""
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    return a.tolist()
-
-
 def chordal(p, q) -> float:
     """Chordal distance on R^3 u {inf}.
 
@@ -140,14 +132,15 @@ def chordal(p, q) -> float:
     summed left to right, so the value equals ``chordal_grid``'s and the
     inverse-branch residual's bit for bit.  A squared norm that
     overflows is inf without a warning, and the distance then comes
-    from hypot.  A point other than INFINITY must be a 3-vector.
+    from hypot.  A point other than INFINITY must be a finite 3-vector,
+    or the ValueError of tangent3 is raised.
     """
     if is_infinity(p) or is_infinity(q):
         if p is q:
             return 0.0
-        x, y, z = c = _vec3_floats(q if is_infinity(p) else p)
+        x, y, z = c = _checked_vec3(q if is_infinity(p) else p)[1]
         return _chordal_infinite(x * x + y * y + z * z, c)
-    p, q = _vec3_floats(p), _vec3_floats(q)
+    p, q = _checked_vec3(p)[1], _checked_vec3(q)[1]
     d = [a - b for a, b in zip(p, q)]
     dd, pp, qq = (x * x + y * y + z * z for x, y, z in (d, p, q))
     return _chordal_finite(dd, pp, qq, d, p, q)
@@ -161,7 +154,8 @@ def chordal_grid(p, q):
     INFINITY, as ``tangent3_grid`` marks its pole hits.  The arithmetic
     is chordal's, squared norms summed left to right, so each value
     equals chordal's bit for bit.  A pair whose squared form fails is
-    handed to chordal itself, for its hypot fallback.
+    handed to chordal itself, for its hypot fallback (so a NaN coordinate
+    raises chordal's ValueError).
     """
     px, py, pz, qx, qy, qz = np.broadcast_arrays(
         *(np.asarray(c, dtype=float) for c in (*p, *q)))

@@ -110,8 +110,10 @@ def point_from_itinerary(itin: Itinerary, lam: float, n_compose: int = 30,
 
     Pulls the centre of diamond n_compose back through the composed
     inverse branches.  Successive truncations are Cauchy (geometric in
-    n_compose); beyond ~30 compositions the increments sit below double
-    resolution.  With ``return_waypoints`` the whole backward orbit
+    n_compose) and soon stop changing: over three seeded itineraries per
+    seed 0-9 at lam 0.9, 1 and 2, every truncation from 8 compositions on
+    (10 at lam 2) returned the same point, bit for bit, so the default 30
+    has margin.  With ``return_waypoints`` the whole backward orbit
     x_j = S_{p_j} o ... o S_{p_{n-1}}(centre) comes along, x_0 being the
     answer.
     """

@@ -7,15 +7,14 @@ single-valued inverse branch into each diamond; those branches are the
 engine behind itineraries and periodic points.  This module evaluates F
 and its derivative, constructs the inverse branches in closed form
 (with a residual check so a wrong branch can never pass silently), and
-calibrates the radii used by expansion-based arguments.  One enumerator
-of the tangent map's preimages in a box serves both the inverse branches
-(box around a diamond, then the diamond itself) and ``preimages_tangent3``.
+calibrates the radii used by expansion-based arguments.  The tangent
+map's preimages in a box, off the plane too, come from the hemisphere
+chart (``preimages_tangent3``).
 """
 
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +25,6 @@ from .core import (
     QUARTER_PI,
     _NONFINITE,
     _bisect,
-    _cayley_inverse_xyz,
     _chordal_finite,
     _chordal_infinite,
     _hemisphere_xy,
@@ -278,24 +276,83 @@ class BranchDomainError(ValueError):
 
 
 class BranchResidualError(RuntimeError):
-    """No branch candidate reproduced the target; indicates a bug or an
+    """The branch point did not reproduce the target; indicates a bug or an
     invalid target, never a legitimate outcome."""
+
+
+def _domain_error(w, q, lam):
+    return BranchDomainError(
+        f"target {w} lies on the removed diagonal segment at lam={lam} (diamond {q})")
+
+
+def _residual_error(w, q, lam, res):
+    return BranchResidualError(
+        f"no preimage of {w} in diamond {q} at lam={lam} (best residual {res:.3e})")
+
+
+def _branch_angle(wx, wy, lam):
+    """(mu, odd) for a finite target w on Python floats: the larger
+    coordinate mu of the folded preimage, and whether that preimage lies on
+    the pole's odd tile (|w| >= lam, |F| = lam*cot(mu)) rather than an even
+    one (|F| = lam*tan(mu))."""
+    r = math.hypot(wx, wy)
+    if r >= lam:
+        return math.atan(lam / r), True
+    return math.atan(r / lam), False
+
+
+def _sign_of_parity(k):
+    """(-1)^k for integers, as an integer (arrays too)."""
+    return 1 - 2 * (k % 2)
+
+
+def _branch_point(i, j, wx, wy, mu, odd, maximum):
+    """The preimage of w in the diamond of the pole at (i, j)*pi/2 (i + j
+    odd), with (mu, odd) from ``_branch_angle``.
+
+    The folded point is w*mu/|w|_inf.  On the odd tile it unfolds about
+    the pole; otherwise about the centre of the even neighbour that w's
+    larger coordinate points to, k -> k + (-1)^k sign(w_k) along that
+    axis.  A tile (ti, tj) unfolds the folded q to
+    (ti*pi/2 + (-1)^ti q_x, tj*pi/2 + (-1)^tj q_y).  Integer arithmetic on
+    the flags, so the same for numbers and arrays; ``maximum`` is max or
+    np.maximum.
+    """
+    ax, ay = abs(wx), abs(wy)
+    s = mu / maximum(ax, ay)
+    along_x = ax > ay
+    step = 1 - odd  # 0 on the odd tile
+    ti = i + step * along_x * _sign_of_parity(i) * (2 * (wx > 0.0) - 1)
+    tj = j + step * (1 - along_x) * _sign_of_parity(j) * (2 * (wy > 0.0) - 1)
+    return (ti * HALF_PI + _sign_of_parity(ti) * (wx * s),
+            tj * HALF_PI + _sign_of_parity(tj) * (wy * s))
+
+
+def _plane_residual(x, y, wx, wy, ww, at_infinity, lam):
+    """Chordal distance from F(x, y) to the finite target w, with
+    ww = |w|^2 and at_infinity its distance to INFINITY, on Python floats."""
+    t = _tangent3_xyz(x, y, 0.0, lam)
+    if t is None:
+        return at_infinity
+    tx, ty = t[0], t[1]
+    dx, dy = tx - wx, ty - wy
+    return _chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
+                           (dx, dy, 0.0), (tx, ty, 0.0), (wx, wy, 0.0))
 
 
 def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     """The inverse branch of the plane map taking values in diamond q.
 
-    For finite w the candidate preimages are reconstructed in closed
-    form: pull w/lam back through the Mobius map to a unit vector, read
-    off the hemisphere chart point, and enumerate the finitely many
-    reflection-group images in the diamond; the candidate is accepted
-    only if its forward image reproduces w within 1e-9 (chordal).
-    w = INFINITY maps to the pole itself, which also competes last (and
-    wins only strictly) for targets near infinity.  q must be integers.
-
-    Everything runs on Python floats through the float cores of the
-    Mobius pullback, the chart, the map and the chordal metric; only the
-    returned point is an array.
+    At the folded point F is parallel to it with |F| = lam*g(m), so a
+    finite w has one preimage in the diamond, in closed form
+    (``_branch_point``): the folded point w*mu/|w|_inf, with
+    mu = arctan(lam/|w|) on the pole's odd tile when |w| >= lam, else
+    mu = arctan(|w|/lam) on an even neighbour.  It is accepted only if its
+    forward image reproduces w within 1e-9 (chordal).  w = INFINITY maps
+    to the pole itself, which also competes (and wins only strictly) for
+    targets near infinity.  q must be integers; a w with w/lam beyond the
+    float range is rejected as non-finite.  Everything runs on Python
+    floats; only the returned point is an array.
     """
     _require_positive_lam(lam)
     try:
@@ -308,143 +365,78 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     wx, wy = float(w[0]), float(w[1])
     # diagonal_segment_distance(w, lam) == 0.0, exactly
     if (wy == wx or wy == -wx) and abs(wx) <= lam / SQRT2:
-        raise BranchDomainError("target lies on the removed diagonal segment")
-    x, y = wx / lam, wy / lam
-    _require_finite(x, y)
-    candidates = _branch_candidates(*_cayley_inverse_xyz(x, y, 0.0), lx, ly)
-    near = abs(lx) < _EXACT_POLES > abs(ly)  # else the pole is evaluated forward
+        raise _domain_error((wx, wy), (m, n), lam)
+    _require_finite(wx / lam, wy / lam)
+    best = _branch_point(n + m, n - m + 1, wx, wy, *_branch_angle(wx, wy, lam), max)
     ww = wx * wx + wy * wy
     at_infinity = _chordal_infinite(ww, (wx, wy))  # the residual of a pole hit
-    best = None
-    best_res = math.inf
-    for cx, cy in candidates if near else candidates + [(lx, ly)]:
-        t = _tangent3_xyz(cx, cy, 0.0, lam)
-        if t is None:
-            res = at_infinity
-        else:
-            tx, ty = t[0], t[1]
-            dx, dy = tx - wx, ty - wy
-            res = _chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
-                                  (dx, dy, 0.0), (tx, ty, 0.0), (wx, wy, 0.0))
-        if res < best_res:
-            best, best_res = (cx, cy), res
-    if near and at_infinity < best_res:
-        best, best_res = (lx, ly), at_infinity
-    if best is None or best_res > 1e-9:
-        raise BranchResidualError(
-            f"no preimage of {(wx, wy)} in diamond {(m, n)} (best residual {best_res:.3e})")
+    best_res = _plane_residual(*best, wx, wy, ww, at_infinity, lam)
+    if abs(lx) < _EXACT_POLES > abs(ly):
+        pole_res = at_infinity
+    else:  # the fold can miss a far pole's tile centre: evaluate it forward
+        pole_res = _plane_residual(lx, ly, wx, wy, ww, at_infinity, lam)
+    if pole_res < best_res:
+        best, best_res = (lx, ly), pole_res
+    if not best_res <= 1e-9:
+        raise _residual_error((wx, wy), (m, n), lam, best_res)
     return np.array(best)
 
 
-def _inverse_branch_grid(lx, ly, wx, wy, lam):
+def _inverse_branch_grid(m, n, wx, wy, lam):
     """inverse_branch's points, bit for bit, for arrays of finite targets
-    (wx, wy), each into the diamond of the pole at (lx, ly) (arrays too).
+    (wx, wy), each into the diamond of pole (m, n) (integer arrays too).
 
-    The scalar steps on arrays: the pullback with the operations of
-    ``_cayley_inverse_xyz``; the chart on the float core, target by target
-    (numpy's hypot and arcsin differ from math's in the last bit); the
-    candidates in fixed slots in the scalar order, the pole last; and the
-    first least residual from ``tangent3_grid`` and ``chordal_grid``.
+    ``_branch_angle`` target by target on Python floats (numpy's hypot
+    and arctan differ from math's in the last bit), then
+    ``_branch_point`` on arrays, and the residuals from ``tangent3_grid``
+    and ``chordal_grid``, the pole's priced as in ``inverse_branch``.
     Raises the scalar engine's errors, naming the first target at fault.
     """
-    lx, ly, wx, wy = np.broadcast_arrays(
-        *(np.asarray(c, dtype=float).ravel() for c in (lx, ly, wx, wy)))
-    n = len(wx)
+    m, n, wx, wy = np.broadcast_arrays(*(np.asarray(c, dtype=t).ravel() for c, t in (
+        (m, np.int64), (n, np.int64), (wx, float), (wy, float))))
+
+    def first(bad):
+        i = int(np.argmax(bad))
+        return (float(wx[i]), float(wy[i])), (int(m[i]), int(n[i]))
+
     on = ((wy == wx) | (wy == -wx)) & (np.abs(wx) <= lam / SQRT2)
     if on.any():
-        i = int(np.argmax(on))
-        raise BranchDomainError(
-            f"target {(float(wx[i]), float(wy[i]))} lies on the removed diagonal segment")
+        raise _domain_error(*first(on), lam)
     with np.errstate(over="ignore"):  # as Python floats overflow to inf
-        x = wx / lam
-        y = wy / lam
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if not (np.isfinite(wx / lam).all() and np.isfinite(wy / lam).all()):
             raise ValueError(_NONFINITE)
-        s = 1.0 / (x * x + y * y + 1.0)
         ww = wx * wx + wy * wy
-    ux = 2.0 * s * x
-    uy = 2.0 * s * y
-    uz = -1.0 + 2.0 * s
-    # per target the upper chart point, then the lower one; (0, 0) if unread
-    charts = np.fromiter(chain.from_iterable(
-        (*(_hemisphere_xy(a, b, c) if c >= -1e-12 else (0.0, 0.0)),
-         *(_hemisphere_xy(a, b, -c) if c <= 1e-12 else (0.0, 0.0)))
-        for a, b, c in zip(ux.tolist(), uy.tolist(), uz.tolist())), float, 4 * n)
-    charts = charts.reshape(n, 2, 2).T
-    xs, x_ok = _family_slots(charts[0], lx)
-    ys, y_ok = _family_slots(charts[1], ly)
-    # chart c pairs x offset o with y offset (o + c) % 2; slot 8c + 4o + 2i + j
-    # (x member i, y member j) reads row slot >> 1 of xs and row
-    # (slot >> 2) * 2 + (slot & 1) of ys, and slot 16, row 8 of both, is the pole
-    pair = np.array([[0, 1], [1, 0]])
-    ys, y_ok = ys[[[0], [1]], pair], y_ok[[[0], [1]], pair]
-    ok = np.empty((17, n), dtype=bool)
-    ok[:16] = (x_ok[:, :, :, None] & y_ok[:, :, None]
-               & np.stack([uz >= -1e-12, uz <= 1e-12])[:, None, None, None]).reshape(16, n)
-    ok[16] = np.maximum(np.abs(lx), np.abs(ly)) >= _EXACT_POLES  # far poles go forward
-    xs = np.concatenate([xs.reshape(8, n), lx[None]])
-    ys = np.concatenate([ys.reshape(8, n), ly[None]])
-    slot, col = np.nonzero(ok)
-    cx = xs[slot >> 1, col]
-    cy = ys[(slot >> 2) * 2 + (slot & 1), col]
-    keep = np.abs(cx - lx[col]) + np.abs(cy - ly[col]) <= HALF_PI + 1e-9
-    slot, col, cx, cy = slot[keep], col[keep], cx[keep], cy[keep]
-    res = np.full((17, n), np.inf)
-    res[16] = 2.0 / np.sqrt(1.0 + ww)  # the pole, priced as in inverse_branch
-    for i in np.flatnonzero(ww == math.inf):
-        res[16, i] = _chordal_infinite(math.inf, (wx[i], wy[i]))
-    res[slot, col] = chordal_grid(tangent3_grid(cx, cy, 0.0, lam)[:3], (wx[col], wy[col], 0.0))
-    best = np.argmin(res, axis=0)
-    cols = np.arange(n)
-    bad = ~(res[best, cols] <= 1e-9)
+    angles = [_branch_angle(a, b, lam) for a, b in zip(wx.tolist(), wy.tolist())]
+    mu = np.array([a for a, _ in angles], dtype=float)
+    odd = np.array([o for _, o in angles], dtype=bool)
+    i, j = n + m, n - m + 1
+    x, y = _branch_point(i, j, wx, wy, mu, odd, np.maximum)
+    res = chordal_grid(tangent3_grid(x, y, 0.0, lam)[:3], (wx, wy, 0.0))
+    lx, ly = i * HALF_PI, j * HALF_PI
+    pole_res = 2.0 / np.sqrt(1.0 + ww)  # the pole, priced as in inverse_branch
+    for k in np.flatnonzero(ww == math.inf):
+        pole_res[k] = _chordal_infinite(math.inf, (wx[k], wy[k]))
+    far = np.maximum(np.abs(lx), np.abs(ly)) >= _EXACT_POLES
+    if far.any():  # the fold can miss a far pole's tile centre: evaluate it forward
+        pole_res[far] = chordal_grid(tangent3_grid(lx[far], ly[far], 0.0, lam)[:3],
+                                     (wx[far], wy[far], 0.0))
+    win = pole_res < res
+    res = np.where(win, pole_res, res)
+    bad = ~(res <= 1e-9)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise BranchResidualError(
-            f"no preimage of {(float(wx[i]), float(wy[i]))} near the pole at "
-            f"{(float(lx[i]), float(ly[i]))}, lam={lam} (best residual {res[best[i], i]:.3e})")
-    return xs[best >> 1, cols], ys[(best >> 2) * 2 + (best & 1), cols]
+        w, q = first(bad)
+        raise _residual_error(w, q, lam, res[int(np.argmax(bad))])
+    return np.where(win, lx, x), np.where(win, ly, y)
 
 
-def _family_slots(a, center):
-    """``_chart_preimages``' families (half-width pi/2 + 2e-9) for arrays a of
-    shape (2 charts, n): (values, valid), indexed [chart, offset, slot, target].
-
-    The scalar loop runs k from floor((center - half - off)/pi) up to 3
-    further; its members, at most two consecutive k since the box is just
-    over pi wide, follow the k that land below the box.
-    """
-    half = HALF_PI + 2e-9
-    off = np.stack([a / 2.0, (math.pi - a) / 2.0], axis=-2)
-    lo = center - half
-    hi = center + half
-    k = np.floor((lo - off) / math.pi)
-    x = k[..., None, :] + np.arange(4.0)[:, None]
-    x *= math.pi
-    x += off[..., None, :]
-    k += np.count_nonzero(x < lo, axis=-2)
-    x = (k[..., None, :] + np.arange(2.0)[:, None]) * math.pi + off[..., None, :]
-    return x, (lo <= x) & (x <= hi)
-
-
-def _branch_candidates(ux, uy, uz, lx, ly):
-    """Preimage candidates (x, y) in the closed diamond around the pole at
-    (lx, ly), widened by 1e-9, for the unit vector (ux, uy, uz).
-
-    The enclosing box is wider than that L1 bound by one more 1e-9, so
-    rounding in the box test can never drop a point the L1 test keeps.
-    """
-    half = HALF_PI + 2e-9
-    return _chart_preimages(ux, uy, uz, lx, half, ly, half, HALF_PI + 1e-9)
-
-
-def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y, radius=math.inf):
-    """The points (x, y) with |x-cx| <= half_x, |y-cy| <= half_y and
-    |x-cx| + |y-cy| <= radius whose Zorich direction is the unit vector
-    (ux, uy, uz), as a list.  The chart point (a, b) of each hemisphere,
-    upper then lower, gives the families a/2 + k*pi (direct) and
-    (pi-a)/2 + k*pi (reflected), k rising, per coordinate; x runs over the
-    direct then the reflected members, y likewise inside it, keeping the
-    pairs whose reflection parities add up to the hemisphere flip."""
+def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y):
+    """The points (x, y) with |x-cx| <= half_x and |y-cy| <= half_y whose
+    Zorich direction is the unit vector (ux, uy, uz), as a list.  The
+    chart point (a, b) of each hemisphere, upper then lower, gives the
+    families a/2 + k*pi (direct) and (pi-a)/2 + k*pi (reflected), k rising,
+    per coordinate; x runs over the direct then the reflected members, y
+    likewise inside it, keeping the pairs whose reflection parities add up
+    to the hemisphere flip."""
     pi, floor, ceil = math.pi, math.floor, math.ceil
     out = []
     xlo, xhi, ylo, yhi = cx - half_x, cx + half_x, cy - half_y, cy + half_y
@@ -464,10 +456,7 @@ def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y, radius=math.inf):
             fam.append(members)
         xd, xr, yd, yr = fam
         for xs, ys in ((xd, yr), (xr, yd)) if flip else ((xd, yd), (xr, yr)):
-            for x in xs:
-                for y in ys:
-                    if abs(x - cx) + abs(y - cy) <= radius:
-                        out.append((x, y))
+            out.extend((x, y) for x in xs for y in ys)
     return out
 
 
@@ -510,8 +499,7 @@ def branch_contraction_ratio(q, pairs, lam: float = 1.0) -> float:
     w1, w2, d = _pair_arrays(pairs)
     keep = d != 0.0
     n = int(np.count_nonzero(keep))
-    lx, ly = _pole_xy(*PoleIndex(*q))
-    x, y = _inverse_branch_grid(lx, ly, np.concatenate([w1[keep, 0], w2[keep, 0]]),
+    x, y = _inverse_branch_grid(*PoleIndex(*q), np.concatenate([w1[keep, 0], w2[keep, 0]]),
                                 np.concatenate([w1[keep, 1], w2[keep, 1]]), lam)
     dx = x[:n] - x[n:]
     dy = y[:n] - y[n:]

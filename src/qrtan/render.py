@@ -31,6 +31,7 @@ import numpy as np
 
 from . import analysis
 from .core import HALF_PI, QUARTER_PI, fold_axis_grid, tangent3_grid
+from .plane import _require_positive_lam
 
 # no code for the axis fixed points: no orbit of the plane z = 0 reaches them
 _FATE_UNDECIDED = 0
@@ -61,8 +62,7 @@ class RenderConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("scaling parameter must be positive")
+        _require_positive_lam(self.lam)
         x0, y0, x1, y1 = self.window
         if not all(math.isfinite(c) for c in self.window):
             raise ValueError("window entries must be finite")

@@ -292,8 +292,8 @@ def check_branch_roundtrip(lam, rng, n_targets=200):
             rng, n_targets, -20, 20, 2,
             lambda w: ~(plane.diagonal_segment_distance(w, lam) < 1e-6)))
     wx, wy = np.concatenate(targets).T
-    centres = np.repeat([plane.pole_location(q) for q in poles], n_targets, axis=0)
-    x, y = plane._inverse_branch_grid(centres[:, 0], centres[:, 1], wx, wy, lam)
+    m, n = np.repeat(poles, n_targets, axis=0).T
+    x, y = plane._inverse_branch_grid(m, n, wx, wy, lam)
     worst = _max(chordal_grid(tangent3_grid(x, y, 0.0, lam)[:3], (wx, wy, 0.0)))
     return CheckResult("branch-roundtrip", worst < 1e-9,
                        f"max chordal residual {worst:.2e}")
@@ -346,7 +346,7 @@ def check_calibration(lam, rng):
     attained = float(norms[:4].max()) / cal.far_field_bound
     floor = float(norms[4:].min()) / (2.0 * cal.r1)
     t = np.arange(64) * (2.0 * math.pi / 64)
-    x, y = plane._inverse_branch_grid(cx, cy, cal.r1 * np.cos(t), cal.r1 * np.sin(t), lam)
+    x, y = plane._inverse_branch_grid(0, 0, cal.r1 * np.cos(t), cal.r1 * np.sin(t), lam)
     pulled = float(np.hypot(x - cx, y - cy).max()) / cal.delta
     t = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
     rho = cal.delta / 16 * np.arange(1, 17)[:, None]

@@ -9,6 +9,7 @@ import inspect
 import math
 import re
 import types
+import warnings
 
 import pytest
 
@@ -75,6 +76,7 @@ LAM_ENTRY_POINTS = {
     "periodic_point_from_cycle": lambda lam: itinerary.periodic_point_from_cycle(
         itinerary.PeriodicCycleSpec(cycle=[(0, 5)]), lam),
     "run_suite": lambda lam: verify.run_suite(lam, "core", fast=True),
+    "RenderConfig": lambda lam: RenderConfig(lam=lam),
 }
 
 
@@ -84,3 +86,12 @@ def test_entry_points_reject_lambda_not_positive_and_finite(entry, lam):
     want = f"^scaling parameter must be positive, got {re.escape(str(lam))}$"
     with pytest.raises(ValueError, match=want):
         LAM_ENTRY_POINTS[entry](lam)
+
+
+def test_render_rejects_infinite_lambda_before_any_work():
+    # the config raises the plane's one-line ValueError, so a library call
+    # never reaches the kernel (where inf - inf once warned under -W error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^scaling parameter must be positive, got inf$"):
+            render.render_basin(RenderConfig(lam=math.inf, width=4, height=4, max_iter=5))

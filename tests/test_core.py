@@ -658,6 +658,24 @@ class TestChordal:
             with pytest.raises(ValueError, match="3-vector"):
                 chordal(p, q)
 
+    def test_rejects_non_finite_coordinates(self):
+        # INFINITY is the one point at infinity: a point with an inf or NaN
+        # coordinate raises tangent3's one-line ValueError, on either side
+        # and against INFINITY too; the grid reads an inf coordinate as
+        # INFINITY but hands a NaN to chordal, which raises the same
+        with pytest.raises(ValueError) as want:
+            tangent3((math.nan, 0.0, 0.0))
+        for p in ([math.inf, 0.0, 0.0], [0.0, -math.inf, 1.0], [math.nan, 0.0, 0.0],
+                  [1.0, 2.0, math.nan]):
+            for a, b in ((p, [0.0, 0.0, 0.0]), ([1.0, 2.0, 3.0], p), (p, INFINITY),
+                         (INFINITY, p), (p, p)):
+                with pytest.raises(ValueError) as got:
+                    chordal(a, b)
+                assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            chordal_grid(([math.nan], [0.0], [0.0]), ([1.0], [0.0], [0.0]))
+        assert str(got.value) == str(want.value)
+
 
 def _squared_norm(v):
     """x^2 + y^2 + z^2 summed left to right, as chordal sums it."""

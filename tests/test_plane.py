@@ -239,6 +239,33 @@ class TestInverseBranch:
         with pytest.raises(BranchDomainError):
             inverse_branch((0, 0), np.array([0.3, 0.3]), 1.0)
 
+    def test_errors_name_target_diamond_and_lam(self, monkeypatch):
+        # the scalar and the batched engine raise one message per fault
+        want = "target (0.3, 0.3) lies on the removed diagonal segment at lam=1.0 (diamond (2, -1))"
+        for call in (lambda: inverse_branch((2, -1), (0.3, 0.3), 1.0),
+                     lambda: plane._inverse_branch_grid([0, 2], [1, -1], [3.0, 0.3], [1.0, 0.3],
+                                                        1.0)):
+            with pytest.raises(BranchDomainError) as caught:
+                call()
+            assert str(caught.value) == want
+
+        def shifted(x, y, z, lam):
+            t = core._tangent3_xyz(x, y, z, lam)
+            return None if t is None else [t[0] + 1e-3, t[1], t[2]]
+
+        def shifted_grid(x, y, z, lam):
+            tx, ty, tz, finite = core.tangent3_grid(x, y, z, lam)
+            return tx + 1e-3, ty, tz, finite
+
+        monkeypatch.setattr(plane, "_tangent3_xyz", shifted)
+        monkeypatch.setattr(plane, "tangent3_grid", shifted_grid)
+        want = (r"^no preimage of \(3\.0, 1\.0\) in diamond \(0, 1\) at lam=1\.3 "
+                r"\(best residual 1\.\d{3}e-04\)$")
+        with pytest.raises(BranchResidualError, match=want):
+            inverse_branch((0, 1), (3.0, 1.0), 1.3)
+        with pytest.raises(BranchResidualError, match=want):
+            plane._inverse_branch_grid([0, 0], [1, 1], [3.0, 2.5], [1.0, -1.0], 1.3)
+
 
 class TestBatchedBranchEngine:
     """``plane._inverse_branch_grid`` returns the points of ``inverse_branch``
@@ -263,8 +290,8 @@ class TestBatchedBranchEngine:
 
     @staticmethod
     def _grid(poles, wx, wy, lam):
-        loc = np.array([pole_location(q) for q in poles]).reshape(-1, 2)
-        return plane._inverse_branch_grid(loc[:, 0], loc[:, 1], wx, wy, lam)
+        m, n = np.array(poles, dtype=np.int64).reshape(-1, 2).T
+        return plane._inverse_branch_grid(m, n, wx, wy, lam)
 
     @pytest.mark.parametrize("lam", [0.5, 0.9, 1.0, 1.3, 2.0, 3.0])
     def test_points_match_scalar_engine(self, lam):
@@ -491,7 +518,7 @@ class TestCalibration:
         cx, cy = pole_location((0, 0))
         for i in range(0, len(poles), 16):
             w = (poles[i:i + 16, None] + edge).reshape(-1, 2)
-            x, y = plane._inverse_branch_grid(cx, cy, w[:, 0], w[:, 1], lam)
+            x, y = plane._inverse_branch_grid(0, 0, w[:, 0], w[:, 1], lam)
             assert np.hypot(x - cx, y - cy).max() < cal.eps
 
     @pytest.mark.parametrize("lam", CERT_LAMS)
@@ -661,41 +688,9 @@ def _reference_chart_preimages(u, cx, half_x, cy, half_y):
 
 
 # ---------------------------------------------------------------------------
-# the two preimage enumerators, the gate-free cycle solver and the inline
+# the box preimage enumerator, the gate-free cycle solver and the inline
 # Newton stencil as they were before they were merged, kept verbatim as the
 # reference: the merged engine must give the same floats, bit for bit
-
-def _reference_branch_candidates(u, loc, slack: float = 1e-9):
-    out = []
-    uz = float(u[2])
-    charts = []
-    if uz >= -1e-12:
-        charts.append((_reference_hemisphere_to_square(u), 0))
-    if uz <= 1e-12:
-        charts.append((_reference_hemisphere_to_square(np.array([u[0], u[1], -uz])), 1))
-    lx, ly = float(loc[0]), float(loc[1])
-    for (a, b), need in charts:
-        xs = _reference_family_members(a, lx)
-        ys = _reference_family_members(b, ly)
-        for x, parx in xs:
-            for y, pary in ys:
-                if (parx + pary) % 2 != need:
-                    continue
-                if abs(x - lx) + abs(y - ly) <= HALF_PI + slack:
-                    out.append(np.array([x, y]))
-    return out
-
-
-def _reference_family_members(a, center):
-    out = []
-    for off, par in ((a / 2.0, 0), ((math.pi - a) / 2.0, 1)):
-        k0 = round((center - off) / math.pi)
-        for k in (k0 - 1, k0, k0 + 1):
-            x = off + k * math.pi
-            if abs(x - center) <= math.pi:
-                out.append((x, par))
-    return out
-
 
 def _reference_preimages_tangent3(target, lam: float, xy_box, z_tol: float = math.inf):
     u = _reference_cayley_inverse(target if is_infinity(target)
@@ -876,6 +871,49 @@ def _assert_same(got, want):
         assert got == want  # INFINITY, or (exception type, message)
 
 
+# The closed-form branch point against the old route, the Mobius pullback,
+# hemisphere chart and family scan of ``_reference_inverse_branch`` and
+# ``_reference_float_inverse_branch`` (which return the same bytes), kept as
+# the oracle.  Where the old point keeps BAND from the diamond's boundary the
+# two agree within ULP_BUDGET ulp of the pole's larger coordinate (at most 2
+# over 40 000 random targets at |m|, |n| <= 6).  Inside the band the old scan
+# could keep a candidate up to 1e-9 outside the diamond, on its far side (a
+# tiny target at pole (1, 0) went to (-1.8e-285, -5.9e-286), by the vertex
+# at the origin, where the closed form gives (pi, -5.9e-286)), so there the
+# closed form is held to the closed diamond itself, within the same budget.
+BAND = 1e-9
+ULP_BUDGET = 4
+
+
+def _closed_form_vs_old_route(q, w, lam, got, want):
+    """Compare inverse_branch's outcome ``got`` with the old route's ``want``
+    (values, or (exception type, message)) for target w into diamond q.
+
+    Returns where the pair fell: "raised" (the same exception class),
+    "off band", "band", "new only" (the old scan found no float within
+    1e-9 and the closed form did) or "old only" (the reverse).
+    """
+    lx, ly = plane._pole_xy(*q)
+    budget = ULP_BUDGET * math.ulp(max(abs(lx), abs(ly)))
+    if isinstance(want, tuple) and isinstance(got, tuple):
+        assert got[0] is want[0]
+        return "raised"
+    if isinstance(got, tuple):
+        assert got[0] is BranchResidualError
+        return "old only"
+    if isinstance(want, tuple):
+        assert want[0] is BranchResidualError
+        assert chordal([*plane_map(got, lam), 0.0], [*w, 0.0]) <= 1e-9
+        assert abs(got[0] - lx) + abs(got[1] - ly) <= HALF_PI + budget
+        return "new only"
+    assert got.dtype == want.dtype and got.shape == want.shape == (2,)
+    if abs(want[0] - lx) + abs(want[1] - ly) < HALF_PI - BAND:
+        assert np.abs(got - want).max() <= budget, (q, w, lam)
+        return "off band"
+    assert abs(got[0] - lx) + abs(got[1] - ly) <= HALF_PI + budget, (q, w, lam)
+    return "band"
+
+
 class TestBranchEngineBitIdentity:
     LAMS = (0.7, 1.0, 1.1107, 2.0, 5.0)
 
@@ -909,35 +947,21 @@ class TestBranchEngineBitIdentity:
             cases.append((q, w))
         return cases
 
-    def test_branch_candidates_match_reference(self):
-        def float_candidates(u, loc):
-            return [np.array(c) for c in plane._branch_candidates(*u.tolist(), *loc.tolist())]
-
-        rng = np.random.default_rng(211)
-        compared = 0
-        for lam in self.LAMS:
-            for q, w in self._branch_cases(rng, lam, 300):
-                if is_infinity(w):
-                    continue
-                u = _reference_cayley_inverse(
-                    np.array([float(w[0]) / lam, float(w[1]) / lam, 0.0]))
-                loc = pole_location(q)
-                want = _outcome(_reference_branch_candidates, u, loc)
-                _assert_same(_outcome(_reference_diamond_candidates, u, loc), want)
-                _assert_same(_outcome(float_candidates, u, loc), want)
-                compared += 1
-        assert compared == 5 * 250
-
     def test_inverse_branch_matches_reference(self):
         rng = np.random.default_rng(223)
         cases = [(q, w, lam) for lam in self.LAMS for q, w in self._branch_cases(rng, lam, 600)]
-        got = [_outcome(inverse_branch, q, w, lam) for q, w, lam in cases]
-        want = [_outcome(_reference_inverse_branch, q, w, lam, 1e-9,
-                         _reference_branch_candidates) for q, w, lam in cases]
-        for g, w in zip(got, want):
-            _assert_same(g, w)
-        errors = {w[0] for w in want if isinstance(w, tuple)}
+        where, errors = set(), set()
+        for q, w, lam in cases:
+            got = _outcome(inverse_branch, q, w, lam)
+            if is_infinity(w):
+                _assert_same(got, pole_location(q))
+                continue
+            want = _outcome(_reference_inverse_branch, q, w, lam)
+            if isinstance(want, tuple):
+                errors.add(want[0])
+            where.add(_closed_form_vs_old_route(q, w, lam, got, want))
         assert errors == {BranchDomainError}  # exact segment points
+        assert where == {"raised", "off band", "band"}
 
     def test_preimages_match_reference(self):
         rng = np.random.default_rng(227)
@@ -1247,10 +1271,11 @@ class TestFloatPlanePathBitIdentity:
                 _reference_cayley_inverse, p)
 
     def test_inverse_branch_matches_reference(self):
-        # the same bytes (or exception) as the array-level engine on every
-        # kind of target, and no RuntimeWarning where that engine warned
+        # the array-level old route on every kind of target: the same
+        # exception classes, the same point within the ulp budget off the
+        # boundary band, and no RuntimeWarning where the old route warned
         rng = np.random.default_rng(313)
-        errors = set()
+        errors, where = set(), set()
         warned = pole_wins = 0
         for lam in self.LAMS:
             half = lam / SQRT2
@@ -1298,17 +1323,47 @@ class TestFloatPlanePathBitIdentity:
             for q, w in cases:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    want = _raw_outcome(_reference_inverse_branch, q, w, lam)
+                    want = _outcome(_reference_inverse_branch, q, w, lam)
                 warned += any(issubclass(c.category, RuntimeWarning) for c in caught)
-                if want[0] == "raised":
-                    errors.add(want[1])
-                elif not is_infinity(w):
-                    pole_wins += want == ("value", _raw(pole_location(q)))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    assert _raw_outcome(inverse_branch, q, w, lam) == want
+                    got = _outcome(inverse_branch, q, w, lam)
+                if is_infinity(w):
+                    _assert_same(got, pole_location(q))
+                    continue
+                if isinstance(want, tuple):
+                    errors.add(want[0])
+                else:
+                    pole_wins += got.tobytes() == pole_location(q).tobytes()
+                where.add(_closed_form_vs_old_route(q, w, lam, got, want))
         assert errors == {BranchDomainError, ValueError}
+        assert where == {"raised", "off band", "band"}
         assert warned > 50 and pole_wins > 300
+
+    def test_reference_chordal_covers_the_sampled_range(self):
+        # the old route's residuals are only an oracle where its metric is
+        # right: plane points from 1e-300 to 1e308 against nearby, unrelated
+        # and infinite ones, so (1 + |p|^2)(1 + |q|^2) overflows beyond
+        # |p| |q| ~ 1e154 and |p|^2 itself beyond 1.34e154; the hypot
+        # fallback keeps it within 4 ulp of chordal's value throughout
+        rng = np.random.default_rng(331)
+        worst = 0.0
+        for i in range(6000):
+            p = np.array([*_polar(rng, 10.0 ** rng.uniform(-300.0, 308.0)), 0.0])
+            kind = i % 3
+            if kind == 0:
+                q = p * (1.0 + rng.normal() * 10.0 ** rng.uniform(-15.0, -1.0))
+            elif kind == 1:
+                q = np.array([*_polar(rng, 10.0 ** rng.uniform(-300.0, 308.0)), 0.0])
+            else:
+                q = INFINITY
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # numpy's overflow in the oracle
+                want = _reference_chordal(p, q)
+            got = chordal(p, q)
+            assert abs(want - got) <= 4 * math.ulp(got), (p, q)
+            worst = max(worst, abs(want - got) / math.ulp(got))
+        assert worst > 0.0  # the oracle sums by dot: it is no copy of chordal
 
 
 class TestNonFinitePoints:
@@ -1409,9 +1464,9 @@ def _polar(rng, r):
 
 
 class TestScalarBranchWork:
-    """``inverse_branch`` enumerates the diamond's candidates in one loop and
-    prices the pole from the target: the same bytes, only the work its
-    answer needs, and integer pole indices only."""
+    """``inverse_branch`` evaluates one closed-form point and prices the pole
+    from the target: the old route's point within the ulp budget, only the
+    work its answer needs, and integer pole indices only."""
 
     LAMS = (0.5, 0.9, 1.0, 2.0, 3.0)
     BOUND = plane._EXACT_POLES
@@ -1469,23 +1524,29 @@ class TestScalarBranchWork:
                 q = (-(j // 2), j - j // 2 - 1)  # y = j*pi/2 past the bound
             cases.append((q, _polar(rng, 10.0 ** rng.uniform(-3.0, 40.0)),
                           self.LAMS[i % len(self.LAMS)]))
+        # beyond about 1e14 a diamond spans a few hundred floats or fewer; there
+        # the rounded closed-form point (or the pole, evaluated forward) can
+        # miss w by more than 1e-9 where one of the old scan's many candidates
+        # did not, or the reverse (one case in 400 here, three in 1 200 over
+        # three seeds)
         pole_wins = 0
+        where = []
         for q, w, lam in cases:
             lx, ly = plane._pole_xy(*q)
             assert max(abs(lx), abs(ly)) >= self.BOUND
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                want = _outcome(_reference_inverse_branch, q, w, lam)
             got = _outcome(inverse_branch, q, w, lam)
-            _assert_same(got, want)
-            _assert_same(got, _outcome(_reference_float_inverse_branch, q, w, lam))
-            grid = _outcome(plane._inverse_branch_grid, lx, ly, w[0], w[1], lam)
+            want = _outcome(_reference_float_inverse_branch, q, w, lam)
+            where.append(_closed_form_vs_old_route(q, w, lam, got, want))
+            if where[-1] in ("old only", "new only"):
+                assert max(abs(lx), abs(ly)) > 1e14
+            grid = _outcome(plane._inverse_branch_grid, *q, w[0], w[1], lam)
             if isinstance(got, np.ndarray):
                 pole_wins += got.tobytes() == pole_location(q).tobytes()
                 assert struct.pack("2d", grid[0][0], grid[1][0]) == got.tobytes()
             else:
                 assert grid[0] is got[0]
         assert pole_wins > 50
+        assert where.count("old only") + where.count("new only") <= 4
 
     def test_forward_evaluations_are_the_candidates(self, monkeypatch):
         evaluated = []
@@ -1501,14 +1562,20 @@ class TestScalarBranchWork:
             lam = self.LAMS[i % len(self.LAMS)]
             q = tuple(int(v) for v in rng.integers(-6, 7, 2))
             w = _polar(rng, 10.0 ** rng.uniform(-6.0, 30.0))
-            lx, ly = plane._pole_xy(*q)
-            want = plane._branch_candidates(
-                *core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0), lx, ly)
             del evaluated[:]
-            inverse_branch(q, w, lam)
-            assert evaluated == want  # never the pole itself
+            got = inverse_branch(q, w, lam)
+            # the closed-form point alone, never the pole itself
+            assert len(evaluated) == 1
+            if got.tobytes() != pole_location(q).tobytes():
+                assert evaluated == [tuple(got.tolist())]
             inverse_branch(q, INFINITY, lam)
-            assert evaluated == want
+            assert len(evaluated) == 1
+        # past the exact-pole bound the pole is evaluated forward, after the
+        # point (a far target: there floats are 1e-4 apart)
+        q = (math.ceil(self.BOUND / HALF_PI), 0)
+        del evaluated[:]
+        inverse_branch(q, (3e30, 1e30), 1.0)
+        assert evaluated[1:] == [plane._pole_xy(*q)]
 
     def test_point_from_itinerary_reads_each_tail_symbol_once(self):
         reads = []
@@ -1523,13 +1590,19 @@ class TestScalarBranchWork:
 
     def test_wide_targets_match_references(self):
         # poles up to |m|, |n| = 1e6; |w| = lam(1 +- 1e-13), read in both
-        # hemisphere charts; |w| from 1e150 to 1e308 (beyond ~1.3e154 the
-        # pole's residual takes the hypot branch); and |w| from 1e-300 to
-        # 1e-200, where |image - w|^2 underflows, the residuals come from
-        # hypot, and the first least residual wins (there the candidates'
-        # residuals tie, so it is the first candidate)
+        # hemisphere charts by the old route; |w| from 1e150 to 1e308 (beyond
+        # ~1.3e154 the pole's residual takes the hypot branch); and |w| from
+        # 1e-300 to 1e-200, where |image - w|^2 underflows and the residual
+        # comes from hypot.  Those tiny targets land on a diamond vertex, in
+        # the band, where the old scan's tied residuals picked its first
+        # candidate, at either vertex; the closed form takes the vertex whose
+        # triangle holds w's direction.  At poles near 1e6, where the fold
+        # keeps about 10 digits of a point near a tile centre, the closed
+        # form also reaches some targets of |w| near 1e-3 that the old scan
+        # missed by more than 1e-9
         rng = np.random.default_rng(421)
-        firsts = two_chart = 0
+        where = []
+        two_chart = 0
         for i in range(2000):
             lam = self.LAMS[i % len(self.LAMS)]
             kind = i % 4
@@ -1545,22 +1618,16 @@ class TestScalarBranchWork:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _outcome(inverse_branch, q, w, lam)
-            _assert_same(got, _outcome(_reference_float_inverse_branch, q, w, lam))
-            if kind != 2:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    _assert_same(got, _outcome(_reference_inverse_branch, q, w, lam))
-            if kind in (1, 3):
-                u = core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0)
-                if kind == 1:
-                    two_chart += abs(u[2]) <= 1e-12
-                else:
-                    cands = plane._branch_candidates(*u, *plane._pole_xy(*q))
-                    res = [chordal([*plane_map(c, lam), 0.0], [*w, 0.0]) for c in cands]
-                    assert min(res) > 0.0
-                    assert got.tobytes() == np.array(cands[int(np.argmin(res))]).tobytes()
-                    firsts += got.tobytes() == np.array(cands[0]).tobytes()
-        assert firsts == 500 and two_chart > 400
+            if is_infinity(w):
+                _assert_same(got, pole_location(q))
+                continue
+            where.append((kind, _closed_form_vs_old_route(
+                q, w, lam, got, _outcome(_reference_float_inverse_branch, q, w, lam))))
+            if kind == 1:
+                two_chart += abs(core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0)[2]) <= 1e-12
+        assert {k: {c for j, c in where if j == k} for k in range(4)} == {
+            0: {"off band", "raised", "new only"}, 1: {"off band"}, 2: {"off band"}, 3: {"band"}}
+        assert where.count((3, "band")) == 500 and two_chart > 400
 
     def test_enumerator_matches_references(self):
         # boxes of every width about centres up to 1e18 (beyond ~1e15 the
@@ -1577,8 +1644,6 @@ class TestScalarBranchWork:
             hx, hy = 10.0 ** rng.uniform(-3.0, 1.5, 2)
             assert (plane._chart_preimages(*u, cx, hx, cy, hy)
                     == list(_reference_float_chart_preimages(*u, cx, hx, cy, hy)))
-            assert (plane._branch_candidates(*u, cx, cy)
-                    == _reference_float_branch_candidates(*u, cx, cy))
             lam = self.LAMS[i % len(self.LAMS)]
             lx, ly = plane._pole_xy(*(int(v) for v in rng.integers(-10**6, 10**6 + 1, 2)))
             box = (lx - hx, lx + hx, ly - hy, ly + hy)
