@@ -35,7 +35,6 @@ from .plane import (
     SQRT2,
     _require_positive_lam,
     containing_diamond,
-    pole_location,
     preimages_tangent3,
 )
 
@@ -323,18 +322,15 @@ class BlowupReport:
 def _far_preimage(target, lam, min_norm):
     """A verified preimage of ``target`` whose plane coordinates are far out.
 
-    Preimages of any non-omitted value occupy two pi-periodic families
-    per coordinate at a fixed height, so marching the search box outward
-    always finds one.
+    A non-omitted target has one preimage on every tile of one parity, so
+    one of the even tile (t, t) and its odd neighbour (t, t + 1), with t
+    the even tile index past ``min_norm``, holds it; None only if the
+    forward check rejects it.
     """
-    k = int(math.ceil(min_norm / math.pi)) + 1
-    for attempt in range(k, k + 8):
-        cx = attempt * math.pi
-        got = preimages_tangent3(target, lam, (cx - HALF_PI, cx + HALF_PI,
-                                               cx - HALF_PI, cx + HALF_PI))
-        if got:
-            return got[0]
-    return None
+    c = (2 * math.ceil(min_norm / math.pi) + 2) * HALF_PI
+    got = preimages_tangent3(target, lam, (c - QUARTER_PI, c + QUARTER_PI,
+                                           c - QUARTER_PI, c + HALF_PI + QUARTER_PI))
+    return got[0] if got else None
 
 
 def blowup_probe(center, radius: float, lam: float, targets,
@@ -344,10 +340,11 @@ def blowup_probe(center, radius: float, lam: float, targets,
 
     Iterates a seeded sample of the 3-ball B(center, radius) (center is a
     plane point) and records, per target, the first step coming within
-    0.05 (chordal) of it.  When the ball contains a pole, a
-    two-step witness is constructed exactly: a far preimage of the
-    target, then its preimage beside the pole inside the ball; the
-    witness is verified by forward evaluation, never assumed.  Targets
+    0.05 (chordal) of it.  When the ball contains a pole (a preimage of
+    INFINITY in its bounding box), a two-step witness is constructed
+    exactly: a far preimage of the target, then its preimage beside the
+    pole inside the ball; the witness is verified by forward evaluation,
+    never assumed.  Targets
     equal to the omitted values (0, 0, +-lam) are rejected.  Forward
     sampling stops as soon as every accepted target has a witness (or
     at once when none was accepted): later steps cannot change a
@@ -356,10 +353,13 @@ def blowup_probe(center, radius: float, lam: float, targets,
     over.
     """
     _require_positive_lam(lam)
-    if radius <= 0.0:
-        raise ValueError("need radius > 0")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"need 0 < radius < inf, got {radius}")
+    cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"ball centre must be finite, got {(cx, cy)}")
     hit_tol = 0.05
-    center = np.array([float(center[0]), float(center[1]), 0.0])
+    center = np.array([cx, cy, 0.0])
     omitted = (np.array([0.0, 0.0, lam]), np.array([0.0, 0.0, -lam]))
     report = BlowupReport(center=center, radius=radius, lam=lam)
 
@@ -382,14 +382,11 @@ def blowup_probe(center, radius: float, lam: float, targets,
 
     best = [(math.inf, None, None)] * len(checks)  # (gap, steps, witness) per target
 
-    # two-step exact witnesses through any pole inside the ball
-    pole_hits = []
-    span = int(math.ceil((np.abs(center[:2]).max() + radius) / HALF_PI)) + 1
-    for m in range(-span, span + 1):
-        for n in range(-span, span + 1):
-            loc = pole_location((m, n))
-            if math.hypot(loc[0] - center[0], loc[1] - center[1]) < radius * 0.98:
-                pole_hits.append(loc)
+    # two-step exact witnesses through any pole inside the ball: the poles
+    # are the preimages of infinity in its bounding box
+    pole_hits = [loc for loc in preimages_tangent3(
+        INFINITY, lam, (cx - radius, cx + radius, cy - radius, cy + radius))
+        if math.hypot(loc[0] - cx, loc[1] - cy) < radius * 0.98]
     for i, t in enumerate(checks if pole_hits else ()):  # no pole, no far preimage
         far = _far_preimage(t, lam, min_norm=max(50.0, 4.0 * math.pi / radius))
         if far is None:

@@ -214,8 +214,9 @@ def square_to_hemisphere(x: float, y: float) -> np.ndarray:
 def _hemisphere_xy(ux: float, uy: float, uz: float):
     """hemisphere_to_square on three Python floats: the chart point (x, y).
 
-    The float-level core under hemisphere_to_square and the preimage
-    enumerator.  The norm for the unit-norm check is summed on floats.
+    The float-level core under hemisphere_to_square and
+    ``plane.preimages_tangent3``, whose preimage on each tile is half this
+    point, unfolded.  The norm for the unit-norm check is summed on floats.
     """
     n = math.sqrt(ux * ux + uy * uy + uz * uz)
     # written so that a NaN norm fails the test too

@@ -8,8 +8,10 @@ engine behind itineraries and periodic points.  This module evaluates F
 and its derivative, constructs the inverse branches in closed form
 (with a residual check so a wrong branch can never pass silently), and
 calibrates the radii used by expansion-based arguments.  The tangent
-map's preimages in a box, off the plane too, come from the hemisphere
-chart (``preimages_tangent3``).
+map takes each tile's beam one to one onto a half-space, so its
+preimages in a box, off the plane too, are one hemisphere-chart point
+per tile, unfolded (``preimages_tangent3``); ``_unfold`` is the one
+inverse of the tile fold, shared with the branch points.
 """
 
 import math
@@ -306,6 +308,14 @@ def _sign_of_parity(k):
     return 1 - 2 * (k % 2)
 
 
+def _unfold(ti, tj, qx, qy):
+    """The point of tile (ti, tj) that ``fold_axis`` at pi/4 folds to
+    (qx, qy): (ti*pi/2 + (-1)^ti qx, tj*pi/2 + (-1)^tj qy).  Integer tile
+    indices; numbers and arrays alike."""
+    return (ti * HALF_PI + _sign_of_parity(ti) * qx,
+            tj * HALF_PI + _sign_of_parity(tj) * qy)
+
+
 def _branch_point(i, j, wx, wy, mu, odd, maximum):
     """The preimage of w in the diamond of the pole at (i, j)*pi/2 (i + j
     odd), with (mu, odd) from ``_branch_angle``.
@@ -313,10 +323,8 @@ def _branch_point(i, j, wx, wy, mu, odd, maximum):
     The folded point is w*mu/|w|_inf.  On the odd tile it unfolds about
     the pole; otherwise about the centre of the even neighbour that w's
     larger coordinate points to, k -> k + (-1)^k sign(w_k) along that
-    axis.  A tile (ti, tj) unfolds the folded q to
-    (ti*pi/2 + (-1)^ti q_x, tj*pi/2 + (-1)^tj q_y).  Integer arithmetic on
-    the flags, so the same for numbers and arrays; ``maximum`` is max or
-    np.maximum.
+    axis.  Integer arithmetic on the flags, so the same for numbers and
+    arrays; ``maximum`` is max or np.maximum.
     """
     ax, ay = abs(wx), abs(wy)
     s = mu / maximum(ax, ay)
@@ -324,8 +332,7 @@ def _branch_point(i, j, wx, wy, mu, odd, maximum):
     step = 1 - odd  # 0 on the odd tile
     ti = i + step * along_x * _sign_of_parity(i) * (2 * (wx > 0.0) - 1)
     tj = j + step * (1 - along_x) * _sign_of_parity(j) * (2 * (wy > 0.0) - 1)
-    return (ti * HALF_PI + _sign_of_parity(ti) * (wx * s),
-            tj * HALF_PI + _sign_of_parity(tj) * (wy * s))
+    return _unfold(ti, tj, wx * s, wy * s)
 
 
 def _plane_residual(x, y, wx, wy, ww, at_infinity, lam):
@@ -429,46 +436,28 @@ def _inverse_branch_grid(m, n, wx, wy, lam):
     return np.where(win, lx, x), np.where(win, ly, y)
 
 
-def _chart_preimages(ux, uy, uz, cx, half_x, cy, half_y):
-    """The points (x, y) with |x-cx| <= half_x and |y-cy| <= half_y whose
-    Zorich direction is the unit vector (ux, uy, uz), as a list.  The
-    chart point (a, b) of each hemisphere, upper then lower, gives the
-    families a/2 + k*pi (direct) and (pi-a)/2 + k*pi (reflected), k rising,
-    per coordinate; x runs over the direct then the reflected members, y
-    likewise inside it, keeping the pairs whose reflection parities add up
-    to the hemisphere flip."""
-    pi, floor, ceil = math.pi, math.floor, math.ceil
-    out = []
-    xlo, xhi, ylo, yhi = cx - half_x, cx + half_x, cy - half_y, cy + half_y
-    for flip, sz in ((0, uz), (1, -uz)):
-        if not sz >= -1e-12:
-            continue
-        a, b = _hemisphere_xy(ux, uy, sz)
-        fam = []  # x direct, x reflected, y direct, y reflected
-        for off, lo, hi in ((a / 2.0, xlo, xhi), ((pi - a) / 2.0, xlo, xhi),
-                            (b / 2.0, ylo, yhi), ((pi - b) / 2.0, ylo, yhi)):
-            k, top = floor((lo - off) / pi), ceil((hi - off) / pi)
-            members = []
-            while k <= top and (x := off + k * pi) <= hi:  # x rises with k
-                if x >= lo:
-                    members.append(x)
-                k += 1
-            fam.append(members)
-        xd, xr, yd, yr = fam
-        for xs, ys in ((xd, yr), (xr, yd)) if flip else ((xd, yd), (xr, yr)):
-            out.extend((x, y) for x in xs for y in ys)
-    return out
+def _tiles(lo, hi):
+    """The indices of the tiles that ``fold_axis`` assigns to [lo, hi]."""
+    lo, hi = (math.floor((c + QUARTER_PI) / HALF_PI) for c in (lo, hi))
+    return range(lo, hi + 1)
 
 
 def preimages_tangent3(target, lam: float, xy_box):
     """All solutions of tangent3(v, lam) = target with (v_x, v_y) in xy_box.
 
     ``target`` may be a finite 3-vector or INFINITY (whose preimages are
-    the poles); ``xy_box`` is (x0, x1, y0, y1).  Returns verified
-    preimages (forward chordal residual below 1e-9).  The z-coordinate
-    of every preimage of a fixed target is the same number log|u|/2.
+    the poles); ``xy_box`` is a finite closed box (x0, x1, y0, y1).  Each
+    tile's beam maps one to one onto a half-space, so with
+    u = cayley_inverse(target/lam) a target has one preimage per tile:
+    half the chart point of u/|u| on even tiles, of (u_x, u_y, -u_z)/|u|
+    on odd ones (both within 1e-12 of the equator), unfolded, at height
+    log|u|/2.  Returns those in the box that pass the forward check
+    (chordal residual below 1e-9), one per tile, in tile order (x-major).
     """
     _require_positive_lam(lam)
+    x0, x1, y0, y1 = box = tuple(map(float, xy_box))
+    if not all(map(math.isfinite, box)):
+        raise ValueError(f"box entries must be finite, got {box}")
     u = cayley_inverse(target if is_infinity(target)
                        else np.asarray(target, dtype=float) / lam)
     if is_infinity(u):
@@ -477,13 +466,21 @@ def preimages_tangent3(target, lam: float, xy_box):
     if norm == 0.0:
         return []  # target = (0,0,-lam), the other omitted value
     zc = math.log(norm) / 2.0
-    x0, x1, y0, y1 = xy_box
+    ux, uy, uz = (u / norm).tolist()
+    # the folded point on even and on odd tiles, or None off that hemisphere
+    half = [[c / 2.0 for c in _hemisphere_xy(ux, uy, sz)] if sz >= -1e-12 else None
+            for sz in (uz, -uz)]
     out = []
-    for x, y in _chart_preimages(*(u / norm).tolist(), (x0 + x1) / 2.0, (x1 - x0) / 2.0,
-                                 (y0 + y1) / 2.0, (y1 - y0) / 2.0):
-        t = _tangent3_xyz(x, y, zc, lam)
-        if chordal(INFINITY if t is None else t, target) < 1e-9:
-            out.append(np.array([x, y, zc]))
+    for ti in _tiles(x0, x1):
+        for tj in _tiles(y0, y1):
+            q = half[(ti + tj) % 2]
+            if q is None:
+                continue
+            x, y = _unfold(ti, tj, *q)
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                t = _tangent3_xyz(x, y, zc, lam)
+                if chordal(INFINITY if t is None else t, target) < 1e-9:
+                    out.append(np.array([x, y, zc]))
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference as ref
-from qrtan import analysis
+from qrtan import analysis, plane
 from qrtan.analysis import (
     BlowupReport,
     Fate,
@@ -441,6 +441,28 @@ class TestBlowupProbe:
     def test_domain(self):
         with pytest.raises(ValueError):
             blowup_probe(np.array([0.0, 0.0]), 0.0, 1.0, [])
+
+    def test_far_pole_reads_only_nearby_tiles(self, monkeypatch):
+        # a ball on a pole of norm about 1.1e3 reads the tiles that meet its
+        # boxes (one tile about the pole) and the far preimage's tiles past
+        # min_norm = 50, counted at the unfold: no scan of the poles about
+        # the origin, so the work does not grow with the pole's norm
+        read = []
+        unfold = plane._unfold
+
+        def counted(ti, tj, qx, qy):
+            read.append((ti, tj))
+            return unfold(ti, tj, qx, qy)
+
+        monkeypatch.setattr(plane, "_unfold", counted)
+        c = pole_location((0, 500))  # the centre of tile (500, 501)
+        rep = blowup_probe(c, 0.4, 1.0, [np.array([0.0, 0.0, 0.0]), np.array([3.0, -2.0, 1.0])],
+                           max_iter=40)
+        assert [(r.covered, r.iterations) for r in rep.results] == [(True, 2), (True, 2)]
+        near = [(ti, tj) for ti, tj in read if abs(ti - 500) <= 1 and abs(tj - 501) <= 1]
+        far = [(ti, tj) for ti, tj in read if (ti, tj) not in near]
+        assert near and far and len(read) <= 12
+        assert all(50.0 < min(ti, tj) * HALF_PI < 100.0 for ti, tj in far)
 
     @pytest.mark.parametrize("center,radius,lam,targets", [
         # every target gets the two-step pole witness

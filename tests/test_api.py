@@ -2,7 +2,8 @@
 ``RenderConfig`` and the parameters of ``classify_orbit``.  Adding or
 removing an export, a render option or an orbit-fate option changes these
 lists, so it shows up as a reviewed diff.  And the entry points that take
-lam reject one that is not positive and finite, with one message."""
+lam reject one that is not positive and finite, with one message, and
+those that take a box, a ball centre or a radius reject a non-finite one."""
 
 import dataclasses
 import inspect
@@ -78,6 +79,29 @@ LAM_ENTRY_POINTS = {
     "run_suite": lambda lam: verify.run_suite(lam, "core", fast=True),
     "RenderConfig": lambda lam: RenderConfig(lam=lam),
 }
+
+
+# entry points that take a box, a centre or a radius: each non-finite one
+# raises a one-line ValueError that names it
+NONFINITE_INPUTS = {
+    "preimages_tangent3 box": (
+        lambda v: plane.preimages_tangent3((1.0, 2.0, 0.5), 1.0, (-1.0, 1.0, v, 1.0)),
+        "box entries must be finite, got (-1.0, 1.0, {}, 1.0)"),
+    "blowup_probe center": (
+        lambda v: analysis.blowup_probe((v, 0.0), 0.1, 1.0, [(1.0, 2.0, 3.0)]),
+        "ball centre must be finite, got ({}, 0.0)"),
+    "blowup_probe radius": (
+        lambda v: analysis.blowup_probe((0.0, 0.0), v, 1.0, [(1.0, 2.0, 3.0)]),
+        "need 0 < radius < inf, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(NONFINITE_INPUTS))
+def test_entry_points_reject_nonfinite_inputs(entry, value):
+    call, message = NONFINITE_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
