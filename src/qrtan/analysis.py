@@ -324,9 +324,11 @@ def _far_preimage(target, lam, min_norm):
 
     A non-omitted target has one preimage on every tile of one parity, so
     one of the even tile (t, t) and its odd neighbour (t, t + 1), with t
-    the even tile index past ``min_norm``, holds it; None only if the
-    forward check rejects it.
+    the even tile index past ``min_norm``, holds it; None if the forward
+    check rejects it or ``min_norm`` is inf.
     """
+    if min_norm == math.inf:
+        return None
     c = (2 * math.ceil(min_norm / math.pi) + 2) * HALF_PI
     got = preimages_tangent3(target, lam, (c - QUARTER_PI, c + QUARTER_PI,
                                            c - QUARTER_PI, c + HALF_PI + QUARTER_PI))

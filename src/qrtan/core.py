@@ -363,16 +363,19 @@ def _beam_formula(x: float, y: float, z: float):
 
 
 def _tangent3_xyz(x: float, y: float, z: float, lam):
-    """tangent3 on three finite Python floats: [tx, ty, tz], or None at a pole.
-
-    The float-level core under tangent3 (and so plane_map),
-    classify_orbit, the inverse-branch scan and the symbolic layer's
-    forward steps; it builds no array.
-    """
+    """tangent3 on three finite Python floats: [tx, ty, tz], or None at a
+    pole: the fold, then ``_tile_map``.  The float core under tangent3,
+    classify_orbit and the symbolic layer's forward steps; no array."""
     fx, px = fold_axis(x, QUARTER_PI)
     fy, py = fold_axis(y, QUARTER_PI)
+    return _tile_map(fx, fy, z, (px + py) % 2, lam)
+
+
+def _tile_map(fx: float, fy: float, z: float, odd, lam):
+    """_tangent3_xyz after the fold: the map at the folded point (fx, fy, z)
+    of a tile of parity ``odd``, or None at an odd tile's centre (a pole)."""
     bx, by, bz = _beam_formula(fx, fy, z)
-    if (px + py) % 2:
+    if odd:
         n2 = bx * bx + by * by + bz * bz
         if n2 == 0.0:
             return None
@@ -532,12 +535,19 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
     coords = (x, y) if plane else (x, y, np.asarray(z, dtype=float))
     shape = x.shape
     if not shape or any(c.shape != shape for c in coords):
-        # the arithmetic below runs in place on flat arrays of one shape
+        # the tile map runs in place on flat arrays of one shape
         shape = np.broadcast_shapes(*(c.shape for c in coords))
         coords = [np.broadcast_to(c, shape).ravel() for c in coords]
     fx, ox = fold_axis_grid(coords[0], QUARTER_PI)
     fy, oy = fold_axis_grid(coords[1], QUARTER_PI)
-    odd = ox ^ oy
+    t = _tile_map_grid(fx, fy, z if plane else coords[2], ox ^ oy, lam)
+    return tuple(a.reshape(shape) for a in t)
+
+
+def _tile_map_grid(fx, fy, z, odd, lam):
+    """tangent3_grid after the fold, on arrays of one shape (z the scalar
+    0.0 on the plane), with tile parities ``odd``; overwrites fx and fy."""
+    plane = isinstance(z, float)
     r = np.abs(fx)
     lo = np.abs(fy)
     m = np.maximum(r, lo)
@@ -549,8 +559,8 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
     f *= cm
     denom = np.multiply(cm, cm, out=cm)
     if not plane:
-        th = np.tanh(coords[2])
-        e = np.abs(coords[2])
+        th = np.tanh(z)
+        e = np.abs(z)
         np.negative(e, out=e)
         np.exp(e, out=e)
         sech = np.multiply(e, e)
@@ -602,4 +612,4 @@ def tangent3_grid(x, y, z, lam: float = 1.0):
         for c in t:
             c[pole] = np.inf
         finite = np.logical_not(pole, out=used)
-    return tuple(a.reshape(shape) for a in (*t, finite))
+    return (*t, finite)

@@ -6,7 +6,8 @@ Off a short closed diagonal segment through the origin, F admits one
 single-valued inverse branch into each diamond; those branches are the
 engine behind itineraries and periodic points.  This module evaluates F
 and its derivative, constructs the inverse branches in closed form
-(with a residual check so a wrong branch can never pass silently), and
+(with a residual check on the tile offset, before the unfold, so a
+wrong branch can never pass silently at any pole norm), and
 calibrates the radii used by expansion-based arguments.  The tangent
 map takes each tile's beam one to one onto a half-space, so its
 preimages in a box, off the plane too, are one hemisphere-chart point
@@ -31,7 +32,8 @@ from .core import (
     _chordal_infinite,
     _hemisphere_xy,
     _require_finite,
-    _tangent3_xyz,
+    _tile_map,
+    _tile_map_grid,
     cayley_inverse,
     chordal,
     chordal_grid,
@@ -44,9 +46,6 @@ from .core import (
 )
 
 SQRT2 = math.sqrt(2.0)
-# poles with both coordinates below this map to INFINITY exactly (the fold lands
-# on the tile centre): the branch engines price them from the target alone
-_EXACT_POLES = 2.0 ** 40
 
 
 class PoleIndex(NamedTuple):
@@ -318,13 +317,13 @@ def _unfold(ti, tj, qx, qy):
 
 def _branch_point(i, j, wx, wy, mu, odd, maximum):
     """The preimage of w in the diamond of the pole at (i, j)*pi/2 (i + j
-    odd), with (mu, odd) from ``_branch_angle``.
+    odd), with (mu, odd) from ``_branch_angle``: its tile (ti, tj), of
+    parity ``odd``, and its folded offset (qx, qy) there.
 
-    The folded point is w*mu/|w|_inf.  On the odd tile it unfolds about
-    the pole; otherwise about the centre of the even neighbour that w's
-    larger coordinate points to, k -> k + (-1)^k sign(w_k) along that
-    axis.  Integer arithmetic on the flags, so the same for numbers and
-    arrays; ``maximum`` is max or np.maximum.
+    The offset is w*mu/|w|_inf, on the pole's odd tile or on the even
+    neighbour that w's larger coordinate points to, k -> k + (-1)^k
+    sign(w_k) along that axis.  Integer arithmetic on the flags, so the
+    same for numbers and arrays; ``maximum`` is max or np.maximum.
     """
     ax, ay = abs(wx), abs(wy)
     s = mu / maximum(ax, ay)
@@ -332,19 +331,7 @@ def _branch_point(i, j, wx, wy, mu, odd, maximum):
     step = 1 - odd  # 0 on the odd tile
     ti = i + step * along_x * _sign_of_parity(i) * (2 * (wx > 0.0) - 1)
     tj = j + step * (1 - along_x) * _sign_of_parity(j) * (2 * (wy > 0.0) - 1)
-    return _unfold(ti, tj, wx * s, wy * s)
-
-
-def _plane_residual(x, y, wx, wy, ww, at_infinity, lam):
-    """Chordal distance from F(x, y) to the finite target w, with
-    ww = |w|^2 and at_infinity its distance to INFINITY, on Python floats."""
-    t = _tangent3_xyz(x, y, 0.0, lam)
-    if t is None:
-        return at_infinity
-    tx, ty = t[0], t[1]
-    dx, dy = tx - wx, ty - wy
-    return _chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
-                           (dx, dy, 0.0), (tx, ty, 0.0), (wx, wy, 0.0))
+    return ti, tj, wx * s, wy * s
 
 
 def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
@@ -354,12 +341,13 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     finite w has one preimage in the diamond, in closed form
     (``_branch_point``): the folded point w*mu/|w|_inf, with
     mu = arctan(lam/|w|) on the pole's odd tile when |w| >= lam, else
-    mu = arctan(|w|/lam) on an even neighbour.  It is accepted only if its
-    forward image reproduces w within 1e-9 (chordal).  w = INFINITY maps
-    to the pole itself, which also competes (and wins only strictly) for
-    targets near infinity.  q must be integers; a w with w/lam beyond the
-    float range is rejected as non-finite.  Everything runs on Python
-    floats; only the returned point is an array.
+    mu = arctan(|w|/lam) on an even neighbour.  It is accepted only if F
+    on that offset (``_tile_map``) reproduces w within 1e-9 (chordal), and
+    returned unfolded.  w = INFINITY maps to the pole, its tile's centre,
+    which also competes (and wins only strictly) for targets near
+    infinity.  q must be integers; a w with w/lam beyond the float range
+    is rejected as non-finite.  Everything runs on Python floats; only
+    the returned point is an array.
     """
     _require_positive_lam(lam)
     try:
@@ -374,18 +362,20 @@ def inverse_branch(q, w, lam: float = 1.0) -> np.ndarray:
     if (wy == wx or wy == -wx) and abs(wx) <= lam / SQRT2:
         raise _domain_error((wx, wy), (m, n), lam)
     _require_finite(wx / lam, wy / lam)
-    best = _branch_point(n + m, n - m + 1, wx, wy, *_branch_angle(wx, wy, lam), max)
+    mu, odd = _branch_angle(wx, wy, lam)
+    ti, tj, qx, qy = _branch_point(n + m, n - m + 1, wx, wy, mu, odd, max)
     ww = wx * wx + wy * wy
-    at_infinity = _chordal_infinite(ww, (wx, wy))  # the residual of a pole hit
-    best_res = _plane_residual(*best, wx, wy, ww, at_infinity, lam)
-    if abs(lx) < _EXACT_POLES > abs(ly):
-        pole_res = at_infinity
-    else:  # the fold can miss a far pole's tile centre: evaluate it forward
-        pole_res = _plane_residual(lx, ly, wx, wy, ww, at_infinity, lam)
-    if pole_res < best_res:
-        best, best_res = (lx, ly), pole_res
-    if not best_res <= 1e-9:
-        raise _residual_error((wx, wy), (m, n), lam, best_res)
+    res = pole_res = _chordal_infinite(ww, (wx, wy))  # the residual of a pole hit
+    t = _tile_map(qx, qy, 0.0, odd, lam)
+    if t is not None:
+        tx, ty = t[0], t[1]
+        dx, dy = tx - wx, ty - wy
+        res = _chordal_finite(dx * dx + dy * dy, tx * tx + ty * ty, ww,
+                              (dx, dy, 0.0), (tx, ty, 0.0), (wx, wy, 0.0))
+    best = (lx, ly) if pole_res < res else _unfold(ti, tj, qx, qy)
+    res = min(res, pole_res)
+    if not res <= 1e-9:
+        raise _residual_error((wx, wy), (m, n), lam, res)
     return np.array(best)
 
 
@@ -395,9 +385,9 @@ def _inverse_branch_grid(m, n, wx, wy, lam):
 
     ``_branch_angle`` target by target on Python floats (numpy's hypot
     and arctan differ from math's in the last bit), then
-    ``_branch_point`` on arrays, and the residuals from ``tangent3_grid``
-    and ``chordal_grid``, the pole's priced as in ``inverse_branch``.
-    Raises the scalar engine's errors, naming the first target at fault.
+    ``_branch_point`` on arrays, and the residuals from ``_tile_map_grid``
+    and ``chordal_grid``, the pole's against INFINITY, as in
+    ``inverse_branch``.  Raises its errors, naming the first target at fault.
     """
     m, n, wx, wy = np.broadcast_arrays(*(np.asarray(c, dtype=t).ravel() for c, t in (
         (m, np.int64), (n, np.int64), (wx, float), (wy, float))))
@@ -412,28 +402,21 @@ def _inverse_branch_grid(m, n, wx, wy, lam):
     with np.errstate(over="ignore"):  # as Python floats overflow to inf
         if not (np.isfinite(wx / lam).all() and np.isfinite(wy / lam).all()):
             raise ValueError(_NONFINITE)
-        ww = wx * wx + wy * wy
     angles = [_branch_angle(a, b, lam) for a, b in zip(wx.tolist(), wy.tolist())]
     mu = np.array([a for a, _ in angles], dtype=float)
     odd = np.array([o for _, o in angles], dtype=bool)
     i, j = n + m, n - m + 1
-    x, y = _branch_point(i, j, wx, wy, mu, odd, np.maximum)
-    res = chordal_grid(tangent3_grid(x, y, 0.0, lam)[:3], (wx, wy, 0.0))
-    lx, ly = i * HALF_PI, j * HALF_PI
-    pole_res = 2.0 / np.sqrt(1.0 + ww)  # the pole, priced as in inverse_branch
-    for k in np.flatnonzero(ww == math.inf):
-        pole_res[k] = _chordal_infinite(math.inf, (wx[k], wy[k]))
-    far = np.maximum(np.abs(lx), np.abs(ly)) >= _EXACT_POLES
-    if far.any():  # the fold can miss a far pole's tile centre: evaluate it forward
-        pole_res[far] = chordal_grid(tangent3_grid(lx[far], ly[far], 0.0, lam)[:3],
-                                     (wx[far], wy[far], 0.0))
+    ti, tj, qx, qy = _branch_point(i, j, wx, wy, mu, odd, np.maximum)
+    x, y = _unfold(ti, tj, qx, qy)  # before the tile map overwrites the offset
+    res = chordal_grid(_tile_map_grid(qx, qy, 0.0, odd, lam)[:3], (wx, wy, 0.0))
+    pole_res = chordal_grid((math.inf, 0.0, 0.0), (wx, wy, 0.0))
     win = pole_res < res
     res = np.where(win, pole_res, res)
     bad = ~(res <= 1e-9)
     if bad.any():
         w, q = first(bad)
         raise _residual_error(w, q, lam, res[int(np.argmax(bad))])
-    return np.where(win, lx, x), np.where(win, ly, y)
+    return np.where(win, i * HALF_PI, x), np.where(win, j * HALF_PI, y)
 
 
 def _tiles(lo, hi):
@@ -451,8 +434,9 @@ def preimages_tangent3(target, lam: float, xy_box):
     u = cayley_inverse(target/lam) a target has one preimage per tile:
     half the chart point of u/|u| on even tiles, of (u_x, u_y, -u_z)/|u|
     on odd ones (both within 1e-12 of the equator), unfolded, at height
-    log|u|/2.  Returns those in the box that pass the forward check
-    (chordal residual below 1e-9), one per tile, in tile order (x-major).
+    log|u|/2.  Returns those in the box whose chart point passes the
+    forward check (chordal residual below 1e-9, on the tile offset, so
+    the same for every tile of a parity), one per tile, in tile order.
     """
     _require_positive_lam(lam)
     x0, x1, y0, y1 = box = tuple(map(float, xy_box))
@@ -467,9 +451,13 @@ def preimages_tangent3(target, lam: float, xy_box):
         return []  # target = (0,0,-lam), the other omitted value
     zc = math.log(norm) / 2.0
     ux, uy, uz = (u / norm).tolist()
-    # the folded point on even and on odd tiles, or None off that hemisphere
-    half = [[c / 2.0 for c in _hemisphere_xy(ux, uy, sz)] if sz >= -1e-12 else None
-            for sz in (uz, -uz)]
+    # the folded point on even and on odd tiles, or None where it fails
+    half = [None, None]
+    for odd, sz in enumerate((uz, -uz)):
+        if sz >= -1e-12:  # on that hemisphere
+            q = [c / 2.0 for c in _hemisphere_xy(ux, uy, sz)]
+            t = _tile_map(*q, zc, odd, lam)
+            half[odd] = q if chordal(INFINITY if t is None else t, target) < 1e-9 else None
     out = []
     for ti in _tiles(x0, x1):
         for tj in _tiles(y0, y1):
@@ -478,9 +466,7 @@ def preimages_tangent3(target, lam: float, xy_box):
                 continue
             x, y = _unfold(ti, tj, *q)
             if x0 <= x <= x1 and y0 <= y <= y1:
-                t = _tangent3_xyz(x, y, zc, lam)
-                if chordal(INFINITY if t is None else t, target) < 1e-9:
-                    out.append(np.array([x, y, zc]))
+                out.append(np.array([x, y, zc]))
     return out
 
 

@@ -442,6 +442,15 @@ class TestBlowupProbe:
         with pytest.raises(ValueError):
             blowup_probe(np.array([0.0, 0.0]), 0.0, 1.0, [])
 
+    @pytest.mark.parametrize("radius", [5e-324, 1e-310, 6.99e-308, 1e-300])
+    def test_tiny_radius_reports_no_witness(self, radius):
+        # below about 7e-308 the far preimage's norm 4 pi/radius overflows
+        # to inf, where no tile lies: the two-step witness is skipped
+        rep = blowup_probe(pole_location((0, 0)), radius, 1.0, [(1, 2, 3)])
+        res, = rep.results
+        assert (res.covered, res.iterations, res.witness) == (False, None, None)
+        assert res.note == "not reached within 60 iterations"
+
     def test_far_pole_reads_only_nearby_tiles(self, monkeypatch):
         # a ball on a pole of norm about 1.1e3 reads the tiles that meet its
         # boxes (one tile about the pole) and the far preimage's tiles past

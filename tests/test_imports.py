@@ -4,8 +4,8 @@ goes unused, and ``import qrtan`` stays lean.
 Stdlib ``ast`` scans.  Of the package (its ``__init__.py`` re-exports
 excepted), the tests and the demos: every name an ``import`` statement
 binds must be referenced somewhere in the same file.  Of the package:
-every top-level function and class must be referenced in the package
-beyond its definition, exported by ``qrtan/__init__.py``, a
+every top-level function, class and assigned name must be referenced in
+the package beyond its definition, exported by ``qrtan/__init__.py``, a
 ``[project.scripts]`` entry point, or used from ``bench/`` or ``demos/``;
 and every parameter of a function must be read in its body.
 """
@@ -65,24 +65,36 @@ def _read_names(node):
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
+def _defined_names(node):
+    """Names a top-level statement defines: a function or class, or the
+    plain names an assignment binds."""
+    if isinstance(node, _DEFINITIONS):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def unused_definitions(package: dict, kept: set):
-    """Top-level functions and classes of ``package`` (file name to source)
-    that no top-level statement of the package other than their own
-    definition reads, and that are not in ``kept``."""
+    """Top-level functions, classes and assigned names of ``package`` (file
+    name to source) that no top-level statement of the package other than
+    their own definition reads, and that are not in ``kept``."""
     parts = [(name, node) for name, source in sorted(package.items())
              for node in ast.parse(source).body]
     reads = [(node, _read_names(node)) for _, node in parts]
-    return [f"{name}: {node.name}" for name, node in parts
-            if isinstance(node, _DEFINITIONS) and node.name not in kept
-            and not any(node.name in names for other, names in reads if other is not node)]
+    return [f"{name}: {defined}" for name, node in parts for defined in _defined_names(node)
+            if defined not in kept
+            and not any(defined in names for other, names in reads if other is not node)]
 
 
 def test_definition_scan_flags_only_unused_names():
     package = {"a.py": "def f():\n    return g()\n\ndef g():\n    return g()\n\n"
-                       "class C:\n    pass\n",
-               "b.py": "import a\n\ndef h():\n    return a.f\n\ndef k():\n    return k\n"}
-    assert unused_definitions(package, set()) == ["a.py: C", "b.py: h", "b.py: k"]
-    assert unused_definitions(package, {"C", "k"}) == ["b.py: h"]
+                       "class C:\n    pass\n\nLIMIT = 2.0 ** 40\nSTEP: float = LIMIT / 2\n",
+               "b.py": "import a\n\ndef h():\n    return a.f\n\ndef k():\n    return k\n\n"
+                       "X, (Y, Z) = 1, (2, 3)\nW = Y\n"}
+    assert unused_definitions(package, set()) == [
+        "a.py: C", "a.py: STEP", "b.py: h", "b.py: k", "b.py: X", "b.py: Z", "b.py: W"]
+    assert unused_definitions(package, {"C", "k", "STEP", "X", "Z", "W"}) == ["b.py: h"]
 
 
 def test_no_unused_definitions():

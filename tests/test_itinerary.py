@@ -154,6 +154,16 @@ class TestPointFromItinerary:
                 assert (point_from_itinerary(itin, lam, n_compose=settled).tobytes()
                         == point_from_itinerary(itin, lam).tobytes())
 
+    @pytest.mark.parametrize("lam", [0.9, 1.0, 2.0])
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    def test_fast_tails_settle_at_the_default_depth(self, lam, base):
+        # tails (0, base^j + 8) put the last symbols of the default depth at
+        # pole norms up to about 1e30; every branch there is checked in the
+        # tile frame, so the default's point is the 8-fold truncation's
+        itin = Itinerary(prefix=[], tail=lambda j: (0, base ** j + 8))
+        assert (point_from_itinerary(itin, lam).tobytes()
+                == point_from_itinerary(itin, lam, n_compose=8).tobytes())
+
     def test_partial_constructions_are_preimages_of_infinity(self):
         # the j-fold truncation sends the j-th symbol's pole to itself, so one
         # more step lands at infinity; the limit point stays within the

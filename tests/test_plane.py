@@ -249,16 +249,17 @@ class TestInverseBranch:
                 call()
             assert str(caught.value) == want
 
-        def shifted(x, y, z, lam):
-            t = core._tangent3_xyz(x, y, z, lam)
+        # a fault in the tile-frame map, where both engines take the residual
+        def shifted(fx, fy, z, odd, lam):
+            t = core._tile_map(fx, fy, z, odd, lam)
             return None if t is None else [t[0] + 1e-3, t[1], t[2]]
 
-        def shifted_grid(x, y, z, lam):
-            tx, ty, tz, finite = core.tangent3_grid(x, y, z, lam)
+        def shifted_grid(fx, fy, z, odd, lam):
+            tx, ty, tz, finite = core._tile_map_grid(fx, fy, z, odd, lam)
             return tx + 1e-3, ty, tz, finite
 
-        monkeypatch.setattr(plane, "_tangent3_xyz", shifted)
-        monkeypatch.setattr(plane, "tangent3_grid", shifted_grid)
+        monkeypatch.setattr(plane, "_tile_map", shifted)
+        monkeypatch.setattr(plane, "_tile_map_grid", shifted_grid)
         want = (r"^no preimage of \(3\.0, 1\.0\) in diamond \(0, 1\) at lam=1\.3 "
                 r"\(best residual 1\.\d{3}e-04\)$")
         with pytest.raises(BranchResidualError, match=want):
@@ -324,11 +325,11 @@ class TestBatchedBranchEngine:
             assert type(caught.value) is want
 
     def test_residual_error_names_target_lam_and_residual(self, monkeypatch):
-        def shifted(x, y, z, lam):
-            tx, ty, tz, finite = core.tangent3_grid(x, y, z, lam)
+        def shifted(fx, fy, z, odd, lam):
+            tx, ty, tz, finite = core._tile_map_grid(fx, fy, z, odd, lam)
             return tx + 1e-3, ty, tz, finite
 
-        monkeypatch.setattr(plane, "tangent3_grid", shifted)
+        monkeypatch.setattr(plane, "_tile_map_grid", shifted)
         with pytest.raises(BranchResidualError, match=r"\(3\.0, 1\.0\).*lam=1\.3.*residual"):
             self._grid([(0, 1)] * 2, np.array([3.0, 2.5]), np.array([1.0, -1.0]), 1.3)
 
@@ -915,7 +916,11 @@ def _closed_form_vs_old_route(q, w, lam, got, want):
 
     Returns where the pair fell: "raised" (the same exception class),
     "off band", "band", "new only" (the old scan found no float within
-    1e-9 and the closed form did) or "old only" (the reverse).
+    1e-9 and the closed form did) or "old only" (the reverse).  A "new
+    only" point is held to what the engine certifies: F on its exact
+    offset in the tile frame is within 1e-9 of w, and the returned float
+    is that offset's unfold, bit for bit (the float's own forward image
+    can miss w by more: 1.04e-9 at a pole near 1e6), or it is the pole.
     """
     lx, ly = plane._pole_xy(*q)
     budget = ULP_BUDGET * math.ulp(max(abs(lx), abs(ly)))
@@ -927,7 +932,7 @@ def _closed_form_vs_old_route(q, w, lam, got, want):
         return "old only"
     if isinstance(want, tuple):
         assert want[0] is BranchResidualError
-        assert chordal([*plane_map(got, lam), 0.0], [*w, 0.0]) <= 1e-9
+        assert _tile_frame_residual(q, w, lam, got) <= 1e-9
         assert abs(got[0] - lx) + abs(got[1] - ly) <= HALF_PI + budget
         return "new only"
     assert got.dtype == want.dtype and got.shape == want.shape == (2,)
@@ -936,6 +941,22 @@ def _closed_form_vs_old_route(q, w, lam, got, want):
         return "off band"
     assert abs(got[0] - lx) + abs(got[1] - ly) <= HALF_PI + budget, (q, w, lam)
     return "band"
+
+
+def _tile_frame_residual(q, w, lam, got):
+    """The residual that certifies inverse_branch's point ``got`` for target
+    w into diamond q: the chordal gap from F on the closed form's offset,
+    in the tile frame, to w where ``got`` is that offset's unfold bit for
+    bit, else chordal(w, INFINITY) after asserting that ``got`` is the
+    pole (past about 1e16 the two can round to the same floats)."""
+    wx, wy = float(w[0]), float(w[1])
+    mu, odd = plane._branch_angle(wx, wy, lam)
+    ti, tj, qx, qy = plane._branch_point(q[1] + q[0], q[1] - q[0] + 1, wx, wy, mu, odd, max)
+    if got.tobytes() == np.array(plane._unfold(ti, tj, qx, qy)).tobytes():
+        image = core._tile_map(qx, qy, 0.0, odd, lam)
+        return chordal(INFINITY if image is None else image, [wx, wy, 0.0])
+    assert got.tobytes() == pole_location(q).tobytes()
+    return chordal(INFINITY, [wx, wy, 0.0])
 
 
 def _preimages_match(target, lam, box, got, want):
@@ -1521,7 +1542,9 @@ class TestScalarBranchWork:
     work its answer needs, and integer pole indices only."""
 
     LAMS = (0.5, 0.9, 1.0, 2.0, 3.0)
-    BOUND = plane._EXACT_POLES
+    # below this every pole folds onto its tile centre (a property of
+    # tangent3); the engines price a pole in the tile frame at any norm
+    BOUND = 2.0 ** 40
 
     @pytest.mark.parametrize("q", [(0.5, 0), (1.2, 3.0), (1.0, 2), (0, np.float64(2.0)),
                                    ("1", 2), (None, 0)])
@@ -1559,8 +1582,8 @@ class TestScalarBranchWork:
                 assert core._tangent3_xyz(lx, ly, 0.0, lam) is None, (pm, pn)
                 checked += 1
         assert checked > 4 * 4000
-        # far beyond it the fold can miss the centre, so poles there keep the
-        # forward evaluation
+        # far beyond it the fold can miss the centre, which the tile frame
+        # of the branch engines never reads
         far = [plane._pole_xy(int(j), 0) for j in rng.integers(10**17, 10**18, 200)]
         assert any(core._tangent3_xyz(x, y, 0.0, 1.0) is not None for x, y in far)
 
@@ -1576,58 +1599,76 @@ class TestScalarBranchWork:
                 q = (-(j // 2), j - j // 2 - 1)  # y = j*pi/2 past the bound
             cases.append((q, _polar(rng, 10.0 ** rng.uniform(-3.0, 40.0)),
                           self.LAMS[i % len(self.LAMS)]))
-        # beyond about 1e14 a diamond spans a few hundred floats or fewer; there
-        # the rounded closed-form point (or the pole, evaluated forward) can
-        # miss w by more than 1e-9 where one of the old scan's many candidates
-        # did not, or the reverse (one case in 400 here, three in 1 200 over
-        # three seeds)
+        # past the bound a diamond spans few floats, and the old scan's
+        # float candidates often miss w by more than 1e-9; the closed form,
+        # checked on its exact offset in the tile frame, never fails, and
+        # wherever the old scan succeeded it gives the old point within the
+        # ulp budget
         pole_wins = 0
         where = []
         for q, w, lam in cases:
             lx, ly = plane._pole_xy(*q)
             assert max(abs(lx), abs(ly)) >= self.BOUND
-            got = _outcome(inverse_branch, q, w, lam)
+            got = inverse_branch(q, w, lam)
             want = _outcome(_reference_float_inverse_branch, q, w, lam)
             where.append(_closed_form_vs_old_route(q, w, lam, got, want))
-            if where[-1] in ("old only", "new only"):
-                assert max(abs(lx), abs(ly)) > 1e14
-            grid = _outcome(plane._inverse_branch_grid, *q, w[0], w[1], lam)
-            if isinstance(got, np.ndarray):
-                pole_wins += got.tobytes() == pole_location(q).tobytes()
-                assert struct.pack("2d", grid[0][0], grid[1][0]) == got.tobytes()
-            else:
-                assert grid[0] is got[0]
+            x, y = plane._inverse_branch_grid(*q, w[0], w[1], lam)
+            pole_wins += got.tobytes() == pole_location(q).tobytes()
+            assert struct.pack("2d", x[0], y[0]) == got.tobytes()
         assert pole_wins > 50
-        assert where.count("old only") + where.count("new only") <= 4
+        assert "old only" not in where and where.count("new only") > 100
 
     def test_forward_evaluations_are_the_candidates(self, monkeypatch):
-        evaluated = []
-        engine = core._tangent3_xyz
+        evaluated, unfolded = [], []
+        engine, unfold = core._tile_map, plane._unfold
 
-        def counting(x, y, z, lam):
-            evaluated.append((x, y))
-            return engine(x, y, z, lam)
+        def counting(fx, fy, z, odd, lam):
+            evaluated.append((fx, fy))
+            return engine(fx, fy, z, odd, lam)
 
-        monkeypatch.setattr(plane, "_tangent3_xyz", counting)
+        def recording(ti, tj, qx, qy):
+            unfolded.append(((qx, qy), unfold(ti, tj, qx, qy)))
+            return unfolded[-1][1]
+
+        monkeypatch.setattr(plane, "_tile_map", counting)
+        monkeypatch.setattr(plane, "_unfold", recording)
         rng = np.random.default_rng(419)
-        for i in range(300):
+        for i in range(600):
             lam = self.LAMS[i % len(self.LAMS)]
+            # poles of norm 1 to 1e16 (the pole priced from the target alone)
             q = tuple(int(v) for v in rng.integers(-6, 7, 2))
+            if i % 2:
+                q = (q[0], q[1] * int(10.0 ** rng.uniform(0.0, 16.0)))
             w = _polar(rng, 10.0 ** rng.uniform(-6.0, 30.0))
-            del evaluated[:]
+            del evaluated[:], unfolded[:]
             got = inverse_branch(q, w, lam)
-            # the closed-form point alone, never the pole itself
+            # the closed-form offset alone, never the pole itself; the point
+            # returned is that offset's unfold
             assert len(evaluated) == 1
             if got.tobytes() != pole_location(q).tobytes():
-                assert evaluated == [tuple(got.tolist())]
+                assert [o for o, _ in unfolded] == evaluated
+                assert got.tobytes() == np.array(unfolded[0][1]).tobytes()
+            del evaluated[:]
             inverse_branch(q, INFINITY, lam)
-            assert len(evaluated) == 1
-        # past the exact-pole bound the pole is evaluated forward, after the
-        # point (a far target: there floats are 1e-4 apart)
-        q = (math.ceil(self.BOUND / HALF_PI), 0)
-        del evaluated[:]
-        inverse_branch(q, (3e30, 1e30), 1.0)
-        assert evaluated[1:] == [plane._pole_xy(*q)]
+            assert evaluated == []
+
+    @pytest.mark.parametrize("lam", [0.9, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [1e7, 1e10, 1e13, 1e16])
+    def test_far_poles_reach_every_target(self, lam, scale):
+        # poles (0, n), n in [N, 2N] (norm about 2.2n), and |w| from 0.1 to
+        # 100: the float point's own residual misses 1e-9 at most of these
+        # (271 of 300 at N = 1e7, all beyond 1e10), the tile frame at none
+        rng = np.random.default_rng([round(math.log10(scale)), round(10 * lam)])
+        n = (scale * rng.uniform(1.0, 2.0, 60)).astype(np.int64)
+        ws = [_polar(rng, 10.0 ** rng.uniform(-1.0, 2.0)) for _ in n]
+        x, y = plane._inverse_branch_grid(0, n, *np.array(ws).T, lam)
+        for k, w in enumerate(ws):
+            q = (0, int(n[k]))
+            got = inverse_branch(q, w, lam)
+            assert struct.pack("2d", x[k], y[k]) == got.tobytes()
+            assert _tile_frame_residual(q, w, lam, got) <= 1e-9
+            lx, ly = plane._pole_xy(*q)
+            assert abs(got[0] - lx) + abs(got[1] - ly) <= HALF_PI + 4 * math.ulp(ly)
 
     def test_point_from_itinerary_reads_each_tail_symbol_once(self):
         reads = []
@@ -1651,7 +1692,8 @@ class TestScalarBranchWork:
         # triangle holds w's direction.  At poles near 1e6, where the fold
         # keeps about 10 digits of a point near a tile centre, the closed
         # form also reaches some targets of |w| near 1e-3 that the old scan
-        # missed by more than 1e-9
+        # missed by more than 1e-9; checked in the tile frame it reaches
+        # every target, where the unfolded float's own residual did not
         rng = np.random.default_rng(421)
         where = []
         two_chart = 0
@@ -1678,7 +1720,7 @@ class TestScalarBranchWork:
             if kind == 1:
                 two_chart += abs(core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0)[2]) <= 1e-12
         assert {k: {c for j, c in where if j == k} for k in range(4)} == {
-            0: {"off band", "raised", "new only"}, 1: {"off band"}, 2: {"off band"}, 3: {"band"}}
+            0: {"off band", "new only"}, 1: {"off band"}, 2: {"off band"}, 3: {"band"}}
         assert where.count((3, "band")) == 500 and two_chart > 400
 
     def test_enumerator_matches_references(self):
