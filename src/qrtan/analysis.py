@@ -34,6 +34,7 @@ from .core import (
 from .plane import (
     SQRT2,
     _require_positive_lam,
+    _tile_preimages,
     containing_diamond,
     preimages_tangent3,
 )
@@ -171,6 +172,14 @@ def classify_orbit(v, lam: float, max_iter: int = 500) -> FateRecord:
     their norms are compared as the Python integers i^2 + j^2, so a step
     between distinct centres of equal norm is no growth, at any size.
     Anything else at the horizon is Undecided.
+
+    A step with x^2 + y^2 >= far2 resets every run without measuring a
+    distance.  far2 is CAPTURE_TOL^2 as rounded, or the next float up
+    where the square root of that falls below CAPTURE_TOL (only where
+    the square underflows).  Every target lies on the axis, and rounded
+    sums and square roots are monotone, so each distance the loop would
+    take is at least sqrt(far2) >= CAPTURE_TOL: the record is the one
+    the full loop gives.
     """
     _require_positive_lam(lam)
     if max_iter < 1:
@@ -181,6 +190,9 @@ def classify_orbit(v, lam: float, max_iter: int = 500) -> FateRecord:
         targets.append((Fate.TO_UPPER_FIXED, xi))
         targets.append((Fate.TO_LOWER_FIXED, -xi))
     runs = [0] * len(targets)
+    far2 = CAPTURE_TOL * CAPTURE_TOL
+    while math.sqrt(far2) < CAPTURE_TOL:  # at most one step
+        far2 = math.nextafter(far2, math.inf)
     x, y, z = _checked_vec3(v)[1]
     # the last plane iterates, as many as the escape rule reads
     recent = deque(maxlen=ESCAPE_RUN + 1)
@@ -189,14 +201,16 @@ def classify_orbit(v, lam: float, max_iter: int = 500) -> FateRecord:
         if p is None:
             return FateRecord(Fate.POLE_HIT, it, 0.0, INFINITY)
         x, y, z = p
-        # every target sits on the axis: (0, 0, tz)
         xy2 = x * x + y * y
-        for i, (fate, tz) in enumerate(targets):
-            dz = z - tz
-            d = math.sqrt(xy2 + dz * dz)
-            runs[i] = runs[i] + 1 if d < CAPTURE_TOL else 0
-            if runs[i] >= SETTLE:
-                return FateRecord(fate, it, d, np.array(p))
+        if xy2 >= far2:
+            runs = [0] * len(targets)
+        else:
+            for i, (fate, tz) in enumerate(targets):
+                dz = z - tz
+                d = math.sqrt(xy2 + dz * dz)
+                runs[i] = runs[i] + 1 if d < CAPTURE_TOL else 0
+                if runs[i] >= SETTLE:
+                    return FateRecord(fate, it, d, np.array(p))
         # escape bookkeeping only makes sense on the invariant plane
         if z != 0.0:
             recent.clear()
@@ -320,19 +334,24 @@ class BlowupReport:
 
 
 def _far_preimage(target, lam, min_norm):
-    """A verified preimage of ``target`` whose plane coordinates are far out.
+    """A preimage of ``target`` whose plane coordinates are far out.
 
     A non-omitted target has one preimage on every tile of one parity, so
     one of the even tile (t, t) and its odd neighbour (t, t + 1), with t
-    the even tile index past ``min_norm``, holds it; None if the forward
-    check rejects it or ``min_norm`` is inf.
+    the even tile index past ``min_norm``, holds it.  The box about those
+    two tiles is scanned only up to its first point, so off the tile
+    edges one tile is unfolded.  The point's chart point passes
+    ``preimages_tangent3``'s forward check in the tile frame; beyond tiles
+    of about 1e7 the float point's own image can miss the target by more
+    than 1e-9, and ``blowup_probe`` verifies each witness it builds from
+    it forward.  None if no point passes or ``min_norm`` is inf.
     """
     if min_norm == math.inf:
         return None
     c = (2 * math.ceil(min_norm / math.pi) + 2) * HALF_PI
-    got = preimages_tangent3(target, lam, (c - QUARTER_PI, c + QUARTER_PI,
-                                           c - QUARTER_PI, c + HALF_PI + QUARTER_PI))
-    return got[0] if got else None
+    return next(_tile_preimages(target, lam, (c - QUARTER_PI, c + QUARTER_PI,
+                                              c - QUARTER_PI, c + HALF_PI + QUARTER_PI)),
+                None)
 
 
 def blowup_probe(center, radius: float, lam: float, targets,

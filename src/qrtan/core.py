@@ -362,10 +362,23 @@ def _beam_formula(x: float, y: float, z: float):
     return x * f, y * f, third
 
 
+# below this in |x| and |y| the fold at pi/4 is the identity on tile (0, 0)
+_CENTRAL = QUARTER_PI * (1.0 - 1e-9)
+
+
 def _tangent3_xyz(x: float, y: float, z: float, lam):
     """tangent3 on three finite Python floats: [tx, ty, tz], or None at a
     pole: the fold, then ``_tile_map``.  The float core under tangent3,
-    classify_orbit and the symbolic layer's forward steps; no array."""
+    classify_orbit and the symbolic layer's forward steps; no array.
+
+    With |x| and |y| below ``_CENTRAL`` the fold is skipped: there
+    x + pi/4 lies in (0, pi/2) with a margin of about 1e-9 that rounding
+    cannot cross, so ``fold_axis`` takes k = 0 and returns x - 0.0 = x
+    (-0.0 included) with even parity, and the result is the same bit
+    for bit.
+    """
+    if abs(x) < _CENTRAL and abs(y) < _CENTRAL:
+        return _tile_map(x, y, z, 0, lam)
     fx, px = fold_axis(x, QUARTER_PI)
     fy, py = fold_axis(y, QUARTER_PI)
     return _tile_map(fx, fy, z, (px + py) % 2, lam)

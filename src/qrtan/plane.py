@@ -438,6 +438,12 @@ def preimages_tangent3(target, lam: float, xy_box):
     forward check (chordal residual below 1e-9, on the tile offset, so
     the same for every tile of a parity), one per tile, in tile order.
     """
+    return list(_tile_preimages(target, lam, xy_box))
+
+
+def _tile_preimages(target, lam: float, xy_box):
+    """``preimages_tangent3``'s points one at a time, in its tile order; a
+    tile is unfolded only when the scan reaches it."""
     _require_positive_lam(lam)
     x0, x1, y0, y1 = box = tuple(map(float, xy_box))
     if not all(map(math.isfinite, box)):
@@ -458,7 +464,6 @@ def preimages_tangent3(target, lam: float, xy_box):
             q = [c / 2.0 for c in _hemisphere_xy(ux, uy, sz)]
             t = _tile_map(*q, zc, odd, lam)
             half[odd] = q if chordal(INFINITY if t is None else t, target) < 1e-9 else None
-    out = []
     for ti in _tiles(x0, x1):
         for tj in _tiles(y0, y1):
             q = half[(ti + tj) % 2]
@@ -466,8 +471,7 @@ def preimages_tangent3(target, lam: float, xy_box):
                 continue
             x, y = _unfold(ti, tj, *q)
             if x0 <= x <= x1 and y0 <= y <= y1:
-                out.append(np.array([x, y, zc]))
-    return out
+                yield np.array([x, y, zc])
 
 
 # ---------------------------------------------------------------------------

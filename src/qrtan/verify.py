@@ -475,9 +475,11 @@ def check_itinerary_shadow(lam, rng, depth=20):
 
 
 def _first_far_offset(lam):
+    """The least j >= 0 whose pole (0, j) has norm above the tail radius,
+    the norm taken as ``itinerary`` takes it to check a tail."""
     r = plane.required_tail_radius(lam)
     j = 0
-    while float(np.linalg.norm(plane.pole_location((0, j)))) <= r:
+    while math.hypot(*plane._pole_xy(0, j)) <= r:
         j += 1
     return j
 
@@ -523,16 +525,18 @@ def check_itinerary_roundtrip(lam, rng, n_tails=20, depth=12):
 
 
 def _low_norm_cycle(lam):
-    """Valid cycle poles of smallest norm for this lam."""
+    """Valid cycle poles of smallest norm for this lam, (m, n) in [-6, 6]^2.
+
+    Valid is norm above the tail radius, the norm taken as ``itinerary``
+    takes it to check a cycle.  Pole (m, n) is centred at (i, j) pi/2
+    with i = n + m, j = n - m + 1, so poles are ranked by the integer
+    i^2 + j^2: exact, and ties keep the scan order.
+    """
     r = plane.required_tail_radius(lam)
-    cands = []
-    for m in range(-6, 7):
-        for n in range(-6, 7):
-            norm = float(np.linalg.norm(plane.pole_location((m, n))))
-            if norm > r:
-                cands.append(((m, n), norm))
-    cands.sort(key=lambda t: t[1])
-    return [c[0] for c in cands[:8]]
+    cands = [(m, n) for m in range(-6, 7) for n in range(-6, 7)
+             if math.hypot(*plane._pole_xy(m, n)) > r]
+    cands.sort(key=lambda mn: (mn[1] + mn[0]) ** 2 + (mn[1] - mn[0] + 1) ** 2)
+    return cands[:8]
 
 
 def _mixed_tail(head, growth_offset):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference as ref
-from qrtan import analysis, plane
+from qrtan import analysis, core, plane
 from qrtan.analysis import (
     BlowupReport,
     Fate,
@@ -25,7 +25,7 @@ from qrtan.analysis import (
     smallest_tan_fixed_point,
     third_component_bound_violations,
 )
-from qrtan.core import INFINITY, as_vec3, chordal, is_infinity, tangent3
+from qrtan.core import INFINITY, as_vec3, chordal, is_infinity, iterate, tangent3
 from qrtan.itinerary import Itinerary, point_from_itinerary
 from qrtan.plane import containing_diamond, pole_location, preimages_tangent3
 
@@ -311,6 +311,28 @@ class TestClassifyOrbit:
         fate_rule(**blocking)
         assert classify_orbit(start, lam, max_iter=50).fate is Fate.UNDECIDED
 
+    def test_central_tile_steps_skip_the_fold(self, monkeypatch):
+        # a seeded orbit captured by the petal at lam 0.9: the float core
+        # folds (two fold_axis calls) only on steps from outside the
+        # central tile, where the fold is not the identity
+        lam = 0.9
+        v = np.array([*np.random.default_rng(113).uniform(-1.2, 1.2, 2), 0.0])
+        rec = classify_orbit(v, lam)
+        assert rec.fate is Fate.TO_ORIGIN
+        starts = [v, *iterate(v, lam, rec.iterations - 1)]
+        outside = sum(max(abs(p[0]), abs(p[1])) >= core._CENTRAL for p in starts)
+        assert 0 < outside < rec.iterations
+        calls = []
+        fold = core.fold_axis
+
+        def counting(x, half_width):
+            calls.append(x)
+            return fold(x, half_width)
+
+        monkeypatch.setattr(core, "fold_axis", counting)
+        assert classify_orbit(v, lam).iterations == rec.iterations
+        assert len(calls) <= 2 * outside
+
     def test_axis_fixed_point_solved_once_per_lam(self, monkeypatch):
         solves = []
         bisect = analysis._bisect
@@ -472,6 +494,29 @@ class TestBlowupProbe:
         far = [(ti, tj) for ti, tj in read if (ti, tj) not in near]
         assert near and far and len(read) <= 12
         assert all(50.0 < min(ti, tj) * HALF_PI < 100.0 for ti, tj in far)
+
+    def test_far_preimage_reads_one_tile(self, monkeypatch):
+        # min_norm 50 gives the even tile t = 34: off the tile edges the
+        # scan stops at the first point, on (t, t) or its odd neighbour
+        # (t, t + 1), so one tile is unfolded per target
+        read = []
+        unfold = plane._unfold
+
+        def counted(ti, tj, qx, qy):
+            read.append((ti, tj))
+            return unfold(ti, tj, qx, qy)
+
+        monkeypatch.setattr(plane, "_unfold", counted)
+        rng = np.random.default_rng(127)
+        targets = [INFINITY, np.zeros(3), *(rng.normal(size=(40, 3)) * 3.0)]
+        for lam in (0.9, 1.0, 2.0):
+            for t in targets:
+                del read[:]
+                far = _far_preimage(t, lam, 50.0)
+                assert read in ([(34, 34)], [(34, 35)])
+                assert np.array_equal(far, preimages_tangent3(
+                    t, lam, (34 * HALF_PI - QUARTER_PI, 34 * HALF_PI + QUARTER_PI,
+                             34 * HALF_PI - QUARTER_PI, 35 * HALF_PI + QUARTER_PI))[0])
 
     @pytest.mark.parametrize("center,radius,lam,targets", [
         # every target gets the two-step pole witness

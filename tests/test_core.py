@@ -790,6 +790,33 @@ class TestScalarPathBitIdentity:
                 fn(v)
             assert str(got.value) == str(want.value)
 
+    def test_central_tile_skips_the_fold_bit_for_bit(self):
+        # below _CENTRAL in |x| and |y| the float core skips the fold; it
+        # must return what the fold followed by the tile map returns
+        c = core._CENTRAL
+        edge = [c, math.nextafter(c, 0.0), math.nextafter(c, 1.0), QUARTER_PI,
+                math.nextafter(QUARTER_PI, 0.0)]
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                   *edge, *(-e for e in edge)]
+        rng = np.random.default_rng(109)
+        xy = [(x, y) for x in special for y in special]
+        xy += list(zip(rng.uniform(-1.0, 1.0, 2000).tolist(), rng.uniform(-1.0, 1.0, 2000).tolist()))
+        zs = rng.uniform(-3.0, 3.0, len(xy)).tolist()
+
+        def folded(x, y, z, lam):
+            fx, px = fold_axis(x, QUARTER_PI)
+            fy, py = fold_axis(y, QUARTER_PI)
+            return core._tile_map(fx, fy, z, (px + py) % 2, lam)
+
+        shortcut = 0
+        for lam in self.LAMS:
+            for (x, y), z in zip(xy, zs):
+                shortcut += abs(x) < c and abs(y) < c
+                for zz in (0.0, -0.0, z):
+                    got = core._tangent3_xyz(x, y, zz, lam)
+                    assert [t.hex() for t in got] == [t.hex() for t in folded(x, y, zz, lam)]
+        assert 0 < shortcut < len(xy) * len(self.LAMS)
+
     def test_vec_norm_matches_numpy(self):
         rng = np.random.default_rng(107)
         for n in (2, 3):

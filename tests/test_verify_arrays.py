@@ -324,6 +324,37 @@ def test_classify_orbit_matches_scalar_reference(fate_rule, lam):
                                                  nan_ok=True)
 
 
+@pytest.mark.parametrize("lam", (0.5, 0.9, 1.0, 1.1107, 2.0))
+def test_classify_orbit_matches_scalar_reference_near_the_capture_bound(fate_rule, lam):
+    # orbits on the coordinate axes of the plane, where p minus the origin
+    # is (x, 0, 0) or (0, y, 0): the reference's dot and the float sum
+    # agree bit for bit there, so the records must too; each tolerance
+    # puts one iterate's x^2 + y^2 within a few ulps of CAPTURE_TOL^2,
+    # where classify_orbit stops measuring distances.  Near 1e-160 the
+    # squares are subnormal, the one range where the rounded square of a
+    # tolerance can have a square root below it
+    rng = np.random.default_rng(int(lam * 10_000) + 3)
+    bounds = 0
+    for axis, scale in ((0, 1.0), (1, 1.0), (0, 1e-160), (1, 1e-160)):
+        v = np.zeros(3)
+        v[axis] = rng.uniform(0.3, 1.2) * scale
+        orbit = core.iterate(v, lam, 40)
+        for k in range(0, len(orbit), 5):
+            s = abs(float(orbit[k][axis]))
+            for steps in range(-2, 3):
+                tol = s
+                for _ in range(abs(steps)):
+                    tol = math.nextafter(tol, math.copysign(math.inf, steps))
+                fate_rule(CAPTURE_TOL=tol)
+                got = analysis.classify_orbit(v, lam, 60)
+                want = ref.classify_orbit(v, lam, 60, tol=tol)
+                assert (got.fate, got.iterations, got.residual.hex()) == (
+                    want.fate, want.iterations, want.residual.hex())
+                assert got.witness.tobytes() == want.witness.tobytes()
+                bounds += abs(s * s - tol * tol) <= 8 * math.ulp(tol * tol)
+    assert bounds >= 40
+
+
 def test_classify_orbit_escape_matches_scalar_reference(fate_rule):
     lam = 2.0
     v = point_from_itinerary(Itinerary(prefix=[], tail=lambda j: (0, j + 3)), lam,
