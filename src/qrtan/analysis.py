@@ -344,9 +344,13 @@ def _far_preimage(target, lam, min_norm):
     ``preimages_tangent3``'s forward check in the tile frame; beyond tiles
     of about 1e7 the float point's own image can miss the target by more
     than 1e-9, and ``blowup_probe`` verifies each witness it builds from
-    it forward.  None if no point passes or ``min_norm`` is inf.
+    it forward.  None if no point passes, or if ``min_norm`` is at least
+    2**52 (inf included): floats there are spaced 1 or more apart, one or
+    two to a tile of width pi/2, so none resolves a point within its
+    tile, and the fold would snap a witness's first image to a tile
+    centre.
     """
-    if min_norm == math.inf:
+    if min_norm >= 2.0 ** 52:
         return None
     c = (2 * math.ceil(min_norm / math.pi) + 2) * HALF_PI
     return next(_tile_preimages(target, lam, (c - QUARTER_PI, c + QUARTER_PI,

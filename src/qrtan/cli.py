@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import analysis, itinerary as itin_mod, plane, verify
 from .core import is_infinity, iterate
 from .itinerary import ContractionFailure
 from .plane import BranchDomainError, BranchResidualError
-from .render import RenderConfig, render_basin, render_escape_depth, write_png, write_ppm
+from .render import RenderConfig, encode_png, encode_ppm, render_basin, render_escape_depth
 
 _WINDOW_HELP = ("window as x0,y0,x1,y1 (default -pi/4,-pi/4,3pi/4,3pi/4); pixels sample "
                 "cell centres with y increasing upward, so row 0 is the top of the window")
@@ -128,14 +129,24 @@ def build_parser():
 
 
 @contextlib.contextmanager
-def _output(path):
+def _output(path, mode="w"):
     """The stream a command writes to: the file at ``path``, closed on exit,
-    or stdout when no path is given."""
-    if not path:
+    or stdout when no path is given.  A file the command does not finish
+    is removed, and an ``OSError`` opening, writing or closing it becomes
+    a one-line ``ValueError``."""
+    if path is None:
         yield sys.stdout
         return
-    with open(path, "w") as fh:
-        yield fh
+    fh = None
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except BaseException as e:
+        if fh is not None and os.path.isfile(path):  # no partial file; a device stays
+            os.remove(path)
+        if isinstance(e, OSError):
+            raise ValueError(f"cannot write {path}: {e.strerror}") from None
+        raise
 
 
 def _emit(fh, obj):
@@ -154,10 +165,9 @@ def _cmd_render(args, escape):
                        max_iter=args.max_iter, threads=args.threads,
                        depth_norm=getattr(args, "r_esc", None))
     img = render_escape_depth(cfg) if escape else render_basin(cfg)
-    if args.png:
-        write_png(img, args.out)
-    else:
-        write_ppm(img, args.out)
+    data = encode_png(img) if args.png else encode_ppm(img)
+    with _output(args.out, "wb") as fh:
+        fh.write(data)
     print(f"wrote {args.out} ({w}x{h}, lambda={args.lam})")
     return 0
 
@@ -221,7 +231,7 @@ def _cmd_verify(args):
 
 def _check_inputs(args):
     """Reject a bad parameter, start point, step count, window, threshold,
-    iteration count or thread count before any output is written."""
+    iteration count, thread count or output path before any work."""
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
     start = getattr(args, "start", None)
@@ -243,6 +253,17 @@ def _check_inputs(args):
     threads = getattr(args, "threads", None)
     if threads is not None and threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
+    out = getattr(args, "out", None)
+    if out == "":
+        raise ValueError("--out must name a file, got ''")
+    if out is not None:
+        parent = os.path.dirname(os.path.abspath(out))
+        if os.path.isdir(out):
+            raise ValueError(f"cannot write {out}: Is a directory")
+        if not os.path.isdir(parent):
+            raise ValueError(f"cannot write {out}: no directory {parent}")
+        if not os.access(out if os.path.exists(out) else parent, os.W_OK):
+            raise ValueError(f"cannot write {out}: Permission denied")
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,11 @@ the constants of ``analysis``.  A pixel's arithmetic does not depend on
 which other pixels share the set, so the bytes equal those of iterating
 every pixel to ``max_iter``, for any set size, band or thread count.
 Output is 8-bit RGB, written as binary PPM (P6) so golden files need no
-image library; PNG is available on request, written with the standard
-library.
+image library; PNG is available on request, encoded with the standard
+library.  Colours are rows of a table indexed by count: each capture
+step or depth present is coloured once and copied to its pixels, a
+working set at a time, so a render's memory is its working set plus the
+output image.
 """
 
 import math
@@ -296,28 +299,70 @@ def _ramp(t, anchors):
     return out
 
 
-def _log_fraction(when, max_iter):
-    return np.log1p(when.astype(float)) / math.log1p(max_iter)
+def _palette(counts, max_iter, anchors):
+    """The ramp's uint8 RGB at log1p(count) / log1p(max_iter), one row per
+    entry of the 1-D integer array ``counts``.
+
+    Each count present is coloured once, as a row of a table, and every
+    entry gathers its row.  The rows are 0..max count when that is fewer
+    than the entries, else the distinct counts, so the table never
+    outgrows them (a max_iter of 1e7 on a small image builds no 1e7-row
+    table).  A row is the elementwise arithmetic of colouring an entry
+    alone, on the same value, so the bytes are those of a float image.
+    Counts past max_iter take the ramp's end, as ``_ramp`` clips.
+    """
+    top = counts.max(initial=0)
+    if top < counts.size:
+        rows, at = np.arange(top + 1), counts
+    else:
+        rows, at = np.unique(counts, return_inverse=True)
+    t = np.log1p(rows.astype(float)) / math.log1p(max_iter)
+    table = np.clip(np.rint(_ramp(t, anchors)), 0, 255).astype(np.uint8)
+    return np.take(table, at, axis=0)
+
+
+def _colorize(counts, max_iter, anchors, fate=None):
+    """(h, w, 3) uint8 image of the integer image ``counts``, a working set
+    of pixels at a time: the pixels with fate origin (without ``fate``,
+    those with a positive count) take ``_palette``'s colour, pole hits
+    are white and the rest black.  Its memory is the output image plus
+    the temporaries of one working set."""
+    counts = np.asarray(counts)
+    if not np.issubdtype(counts.dtype, np.integer) or counts.min(initial=0) < 0:
+        raise ValueError(f"palette counts must be non-negative integers, got dtype "
+                         f"{counts.dtype} with min {counts.min(initial=0)}")
+    img = np.zeros(counts.shape + (3,), dtype=np.uint8)
+    rgb, flat = img.reshape(-1, 3), counts.reshape(-1)
+    if fate is not None:
+        fate = np.asarray(fate)
+        if fate.shape != counts.shape:
+            raise ValueError(f"fate shape {fate.shape} differs from when shape {counts.shape}")
+        fate = fate.reshape(-1)
+    for i in range(0, flat.size, _WORKING_SET):
+        part, c = rgb[i:i + _WORKING_SET], flat[i:i + _WORKING_SET]
+        if fate is None:
+            shaded = c > 0
+        else:
+            f = fate[i:i + _WORKING_SET]
+            shaded = f == _FATE_ORIGIN
+            part[f == _FATE_POLE] = 255
+        part[shaded] = _palette(c[shaded], max_iter, anchors)
+    return img
 
 
 def colorize_fates(fate, when, max_iter):
     """Fate hue with log-scaled capture-time lightness: fast capture into the
     origin is dark blue, slow capture drifts through yellow to red; pole hits
-    are white, undecided black."""
-    t = _log_fraction(when, max_iter)
-    img = np.zeros(fate.shape + (3,), dtype=float)
-    origin = fate == _FATE_ORIGIN
-    img[origin] = _ramp(t[origin], _ORIGIN_ANCHORS)
-    img[fate == _FATE_POLE] = (255.0, 255.0, 255.0)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    are white, undecided black.  Each capture step present is coloured once
+    (``_palette``); a negative ``when`` raises ValueError."""
+    return _colorize(when, max_iter, _ORIGIN_ANCHORS, fate=fate)
 
 
 def colorize_depth(depth, max_iter):
-    """Escape depth on a dark-to-light ramp; zero depth stays black."""
-    img = np.zeros(depth.shape + (3,), dtype=float)
-    got = depth > 0
-    img[got] = _ramp(_log_fraction(depth[got], max_iter), _DEPTH_ANCHORS)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    """Escape depth on a dark-to-light ramp; zero depth stays black.  Each
+    depth present is coloured once (``_palette``); a negative depth raises
+    ValueError."""
+    return _colorize(depth, max_iter, _DEPTH_ANCHORS)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +515,14 @@ def _png_chunk(tag: bytes, data: bytes) -> bytes:
             + struct.pack(">I", zlib.crc32(tag + data)))
 
 
-def write_png(image: np.ndarray, path):
-    """8-bit RGB PNG, every row with filter type 0 (none); PPM is the
-    canonical format."""
+def encode_png(image: np.ndarray) -> bytes:
+    """8-bit RGB PNG encoding of an (h, w, 3) uint8 array, every row with
+    filter type 0 (none); PPM is the canonical format."""
     _check_rgb(image)
     h, w = image.shape[:2]
     rows = np.concatenate([np.zeros((h, 1), dtype=np.uint8), image.reshape(h, 3 * w)],
                           axis=1)
     header = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)  # depth 8, colour type RGB
-    with open(path, "wb") as f:
-        f.write(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", header)
-                + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
-                + _png_chunk(b"IEND", b""))
+    return (b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", header)
+            + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
+            + _png_chunk(b"IEND", b""))

@@ -473,6 +473,28 @@ class TestBlowupProbe:
         assert (res.covered, res.iterations, res.witness) == (False, None, None)
         assert res.note == "not reached within 60 iterations"
 
+    @pytest.mark.parametrize("lam,radius", [(0.9, 1e-20), (0.9, 1e-50), (1.0, 1e-15),
+                                            (1.0, 1e-20), (1.0, 1e-50), (2.0, 1e-20),
+                                            (2.0, 1e-50)])
+    def test_no_witness_past_the_float_resolution(self, lam, radius):
+        # the far preimage's norm 4 pi/radius is past 2**52, where floats
+        # are a tile's width apart: a witness there would rest on the
+        # fold snapping its first image (about 1e16 to 1e51) to a tile
+        # centre, which maps exactly to the origin
+        rep = blowup_probe(pole_location((0, 0)), radius, lam, [np.zeros(3)], max_iter=40)
+        res, = rep.results
+        assert res.witness is None and res.iterations != 2
+        t = np.array([3.0, -2.0, 1.0])
+        assert _far_preimage(t, lam, 2.0 ** 52) is None
+        assert _far_preimage(t, lam, np.nextafter(2.0 ** 52, 0.0)) is not None
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6])
+    def test_resolved_far_points_keep_their_witness(self, radius):
+        for lam in (0.9, 1.0, 2.0):
+            rep = blowup_probe(pole_location((0, 0)), radius, lam, [np.zeros(3)], max_iter=40)
+            res, = rep.results
+            assert res.witness is not None and res.iterations == 2 and res.distance > 0.0
+
     def test_far_pole_reads_only_nearby_tiles(self, monkeypatch):
         # a ball on a pole of norm about 1.1e3 reads the tiles that meet its
         # boxes (one tile about the pole) and the far preimage's tiles past

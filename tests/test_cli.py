@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrtan import cli
 from qrtan.cli import build_parser, main
 from qrtan.itinerary import ContractionFailure
 from qrtan.plane import BranchResidualError
@@ -346,6 +348,78 @@ class TestInputValidation:
                      ["periodic", "--lambda", "1", "--cycle", cycle, "--out", str(out_path)]):
             self.assert_usage_error(*run_cli(argv, capsys))
         assert not out_path.exists()
+
+    WRITERS = {
+        "render-basin": ["--res", "4x4", "--max-iter", "5"],
+        "render-escape": ["--res", "4x4", "--max-iter", "5"],
+        "orbit": COMMANDS["orbit"],
+        "itinerary": COMMANDS["itinerary"],
+        "periodic": COMMANDS["periodic"],
+    }
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_unwritable_out_is_rejected_before_work(self, command, where, monkeypatch,
+                                                     tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for name in ("render_basin", "render_escape_depth", "iterate"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.itin_mod, "itinerary_of", no_work)
+        monkeypatch.setattr(cli.itin_mod, "periodic_point_from_cycle", no_work)
+        out = {"missing directory": tmp_path / "missing" / "out", "directory": tmp_path,
+               "empty": ""}[where]
+        argv = [command, "--lambda", "2", *self.WRITERS[command], f"--out={out}"]
+        code, stdout, err = run_cli(argv, capsys)
+        self.assert_usage_error(code, stdout, err)
+        assert err.startswith(f"error: cannot write {out}: " if out else "error: --out ")
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,png", [*((c, False) for c in sorted(WRITERS)),
+                                             ("render-basin", True), ("render-escape", True)])
+    def test_write_failure_leaves_no_file(self, command, png, monkeypatch, tmp_path,
+                                          capsys):
+        # the disk fills after a few bytes: the partial file is removed
+        class Full:
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def write(self, data):
+                self.fh.write(data[:5])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", Full, raising=False)
+        out = tmp_path / "out"
+        argv = [command, "--lambda", "2", *self.WRITERS[command], "--out", str(out)]
+        code, stdout, err = run_cli(argv + ["--png"] * png, capsys)
+        self.assert_usage_error(code, stdout, err)
+        assert err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["render-basin", "orbit"])
+    def test_open_failure_keeps_the_existing_file(self, command, monkeypatch, tmp_path,
+                                                  capsys):
+        # the path passed the check but cannot be opened: nothing was
+        # written, so the file that was there stays
+        def refuse(path, mode):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        out = tmp_path / "out"
+        out.write_bytes(b"kept")
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        argv = [command, "--lambda", "2", *self.WRITERS[command], "--out", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        self.assert_usage_error(code, stdout, err)
+        assert err == f"error: cannot write {out}: {os.strerror(errno.EACCES)}\n"
+        assert out.read_bytes() == b"kept"
 
     def test_branch_residual_error(self, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Tests for basin/escape-depth rendering and PPM output."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -872,6 +873,105 @@ class TestPalette:
         when = np.array([[3, 300]], dtype=np.int32)
         img = colorize_fates(fate, when, 500)
         assert img[0, 0].sum() < img[0, 1].sum()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 60, 200, 500, 2500])
+    def test_every_count_matches_float_palette(self, max_iter):
+        counts = np.arange(max_iter + 1, dtype=np.int32).reshape(1, -1)
+        for fate in (_FATE_ORIGIN, _FATE_POLE, 0):
+            fates = np.full(counts.shape, fate, dtype=np.uint8)
+            _assert_identical((colorize_fates(fates, counts, max_iter),),
+                              (_reference_colorize_fates(fates, counts, max_iter),))
+        _assert_identical((colorize_depth(counts, max_iter),),
+                          (_reference_colorize_depth(counts, max_iter),))
+
+    @pytest.mark.parametrize("shape,max_iter,seed", [((256, 256), 200, 11),
+                                                     ((130, 77), 500, 12),
+                                                     ((37, 41), 10**7, 13)])
+    def test_random_images_match_float_palette(self, shape, max_iter, seed, monkeypatch):
+        # counts run past max_iter (the ramp's clipped end); at 1e7 the
+        # largest count tops the pixel count, so the table holds the
+        # distinct counts, and no table has more rows than its pixels
+        rows = []
+        ramp = render._ramp
+
+        def recording(t, anchors):
+            rows.append(t.size)
+            return ramp(t, anchors)
+
+        monkeypatch.setattr(render, "_ramp", recording)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3 * max_iter, shape, dtype=np.int32)
+        fate = rng.choice(np.array([0, _FATE_ORIGIN, 4, _FATE_POLE], dtype=np.uint8), shape)
+        _assert_identical((colorize_fates(fate, counts, max_iter),
+                           colorize_depth(counts, max_iter)),
+                          (_reference_colorize_fates(fate, counts, max_iter),
+                           _reference_colorize_depth(counts, max_iter)))
+        assert rows and max(rows) <= min(counts.size, render._WORKING_SET)
+        if max_iter == 10**7:
+            origin = counts[fate == _FATE_ORIGIN]
+            assert rows == [np.unique(origin).size, np.unique(counts[counts > 0]).size]
+
+    @pytest.mark.parametrize("bad", [np.array([[3, -1]], dtype=np.int32),
+                                     np.array([[3.0, 1.0]])])
+    def test_rejects_negative_or_float_counts(self, bad):
+        for colorize in (lambda c: colorize_fates(np.ones(c.shape, np.uint8), c, 10),
+                         lambda c: colorize_depth(c, 10)):
+            with pytest.raises(ValueError, match="non-negative integers") as e:
+                colorize(bad)
+            assert "\n" not in str(e.value)
+
+    def test_rejects_fates_of_another_shape(self):
+        # same size, other shape: flat order would colour the wrong pixels
+        with pytest.raises(ValueError, match="fate shape"):
+            colorize_fates(np.ones((2, 3), np.uint8), np.ones((3, 2), np.int32), 10)
+
+    def test_colouring_allocates_little_past_the_image(self):
+        # a guard with no timer: at 256x256 the peak stays below 4x the
+        # output image (a float image alone is 8x), and a 16x16 image at
+        # max_iter 1e7 builds no 1e7-row table
+        rng = np.random.default_rng(17)
+        counts = rng.integers(0, 201, (256, 256), dtype=np.int32)
+        fate = rng.choice(np.array([0, _FATE_ORIGIN, _FATE_POLE], dtype=np.uint8), (256, 256))
+        small = rng.integers(0, 10**7, (16, 16), dtype=np.int32)
+        for colour, limit in ((lambda: colorize_depth(counts, 200), 4 * counts.size * 3),
+                              (lambda: colorize_fates(fate, counts, 200), 4 * counts.size * 3),
+                              (lambda: colorize_depth(small, 10**7), 256 * 1024),
+                              (lambda: colorize_fates(fate[:16, :16], small, 10**7),
+                               256 * 1024)):
+            tracemalloc.start()
+            try:
+                colour()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
+
+
+def _reference_ramp(t, anchors):
+    t = np.clip(t, 0.0, 1.0)
+    out = np.empty(t.shape + (3,), dtype=float)
+    for c in range(3):
+        out[..., c] = np.interp(t, anchors[:, 0], anchors[:, c + 1])
+    return out
+
+
+def _reference_colorize_fates(fate, when, max_iter):
+    """The fate palette on a float64 image, as before the colour tables."""
+    t = np.log1p(when.astype(float)) / math.log1p(max_iter)
+    img = np.zeros(fate.shape + (3,), dtype=float)
+    origin = fate == _FATE_ORIGIN
+    img[origin] = _reference_ramp(t[origin], render._ORIGIN_ANCHORS)
+    img[fate == _FATE_POLE] = (255.0, 255.0, 255.0)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def _reference_colorize_depth(depth, max_iter):
+    """The depth palette on a float64 image, as before the colour tables."""
+    img = np.zeros(depth.shape + (3,), dtype=float)
+    got = depth > 0
+    t = np.log1p(depth[got].astype(float)) / math.log1p(max_iter)
+    img[got] = _reference_ramp(t, render._DEPTH_ANCHORS)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
 class TestPpm:
