@@ -486,6 +486,30 @@ def fold_axis_grid(x, half_width):
     return k, odd
 
 
+def fold_symmetric_grid(x, half_width):
+    """Where ``fold_axis_grid`` commutes with negation: True exactly where
+    fold_axis_grid(-x) is -fold_axis_grid(x) with the same parity (a
+    folded 0 may keep its sign).
+
+    The test is that the tile indices of x and -x, each in the fold's own
+    arithmetic, sum to 0.  Then -x takes the index -k, the fold subtracts
+    -(k width), rounded as k width is, and IEEE rounding is symmetric, so
+    only the sign of a zero can differ.  Off the mirror lines the indices
+    always sum to 0; within a few ulps of one, (x + half_width) and
+    (half_width - x) can round into tiles that do not match.
+    """
+    width = 2.0 * half_width
+    k = x + half_width
+    k /= width
+    np.floor(k, out=k)
+    # -x + half_width, rounded as the fold of -x rounds it
+    j = np.subtract(half_width, x)
+    j /= width
+    np.floor(j, out=j)
+    k += j
+    return k == 0.0
+
+
 def _tangent3_composed_grid(x, y, z, lam):
     """tangent3_composed on parallel coordinate arrays: (tx, ty, tz), with
     a pole as infinite coordinates, as ``chordal_grid`` reads them.

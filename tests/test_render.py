@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qrtan import analysis, render
 from qrtan.analysis import SETTLE, petal_contains
-from qrtan.core import tangent3_grid
+from qrtan.core import fold_axis_grid, fold_symmetric_grid, tangent3_grid
 from qrtan.render import (
     _COMPACT_SHARE,
     _FATE_ORIGIN,
@@ -89,6 +89,18 @@ class TestConfig:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             RenderConfig(lam=1.0, width=0)
+
+    @pytest.mark.parametrize("field", ["width", "height", "max_iter", "threads"])
+    @pytest.mark.parametrize("value", [8.0, 10.5, True, np.bool_(True), "8", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            RenderConfig(lam=1.0, **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = RenderConfig(lam=1.0, width=np.int64(8), height=np.int32(6), max_iter=np.uint16(9),
+                           threads=np.int8(2))
+        assert all(type(getattr(cfg, f)) is int for f in ("width", "height", "max_iter", "threads"))
+        assert render_basin(cfg).shape == (6, 8, 3)
 
 
 class TestPixelGrid:
@@ -671,14 +683,14 @@ def _swap_probe_points(rng, span):
             np.concatenate([rng.uniform(-span, span, 2000), my, ly, signed]))
 
 
-def _near_diamond_edges(rng, n=4000):
-    """Points within an ulp of the diamond edges x - y = k pi, outside the
-    depth threshold's disc as far points are: each y is x - k pi moved by
-    at most one ulp."""
+def _near_diamond_edges(rng, n=4000, family=1):
+    """Points within an ulp of the diamond edges x - y = k pi (``family``
+    1) or x + y = k pi (-1), outside the depth threshold's disc as far
+    points are: each y is +-(x - k pi) moved by at most one ulp."""
     k = rng.integers(-40, 41, n).astype(float)
     k[k == 0] = 1.0
     x = rng.uniform(-60.0, 60.0, n)
-    y = x - k * math.pi
+    y = family * (x - k * math.pi)
     step = rng.integers(-1, 2, n)
     y = np.where(step < 0, np.nextafter(y, -np.inf), np.where(step > 0, np.nextafter(y, np.inf), y))
     return x, y
@@ -721,6 +733,88 @@ class TestSwapEquivariance:
         # and the ordered lookup is the lookup wherever that sliver is not
         ok = _diamond_centers(x, y) == _diamond_centers(y, x)
         _assert_identical([render._in_diamond(x, y)[ok]], [_diamond_centers(x, y)[ok]])
+
+
+def _mirror_probe(rng, n=2000, half_width=QUARTER_PI):
+    """Values where the fold's rounding can break its symmetry: the mirror
+    lines (k + 1/2) 2 half_width as doubles and one ulp either side (3n),
+    huge |v| (n), signed zeros and the extremes (9), then n uniform ones."""
+    mirror = (rng.integers(-10**6, 10**6, n) + 0.5) * (2.0 * half_width)
+    huge = 10.0 ** rng.uniform(15.0, 308.0, n) * rng.choice([-1.0, 1.0], n)
+    edges = [0.0, -0.0, QUARTER_PI, -QUARTER_PI, 3 * QUARTER_PI, 5e-324, -5e-324,
+             np.finfo(float).max, -np.finfo(float).max]
+    return np.concatenate([mirror, np.nextafter(mirror, np.inf), np.nextafter(mirror, -np.inf),
+                           huge, edges, rng.uniform(-10.0, 10.0, n)])
+
+
+class TestSignFlipEquivariance:
+    """The map and the loop's rules commute with negating either
+    coordinate, as they do with the swap, wherever the fold commutes
+    with it; ``fold_symmetric_grid`` says where, and a render checks it
+    on every step."""
+
+    @pytest.mark.parametrize("half_width", [QUARTER_PI, HALF_PI])
+    def test_predicate_is_the_bitwise_comparison(self, half_width):
+        rng = np.random.default_rng(727)
+        v = _mirror_probe(rng, 2000, half_width)
+        f, odd = fold_axis_grid(v, half_width)
+        g, godd = fold_axis_grid(-v, half_width)
+        ok = fold_symmetric_grid(v, half_width)
+        # the same parity and the negated value; == tells the bits apart
+        # but for the sign of a folded 0
+        np.testing.assert_array_equal(ok, (g == -f) & (godd == odd))
+        assert (f[ok] == 0.0).any()  # exact tile centres, among the huge values
+        np.testing.assert_array_equal(ok, fold_symmetric_grid(-v, half_width))
+        # it fails beside the mirror lines and for huge |v| (where v / width
+        # is not an integer), never on the uniform values or at +-0
+        assert not ok[:6000].all() and not ok[6000:8000].all()
+        assert ok[-2000:].all() and ok[8000:8002].all()
+        assert not fold_symmetric_grid(np.array([QUARTER_PI]), QUARTER_PI)[0]
+
+    @pytest.mark.parametrize("span", [1.0, 10.0, 1e3, 1e6, 1e17])
+    def test_kernel_commutes_with_sign_flips(self, span):
+        rng = np.random.default_rng(int(math.log10(span)) + 733)
+        x, y = _swap_probe_points(rng, span)
+        x = np.concatenate([x, _mirror_probe(rng, 300)])
+        y = np.concatenate([y, rng.permutation(_mirror_probe(rng, 300))])
+        okx, oky = (fold_symmetric_grid(c, QUARTER_PI) for c in (x, y))
+        for lam in (0.9, 1.1107, 2.0):
+            for z in (0.0, rng.uniform(-3.0, 3.0, x.size)):
+                t = tangent3_grid(x, y, z, lam)
+                for sx, sy in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+                    ok = (okx | (sx > 0)) & (oky | (sy > 0))
+                    s = tangent3_grid(sx * x, sy * y, z, lam)
+                    np.testing.assert_array_equal(s[3][ok], t[3][ok])
+                    # off the poles' placeholders: the flipped point's value
+                    # is the flipped value (== is bit equality but for a 0's sign)
+                    fin = ok & t[3]
+                    for a, b in zip(s[:3], (sx * t[0], sy * t[1], t[2])):
+                        assert (a[fin] == b[fin]).all()
+                    assert not (s[0] == sx * t[0])[~ok].all()
+
+    def test_capture_rule_commutes_with_sign_flips(self):
+        rng = np.random.default_rng(739)
+        x = np.concatenate([rng.uniform(-1e-6, 1e-6, 3000),
+                            rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000),
+                            [0.0, -0.0, 5e-324, 1e-6, analysis.CAPTURE_TOL]])
+        y = rng.permutation(x)
+        want = [np.hypot(x, y), np.maximum(np.abs(x), np.abs(y))]
+        for a, b in ((-x, y), (x, -y), (-x, -y)):
+            _assert_identical([np.hypot(a, b), np.maximum(np.abs(a), np.abs(b))], want)
+
+    @pytest.mark.parametrize("family", [1, -1])
+    def test_depth_rule_commutes_with_sign_flips(self, family):
+        rng = np.random.default_rng(743 + family)
+        x, y = _near_diamond_edges(rng, family=family)
+        want = render._in_diamond(x, y)
+        for a, b in ((-x, y), (x, -y), (-x, -y), (y, x), (-y, x)):
+            _assert_identical([render._in_diamond(a, b)], [want])
+        # the lookup alone does not commute with the flips there
+        raw = [_diamond_centers(a, b) for a, b in ((x, y), (-x, y), (x, -y), (-x, -y))]
+        assert any((r != raw[0]).any() for r in raw[1:])
+        # and the ordered lookup is the lookup wherever they all agree
+        agree = np.logical_and.reduce([r == raw[0] for r in raw[1:]])
+        _assert_identical([want[agree]], [raw[0][agree]])
 
 
 def _representatives(cfg):
@@ -772,31 +866,40 @@ class TestFirstStepClasses:
     @pytest.mark.parametrize("shape", [(36, 28), (64, 64), (5, 1), (1, 7)])
     def test_classes_against_brute_force(self, window, shape):
         # each pixel's representative is the least flat index whose first
-        # step reads the same (fx, fy, ox ^ oy), directly or swapped
-        from qrtan.core import fold_axis_grid
-
+        # step reads the same (|fx|, |fy|, ox ^ oy), directly or swapped;
+        # its sign class says which of the representative's folded
+        # coordinates its own first step negates
         kw = {} if window is None else {"window": window}
         cfg = RenderConfig(lam=1.0, width=shape[0], height=shape[1], **kw)
         xs, ys = render._pixel_axes(cfg, 0, cfg.height)
         reps, rep = _representatives(cfg)
         # any band of rows gives the same rows of the map
         band = render._first_step_classes(xs, ys)
+        flips = band(0, ys.size, flips=True)[2]
         for i0 in range(ys.size):
             i1 = min(i0 + 2, ys.size)
             got, own = band(i0, i1)
             np.testing.assert_array_equal(got, rep[i0:i1])
             np.testing.assert_array_equal(own, reps[(reps >= i0 * xs.size)
                                                    & (reps < i1 * xs.size)])
+            np.testing.assert_array_equal(band(i0, i1, flips=True)[2], flips[i0:i1])
         fx, ox = fold_axis_grid(xs, QUARTER_PI)
         fy, oy = fold_axis_grid(ys, QUARTER_PI)
+        ax, ay = np.abs(fx).view(np.int64), np.abs(fy).view(np.int64)
         first, want = {}, []
         for i in range(ys.size):
             for j in range(xs.size):
-                a, b = sorted((fx[j:j + 1].view(np.int64)[0], fy[i:i + 1].view(np.int64)[0]))
-                key = (a, b, bool(ox[j] ^ oy[i]))
-                want.append(first.setdefault(key, i * xs.size + j))
+                a, b = sorted((ax[j], ay[i]))
+                want.append(first.setdefault((a, b, bool(ox[j] ^ oy[i])), i * xs.size + j))
         np.testing.assert_array_equal(rep.ravel(), want)
         np.testing.assert_array_equal(reps, np.unique(want))
+        for i in range(ys.size):
+            for j in range(xs.size):
+                ri, rj = divmod(int(rep[i, j]), xs.size)
+                s = flips[i, j]
+                step = ((-1.0) ** (s & 1) * fx[rj], (-1.0) ** (s >> 1) * fy[ri])
+                assert (fx[j], fy[i]) in (step, step[::-1])
+                assert ox[j] ^ oy[i] == ox[rj] ^ oy[ri]
 
     def test_every_pixel_its_own_representative(self):
         # no two pixels share a first step: the render skips the gather
@@ -807,7 +910,7 @@ class TestFirstStepClasses:
             _assert_identical(render._render(cfg, depth_only=depth_only),
                               _full_axes(cfg, depth_only))
 
-    def test_default_render_classifies_about_half(self, monkeypatch):
+    def test_default_render_classifies_a_fifth(self, monkeypatch):
         sizes = []
 
         def recording(x, y, cfg, **kwargs):
@@ -816,7 +919,99 @@ class TestFirstStepClasses:
 
         monkeypatch.setattr(render, "classify_plane_block", recording)
         render_basin(RenderConfig(lam=2.0, width=64, height=64, max_iter=5))
-        assert 2000 <= sum(sizes) <= 2200
+        # 865 orbits for 4 096 pixels: the swap alone left 2 119
+        assert 800 <= sum(sizes) <= 900
+
+
+# an 8x3 image whose middle row lies on the x-axis, where the plane map is
+# lam tan x.  At this lam the pixel (0.4375, 0) steps to x = pi/4 as a
+# double, on a mirror line, and its sign image (-0.4375, 0), which
+# represents it, to -pi/4: the fold puts the two on tiles of opposite parity
+MIRROR_LANDING = {"lam": 1.6791698643631132, "window": (-0.5, -1.5, 0.5, 1.5), "width": 8,
+                  "height": 3, "max_iter": 200, "depth_norm": 20.0}
+
+
+def _recording_splits(monkeypatch):
+    """Wrap classify_plane_block; the list returned collects the owners of
+    the split entries of each call."""
+    owners = []
+
+    def recording(x, y, cfg, **kwargs):
+        out = classify_plane_block(x, y, cfg, **kwargs)
+        owners.append(kwargs["splits"][0][0])
+        return out
+
+    monkeypatch.setattr(render, "classify_plane_block", recording)
+    return owners
+
+
+class TestSplitMembers:
+    """Where the fold does not commute with a sign flip, the members of an
+    entry that need the flip go on as entries of their own, and the
+    render still has the bytes of classifying every pixel."""
+
+    @staticmethod
+    def _assert_renders_equal_full_axes(monkeypatch, cfg, small):
+        for depth_only in (False, True):
+            want = _full_axes(cfg, depth_only)
+            for working_set in (render._WORKING_SET, small):
+                monkeypatch.setattr(render, "_WORKING_SET", working_set)
+                for threads in (1, 3):
+                    cfg.threads = threads
+                    _assert_identical(render._render(cfg, depth_only=depth_only), want)
+        cfg.threads = 1
+
+    def test_orbit_landing_on_a_mirror_splits(self, monkeypatch):
+        cfg = RenderConfig(**MIRROR_LANDING)
+        x = np.array([-0.4375, 0.4375])
+        tx = tangent3_grid(x, np.zeros(2), 0.0, cfg.lam)[0]
+        assert tx.tolist() == [-QUARTER_PI, QUARTER_PI]
+        assert not fold_symmetric_grid(tx, QUARTER_PI).any()
+        reps, rep = _representatives(cfg)
+        assert rep[1, 7] == 8 and 15 not in reps
+        # their escape depths differ, so a copy would show
+        depth = _full_axes(cfg, True)[0]
+        assert depth[1, 0] != depth[1, 7]
+        owners = _recording_splits(monkeypatch)
+        self._assert_renders_equal_full_axes(monkeypatch, cfg, small=2)
+        # in each of the 8 renders, the one call that runs pixel 8
+        assert sum(1 for o in owners if o.size) == 8
+
+    @pytest.mark.parametrize("half_height,lam", [(0.25, 3.0), (0.375, 2.0)])
+    def test_pixels_on_a_mirror_are_checked_after_their_first_step(self, monkeypatch,
+                                                                   half_height, lam):
+        # columns x = -pi/4 and pi/4, rows pi/4 +- half_height/2: the
+        # pixels (-pi/4, y0) and (pi/4, y1) share a first step up to the
+        # sign of x, but the pixels themselves are no sign images, as the
+        # fold of -pi/4 and pi/4 differ in parity; the members follow the
+        # first step, so no check runs on the pixels
+        cfg = RenderConfig(lam=lam, window=(-HALF_PI, QUARTER_PI - half_height, HALF_PI,
+                                            QUARTER_PI + half_height), width=2, height=2)
+        xs, ys = render._pixel_axes(cfg, 0, cfg.height)
+        assert xs.tolist() == [-QUARTER_PI, QUARTER_PI]
+        rep, _, flips = render._first_step_classes(xs, ys)(0, 2, flips=True)
+        assert rep[1, 1] == 0 and flips[1, 1] == 1
+        self._assert_renders_equal_full_axes(monkeypatch, cfg, small=2)
+
+    # at lam 2 and max_iter 60 many first passages come soon after the
+    # horizon, so a split entry retired late there would show
+    @pytest.mark.parametrize("lam,max_iter", [(1.1107, 120), (2.0, 60), (2.0, 120)])
+    def test_seeded_check_failures_split(self, monkeypatch, lam, max_iter):
+        # the check also fails on about one coordinate in 16, chosen by its
+        # bits: splitting where the fold does commute changes no byte
+        real = fold_symmetric_grid
+
+        def failing(x, half_width):
+            seeded = np.abs(x).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(60)
+            return real(x, half_width) & (seeded != 0)
+
+        monkeypatch.setattr(render, "fold_symmetric_grid", failing)
+        cfg = RenderConfig(lam=lam, width=36, height=28, max_iter=max_iter)
+        owners = _recording_splits(monkeypatch)
+        self._assert_renders_equal_full_axes(monkeypatch, cfg, small=TestWorkingSet.SMALL)
+        # many pixels split, some more than once
+        merged = np.concatenate(owners)
+        assert merged.size > 100 and np.unique(merged).size < merged.size
 
 
 class TestBasinContent:
