@@ -178,20 +178,33 @@ def chordal_grid(p, q):
     return dist
 
 
+def tile_index(x: float, half_width: float) -> int:
+    """The index k of the tile that ``fold_axis`` folds x from.
+
+    Tile k is centred on k * 2*half_width, with mirrors at
+    (k +- 1/2) * 2*half_width.  The index is floor((|x| + half_width) /
+    (2*half_width)) with the sign of x, so tile_index(-x) = -tile_index(x):
+    a point exactly on a mirror belongs to the tile farther from 0 (above
+    it for x > 0, below it for x < 0).
+    """
+    k = math.floor((abs(x) + half_width) / (2.0 * half_width))
+    return -k if x < 0.0 else k
+
+
 def fold_axis(x: float, half_width: float):
     """Fold one coordinate into [-half_width, half_width] by reflections.
 
-    Mirrors sit at (k + 1/2) * 2*half_width.  Tiles are taken half-open
-    [lower, upper), so points exactly on a mirror are treated as part of
-    the tile above it; by continuity of the maps built on top of this
-    the choice is invisible.  Returns (folded, reflection_count_parity).
+    x on tile k = ``tile_index(x)`` folds to (-1)^k (x - k * 2*half_width).
+    The fold is odd bit for bit: fold_axis(-x) is -fold_axis(x) with the
+    same parity for every float, signed zeros included (-0.0 folds to
+    -0.0), because a point of a negative tile is folded as |x| and the
+    result negated.  Returns (folded, reflection_count_parity).
     """
-    width = 2.0 * half_width
-    k = math.floor((x + half_width) / width)
-    u = x - k * width
-    if k % 2:
-        return -u, 1
-    return u, 0
+    k = tile_index(x, half_width)
+    # on a negative tile -(|x| - |k| * 2*half_width): the fold of |x|, negated
+    u = x - k * (2.0 * half_width) if k >= 0 else -(k * (2.0 * half_width) - x)
+    odd = k % 2
+    return (-u if odd else u), odd
 
 
 def square_to_hemisphere(x: float, y: float) -> np.ndarray:
@@ -372,7 +385,7 @@ def _tangent3_xyz(x: float, y: float, z: float, lam):
     classify_orbit and the symbolic layer's forward steps; no array.
 
     With |x| and |y| below ``_CENTRAL`` the fold is skipped: there
-    x + pi/4 lies in (0, pi/2) with a margin of about 1e-9 that rounding
+    |x| + pi/4 lies below pi/2 with a margin of about 1e-9 that rounding
     cannot cross, so ``fold_axis`` takes k = 0 and returns x - 0.0 = x
     (-0.0 included) with even parity, and the result is the same bit
     for bit.
@@ -468,7 +481,8 @@ def _bisect(below, lo, hi):
 def fold_axis_grid(x, half_width):
     """Vectorized fold_axis; returns (folded, odd), ``odd`` a bool array."""
     width = 2.0 * half_width
-    k = x + half_width
+    a = np.abs(x)
+    k = a + half_width
     k /= width
     np.floor(k, out=k)
     # parity on floats (k is odd iff k/2 is not an integer), so a tile index
@@ -477,37 +491,16 @@ def fold_axis_grid(x, half_width):
     half = k * 0.5
     odd = np.floor(half) < half
     k *= width
-    np.subtract(x, k, out=k)
-    # reflect odd tiles by the sign 1 - 2*odd: exact, and branch-free
-    # unlike a select on random parities
-    sign = np.multiply(odd, -2.0, out=half)
+    np.subtract(a, k, out=k)
+    # the fold of |x|, reflected on odd tiles and negated for negative x:
+    # the sign 1 - 2*(signbit ^ odd) is exact, and branch-free unlike a
+    # select on random parities
+    flip = np.signbit(x)
+    flip ^= odd
+    sign = np.multiply(flip, -2.0, out=half)
     sign += 1.0
     k *= sign
     return k, odd
-
-
-def fold_symmetric_grid(x, half_width):
-    """Where ``fold_axis_grid`` commutes with negation: True exactly where
-    fold_axis_grid(-x) is -fold_axis_grid(x) with the same parity (a
-    folded 0 may keep its sign).
-
-    The test is that the tile indices of x and -x, each in the fold's own
-    arithmetic, sum to 0.  Then -x takes the index -k, the fold subtracts
-    -(k width), rounded as k width is, and IEEE rounding is symmetric, so
-    only the sign of a zero can differ.  Off the mirror lines the indices
-    always sum to 0; within a few ulps of one, (x + half_width) and
-    (half_width - x) can round into tiles that do not match.
-    """
-    width = 2.0 * half_width
-    k = x + half_width
-    k /= width
-    np.floor(k, out=k)
-    # -x + half_width, rounded as the fold of -x rounds it
-    j = np.subtract(half_width, x)
-    j /= width
-    np.floor(j, out=j)
-    k += j
-    return k == 0.0
 
 
 def _tangent3_composed_grid(x, y, z, lam):

@@ -98,9 +98,11 @@ def _check_tail(itin: Itinerary, lam: float, symbols):
     for i, s in enumerate(symbols[start:], start):
         norm = math.hypot(*_pole_xy(*s))
         if norm < prev - 1e-12:
-            raise ValueError("tail pole norms must be nondecreasing")
+            raise ValueError(f"tail pole norms must be nondecreasing: pole {i} {tuple(s)} has "
+                             f"norm {norm:.3f} < {prev:.3f}")
         if norm <= r:
-            raise ValueError(f"tail pole {i} has norm {norm:.3f} <= calibrated radius {r:.3f}")
+            raise ValueError(f"tail pole {i} {tuple(s)} has norm {norm:.3f} <= calibrated "
+                             f"radius {r:.3f} at lam={lam}")
         prev = norm
 
 
@@ -164,6 +166,11 @@ class ContractionFailure(RuntimeError):
     close to the origin region for this parameter."""
 
 
+def _cycle_failure(cycle, lam, what):
+    """The ContractionFailure whose text names ``cycle`` and ``lam``, then ``what``."""
+    return ContractionFailure(f"cycle {[tuple(c) for c in cycle]} at lam={lam}: {what}")
+
+
 @dataclass
 class PeriodicCycleSpec:
     cycle: list  # nonempty list of PoleIndex
@@ -198,8 +205,8 @@ def periodic_point_from_cycle(spec: PeriodicCycleSpec, lam: float) -> PeriodicPo
     for idx in cycle:
         norm = math.hypot(*_pole_xy(*idx))
         if norm <= r:
-            raise ValueError(
-                f"cycle pole {tuple(idx)} has norm {norm:.3f} <= calibrated radius {r:.3f}")
+            raise ValueError(f"cycle pole {tuple(idx)} has norm {norm:.3f} <= calibrated "
+                             f"radius {r:.3f} at lam={lam}")
     return _solve_cycle(cycle, lam, 300)
 
 
@@ -217,13 +224,21 @@ def _solve_cycle(cycle, lam, max_iter):
         y = y_next
         noncontract = noncontract + 1 if 0.0 < prev_step <= step else 0
         if noncontract >= 5:
-            raise ContractionFailure("composed branch map is not contracting on this cycle")
+            raise _cycle_failure(cycle, lam, "composed branch map is not contracting: the fifth "
+                                 "step in a row that did not shrink went from "
+                                 f"{prev_step:.3e} to {step:.3e}")
         prev_step = step
         if step < 1e-13:
             break
     y, orbit = _newton_polish(y, cycle, lam)
-    if orbit is None or any(containing_diamond(p) != idx for p, idx in zip(orbit, cycle)):
-        raise ContractionFailure("forward orbit left the prescribed diamonds")
+    if orbit is None:
+        raise _cycle_failure(cycle, lam, "the fixed point's orbit hits a pole within one period")
+    for j, (p, idx) in enumerate(zip(orbit, cycle)):
+        at = containing_diamond(p)
+        if at != idx:
+            where = "on the diagonal grid" if at is None else f"in diamond {tuple(at)}"
+            raise _cycle_failure(cycle, lam, f"the fixed point's orbit leaves diamond {tuple(idx)}"
+                                 f": point {j} ({p[0]:.17g}, {p[1]:.17g}) lies {where}")
     return PeriodicPoint(point=y, period=len(cycle), residual=vec_norm(orbit[0] - orbit[-1]),
                          orbit=orbit[:-1])
 
@@ -286,8 +301,8 @@ def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
     forward-iteration noise, and smaller eta thereby needs and reports a
     larger period.
     """
-    if eta <= 0.0:
-        raise ValueError("need eta > 0")
+    if not eta > 0.0:  # NaN included
+        raise ValueError(f"need eta > 0, got {eta}")
     target = np.array([float(v[0]), float(v[1])])
     symbols, reason = itinerary_of(v, lam, 40)
     if len(symbols) < 3:
@@ -310,4 +325,4 @@ def periodic_near_escaping(v, eta: float, lam: float) -> PeriodicPoint:
                 return result
             last_err = f"gap {gap:.3e} >= eta with period {period}"
         period += 1
-    raise ValueError(f"could not reach eta={eta}: {last_err}")
+    raise ValueError(f"could not reach eta={eta} at lam={lam}: {last_err}")

@@ -42,6 +42,7 @@ from .core import (
     is_infinity,
     tangent3,
     tangent3_grid,
+    tile_index,
     vec_norm,
 )
 
@@ -421,8 +422,7 @@ def _inverse_branch_grid(m, n, wx, wy, lam):
 
 def _tiles(lo, hi):
     """The indices of the tiles that ``fold_axis`` assigns to [lo, hi]."""
-    lo, hi = (math.floor((c + QUARTER_PI) / HALF_PI) for c in (lo, hi))
-    return range(lo, hi + 1)
+    return range(tile_index(lo, QUARTER_PI), tile_index(hi, QUARTER_PI) + 1)
 
 
 def preimages_tangent3(target, lam: float, xy_box):

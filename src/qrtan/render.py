@@ -5,12 +5,11 @@ orbit classifier, vectorized: one loop per image (per band with several
 threads) streams the pixels through a working set.  Only one pixel per
 first-step class runs: pixels whose first step reads the same folded
 input up to the swap x <-> y and the sign of either folded coordinate
-share an orbit up to that symmetry.  The kernel and the loop's rules
-commute with the swap and with the sign flips bit for bit, and the fold
-commutes with a sign flip wherever ``fold_symmetric_grid`` says so; the
-loop checks that on every step and lets the members it fails for go on
-as their own entries.  A basin pixel has three outcomes: captured by the
-origin, a pole hit, or undecided at ``max_iter``.  The escape rule of
+share an orbit up to that symmetry, and the others copy its arrays: the
+fold is odd, and the kernel and the loop's rules commute with the swap
+and with the sign flips, all bit for bit.  A basin pixel has three
+outcomes: captured by the origin, a pole hit, or undecided at
+``max_iter``.  The escape rule of
 ``classify_orbit`` does not run here: the escaping plane orbits form a
 thin exceptional set, and no pixel of the renders measured in the README
 lands on it.  An escape-depth render also stops each pixel at its first
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .core import HALF_PI, QUARTER_PI, fold_axis_grid, fold_symmetric_grid, tangent3_grid
+from .core import HALF_PI, QUARTER_PI, fold_axis_grid, tangent3_grid
 from .plane import _require_positive_lam
 
 # no code for the axis fixed points: no orbit of the plane z = 0 reaches them
@@ -159,19 +158,7 @@ def _far(px, py, mx, bound, sel):
     return c[np.hypot(px[c], py[c]) > bound]
 
 
-# the sign classes s = a + 2b of a pixel whose first step is its
-# representative's with the folded x negated (a = 1) and/or y (b = 1), by
-# [frame, failed axes, group]: the classes s with (s ^ frame) & failed ==
-# group, a bit mask.  An entry at frame f carries classes whose state is
-# its own flipped by s ^ f; when the fold fails to commute with the flip
-# of some axes, its classes part by which of those flips they need
-_SIGN_GROUPS = np.array([[[sum(1 << s for s in range(4) if (s ^ f) & m == g)
-                           for g in range(4)] for m in range(4)] for f in range(4)],
-                        dtype=np.uint8)
-
-
-def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=None,
-                         splits=None):
+def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=None):
     """Fate codes and capture steps for a block of plane points (z = 0).
 
     Mirrors the scalar classifier's capture rule, reading the constants
@@ -193,19 +180,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=No
     With ``pixels``, a 1-D array of flat indices into the block, only
     those pixels run, entering in that order, and the arrays returned are
     theirs.
-
-    With ``splits``, a list, each pixel also stands for its sign classes
-    1-3: the points whose first step reads its folded input with x (class
-    1), y (class 2) or both (class 3) negated.  The kernel and the rules
-    commute with those flips, so the classes share the pixel's values for
-    as long as the fold commutes with them too.  Before each step after
-    the first, ``fold_symmetric_grid`` checks both coordinates of every
-    entry; the classes a failure leaves go on as new entries right after
-    theirs, at its state flipped, with its start step and capture run.
-    Their values are appended to ``splits`` as one tuple (owner, classes,
-    fate, when, depth): per split entry the index of its pixel among
-    those returned, the bit mask of the classes it holds, and its values.
-    The returned arrays hold each pixel's remaining classes.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     w = max(shape[-1], 1) if shape else 1
@@ -218,22 +192,16 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=No
     depth = np.zeros(size, dtype=np.int32)
     when = np.zeros(size, dtype=np.int32)
     fate = np.zeros(size, dtype=np.uint8)
-    # the working set in entry order: output slot, the loop step before the
+    # the working set in entry order: flat index, the loop step before the
     # pixel's first, point and rule state.  Done entries stay, masked out
     # by ``live``, until a quarter is done; then the live ones move to the
-    # front and new pixels fill the room up to ``cap`` entries, which never
-    # outgrows the arrays (they start as n done entries, and only grow by
-    # split entries).
-    n = cap = min(_WORKING_SET, size)
+    # front and new pixels fill the room, which never outgrows the arrays
+    # (it starts as n done entries).
+    n = min(_WORKING_SET, size)
     idx, born = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int32)
     px, py = np.empty(n), np.empty(n)
     run_origin = np.empty(n, dtype=np.int16)
     live = np.zeros(n, dtype=bool)
-    # with splits, each entry's classes (low 4 bits) and frame (the sign
-    # class of its own state, bits 4-5); a split entry's output slot comes
-    # after the pixels', with its pixel and classes in owner and held
-    sign = None if splits is None else np.empty(n, dtype=np.uint8)
-    owner, held = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8)
     entered = step = 0
 
     def retire(done, code):
@@ -246,48 +214,10 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=No
         a[n_live:n] = fill
         return a[:n]
 
-    def split(fail):
-        # ``fail``: per entry, the axes (bit 0 x, bit 1 y) on which the
-        # fold does not commute with negation
-        nonlocal idx, born, px, py, run_origin, live, sign, owner, held, fate, when, depth, n
-        # a fresh entry's classes are images of its first step, not of its pixel
-        fail[~live | (born == step)] = 0
-        at = np.flatnonzero(fail)
-        frame, mask, fail = sign[at] >> 4, sign[at] & 15, fail[at]
-        groups = [mask & _SIGN_GROUPS[frame, fail, g] for g in range(4)]
-        sign[at] = groups[0] | frame << 4
-        mine = idx[at] >= size
-        held[idx[at][mine] - size] = groups[0][mine]
-        parent = np.concatenate([at[c != 0] for c in groups[1:]])
-        if not parent.size:
-            return
-        flip = np.repeat(np.arange(1, 4, dtype=np.uint8), [np.count_nonzero(c) for c in groups[1:]])
-        classes = np.concatenate([c[c != 0] for c in groups[1:]])
-        order = np.argsort(parent, kind="stable")
-        parent, flip, classes = parent[order], flip[order], classes[order]
-        k = parent.size
-        slot = idx[parent]
-        ext = slot >= size
-        slot[ext] = owner[slot[ext] - size]
-        owner = np.concatenate([owner, slot])
-        held = np.concatenate([held, classes])
-        # right after the parent, so born stays in entry order
-        put = parent + 1
-        idx = np.insert(idx, put, np.arange(fate.size, fate.size + k))
-        born = np.insert(born, put, born[parent])
-        px = np.insert(px, put, np.where(flip & 1, -px[parent], px[parent]))
-        py = np.insert(py, put, np.where(flip & 2, -py[parent], py[parent]))
-        run_origin = np.insert(run_origin, put, run_origin[parent])
-        live = np.insert(live, put, True)
-        sign = np.insert(sign, put, classes | ((sign[parent] >> 4) ^ flip) << 4)
-        fate, when, depth = (np.concatenate([a, np.zeros(k, dtype=a.dtype)])
-                             for a in (fate, when, depth))
-        n += k
-
     while True:
         n_live = np.count_nonzero(live)
         if (n - n_live) * _COMPACT_SHARE >= n:
-            k = max(0, min(cap - n_live, size - entered))
+            k = min(n - n_live, size - entered)
             if n_live + k == 0:
                 break
             keep = np.flatnonzero(live)
@@ -302,15 +232,8 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=No
             del fresh, at
             run_origin = refill(run_origin, 0)
             live = refill(live, True)
-            if sign is not None:
-                sign = refill(sign, 15)
             del keep  # as large as the set; the steps need the room
             entered += k
-        if sign is not None:
-            okx, oky = (fold_symmetric_grid(c, QUARTER_PI) for c in (px, py))
-            if not (okx.all() and oky.all()):
-                split((~okx).view(np.uint8) | (~oky).view(np.uint8) << 1)
-            del okx, oky
         step += 1
         px, py, _, finite = tangent3_grid(px, py, 0.0, cfg.lam)
         if not finite.all():
@@ -354,9 +277,6 @@ def classify_plane_block(x, y, cfg: RenderConfig, *, depth_only=False, pixels=No
         last = np.searchsorted(born, step - cfg.max_iter, side="right")
         when[idx[:last][live[:last]]] = cfg.max_iter
         live[:last] = False
-    if splits is not None:
-        splits.append((owner, held, fate[size:], when[size:], depth[size:]))
-        fate, when, depth = fate[:size], when[:size], depth[:size]
     if pixels is None:
         return fate.reshape(shape), when.reshape(shape), depth.reshape(shape)
     return fate, when, depth
@@ -467,27 +387,27 @@ def _first_step_classes(xs, ys):
     coordinates and the tile parity.  Its result commutes bit for bit with
     the swap (x, y) -> (y, x) and with negating fx or fy: the tile map
     reads only |fx| and |fy|, IEEE products are sign-symmetric and libm's
-    hypot takes fabs first.  So two pixels whose inputs agree up to the
-    swap and the signs have orbits that agree up to them, for as long as
-    the fold commutes with the flips, which ``classify_plane_block``
-    checks on every step.  Each column and row gets a key, the bit
-    pattern of its |folded value| (so +0.0 and -0.0 meet) and its parity.
-    A pixel's representative is the least flat index among its images
-    under the identity, the flip of both parities, the swap and both.
-    Each image's least index is a row term plus a column term looked up
-    per key, so no sort runs.
+    hypot takes fabs first.  The fold is odd bit for bit (``fold_axis``),
+    so a point whose coordinates are negated folds to the negated point
+    with the same parity, and each later step of two such orbits agrees
+    up to the signs too.  So two pixels whose inputs agree up to the swap
+    and the signs have orbits that agree up to them, and the same fate,
+    ``when`` and depth: the capture rule reads hypot and the depth rule
+    ``_in_diamond``, both of |x| and |y| in either order.  Each column and
+    row gets a key, the bit pattern of its |folded value| (so +0.0 and
+    -0.0 meet) and its parity.  A pixel's representative is the least
+    flat index among its images under the identity, the flip of both
+    parities, the swap and both.  Each image's least index is a row term
+    plus a column term looked up per key, so no sort runs.
 
-    Returns ``band(i0, i1, flips=False)``: for the pixel rows [i0, i1),
-    each pixel's representative (an (i1 - i0, len(xs)) array of flat
-    indices) and the representatives among them (their flat indices,
-    increasing).  With ``flips`` it also returns each pixel's sign class:
-    bit 0 (1) where its first step negates the representative's x, bit 1
-    (2) where it negates y, before the swap if there is one.
+    Returns ``band(i0, i1)``: for the pixel rows [i0, i1), each pixel's
+    representative (an (i1 - i0, len(xs)) array of flat indices) and the
+    representatives among them (their flat indices, increasing).
     """
     h, w = ys.size, xs.size
-    folds = [fold_axis_grid(axis, QUARTER_PI) for axis in (xs, ys)]
     keys, firsts = [], []
-    for f, odd in folds:
+    for axis in (xs, ys):
+        f, odd = fold_axis_grid(axis, QUARTER_PI)
         keys.append(list(zip(np.abs(f).view(np.int64).tolist(), odd.tolist())))
         first = {}
         for i, key in enumerate(keys[-1]):
@@ -505,25 +425,14 @@ def _first_step_classes(xs, ys):
     # among the columns and a column's among the rows
     images = [(term(rows, 1), term(cols, 0)), (term(flipped[1], 1), term(flipped[0], 0)),
               (term(rows, 0), term(cols, 1)), (term(flipped[1], 0), term(flipped[0], 1))]
-    (fx, ox), (fy, oy) = folds
-    ax, ay, sx, sy = np.abs(fx), np.abs(fy), np.signbit(fx), np.signbit(fy)
 
-    def band(i0, i1, flips=False):
+    def band(i0, i1):
         rep = np.add.outer(images[0][0][i0:i1], images[0][1])
         tmp = np.empty_like(rep)
         for r, c in images[1:]:
             np.minimum(rep, np.add.outer(r[i0:i1], c, out=tmp), out=rep)
         own = np.arange(i0 * w, i1 * w)
-        if not flips:
-            return rep, own[rep.ravel() == own]
-        ri, rj = np.divmod(rep, w)
-        i = np.arange(i0, i1)[:, np.newaxis]
-        # the pixel's first step is the representative's with signs
-        # flipped, without the swap where the keys agree in place
-        direct = (ax == ax[rj]) & (ay[i] == ay[ri]) & ((ox ^ ox[rj]) == (oy[i] ^ oy[ri]))
-        a = np.where(direct, sx ^ sx[rj], sy[i] ^ sx[rj])
-        b = np.where(direct, sy[i] ^ sy[ri], sx ^ sy[ri])
-        return rep, own[rep.ravel() == own], a.view(np.uint8) | b.view(np.uint8) << 1
+        return rep, own[rep.ravel() == own]
 
     return band
 
@@ -532,11 +441,10 @@ def _render(cfg: RenderConfig, *, depth_only=False):
     """fate and when over the image, or with ``depth_only`` the escape
     depth, from classify_plane_block on one representative pixel per
     first-step class (``_first_step_classes``), split into one band per
-    thread; every other pixel copies its representative's values, or
-    those of the entry its sign class split off to.  The bytes are those
-    of classifying every pixel: no pixel's arithmetic depends on which
-    others share its call.  The class maps are built a band of rows at a
-    time, so they never take an image's room."""
+    thread; every other pixel copies its representative's values.  The
+    bytes are those of classifying every pixel: no pixel's arithmetic
+    depends on which others share its call.  The class maps are built a
+    band of rows at a time, so they never take an image's room."""
     h, w = cfg.height, cfg.width
     # the images first, below the temporaries: allocated after them they
     # left the heap fragmented, peak RSS +0.27 MiB over 150 escape renders
@@ -549,10 +457,8 @@ def _render(cfg: RenderConfig, *, depth_only=False):
     reps = np.concatenate([classes(*b)[1] for b in bands])
 
     def classify(pixels):
-        splits = []
-        out = classify_plane_block(xs, ys[:, np.newaxis], cfg, depth_only=depth_only,
-                                   pixels=pixels, splits=splits)
-        return [*out, *splits[0]]
+        return classify_plane_block(xs, ys[:, np.newaxis], cfg, depth_only=depth_only,
+                                    pixels=pixels)
 
     if cfg.threads == 1:
         out = classify(reps)
@@ -561,43 +467,24 @@ def _render(cfg: RenderConfig, *, depth_only=False):
         from concurrent.futures import ThreadPoolExecutor
 
         k = min(cfg.threads, reps.size)
-        chunks = np.array_split(reps, k)
         with ThreadPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(classify, chunks))
-        for part, start in zip(parts, np.cumsum([0] + [c.size for c in chunks])):
-            part[3] += start  # a split entry's owner, among all representatives
+            parts = list(pool.map(classify, np.array_split(reps, k)))
         out = [np.concatenate(a) for a in zip(*parts)]
-    # fate, when, depth, then the split entries' owner, classes and values
-    pick = slice(2, 3) if depth_only else slice(0, 2)
-    values, owner, held = out[pick], out[3], out[4]
-    split_values = out[5:][pick]
+    out = out[2:] if depth_only else out[:2]
     if reps.size == h * w:
-        return [a.reshape(h, w) for a in values]
-    del reps, out
-    if owner.size:
-        # the (representative, sign class) pairs the split entries hold,
-        # as sorted keys 4 * owner + class
-        entry, sign = np.nonzero(held[:, np.newaxis] >> np.arange(4, dtype=np.uint8) & 1)
-        keys = 4 * owner[entry] + sign
-        order = np.argsort(keys)
-        keys, entry = keys[order], entry[order]
+        return [a.reshape(h, w) for a in out]
+    del reps
     # each representative's place among them, filled band by band: no
     # pixel's representative comes after it
     position = np.empty(h * w, dtype=np.int32 if h * w < 2**31 else np.intp)
     done = 0
     for i0, i1 in bands:
-        rep, reps, *flips = classes(i0, i1, flips=owner.size > 0)
+        rep, reps = classes(i0, i1)
         position[reps] = np.arange(done, done + reps.size)
         done += reps.size
         at = position[rep]
-        for a, im in zip(values, image):
+        for a, im in zip(out, image):
             im[i0:i1] = a[at]
-        if flips:
-            key = 4 * at.astype(np.int64) + flips[0]
-            j = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-            hit = keys[j] == key
-            for a, im in zip(split_values, image):
-                im[i0:i1][hit] = a[entry[j[hit]]]
     return image
 
 

@@ -27,6 +27,7 @@ from qrtan.core import (
     tangent3,
     tangent3_composed,
     tangent3_grid,
+    tile_index,
     vec_norm,
     zorich,
 )
@@ -489,9 +490,10 @@ class TestKernelPlatformAssumptions:
                             (k + rng.uniform(-0.5, 0.5, k.size)) * HALF_PI,
                             (k[:50] + 0.5) * HALF_PI, [0.0, -0.0, QUARTER_PI, -QUARTER_PI]])
         folded, odd = fold_axis_grid(x, QUARTER_PI)
-        tile = np.floor((x + QUARTER_PI) / HALF_PI)
-        u = x - tile * HALF_PI
-        assert np.array_equal(_bits(folded), _bits(np.where(odd, -u, u)))
+        # the tile of |x|, reflected on odd tiles and negated for negative x
+        tile = np.floor((np.abs(x) + QUARTER_PI) / HALF_PI)
+        u = np.abs(x) - tile * HALF_PI
+        assert np.array_equal(_bits(folded), _bits(np.where(odd != np.signbit(x), -u, u)))
         assert np.array_equal(odd, tile.astype(np.int64) % 2 != 0)
         assert odd.any() and not odd.all()
 
@@ -835,6 +837,21 @@ class TestProperties:
         k = round((x - unfolded) / (2.0 * half))
         assert abs(x - unfolded - k * 2.0 * half) <= tol
         assert k % 2 == parity
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-1e300, 1e300),
+           half=st.sampled_from([QUARTER_PI, HALF_PI, 0.1, 3.0]))
+    def test_fold_axis_is_odd(self, x, half):
+        # fold(-x) = -fold(x) with the same parity, bit for bit (signed
+        # zeros too), on the tile -tile_index(x); the grid gives the bits
+        f, parity = fold_axis(x, half)
+        g, gparity = fold_axis(-x, half)
+        assert g.hex() == (-f).hex() and gparity == parity
+        assert tile_index(-x, half) == -tile_index(x, half)
+        assert tile_index(x, half) % 2 == parity
+        folded, odd = fold_axis_grid(np.array([x, -x]), half)
+        assert [v.hex() for v in folded.tolist()] == [f.hex(), g.hex()]
+        assert odd.tolist() == [parity == 1] * 2
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(-HALF_PI, HALF_PI), y=st.floats(-HALF_PI, HALF_PI))

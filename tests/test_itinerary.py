@@ -318,9 +318,76 @@ class TestPeriodicNearEscaping:
         with pytest.raises(ValueError):
             periodic_near_escaping(np.array([1.0, 1.0]), 1e-3, LAM)
 
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ValueError):
-            periodic_near_escaping(np.array([0.2, 1.4]), 0.0, LAM)
+    @pytest.mark.parametrize("eta", [0.0, math.nan, -1e-3, -math.inf])
+    def test_rejects_bad_eta(self, monkeypatch, eta):
+        # before any work: a NaN eta is not <= 0 either, and once ran
+        # every period before failing
+        def untouched(*args):
+            raise AssertionError("itinerary read for a bad eta")
+
+        monkeypatch.setattr(itinerary, "itinerary_of", untouched)
+        with pytest.raises(ValueError, match=rf"^need eta > 0, got {eta}$"):
+            periodic_near_escaping(np.array([0.2, 1.4]), eta, LAM)
+
+
+class TestErrorMessages:
+    """Errors of the symbolic layer name the poles, lam and the numbers
+    that failed."""
+
+    def test_tail_below_the_radius_names_pole_and_lam(self):
+        bad = Itinerary(prefix=[], tail=lambda j: (0, 0))
+        r = required_tail_radius(LAM)
+        with pytest.raises(ValueError, match=rf"^tail pole 0 \(0, 0\) has norm 1\.571 <= "
+                                             rf"calibrated radius {r:.3f} at lam=2\.0$"):
+            point_from_itinerary(bad, LAM, n_compose=10)
+
+    def test_shrinking_tail_names_both_norms(self):
+        bad = Itinerary(prefix=[], tail=lambda j: (0, 9 - j))
+        with pytest.raises(ValueError, match=r"^tail pole norms must be nondecreasing: "
+                                             r"pole 1 \(0, 8\) has norm 18\.915 < 21\.133$"):
+            point_from_itinerary(bad, LAM, n_compose=5)
+
+    def test_cycle_below_the_radius_names_lam(self):
+        with pytest.raises(ValueError, match=r"^cycle pole \(0, 0\) has norm 1\.571 <= "
+                                             r"calibrated radius .* at lam=2\.0$"):
+            periodic_point_from_cycle(PeriodicCycleSpec(cycle=[(0, 0)]), LAM)
+
+    def test_noncontraction_names_cycle_lam_and_steps(self, monkeypatch):
+        # a branch that doubles distances, so each step, through two poles,
+        # is four times the last
+        monkeypatch.setattr(itinerary, "inverse_branch", lambda idx, w, lam: 2.0 * w + 1.0)
+        with pytest.raises(itinerary.ContractionFailure,
+                           match=r"^cycle \[\(1, 1\), \(0, 1\)\] at lam=2\.0: composed branch "
+                                 r"map is not contracting: the fifth step in a row that did not "
+                                 r"shrink went from 3\.744e\+03 to 1\.497e\+04$"):
+            _solve_cycle([PoleIndex(1, 1), PoleIndex(0, 1)], LAM, 400)
+
+    def test_orbit_off_its_diamond_names_the_point(self):
+        # the fixed point of the pole (0, 0)'s branch at lam 2 is the origin,
+        # on the diagonal grid
+        with pytest.raises(itinerary.ContractionFailure,
+                           match=r"^cycle \[\(0, 0\)\] at lam=2\.0: the fixed point's orbit "
+                                 r"leaves diamond \(0, 0\): point 0 \(0, 0\) lies on the "
+                                 r"diagonal grid$"):
+            _solve_cycle([PoleIndex(0, 0)], LAM, 400)
+
+    def test_orbit_into_a_pole_says_so(self, monkeypatch):
+        monkeypatch.setattr(itinerary, "_newton_polish", lambda y, cycle, lam: (y, None))
+        with pytest.raises(itinerary.ContractionFailure,
+                           match=r"^cycle \[\(6, 6\)\] at lam=2\.0: the fixed point's orbit "
+                                 r"hits a pole within one period$"):
+            _solve_cycle([PoleIndex(6, 6)], LAM, 400)
+
+    def test_unreached_eta_names_lam_and_the_last_failure(self, monkeypatch):
+        def failing(cycle, lam, max_iter):
+            raise itinerary._cycle_failure(cycle, lam, "composed branch map is not contracting")
+
+        monkeypatch.setattr(itinerary, "_solve_cycle", failing)
+        v = point_from_itinerary(mixed_itinerary(), LAM, n_compose=30)
+        with pytest.raises(ValueError, match=r"^could not reach eta=0\.001 at lam=2\.0: cycle "
+                                             r"\[.*\] at lam=2\.0: composed branch map is not "
+                                             r"contracting$"):
+            periodic_near_escaping(v, 1e-3, LAM)
 
 
 class TestSymbolicInputChecks:

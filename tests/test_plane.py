@@ -24,7 +24,6 @@ from qrtan.core import (
     vec_norm,
 )
 from qrtan.itinerary import (
-    ContractionFailure,
     Itinerary,
     PeriodicCycleSpec,
     PeriodicPoint,
@@ -374,6 +373,32 @@ class TestPreimages:
                         if box[0] <= x <= box[1] and box[2] <= y <= box[3]:
                             want.append(np.array([x, y, 0.0]))
             _assert_same(preimages_tangent3(INFINITY, lam, box), want)
+
+    @pytest.mark.parametrize("lam", [0.9, 2.0])
+    def test_box_edge_on_a_negative_mirror(self, lam):
+        # boxes whose lower x or y edge lies on a mirror -(k + 1/2) pi/2,
+        # which the odd fold gives to the tile below it, and targets on the
+        # sphere |w| = lam, whose chart points lie on tile edges: the box's
+        # scan finds the points a scan of a wider box finds inside it, the
+        # lower tile's point on the edge among them
+        rng = np.random.default_rng(439)
+        angles = np.concatenate([np.arange(8) * QUARTER_PI, rng.uniform(0.0, 2 * math.pi, 8)])
+        units = rng.normal(size=(6, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        targets = [lam * np.array([math.cos(a), math.sin(a), 0.0]) for a in angles]
+        targets += list(lam * units)
+        on_edge = 0
+        for k in range(4):
+            lo = -(k + 0.5) * HALF_PI
+            assert plane._tiles(lo, lo) == range(-k - 1, -k)
+            for box in ((lo, lo + 2.0, -1.0, 1.0), (-1.0, 1.5, lo, lo + 1.0), (lo, -lo, lo, -lo)):
+                wide = (box[0] - 1.7, box[1] + 1.7, box[2] - 1.7, box[3] + 1.7)
+                for t in targets:
+                    want = [p for p in preimages_tangent3(t, lam, wide)
+                            if box[0] <= p[0] <= box[1] and box[2] <= p[1] <= box[3]]
+                    _assert_same(preimages_tangent3(t, lam, box), want)
+                    on_edge += sum(p[0] == lo or p[1] == lo for p in want)
+        assert on_edge > 20
 
     def test_omitted_values_have_no_preimage(self):
         lam = 1.5
@@ -780,33 +805,40 @@ def _reference_periodic_from_mixed_cycle(spec, lam: float):
             if step >= prev_step:
                 noncontract += 1
                 if noncontract >= 5:
-                    raise ContractionFailure(
-                        "composed branch map is not contracting on this cycle")
+                    raise itinerary._cycle_failure(
+                        spec.cycle, lam, "composed branch map is not contracting: the fifth "
+                        "step in a row that did not shrink went from "
+                        f"{prev_step:.3e} to {step:.3e}")
             else:
                 noncontract = 0
         prev_step = step
         if step < 1e-13:
             break
     y = _reference_newton_polish(y, spec.cycle, lam)
-    orbit, residual = _forward_cycle(y, spec.cycle, lam)
+    orbit, residual, bad = _forward_cycle(y, spec.cycle, lam)
     if orbit is None:
-        raise ContractionFailure("forward orbit left the prescribed diamonds")
+        raise itinerary._cycle_failure(spec.cycle, lam, bad)
     return PeriodicPoint(point=y, period=len(spec.cycle), residual=residual, orbit=orbit)
 
 
 def _forward_cycle(y, cycle, lam):
-    """Forward-run one period; returns (orbit, residual) or (None, inf) when a
-    diamond membership or pole is violated."""
+    """Forward-run one period; returns (orbit, residual, None), or (None,
+    inf, why) when the period hits a pole or, failing that, an orbit point
+    leaves its diamond (the first one)."""
     orbit = [np.array(y)]
     p = np.array(y)
-    for idx in cycle:
-        if containing_diamond(p) != idx:
-            return None, math.inf
+    for _ in cycle:
         p = plane_map(p, lam)
         if is_infinity(p):
-            return None, math.inf
+            return None, math.inf, "the fixed point's orbit hits a pole within one period"
         orbit.append(p)
-    return orbit[:-1], vec_norm(orbit[0] - p)
+    for j, (q, idx) in enumerate(zip(orbit, cycle)):
+        at = containing_diamond(q)
+        if at != idx:
+            where = "on the diagonal grid" if at is None else f"in diamond {tuple(at)}"
+            return None, math.inf, (f"the fixed point's orbit leaves diamond {tuple(idx)}: "
+                                    f"point {j} ({q[0]:.17g}, {q[1]:.17g}) lies {where}")
+    return orbit[:-1], vec_norm(orbit[0] - p), None
 
 
 def _reference_newton_polish(y, cycle, lam, rounds: int = 6):

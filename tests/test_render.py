@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qrtan import analysis, render
 from qrtan.analysis import SETTLE, petal_contains
-from qrtan.core import fold_axis_grid, fold_symmetric_grid, tangent3_grid
+from qrtan.core import fold_axis, fold_axis_grid, tangent3_grid
 from qrtan.render import (
     _COMPACT_SHARE,
     _FATE_ORIGIN,
@@ -363,12 +363,14 @@ class TestLiveSet:
 # must give the same arrays, bit for bit
 
 def _reference_fold_axis_grid(x, half_width):
-    """Vectorized fold_axis; returns (folded, parity) arrays."""
+    """Vectorized fold_axis; returns (folded, parity) arrays.  The fold of
+    |x|, reflected on odd tiles and negated where x has its sign bit set."""
     width = 2.0 * half_width
-    k = np.floor((x + half_width) / width)
-    u = x - k * width
+    a = np.abs(x)
+    k = np.floor((a + half_width) / width)
+    u = a - k * width
     odd = (k.astype(np.int64) % 2) != 0
-    return np.where(odd, -u, u), odd.astype(np.int64)
+    return np.where(odd != np.signbit(x), -u, u), odd.astype(np.int64)
 
 
 def _reference_tangent3_grid(x, y, z, lam: float = 1.0):
@@ -735,8 +737,12 @@ class TestSwapEquivariance:
         _assert_identical([render._in_diamond(x, y)[ok]], [_diamond_centers(x, y)[ok]])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def _mirror_probe(rng, n=2000, half_width=QUARTER_PI):
-    """Values where the fold's rounding can break its symmetry: the mirror
+    """Values where a fold's rounding can break its symmetry: the mirror
     lines (k + 1/2) 2 half_width as doubles and one ulp either side (3n),
     huge |v| (n), signed zeros and the extremes (9), then n uniform ones."""
     mirror = (rng.integers(-10**6, 10**6, n) + 0.5) * (2.0 * half_width)
@@ -748,28 +754,25 @@ def _mirror_probe(rng, n=2000, half_width=QUARTER_PI):
 
 
 class TestSignFlipEquivariance:
-    """The map and the loop's rules commute with negating either
-    coordinate, as they do with the swap, wherever the fold commutes
-    with it; ``fold_symmetric_grid`` says where, and a render checks it
-    on every step."""
+    """The fold is odd, and the map and the loop's rules commute with
+    negating either coordinate, as they do with the swap, bit for bit."""
 
     @pytest.mark.parametrize("half_width", [QUARTER_PI, HALF_PI])
-    def test_predicate_is_the_bitwise_comparison(self, half_width):
+    def test_fold_is_odd(self, half_width):
+        # the mirror lines, one ulp either side, huge |v|, +-0 and the
+        # extremes: -v folds to the negated value, bits and parity
         rng = np.random.default_rng(727)
         v = _mirror_probe(rng, 2000, half_width)
         f, odd = fold_axis_grid(v, half_width)
         g, godd = fold_axis_grid(-v, half_width)
-        ok = fold_symmetric_grid(v, half_width)
-        # the same parity and the negated value; == tells the bits apart
-        # but for the sign of a folded 0
-        np.testing.assert_array_equal(ok, (g == -f) & (godd == odd))
-        assert (f[ok] == 0.0).any()  # exact tile centres, among the huge values
-        np.testing.assert_array_equal(ok, fold_symmetric_grid(-v, half_width))
-        # it fails beside the mirror lines and for huge |v| (where v / width
-        # is not an integer), never on the uniform values or at +-0
-        assert not ok[:6000].all() and not ok[6000:8000].all()
-        assert ok[-2000:].all() and ok[8000:8002].all()
-        assert not fold_symmetric_grid(np.array([QUARTER_PI]), QUARTER_PI)[0]
+        np.testing.assert_array_equal(_bits(g), _bits(-f))
+        np.testing.assert_array_equal(godd, odd)
+        assert (f == 0.0).any()  # exact tile centres, among the huge values
+        # -0.0 stays -0.0; the scalar fold gives the grid's bits
+        assert np.signbit(fold_axis_grid(np.array([-0.0]), half_width)[0]).all()
+        for x, fx, ox in zip(v[::7].tolist(), f[::7].tolist(), odd[::7].tolist()):
+            assert fold_axis(x, half_width) == (fx, int(ox))
+            assert math.copysign(1.0, fold_axis(x, half_width)[0]) == math.copysign(1.0, fx)
 
     @pytest.mark.parametrize("span", [1.0, 10.0, 1e3, 1e6, 1e17])
     def test_kernel_commutes_with_sign_flips(self, span):
@@ -777,20 +780,17 @@ class TestSignFlipEquivariance:
         x, y = _swap_probe_points(rng, span)
         x = np.concatenate([x, _mirror_probe(rng, 300)])
         y = np.concatenate([y, rng.permutation(_mirror_probe(rng, 300))])
-        okx, oky = (fold_symmetric_grid(c, QUARTER_PI) for c in (x, y))
         for lam in (0.9, 1.1107, 2.0):
             for z in (0.0, rng.uniform(-3.0, 3.0, x.size)):
                 t = tangent3_grid(x, y, z, lam)
                 for sx, sy in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-                    ok = (okx | (sx > 0)) & (oky | (sy > 0))
                     s = tangent3_grid(sx * x, sy * y, z, lam)
-                    np.testing.assert_array_equal(s[3][ok], t[3][ok])
-                    # off the poles' placeholders: the flipped point's value
-                    # is the flipped value (== is bit equality but for a 0's sign)
-                    fin = ok & t[3]
+                    np.testing.assert_array_equal(s[3], t[3])
+                    # off the poles' placeholders the flipped point's value
+                    # is the flipped value, bit for bit
+                    fin = t[3]
                     for a, b in zip(s[:3], (sx * t[0], sy * t[1], t[2])):
-                        assert (a[fin] == b[fin]).all()
-                    assert not (s[0] == sx * t[0])[~ok].all()
+                        np.testing.assert_array_equal(_bits(a[fin]), _bits(b[fin]))
 
     def test_capture_rule_commutes_with_sign_flips(self):
         rng = np.random.default_rng(739)
@@ -829,6 +829,35 @@ def _representatives(cfg):
 # asymmetric one and a non-square one
 CLASS_WINDOWS = [None, (-0.3, -1.1, 2.9, 0.4), (-1.0, -0.5, 4.0, 0.5)]
 
+# an 8x3 image whose middle row lies on the x-axis, where the plane map is
+# lam tan x.  At this lam the pixel (0.4375, 0) steps to x = pi/4 as a
+# double, on a mirror line, and its sign image (-0.4375, 0), which
+# represents it, to -pi/4: a fold that is not odd puts the two on tiles of
+# opposite parity
+MIRROR_LANDING = {"lam": 1.6791698643631132, "window": (-0.5, -1.5, 0.5, 1.5), "width": 8,
+                  "height": 3, "max_iter": 200, "depth_norm": 20.0}
+
+
+def _mirror_pixels(half_height, lam):
+    """A 2x2 image with columns x = -pi/4 and pi/4, on the mirror lines, and
+    rows pi/4 +- half_height/2: (-pi/4, y0) represents (pi/4, y0) and
+    (pi/4, y1) that of (-pi/4, y1) up to the sign of x."""
+    return {"lam": lam, "window": (-HALF_PI, QUARTER_PI - half_height, HALF_PI,
+                                   QUARTER_PI + half_height), "width": 2, "height": 2}
+
+
+# the configs a render must classify as every pixel on its own would, with
+# the small working set each runs with too
+CLASS_CONFIGS = [
+    *(pytest.param({"lam": lam, "width": 36, "height": 28, "max_iter": 120,
+                    **({} if window is None else {"window": window})}, TestWorkingSet.SMALL,
+                   id=f"{lam}-window{i}")
+      for i, window in enumerate(CLASS_WINDOWS) for lam in (0.9, 1.1107, 2.0)),
+    pytest.param(MIRROR_LANDING, 2, id="mirror-landing"),
+    pytest.param(_mirror_pixels(0.25, 3.0), 2, id="mirror-pixels-3"),
+    pytest.param(_mirror_pixels(0.375, 2.0), 2, id="mirror-pixels-2"),
+]
+
 
 def _full_axes(cfg, depth_only):
     """classify_plane_block on the image's full pixel axes, as the render's
@@ -842,16 +871,14 @@ class TestFirstStepClasses:
     """A render classifies one pixel per first-step class and copies its
     arrays to the rest: the bytes of classifying every pixel."""
 
-    @pytest.mark.parametrize("window", CLASS_WINDOWS)
-    @pytest.mark.parametrize("lam", [0.9, 1.1107, 2.0])
-    def test_render_equals_full_axes(self, monkeypatch, window, lam):
-        kw = {} if window is None else {"window": window}
-        cfg = RenderConfig(lam=lam, width=36, height=28, max_iter=120, **kw)
+    @pytest.mark.parametrize("config,small_set", CLASS_CONFIGS)
+    def test_render_equals_full_axes(self, monkeypatch, config, small_set):
+        cfg = RenderConfig(**config)
         for depth_only in (False, True):
             want = _full_axes(cfg, depth_only)
             for small in (False, True):
                 if small:
-                    monkeypatch.setattr(render, "_WORKING_SET", TestWorkingSet.SMALL)
+                    monkeypatch.setattr(render, "_WORKING_SET", small_set)
                 for threads in (1, 3):
                     cfg.threads = threads
                     _assert_identical(render._render(cfg, depth_only=depth_only), want)
@@ -866,23 +893,19 @@ class TestFirstStepClasses:
     @pytest.mark.parametrize("shape", [(36, 28), (64, 64), (5, 1), (1, 7)])
     def test_classes_against_brute_force(self, window, shape):
         # each pixel's representative is the least flat index whose first
-        # step reads the same (|fx|, |fy|, ox ^ oy), directly or swapped;
-        # its sign class says which of the representative's folded
-        # coordinates its own first step negates
+        # step reads the same (|fx|, |fy|, ox ^ oy), directly or swapped
         kw = {} if window is None else {"window": window}
         cfg = RenderConfig(lam=1.0, width=shape[0], height=shape[1], **kw)
         xs, ys = render._pixel_axes(cfg, 0, cfg.height)
         reps, rep = _representatives(cfg)
         # any band of rows gives the same rows of the map
         band = render._first_step_classes(xs, ys)
-        flips = band(0, ys.size, flips=True)[2]
         for i0 in range(ys.size):
             i1 = min(i0 + 2, ys.size)
             got, own = band(i0, i1)
             np.testing.assert_array_equal(got, rep[i0:i1])
             np.testing.assert_array_equal(own, reps[(reps >= i0 * xs.size)
                                                    & (reps < i1 * xs.size)])
-            np.testing.assert_array_equal(band(i0, i1, flips=True)[2], flips[i0:i1])
         fx, ox = fold_axis_grid(xs, QUARTER_PI)
         fy, oy = fold_axis_grid(ys, QUARTER_PI)
         ax, ay = np.abs(fx).view(np.int64), np.abs(fy).view(np.int64)
@@ -893,13 +916,6 @@ class TestFirstStepClasses:
                 want.append(first.setdefault((a, b, bool(ox[j] ^ oy[i])), i * xs.size + j))
         np.testing.assert_array_equal(rep.ravel(), want)
         np.testing.assert_array_equal(reps, np.unique(want))
-        for i in range(ys.size):
-            for j in range(xs.size):
-                ri, rj = divmod(int(rep[i, j]), xs.size)
-                s = flips[i, j]
-                step = ((-1.0) ** (s & 1) * fx[rj], (-1.0) ** (s >> 1) * fy[ri])
-                assert (fx[j], fy[i]) in (step, step[::-1])
-                assert ox[j] ^ oy[i] == ox[rj] ^ oy[ri]
 
     def test_every_pixel_its_own_representative(self):
         # no two pixels share a first step: the render skips the gather
@@ -922,96 +938,22 @@ class TestFirstStepClasses:
         # 865 orbits for 4 096 pixels: the swap alone left 2 119
         assert 800 <= sum(sizes) <= 900
 
-
-# an 8x3 image whose middle row lies on the x-axis, where the plane map is
-# lam tan x.  At this lam the pixel (0.4375, 0) steps to x = pi/4 as a
-# double, on a mirror line, and its sign image (-0.4375, 0), which
-# represents it, to -pi/4: the fold puts the two on tiles of opposite parity
-MIRROR_LANDING = {"lam": 1.6791698643631132, "window": (-0.5, -1.5, 0.5, 1.5), "width": 8,
-                  "height": 3, "max_iter": 200, "depth_norm": 20.0}
-
-
-def _recording_splits(monkeypatch):
-    """Wrap classify_plane_block; the list returned collects the owners of
-    the split entries of each call."""
-    owners = []
-
-    def recording(x, y, cfg, **kwargs):
-        out = classify_plane_block(x, y, cfg, **kwargs)
-        owners.append(kwargs["splits"][0][0])
-        return out
-
-    monkeypatch.setattr(render, "classify_plane_block", recording)
-    return owners
-
-
-class TestSplitMembers:
-    """Where the fold does not commute with a sign flip, the members of an
-    entry that need the flip go on as entries of their own, and the
-    render still has the bytes of classifying every pixel."""
-
-    @staticmethod
-    def _assert_renders_equal_full_axes(monkeypatch, cfg, small):
-        for depth_only in (False, True):
-            want = _full_axes(cfg, depth_only)
-            for working_set in (render._WORKING_SET, small):
-                monkeypatch.setattr(render, "_WORKING_SET", working_set)
-                for threads in (1, 3):
-                    cfg.threads = threads
-                    _assert_identical(render._render(cfg, depth_only=depth_only), want)
-        cfg.threads = 1
-
-    def test_orbit_landing_on_a_mirror_splits(self, monkeypatch):
+    def test_orbit_landing_on_a_mirror_keeps_the_symmetry(self):
+        # (-0.4375, 0) and (0.4375, 0) step to -pi/4 and pi/4, on mirror
+        # lines; the odd fold takes both to odd tiles, so every later step
+        # of the two orbits agrees up to the sign of x, and the image
+        # classified pixel by pixel is mirror-symmetric in both axes
         cfg = RenderConfig(**MIRROR_LANDING)
-        x = np.array([-0.4375, 0.4375])
-        tx = tangent3_grid(x, np.zeros(2), 0.0, cfg.lam)[0]
+        tx = tangent3_grid(np.array([-0.4375, 0.4375]), np.zeros(2), 0.0, cfg.lam)[0]
         assert tx.tolist() == [-QUARTER_PI, QUARTER_PI]
-        assert not fold_symmetric_grid(tx, QUARTER_PI).any()
+        assert fold_axis_grid(tx, QUARTER_PI)[1].all()
         reps, rep = _representatives(cfg)
         assert rep[1, 7] == 8 and 15 not in reps
-        # their escape depths differ, so a copy would show
+        for a in _full_axes(cfg, False) + _full_axes(cfg, True):
+            np.testing.assert_array_equal(a[1], a[1, ::-1])
+            np.testing.assert_array_equal(a, a[::-1, ::-1])
         depth = _full_axes(cfg, True)[0]
-        assert depth[1, 0] != depth[1, 7]
-        owners = _recording_splits(monkeypatch)
-        self._assert_renders_equal_full_axes(monkeypatch, cfg, small=2)
-        # in each of the 8 renders, the one call that runs pixel 8
-        assert sum(1 for o in owners if o.size) == 8
-
-    @pytest.mark.parametrize("half_height,lam", [(0.25, 3.0), (0.375, 2.0)])
-    def test_pixels_on_a_mirror_are_checked_after_their_first_step(self, monkeypatch,
-                                                                   half_height, lam):
-        # columns x = -pi/4 and pi/4, rows pi/4 +- half_height/2: the
-        # pixels (-pi/4, y0) and (pi/4, y1) share a first step up to the
-        # sign of x, but the pixels themselves are no sign images, as the
-        # fold of -pi/4 and pi/4 differ in parity; the members follow the
-        # first step, so no check runs on the pixels
-        cfg = RenderConfig(lam=lam, window=(-HALF_PI, QUARTER_PI - half_height, HALF_PI,
-                                            QUARTER_PI + half_height), width=2, height=2)
-        xs, ys = render._pixel_axes(cfg, 0, cfg.height)
-        assert xs.tolist() == [-QUARTER_PI, QUARTER_PI]
-        rep, _, flips = render._first_step_classes(xs, ys)(0, 2, flips=True)
-        assert rep[1, 1] == 0 and flips[1, 1] == 1
-        self._assert_renders_equal_full_axes(monkeypatch, cfg, small=2)
-
-    # at lam 2 and max_iter 60 many first passages come soon after the
-    # horizon, so a split entry retired late there would show
-    @pytest.mark.parametrize("lam,max_iter", [(1.1107, 120), (2.0, 60), (2.0, 120)])
-    def test_seeded_check_failures_split(self, monkeypatch, lam, max_iter):
-        # the check also fails on about one coordinate in 16, chosen by its
-        # bits: splitting where the fold does commute changes no byte
-        real = fold_symmetric_grid
-
-        def failing(x, half_width):
-            seeded = np.abs(x).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(60)
-            return real(x, half_width) & (seeded != 0)
-
-        monkeypatch.setattr(render, "fold_symmetric_grid", failing)
-        cfg = RenderConfig(lam=lam, width=36, height=28, max_iter=max_iter)
-        owners = _recording_splits(monkeypatch)
-        self._assert_renders_equal_full_axes(monkeypatch, cfg, small=TestWorkingSet.SMALL)
-        # many pixels split, some more than once
-        merged = np.concatenate(owners)
-        assert merged.size > 100 and np.unique(merged).size < merged.size
+        assert depth[1, 0] == depth[1, 7] > 0
 
 
 class TestBasinContent:
