@@ -23,7 +23,8 @@ from qrtan.render import RenderConfig, render_basin, render_escape_depth, write_
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--res", type=int, default=256, help="image side in pixels")
-    ap.add_argument("--threads", type=int, default=4)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="worker threads (default 1: at these sizes threads slow the render)")
     args = ap.parse_args()
 
     for lam in (0.9, 1.1107):

@@ -56,7 +56,10 @@ def axis_fixed_point(lam: float) -> float:
     # g > 0 near 0+ since the slope is lam > 1; g(lam) < 0
     x = _bisect(lambda t: g(t) > 0.0, 1e-300, lam)
     for _ in range(4):
-        dg = lam / math.cosh(x) ** 2 - 1.0
+        try:
+            dg = lam / math.cosh(x) ** 2 - 1.0
+        except OverflowError:  # cosh(x)^2 > 1e308: lam*sech(x)^2 is below an ulp of 1
+            dg = -1.0
         if dg == 0.0:
             break
         x -= g(x) / dg
@@ -388,14 +391,16 @@ def blowup_probe(center, radius: float, lam: float, targets,
     omitted = (np.array([0.0, 0.0, lam]), np.array([0.0, 0.0, -lam]))
     report = BlowupReport(center=center, radius=radius, lam=lam)
 
-    checks = []
+    checks = []  # the accepted targets
+    slots = []  # per target in order: its rejection, or its index in checks
     for t in targets:
         if not is_infinity(t):
             t = as_vec3(t)
             if any(chordal(t, o) < 1e-9 for o in omitted):
-                report.results.append(TargetCoverage(
+                slots.append(TargetCoverage(
                     t, False, None, None, math.inf, "rejected: omitted value"))
                 continue
+        slots.append(len(checks))
         checks.append(t)
 
     rng = np.random.default_rng(seed)
@@ -457,9 +462,10 @@ def blowup_probe(center, radius: float, lam: float, targets,
                     best[i] = (d, step, None)
                     break
 
-    for t, (d, m, witness) in zip(checks, best):
-        covered = m is not None
-        report.results.append(TargetCoverage(
-            t, covered, m, witness, d,
-            "" if covered else f"not reached within {max_iter} iterations"))
+    def coverage(i):
+        d, m, witness = best[i]
+        note = "" if m is not None else f"not reached within {max_iter} iterations"
+        return TargetCoverage(checks[i], m is not None, m, witness, d, note)
+
+    report.results = [coverage(s) if isinstance(s, int) else s for s in slots]
     return report

@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, itinerary as itin_mod, plane, verify
 from .core import is_infinity, iterate
 from .itinerary import ContractionFailure
@@ -27,11 +25,17 @@ _WINDOW_HELP = ("window as x0,y0,x1,y1 (default -pi/4,-pi/4,3pi/4,3pi/4); pixels
                 "cell centres with y increasing upward, so row 0 is the top of the window")
 
 
-def _parse_window(text):
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("window needs x0,y0,x1,y1")
-    return tuple(parts)
+def _floats(count, message):
+    """argparse type: ``count`` comma-separated floats as a tuple, else ``message``."""
+    def parse(text):
+        try:
+            parts = tuple(float(t) for t in text.split(","))
+        except ValueError:
+            parts = ()
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(message)
+        return parts
+    return parse
 
 
 def _parse_res(text):
@@ -40,20 +44,6 @@ def _parse_res(text):
         return int(w), int(h)
     except ValueError as e:
         raise argparse.ArgumentTypeError("resolution needs WIDTHxHEIGHT") from e
-
-
-def _parse_vec3(text):
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("start point needs x,y,z")
-    return np.array(parts)
-
-
-def _parse_vec2(text):
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("plane point needs x,y")
-    return np.array(parts)
 
 
 def _parse_cycle(text):
@@ -70,11 +60,13 @@ def build_parser():
         description="Dynamics of the three-dimensional quasiregular tangent family")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, render=False):
+    def command(name, help, run, render=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--lambda", dest="lam", type=float, required=True,
                         help="positive scaling parameter of the family")
         if render:
-            sp.add_argument("--window", type=_parse_window,
+            sp.add_argument("--window", type=_floats(4, "window needs x0,y0,x1,y1"),
                             default=RenderConfig.__dataclass_fields__["window"].default,
                             help=_WINDOW_HELP)
             sp.add_argument("--res", type=_parse_res, default=(256, 256),
@@ -88,38 +80,33 @@ def build_parser():
             sp.add_argument("--out", required=True, help="output image path")
             sp.add_argument("--png", action="store_true",
                             help="write PNG instead of the default binary PPM")
+        return sp
 
-    sp = sub.add_parser("render-basin", help="basin-of-attraction image")
-    add_common(sp, render=True)
-
-    sp = sub.add_parser("render-escape", help="escape-depth image")
-    add_common(sp, render=True)
+    command("render-basin", "basin-of-attraction image", _cmd_render, render=True)
+    sp = command("render-escape", "escape-depth image", _cmd_render, render=True)
     sp.add_argument("--r-esc", type=float, default=None,
                     help="norm threshold defining escape depth (default 4*lambda)")
 
-    sp = sub.add_parser("orbit", help="iterate a point, one NDJSON record per step")
-    add_common(sp)
-    sp.add_argument("--start", type=_parse_vec3, required=True, help="start point x,y,z")
+    sp = command("orbit", "iterate a point, one NDJSON record per step", _cmd_orbit)
+    sp.add_argument("--start", type=_floats(3, "start point needs x,y,z"), required=True,
+                    help="start point x,y,z")
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--out", help="output file (default stdout)")
 
-    sp = sub.add_parser("itinerary", help="pole-diamond symbols of a plane orbit")
-    add_common(sp)
-    sp.add_argument("--start", type=_parse_vec2, required=True, help="plane point x,y")
+    sp = command("itinerary", "pole-diamond symbols of a plane orbit", _cmd_itinerary)
+    sp.add_argument("--start", type=_floats(2, "plane point needs x,y"), required=True,
+                    help="plane point x,y")
     sp.add_argument("--n", type=int, default=20)
     sp.add_argument("--out", help="output file (default stdout)")
 
-    sp = sub.add_parser("periodic", help="periodic point from a pole cycle")
-    add_common(sp)
+    sp = command("periodic", "periodic point from a pole cycle", _cmd_periodic)
     sp.add_argument("--cycle", type=_parse_cycle, required=True,
                     help="pole indices m,n separated by ';', e.g. '1,1;-1,-1;0,1'")
     sp.add_argument("--out", help="output file (default stdout)")
 
-    sp = sub.add_parser("solve-xi0", help="positive solution of lam*tanh(x) = x")
-    add_common(sp)
+    command("solve-xi0", "positive solution of lam*tanh(x) = x", _cmd_solve_xi0)
 
-    sp = sub.add_parser("verify", help="run the verification suite")
-    add_common(sp)
+    sp = command("verify", "run the verification suite", _cmd_verify)
     sp.add_argument("--suite", default="all", choices=sorted(verify.SUITES),
                     help="which suite to run (default all)")
     sp.add_argument("--seed", type=int, default=0)
@@ -153,18 +140,16 @@ def _emit(fh, obj):
     fh.write(json.dumps(obj) + "\n")
 
 
-def _config_record(args, command, **extra):
-    rec = {"record": "config", "command": command, "lambda": args.lam}
-    rec.update(extra)
-    return rec
+def _config_record(args, **extra):
+    return {"record": "config", "command": args.command, "lambda": args.lam, **extra}
 
 
-def _cmd_render(args, escape):
+def _cmd_render(args):
     w, h = args.res
     cfg = RenderConfig(lam=args.lam, window=tuple(args.window), width=w, height=h,
                        max_iter=args.max_iter, threads=args.threads,
                        depth_norm=getattr(args, "r_esc", None))
-    img = render_escape_depth(cfg) if escape else render_basin(cfg)
+    img = (render_escape_depth if args.command == "render-escape" else render_basin)(cfg)
     data = encode_png(img) if args.png else encode_ppm(img)
     with _output(args.out, "wb") as fh:
         fh.write(data)
@@ -174,8 +159,7 @@ def _cmd_render(args, escape):
 
 def _cmd_orbit(args):
     with _output(args.out) as fh:
-        _emit(fh, _config_record(args, "orbit",
-                                 start=list(map(float, args.start)), n=args.n))
+        _emit(fh, _config_record(args, start=list(map(float, args.start)), n=args.n))
         for i, p in enumerate(iterate(args.start, args.lam, args.n), start=1):
             if is_infinity(p):
                 _emit(fh, {"n": i, "inf": True})
@@ -186,8 +170,7 @@ def _cmd_orbit(args):
 
 def _cmd_itinerary(args):
     with _output(args.out) as fh:
-        _emit(fh, _config_record(args, "itinerary",
-                                 start=list(map(float, args.start)), n=args.n))
+        _emit(fh, _config_record(args, start=list(map(float, args.start)), n=args.n))
         symbols, reason = itin_mod.itinerary_of(args.start, args.lam, args.n)
         for i, idx in enumerate(symbols):
             loc = plane.pole_location(idx)
@@ -202,7 +185,7 @@ def _cmd_periodic(args):
     res = itin_mod.periodic_point_from_cycle(
         itin_mod.PeriodicCycleSpec(cycle=args.cycle), args.lam)
     with _output(args.out) as fh:
-        _emit(fh, _config_record(args, "periodic", cycle=[list(c) for c in args.cycle]))
+        _emit(fh, _config_record(args, cycle=[list(c) for c in args.cycle]))
         for i, p in enumerate(res.orbit):
             _emit(fh, {"n": i, "x": float(p[0]), "y": float(p[1]), "z": 0.0})
         _emit(fh, {"record": "summary", "period": res.period,
@@ -235,7 +218,7 @@ def _check_inputs(args):
     if not (math.isfinite(args.lam) and args.lam > 0.0):
         raise ValueError(f"--lambda must be positive and finite, got {args.lam:g}")
     start = getattr(args, "start", None)
-    if start is not None and not np.all(np.isfinite(start)):
+    if start is not None and not all(map(math.isfinite, start)):
         raise ValueError("--start must be finite, got " + ",".join(f"{v:g}" for v in start))
     n = getattr(args, "n", None)
     if n is not None and n < 1:
@@ -274,25 +257,11 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         _check_inputs(args)
-        if args.command == "render-basin":
-            return _cmd_render(args, escape=False)
-        if args.command == "render-escape":
-            return _cmd_render(args, escape=True)
-        if args.command == "orbit":
-            return _cmd_orbit(args)
-        if args.command == "itinerary":
-            return _cmd_itinerary(args)
-        if args.command == "periodic":
-            return _cmd_periodic(args)
-        if args.command == "solve-xi0":
-            return _cmd_solve_xi0(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except (ValueError, KeyError, BranchDomainError, BranchResidualError,
             ContractionFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 def entrypoint():  # console-script shim

@@ -315,29 +315,19 @@ def _square(t: float) -> float:
         return math.inf
 
 
-def _cayley_inverse_xyz(x: float, y: float, z: float):
-    """cayley_inverse on three finite Python floats: [u, v, w], or None at infinity.
-
-    The float-level core under cayley_inverse and the inverse branches.
-    """
-    t = 1.0 - z
-    d = x * x + y * y + _square(t)
-    if d == 0.0:
-        return None
-    s = 1.0 / d
-    if s == math.inf:  # d subnormal, within about 1e-154 of (0, 0, 1)
-        return [2.0 * x / d, 2.0 * y / d, -1.0 + 2.0 * t / d]
-    return [2.0 * s * x, 2.0 * s * y, -1.0 + 2.0 * s * t]
-
-
 def cayley_inverse(p):
     """Inverse of cayley: (u,v,w) -> (2su, 2sv, 2s(1-w) - 1), s = 1/(u^2+v^2+(1-w)^2)."""
     if is_infinity(p):
         return np.array([0.0, 0.0, -1.0])
-    u = _cayley_inverse_xyz(*_checked_vec3(p)[1])
-    if u is None:
+    x, y, z = _checked_vec3(p)[1]
+    t = 1.0 - z
+    d = x * x + y * y + _square(t)
+    if d == 0.0:
         return INFINITY
-    return np.array(u)
+    s = 1.0 / d
+    if s == math.inf:  # d subnormal, within about 1e-154 of (0, 0, 1)
+        return np.array([2.0 * x / d, 2.0 * y / d, -1.0 + 2.0 * t / d])
+    return np.array([2.0 * s * x, 2.0 * s * y, -1.0 + 2.0 * s * t])
 
 
 def _beam_formula(x: float, y: float, z: float):

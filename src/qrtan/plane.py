@@ -93,9 +93,9 @@ def plane_map(p, lam: float = 1.0):
     """F(p) = tangent3((p_x, p_y, 0)); stays in the plane or hits INFINITY.
 
     A single call of ``tangent3`` (so the float core's exact z = 0
-    branch), which also rejects a non-finite point.  The inverse-branch
-    scan and the symbolic layer, which evaluate F many times per result,
-    call the float core directly instead.
+    branch), which also rejects a non-finite point.  The library does not
+    call it: the inverse branches check F on the tile offset
+    (``_tile_map``), and the symbolic layer steps with the float core.
     """
     t = tangent3([float(p[0]), float(p[1]), 0.0], lam)
     if is_infinity(t):
@@ -225,36 +225,30 @@ def jacobian_plane_map(p, lam: float = 1.0) -> JacobianSample:
         raise ValueError("point too close to the non-smooth set")
     j = _plane_jacobian(p, lam)
     (a, b), (c, d) = j.tolist()
-    smin, smax = _singular_values(a, b, c, d, math.sqrt, max)
-    lo, hi, real = _real_eigenvalues(a, b, c, d, math.sqrt, max)
+    smin, smax = map(float, singular_values_2x2(a, b, c, d))
+    lo, hi, real = _real_eigenvalues(a, b, c, d)
     return JacobianSample(np.array([float(p[0]), float(p[1])]), j, smin, smax,
-                          (lo, hi) if real else None)
-
-
-def _singular_values(a, b, c, d, sqrt, maximum):
-    """(s_min, s_max) of [[a, b], [c, d]] in closed form, with ``sqrt`` and
-    ``maximum`` from math (floats) or numpy (arrays)."""
-    f = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    root = sqrt(maximum(f * f - 4.0 * det * det, 0.0))
-    smax = sqrt((f + root) / 2.0)
-    smin = sqrt(maximum((f - root) / 2.0, 0.0))
-    return smin, smax
-
-
-def _real_eigenvalues(a, b, c, d, sqrt, maximum):
-    """(lo, hi, real) for [[a, b], [c, d]] in closed form: the eigenvalues
-    lo <= hi where they are real (``real``: tr^2 >= 4 det), with ``sqrt``
-    and ``maximum`` from math (floats) or numpy (arrays)."""
-    tr = a + d
-    disc = tr * tr - 4.0 * (a * d - b * c)
-    sq = sqrt(maximum(disc, 0.0))
-    return (tr - sq) / 2.0, (tr + sq) / 2.0, disc >= 0.0
+                          (float(lo), float(hi)) if real else None)
 
 
 def singular_values_2x2(a, b, c, d):
-    """(s_min, s_max) of [[a, b], [c, d]], vectorization-friendly closed form."""
-    return _singular_values(a, b, c, d, np.sqrt, np.maximum)
+    """(s_min, s_max) of [[a, b], [c, d]] in closed form, on numbers or arrays."""
+    f = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    root = np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))
+    smax = np.sqrt((f + root) / 2.0)
+    smin = np.sqrt(np.maximum((f - root) / 2.0, 0.0))
+    return smin, smax
+
+
+def _real_eigenvalues(a, b, c, d):
+    """(lo, hi, real) for [[a, b], [c, d]] in closed form, on numbers or
+    arrays: the eigenvalues lo <= hi where they are real (``real``:
+    tr^2 >= 4 det)."""
+    tr = a + d
+    disc = tr * tr - 4.0 * (a * d - b * c)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    return (tr - sq) / 2.0, (tr + sq) / 2.0, disc >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +430,7 @@ def preimages_tangent3(target, lam: float, xy_box):
     on odd ones (both within 1e-12 of the equator), unfolded, at height
     log|u|/2.  Returns those in the box whose chart point passes the
     forward check (chordal residual below 1e-9, on the tile offset, so
-    the same for every tile of a parity), one per tile, in tile order.
+    the same for every tile of a parity), each point once, in tile order.
     """
     return list(_tile_preimages(target, lam, xy_box))
 
@@ -464,13 +458,15 @@ def _tile_preimages(target, lam: float, xy_box):
             q = [c / 2.0 for c in _hemisphere_xy(ux, uy, sz)]
             t = _tile_map(*q, zc, odd, lam)
             half[odd] = q if chordal(INFINITY if t is None else t, target) < 1e-9 else None
+    seen = set()  # a point on a mirror line unfolds from the tiles on both sides
     for ti in _tiles(x0, x1):
         for tj in _tiles(y0, y1):
             q = half[(ti + tj) % 2]
             if q is None:
                 continue
             x, y = _unfold(ti, tj, *q)
-            if x0 <= x <= x1 and y0 <= y <= y1:
+            if x0 <= x <= x1 and y0 <= y <= y1 and (x, y) not in seen:
+                seen.add((x, y))
                 yield np.array([x, y, zc])
 
 

@@ -471,8 +471,6 @@ def _render(cfg: RenderConfig, *, depth_only=False):
             parts = list(pool.map(classify, np.array_split(reps, k)))
         out = [np.concatenate(a) for a in zip(*parts)]
     out = out[2:] if depth_only else out[:2]
-    if reps.size == h * w:
-        return [a.reshape(h, w) for a in out]
     del reps
     # each representative's place among them, filled band by band: no
     # pixel's representative comes after it

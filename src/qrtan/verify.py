@@ -237,7 +237,7 @@ def check_derivative_lower_bound(lam, rng, n=10_000):
         lambda p: plane._distance_to_nonsmooth_grid(p[:, 0], p[:, 1]) > 1e-3).T
     a, b, c, d = plane._jacobian_grid(x, y, lam)
     worst_sv = float(singular_values_2x2(a, b, c, d)[0].min())
-    lo, hi, real = plane._real_eigenvalues(a, b, c, d, np.sqrt, np.maximum)
+    lo, hi, real = plane._real_eigenvalues(a, b, c, d)
     worst_eig = float(np.min(np.minimum(np.abs(lo[real]), np.abs(hi[real])), initial=math.inf))
     return CheckResult("derivative-lower-bound", worst_eig >= bound,
                        f"min |eigenvalue| {worst_eig:.4f} vs bound {bound:.4f} "
@@ -266,8 +266,7 @@ def check_eigen_crosscheck(lam, rng, n=500):
     e2 = lam * np.where(odd, -a / (s * s * r), a * (1.0 + t * t) / r)
     sx, sy = 1.0 - 2.0 * ox, 1.0 - 2.0 * oy
     j11, j12, j21, j22 = plane._jacobian_grid(x, y, lam)
-    lo, hi, real = plane._real_eigenvalues(j11 * sx, j12 * sy, j21 * sx, j22 * sy,
-                                           np.sqrt, np.maximum)
+    lo, hi, real = plane._real_eigenvalues(j11 * sx, j12 * sy, j21 * sx, j22 * sy)
     err = np.maximum(*(np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
                        for got, want in ((lo, np.minimum(e1, e2)), (hi, np.maximum(e1, e2)))))
     worst = _max(np.where(real, err, math.inf))
@@ -460,33 +459,35 @@ def check_lines_absorbed(lam, rng, n=200):
     return CheckResult("lines-absorbed", bad == 0, f"{bad}/{n} line orbits strayed")
 
 
-def _growing_itinerary(offset=0):
-    return itinerary.Itinerary(prefix=[], tail=lambda j: (0, j + offset))
+def _growing_itinerary(offset, head=()):
+    """The symbols ``head``, then the poles (0, j + offset) from j = len(head) on."""
+    return itinerary.Itinerary(prefix=list(head), tail=lambda j: (0, j + offset))
 
 
-def check_itinerary_shadow(lam, rng, depth=20):
-    """Constructed symbolic points run their prescribed diamonds."""
-    itin = _growing_itinerary(offset=3 if lam > SQRT2 else _first_far_offset(lam))
-    x, wps = itinerary.point_from_itinerary(itin, lam, n_compose=depth + 6,
-                                            return_waypoints=True)
-    ok, worst = itinerary.shadow_check(wps, itin, lam, depth)
+def check_itinerary_shadow(lam, rng):
+    """Constructed symbolic points run their prescribed diamonds, 20 deep."""
+    itin = _growing_itinerary(_first_far_offset(lam, 3 if lam > SQRT2 else 0))
+    _, wps = itinerary.point_from_itinerary(itin, lam, n_compose=26, return_waypoints=True)
+    ok, worst = itinerary.shadow_check(wps, itin, lam, 20)
     return CheckResult("itinerary-shadow", ok,
-                       f"{depth} symbols verified, worst one-step gap {worst:.2e}")
+                       f"20 symbols verified, worst one-step gap {worst:.2e}")
 
 
-def _first_far_offset(lam):
-    """The least j >= 0 whose pole (0, j) has norm above the tail radius,
-    the norm taken as ``itinerary`` takes it to check a tail."""
+def _first_far_offset(lam, least=0):
+    """The least j >= least whose pole (0, j) has norm above the tail radius,
+    the norm taken as ``itinerary`` takes it to check a tail.  That norm
+    grows with j >= 0, so every later pole (0, j) clears the radius too."""
     r = plane.required_tail_radius(lam)
-    j = 0
+    j = least
     while math.hypot(*plane._pole_xy(0, j)) <= r:
         j += 1
     return j
 
 
-def check_itinerary_cauchy(lam, rng, n_lo=6, n_hi=24):
+def check_itinerary_cauchy(lam, rng):
     """Truncation increments decay geometrically within the 2^(1-j) budget."""
-    itin = _growing_itinerary(offset=3 if lam > SQRT2 else _first_far_offset(lam))
+    itin = _growing_itinerary(_first_far_offset(lam, 3 if lam > SQRT2 else 0))
+    n_lo, n_hi = 6, 24
     pts = {n: itinerary.point_from_itinerary(itin, lam, n_compose=n)
            for n in range(n_lo, n_hi + 1)}
     ok = True
@@ -504,18 +505,16 @@ def check_itinerary_cauchy(lam, rng, n_lo=6, n_hi=24):
                        f"worst increment ratio {worst_ratio:.3f} (budget 0.6)")
 
 
-def check_itinerary_roundtrip(lam, rng, n_tails=20, depth=12):
+def check_itinerary_roundtrip(lam, rng, n_tails=20):
     """Symbol read-back of constructed points matches the prescription."""
-    if lam <= SQRT2:
-        # read-back depth at the mandatory tail norms decays fast below sqrt2
-        depth = min(depth, 6)
+    # read-back depth at the mandatory tail norms decays fast below sqrt2
+    depth = 12 if lam > SQRT2 else 6
     base = _low_norm_cycle(lam)
     bad = 0
     for _ in range(n_tails):
         rot = int(rng.integers(0, len(base)))
-        head = [base[(rot + j) % len(base)] for j in range(16)]
-        itin = itinerary.Itinerary(
-            prefix=[], tail=_mixed_tail(head, _first_far_offset(lam) + 16))
+        itin = _growing_itinerary(_first_far_offset(lam),
+                                  [base[(rot + j) % len(base)] for j in range(16)])
         x = itinerary.point_from_itinerary(itin, lam, n_compose=depth + 14)
         got, reason = itinerary.itinerary_of(x, lam, depth)
         if list(got) != [itin.symbol(j) for j in range(depth)]:
@@ -525,26 +524,21 @@ def check_itinerary_roundtrip(lam, rng, n_tails=20, depth=12):
 
 
 def _low_norm_cycle(lam):
-    """Valid cycle poles of smallest norm for this lam, (m, n) in [-6, 6]^2.
+    """Valid cycle poles of smallest norm for this lam.
 
-    Valid is norm above the tail radius, the norm taken as ``itinerary``
+    Valid is norm above the tail radius r, the norm taken as ``itinerary``
     takes it to check a cycle.  Pole (m, n) is centred at (i, j) pi/2
     with i = n + m, j = n - m + 1, so poles are ranked by the integer
-    i^2 + j^2: exact, and ties keep the scan order.
+    i^2 + j^2: exact, and ties keep the scan order.  The scan, m then n
+    over [-k, k], k = max(6, 2 + ceil(r/2)), holds every pole of norm up
+    to r + pi, so at least 8 valid ones.
     """
     r = plane.required_tail_radius(lam)
-    cands = [(m, n) for m in range(-6, 7) for n in range(-6, 7)
+    k = max(6, 2 + math.ceil(r / 2))
+    cands = [(m, n) for m in range(-k, k + 1) for n in range(-k, k + 1)
              if math.hypot(*plane._pole_xy(m, n)) > r]
     cands.sort(key=lambda mn: (mn[1] + mn[0]) ** 2 + (mn[1] - mn[0] + 1) ** 2)
     return cands[:8]
-
-
-def _mixed_tail(head, growth_offset):
-    def tail(j):
-        if j < len(head):
-            return head[j]
-        return (0, j - len(head) + growth_offset)
-    return tail
 
 
 def check_periodic_cycles(lam, rng):
@@ -568,12 +562,11 @@ def check_periodic_cycles(lam, rng):
                        f"worst forward residual {worst:.2e} over periods {lengths}")
 
 
-def check_periodic_near_escaping(lam, rng, eta=1e-3):
-    """A periodic point shadows a constructed escaping point within eta."""
+def check_periodic_near_escaping(lam, rng):
+    """A periodic point shadows a constructed escaping point within 1e-3."""
+    eta = 1e-3
     base = _low_norm_cycle(lam)
-    head = [base[j % len(base)] for j in range(16)]
-    itin = itinerary.Itinerary(prefix=[],
-                               tail=_mixed_tail(head, _first_far_offset(lam) + 16))
+    itin = _growing_itinerary(_first_far_offset(lam), [base[j % len(base)] for j in range(16)])
     v = itinerary.point_from_itinerary(itin, lam, n_compose=30)
     res = itinerary.periodic_near_escaping(v, eta, lam)
     gap = float(np.linalg.norm(res.point - v))

@@ -25,6 +25,7 @@ from qrtan.analysis import (
     smallest_tan_fixed_point,
     third_component_bound_violations,
 )
+from qrtan.cli import main
 from qrtan.core import INFINITY, as_vec3, chordal, is_infinity, iterate, tangent3
 from qrtan.itinerary import Itinerary, point_from_itinerary
 from qrtan.plane import containing_diamond, pole_location, preimages_tangent3
@@ -65,6 +66,20 @@ class TestAxisFixedPoint:
         xi = axis_fixed_point(2.0)
         p = np.array([0.0, 0.0, xi])
         assert np.linalg.norm(tangent3(p, 2.0) - p) < 1e-10
+
+    @pytest.mark.parametrize("lam", [356.0, 1000.0, 1e6])
+    def test_large_lam_is_its_own_fixed_point(self, lam):
+        # cosh(xi)^2 overflows above xi = 355.58, where tanh(xi) = 1
+        xi = axis_fixed_point(lam)
+        assert xi == lam and xi - lam * math.tanh(xi) == 0.0
+
+    @pytest.mark.parametrize("lam", ["356", "1000"])
+    def test_cli_solves_large_lam(self, lam, capsys):
+        assert main(["solve-xi0", "--lambda", lam]) == 0
+        assert capsys.readouterr().out == lam + "\n"
+
+    def test_classify_orbit_at_large_lam(self):
+        assert classify_orbit((0.1, 0.2, 0.3), 1000.0).fate is Fate.TO_UPPER_FIXED
 
     @pytest.mark.parametrize("lam", [1.0, 0.7, -2.0])
     def test_rejects_lam_at_most_one(self, lam):
@@ -451,6 +466,16 @@ class TestBlowupProbe:
                            [np.array([0.0, 0.0, lam])], seed=0)
         res = rep.results[0]
         assert not res.covered and "omitted" in res.note
+
+    def test_results_in_target_order(self):
+        # a rejected target keeps its place among the others
+        lam = 2.0
+        targets = [np.array([3.0, -2.0, 1.0]), np.array([0.0, 0.0, lam]),
+                   np.array([0.0, 0.0, 0.0])]
+        rep = blowup_probe(pole_location((0, 0)), 0.4, lam, targets, max_iter=40, seed=0)
+        assert [r.target.tolist() for r in rep.results] == [t.tolist() for t in targets]
+        assert [r.covered for r in rep.results] == [True, False, True]
+        assert "omitted" in rep.results[1].note
 
     def test_quiet_center_reports_timeout(self):
         # a tiny ball deep inside the origin's basin cannot blow up

@@ -7,7 +7,10 @@ binds must be referenced somewhere in the same file.  Of the package:
 every top-level function, class and assigned name must be referenced in
 the package beyond its definition, exported by ``qrtan/__init__.py``, a
 ``[project.scripts]`` entry point, or used from ``bench/`` or ``demos/``;
-and every parameter of a function must be read in its body.
+every parameter of a function must be read in its body; and every
+defaulted parameter of a function that ``qrtan/__init__.py`` does not
+export must be passed by some call in the package, ``bench/`` or
+``demos/``.
 """
 
 import ast
@@ -155,6 +158,92 @@ def test_no_unused_parameters():
              if not (path.name == "verify.py" and name.startswith("check_")
                      and param in ("lam", "rng"))]
     assert found == []
+
+
+def _callee(node):
+    """The name a call or a dict key refers to: a bare name or an attribute."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _keys(node):
+    """The keywords a ``**`` operand passes: a dict literal's string keys,
+    else "**" (anything)."""
+    if isinstance(node, ast.Dict) and all(isinstance(k, ast.Constant)
+                                          and isinstance(k.value, str) for k in node.keys):
+        return {k.value for k in node.keys}
+    return {"**"}
+
+
+def unpassed_defaults(package: dict, callers: list, kept: set):
+    """(file, line, function, parameter) for each defaulted parameter of a
+    function of ``package`` (file name to source) that no call in
+    ``callers`` (sources) passes.  A call passes a parameter by keyword, by
+    position, through ``*`` or ``**``, or as a string key of a dict literal
+    that a dict literal maps the function to.  Calls match definitions by
+    name; a method's first parameter is not counted.  Entries of ``kept``
+    are function names, or (function, parameter) pairs, to skip."""
+    npos, kws = {}, {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and _callee(node.func):
+                name = _callee(node.func)
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                npos[name] = max(npos.get(name, 0), sys.maxsize if star else len(node.args))
+                for kw in node.keywords:
+                    kws.setdefault(name, set()).update({kw.arg} if kw.arg else _keys(kw.value))
+            elif isinstance(node, ast.Dict):
+                for k, v in zip(node.keys, node.values):
+                    if k is not None and _callee(k) and isinstance(v, ast.Dict):
+                        kws.setdefault(_callee(k), set()).update(_keys(v))
+    found = []
+    for file, source in sorted(package.items()):
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) or f.name in kept:
+                continue
+            a = f.args
+            positional = [*a.posonlyargs, *a.args][id(f) in methods:]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            passed = kws.get(f.name, set()) | {p.arg for p in positional[:npos.get(f.name, 0)]}
+            found += [(file, f.lineno, f.name, p.arg) for p in defaulted
+                      if "**" not in passed and p.arg not in passed
+                      and (f.name, p.arg) not in kept]
+    return sorted(found)
+
+
+def test_default_scan_flags_only_unpassed_defaults():
+    package = {"a.py": "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                       "def g(x=0, y=0):\n    pass\n\n"
+                       "def h(u=0, v=0):\n    pass\n\n"
+                       "class C:\n    def m(self, z=0, w=0):\n        pass\n\n"
+                       "def k(s=0, t=0):\n    pass\n\n"
+                       "def kept(q=0):\n    pass\n"}
+    callers = ["f(1, 2, 3, d=5)\ng(*xs)\nh(**{'v': 1})\nobj.m(1)\n",
+               "TABLE = {k: {'t': 1}, other: 2}\n"]
+    assert unpassed_defaults(package, callers, {"kept", ("f", "e")}) == [
+        ("a.py", 7, "h", "u"), ("a.py", 11, "m", "w"), ("a.py", 14, "k", "s")]
+    assert unpassed_defaults(package, callers + ["g(**options)\nk(0, 0)\n"], set()) == [
+        ("a.py", 1, "f", "e"), ("a.py", 7, "h", "u"), ("a.py", 11, "m", "w"),
+        ("a.py", 17, "kept", "q")]
+
+
+def test_no_unpassed_defaults():
+    # kept: what qrtan/__init__.py exports, and third_component_bound_violations'
+    # slack, through which tests force nonzero violation counts
+    src = ROOT / "src" / "qrtan"
+    package = {p.name: p.read_text() for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+    kept = {alias.asname or alias.name
+            for node in ast.walk(ast.parse((src / "__init__.py").read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    kept.add(("third_component_bound_violations", "slack"))
+    callers = [p.read_text() for p in [*sorted(src.glob("*.py")),
+                                       *sorted((ROOT / "bench").rglob("*.py")),
+                                       *sorted((ROOT / "demos").glob("*.py"))]]
+    assert [f"{file}:{line}: {name}({param})"
+            for file, line, name, param in unpassed_defaults(package, callers, kept)] == []
 
 
 def test_import_leaves_thread_pool_unloaded():

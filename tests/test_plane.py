@@ -139,7 +139,7 @@ class TestJacobian:
             else:
                 closed = [math.tan(a) / r, a / (math.cos(a) ** 2 * r)]
             j = jacobian_plane_map(p, 1.0).matrix * [(-1.0) ** px, (-1.0) ** py]
-            lo, hi, real = plane._real_eigenvalues(*j.ravel().tolist(), math.sqrt, max)
+            lo, hi, real = plane._real_eigenvalues(*j.ravel().tolist())
             assert real
             np.testing.assert_allclose([lo, hi], sorted(closed), rtol=1e-8)
 
@@ -399,6 +399,13 @@ class TestPreimages:
                     _assert_same(preimages_tangent3(t, lam, box), want)
                     on_edge += sum(p[0] == lo or p[1] == lo for p in want)
         assert on_edge > 20
+
+    @pytest.mark.parametrize("box", [(-0.5, 1.0, -0.3, 0.3), (QUARTER_PI, 1.0, -0.3, 0.3),
+                                     (-0.5, QUARTER_PI, -0.3, 0.3)])
+    def test_point_on_a_mirror_comes_once(self, box):
+        # (pi/4, 0) lies on the mirror between tiles 0 and 1: both unfold to it
+        _assert_same(preimages_tangent3((2.0, 0.0, 0.0), 2.0, box),
+                     [np.array([QUARTER_PI, 0.0, 0.0])])
 
     def test_omitted_values_have_no_preimage(self):
         lam = 1.5
@@ -1507,7 +1514,8 @@ def _reference_float_inverse_branch(q, w, lam: float = 1.0):
         raise BranchDomainError("target lies on the removed diagonal segment")
     x, y = wx / lam, wy / lam
     core._require_finite(x, y)
-    candidates = _reference_float_branch_candidates(*core._cayley_inverse_xyz(x, y, 0.0), lx, ly)
+    candidates = _reference_float_branch_candidates(
+        *core.cayley_inverse((x, y, 0.0)).tolist(), lx, ly)
     candidates.append((lx, ly))
     target = (wx, wy, 0.0)
     ww = wx * wx + wy * wy
@@ -1750,7 +1758,7 @@ class TestScalarBranchWork:
             where.append((kind, _closed_form_vs_old_route(
                 q, w, lam, got, _outcome(_reference_float_inverse_branch, q, w, lam))))
             if kind == 1:
-                two_chart += abs(core._cayley_inverse_xyz(w[0] / lam, w[1] / lam, 0.0)[2]) <= 1e-12
+                two_chart += abs(core.cayley_inverse((w[0] / lam, w[1] / lam, 0.0))[2]) <= 1e-12
         assert {k: {c for j, c in where if j == k} for k in range(4)} == {
             0: {"off band", "new only"}, 1: {"off band"}, 2: {"off band"}, 3: {"band"}}
         assert where.count((3, "band")) == 500 and two_chart > 400

@@ -108,3 +108,13 @@ def test_fast_suite_keeps_its_bytes(lam, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[lam]
+
+
+@pytest.mark.parametrize("lam", ["2.5", "3", "7", "30"])
+def test_suite_runs_to_the_end_at_large_lam(lam, capsys):
+    # the itinerary checks build tails and cycles whose poles clear the
+    # radius, so every check reports PASS or FAIL: no usage error, no raise
+    code = main(["verify", "--suite", "all", "--fast", "--seed", "0", "--lambda", lam])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and err == ""
+    assert out.splitlines()[-1].endswith(f"checks passed (lambda={float(lam)}, suite=all)")
